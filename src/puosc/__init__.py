@@ -14,6 +14,7 @@ from .core import (
     JetState,
     OstroState,
     PoissonTensor,
+    Potential,
     PUParams,
     QuadraticObservable,
     VectorField,
@@ -26,23 +27,23 @@ from .core import (
     free_vector_field,
     h1,
     h2,
-    interacting_vector_field,
     j1,
     j2,
     jet_to_ostro,
     make_params,
     ostro_to_jet,
     poisson_bracket,
+    solve_bihamiltonian,
     transport_observable,
     transport_tensor,
 )
 from .dynamics import (
     ModeAmplitudes,
-    Potential,
     RunawayVerdict,
     ThresholdReport,
     Trajectory,
     closed_form_states,
+    field_for,
     integrate,
     mode_decompose,
     mode_energy,
@@ -76,7 +77,6 @@ from .symmetry import (
     known_generators,
     lie_derivative_residual,
     resolve_structure_signs,
-    solve_bihamiltonian,
     symmetry_charges,
 )
 

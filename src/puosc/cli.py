@@ -31,6 +31,8 @@ from .config import (
     DEFAULT_SEED,
     DEFAULT_T_END,
     DEFAULT_TOL,
+    SCAN_BISECT_ITERS,
+    SCAN_GRID_POINTS,
 )
 from .core import JetState, OstroState, PUParams
 from .errors import (
@@ -89,20 +91,16 @@ class RunConfig:
         return core.ostro_to_jet(
             params, OstroState(self.x1, self.x2, self.p1, self.p2))
 
-    def potential(self) -> Optional[dynamics.Potential]:
+    def potential(self) -> Optional[core.Potential]:
         return dynamics.quartic(self.lam) if self.lam > 0.0 else None
 
 
 def _config_from_args(args) -> RunConfig:
-    return RunConfig(
-        omega1=args.omega1, omega2=args.omega2, lam=args.lam,
-        chart=args.chart,
-        q0=args.q0, qd0=args.qd0, qdd0=args.qdd0, qddd0=args.qddd0,
-        x1=args.x1, x2=args.x2, p1=args.p1, p2=args.p2,
-        t_end=args.t_end, tol=args.tol, sample_rate=args.sample_rate,
-        escape_radius=args.escape_radius, seed=args.seed,
-        out=args.out, fmt=args.format,
-    )
+    """RunConfig from parsed flags; fields a subcommand has no flag for keep
+    their RunConfig defaults, so every output echoes the full config."""
+    return RunConfig(**{f.name: getattr(args, f.name)
+                        for f in dataclasses.fields(RunConfig)
+                        if hasattr(args, f.name)})
 
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
@@ -217,9 +215,7 @@ def run_invariant_suite(params: PUParams, lam: float = 0.1,
            {"dimension": len(free_basis), "j1_residual": r1, "j2_residual": r2})
 
     lam_eff = lam if lam > 0 else 0.1
-    pot = dynamics.quartic(lam_eff)
-    field = core.interacting_vector_field(params, pot.w_prime, w=pot.w,
-                                          w_second=pot.w_second)
+    field = dynamics.field_for(params, dynamics.quartic(lam_eff))
     pts = symmetry.default_sample_points(10, seed)
     int_basis = symmetry.invariant_tensor_space(field, pts)
     ri1 = symmetry.tensor_projection_residual(int_basis, core.j1(params))
@@ -509,33 +505,44 @@ def cmd_modes(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--omega1", type=float, default=1.0)
-    sp.add_argument("--omega2", type=float, default=2.0)
-    sp.add_argument("--lambda", dest="lam", type=float, default=0.0,
+_DEFAULTS = RunConfig()
+
+
+def _add_frequencies(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--omega1", type=float, default=_DEFAULTS.omega1)
+    sp.add_argument("--omega2", type=float, default=_DEFAULTS.omega2)
+
+
+def _add_coupling(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--lambda", dest="lam", type=float, default=_DEFAULTS.lam,
                     help="quartic coupling strength")
-    sp.add_argument("--q0", type=float, default=0.0)
-    sp.add_argument("--qd0", type=float, default=0.0)
-    sp.add_argument("--qdd0", type=float, default=0.0)
-    sp.add_argument("--qddd0", type=float, default=0.0)
-    sp.add_argument("--x1", type=float, default=0.0)
-    sp.add_argument("--x2", type=float, default=0.0)
-    sp.add_argument("--p1", type=float, default=0.0)
-    sp.add_argument("--p2", type=float, default=0.0)
-    sp.add_argument("--chart", choices=("jet", "ostro"), default="jet",
+
+
+def _add_state(sp: argparse.ArgumentParser) -> None:
+    for name in ("q0", "qd0", "qdd0", "qddd0", "x1", "x2", "p1", "p2"):
+        sp.add_argument(f"--{name}", type=float,
+                        default=getattr(_DEFAULTS, name))
+    sp.add_argument("--chart", choices=("jet", "ostro"),
+                    default=_DEFAULTS.chart,
                     help="which set of initial-state flags to read")
-    sp.add_argument("--t-end", dest="t_end", type=float, default=DEFAULT_T_END)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL)
+
+
+def _add_integrator(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--t-end", dest="t_end", type=float,
+                    default=_DEFAULTS.t_end)
+    sp.add_argument("--tol", type=float, default=_DEFAULTS.tol)
     sp.add_argument("--sample-rate", dest="sample_rate", type=float,
-                    default=DEFAULT_SAMPLE_RATE)
+                    default=_DEFAULTS.sample_rate)
     sp.add_argument("--escape-radius", dest="escape_radius", type=float,
-                    default=None)
-    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    sp.add_argument("--out", type=str, default=None)
-    sp.add_argument("--format", choices=("csv", "json"), default="csv")
+                    default=_DEFAULTS.escape_radius)
+
+
+def _add_output(sp: argparse.ArgumentParser) -> None:
+    sp.add_argument("--out", type=str, default=_DEFAULTS.out)
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One subparser per command, each with only the flags it reads."""
     ap = argparse.ArgumentParser(
         prog="puosc",
         description="fourth-order two-frequency oscillator experiments",
@@ -544,15 +551,25 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("verify", help="run the invariant suite")
-    _add_common(sp)
+    _add_frequencies(sp)
+    _add_coupling(sp)
+    sp.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    _add_output(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("simulate", help="integrate one trajectory to CSV")
-    _add_common(sp)
+    _add_frequencies(sp)
+    _add_coupling(sp)
+    _add_state(sp)
+    _add_integrator(sp)
+    _add_output(sp)
+    sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
+                    default=_DEFAULTS.fmt)
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("embed", help="two-dimensional family report")
-    _add_common(sp)
+    _add_frequencies(sp)
+    _add_output(sp)
     sp.add_argument("--family", required=True,
                     choices=("ta1", "ta2", "tb1", "tb2"))
     sp.add_argument("--branch", choices=("+", "-"), default="+")
@@ -564,15 +581,22 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_embed)
 
     sp = sub.add_parser("scan", help="coupling-threshold search")
-    _add_common(sp)
+    _add_frequencies(sp)
+    _add_state(sp)
+    _add_integrator(sp)
+    _add_output(sp)
     sp.add_argument("--lambda-min", dest="lambda_min", type=float, default=0.0)
     sp.add_argument("--lambda-max", dest="lambda_max", type=float, default=10.0)
-    sp.add_argument("--grid-points", dest="grid_points", type=int, default=32)
-    sp.add_argument("--bisect-iters", dest="bisect_iters", type=int, default=40)
+    sp.add_argument("--grid-points", dest="grid_points", type=int,
+                    default=SCAN_GRID_POINTS)
+    sp.add_argument("--bisect-iters", dest="bisect_iters", type=int,
+                    default=SCAN_BISECT_ITERS)
     sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("modes", help="mode amplitudes of an initial state")
-    _add_common(sp)
+    _add_frequencies(sp)
+    _add_state(sp)
+    _add_output(sp)
     sp.set_defaults(func=cmd_modes)
 
     return ap

@@ -35,7 +35,9 @@ from .config import EPS_ALGEBRA, EPS_SINGULAR
 from .errors import (
     ChartMismatchError,
     DegenerateFrequenciesError,
+    NotAntisymmetricError,
     SingularBlendError,
+    SingularHessianError,
 )
 
 JET = "jet"
@@ -148,8 +150,7 @@ class QuadraticObservable:
 class PoissonTensor:
     """Constant antisymmetric tensor J, tagged with its chart.
 
-    Constant coefficients make the Jacobi identity automatic; the residual is
-    still exposed so callers can assert it on any constructed tensor.
+    Constant coefficients make the Jacobi identity automatic.
     """
 
     j: np.ndarray
@@ -164,26 +165,27 @@ class PoissonTensor:
         object.__setattr__(self, "j", J)
         J.setflags(write=False)
 
-    def bracket_matrix(self) -> np.ndarray:
-        return self.j
 
-    def jacobi_residual(self) -> float:
-        # sum_l J[i,l] dJ[j,k]/dz_l + cyclic: zero for constant coefficients.
-        return 0.0
+@dataclass(frozen=True)
+class Potential:
+    """Interaction potential W with its first two derivatives."""
+
+    w: Callable[[float], float]
+    w_prime: Callable[[float], float]
+    w_second: Callable[[float], float]
+    label: str
 
 
 @dataclass(frozen=True)
 class VectorField:
     """Flow z -> linear @ z, plus an optional interaction potential W.
 
-    The interaction contributes -w_prime(q) to the qddd component.  w and
-    w_second ride along for energy bookkeeping and flow Jacobians.
+    The interaction contributes -W'(q) to the qddd component and -W''(q) to
+    entry (3, 0) of the flow Jacobian; H1 - W(q) is conserved.
     """
 
     linear: np.ndarray
-    nonlinear: Optional[Callable[[float], float]] = None
-    w: Optional[Callable[[float], float]] = None
-    w_second: Optional[Callable[[float], float]] = None
+    potential: Optional[Potential] = None
 
     def __post_init__(self):
         A = np.asarray(self.linear, dtype=float)
@@ -195,23 +197,16 @@ class VectorField:
     def flow(self, z) -> np.ndarray:
         v = _coerce(z)
         dz = self.linear @ v
-        if self.nonlinear is not None:
-            dz[3] -= self.nonlinear(v[0])
+        if self.potential is not None:
+            dz[3] -= self.potential.w_prime(v[0])
         return dz
 
     def jacobian(self, z) -> np.ndarray:
         """d(flow)/dz at z; the interaction only enters entry (3, 0)."""
         D = np.array(self.linear)
-        if self.nonlinear is not None:
-            D[3, 0] -= self._w2(_coerce(z)[0])
+        if self.potential is not None:
+            D[3, 0] -= self.potential.w_second(_coerce(z)[0])
         return D
-
-    def _w2(self, q: float) -> float:
-        if self.w_second is not None:
-            return self.w_second(q)
-        h = 1e-6 * max(1.0, abs(q))
-        wp = self.nonlinear
-        return (wp(q + h) - wp(q - h)) / (2.0 * h)
 
 
 def _coerce(z) -> np.ndarray:
@@ -372,22 +367,6 @@ def free_vector_field(params: PUParams) -> VectorField:
     return VectorField(flow_matrix(params))
 
 
-def interacting_vector_field(
-    params: PUParams,
-    w_prime: Callable[[float], float],
-    w: Optional[Callable[[float], float]] = None,
-    w_second: Optional[Callable[[float], float]] = None,
-) -> VectorField:
-    """Flow of the interacting equation q'''' + alpha*q'' + beta*q + W'(q) = 0.
-
-    The qddd component of the flow is -beta*q - alpha*qdd - w_prime(q);
-    along its trajectories H1 - W(q) is constant.  Passing w enables that
-    energy monitor, w_second enables exact flow Jacobians.
-    """
-    return VectorField(flow_matrix(params), nonlinear=w_prime, w=w,
-                       w_second=w_second)
-
-
 # ---------------------------------------------------------------------------
 # blends
 # ---------------------------------------------------------------------------
@@ -398,28 +377,46 @@ def blend_h(params: PUParams, c1: float, c2: float) -> QuadraticObservable:
     return QuadraticObservable(_sym_exact(S))
 
 
+def solve_bihamiltonian(
+    params: PUParams, h_target: QuadraticObservable
+) -> PoissonTensor:
+    """Solve J.grad(H_target) = flow for a constant tensor J = A S^-1.
+
+    Raises SingularHessianError if the Hessian is singular, and
+    NotAntisymmetricError (with the symmetric part's norm) if the solution is
+    not a Poisson tensor -- then no constant structure pairs with H_target.
+    """
+    S = h_target.coeffs
+    sv = np.linalg.svd(S, compute_uv=False)
+    if sv[-1] <= EPS_SINGULAR * max(sv[0], 1.0):
+        raise SingularHessianError("target Hessian is singular")
+    J = flow_matrix(params) @ np.linalg.inv(S)
+    sym = 0.5 * (J + J.T)
+    if np.linalg.norm(sym) > EPS_ALGEBRA * max(1.0, np.linalg.norm(J)):
+        raise NotAntisymmetricError(float(np.linalg.norm(sym)))
+    return PoissonTensor(0.5 * (J - J.T), JET)
+
+
 def blend_j(params: PUParams, c1: float, c2: float) -> PoissonTensor:
     """The unique constant antisymmetric J with J.grad(c1*H1 + c2*H2) = flow.
 
-    Constructed as A (c1*S1 + c2*S2)^-1 and verified antisymmetric.  The
-    blend Hessian is singular exactly on the rays c2 = -c1*w_i^2, where a
-    SingularBlendError is raised.  A quoted closed form for this tensor is
-    available as blend_j_tabulated for comparison; see blend_report.
+    solve_bihamiltonian applied to blend_h.  The blend Hessian is singular
+    exactly on the rays c2 = -c1*w_i^2; there, and if the solution is not
+    antisymmetric, a SingularBlendError is raised.  A quoted closed form for
+    this tensor is available as blend_j_tabulated for comparison; see
+    blend_report.
     """
-    S = c1 * h1(params).coeffs + c2 * h2(params).coeffs
-    sv = np.linalg.svd(S, compute_uv=False)
-    if sv[-1] <= EPS_SINGULAR * max(sv[0], 1.0):
+    try:
+        return solve_bihamiltonian(params, blend_h(params, c1, c2))
+    except SingularHessianError as exc:
         raise SingularBlendError(
             f"blend Hessian singular at (c1, c2) = ({c1}, {c2})"
-        )
-    J = flow_matrix(params) @ np.linalg.inv(S)
-    skew = 0.5 * (J + J.T)
-    if np.linalg.norm(skew) > EPS_ALGEBRA * max(1.0, np.linalg.norm(J)):
+        ) from exc
+    except NotAntisymmetricError as exc:
         raise SingularBlendError(
             "constructed blend tensor is not antisymmetric "
-            f"(symmetric part norm {np.linalg.norm(skew):.3e})"
-        )
-    return PoissonTensor(0.5 * (J - J.T), JET)
+            f"(symmetric part norm {exc.symmetric_norm:.3e})"
+        ) from exc
 
 
 def blend_j_closed_form(params: PUParams, c1: float, c2: float) -> PoissonTensor:

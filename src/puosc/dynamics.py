@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .config import (
     SCAN_BISECT_ITERS,
     SCAN_GRID_POINTS,
 )
-from .core import JetState, PUParams, VectorField
+from .core import JetState, Potential, PUParams, VectorField
 from .errors import (
     PreconditionViolatedError,
     ScanDegenerateError,
@@ -106,16 +106,6 @@ def mode_energy(params: PUParams, m: ModeAmplitudes) -> dict:
 # interaction potentials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Potential:
-    """Interaction potential W with its first two derivatives."""
-
-    w: Callable[[float], float]
-    w_prime: Callable[[float], float]
-    w_second: Callable[[float], float]
-    label: str
-
-
 def quartic(lam: float) -> Potential:
     """Quartic coupling W(q) = lam q^4 / 4.
 
@@ -125,10 +115,10 @@ def quartic(lam: float) -> Potential:
     """
     lam = float(lam)
     return Potential(
-        w=lambda q: 0.25 * lam * q ** 4,
-        w_prime=lambda q: lam * q ** 3,
-        w_second=lambda q: 3.0 * lam * q ** 2,
-        label=f"quartic(lam={lam!r})",
+        lambda q: 0.25 * lam * q ** 4,      # W
+        lambda q: lam * q ** 3,             # W'
+        lambda q: 3.0 * lam * q ** 2,       # W''
+        f"quartic(lam={lam!r})",
     )
 
 
@@ -136,9 +126,7 @@ def field_for(params: PUParams, potential: Optional[Potential]) -> VectorField:
     """Free or interacting vector field for an optional potential."""
     if potential is None:
         return core.free_vector_field(params)
-    return core.interacting_vector_field(
-        params, potential.w_prime, w=potential.w, w_second=potential.w_second
-    )
+    return VectorField(core.flow_matrix(params), potential)
 
 
 # ---------------------------------------------------------------------------
@@ -241,11 +229,13 @@ def integrate(
 
     # hoist the flow out of the dataclass for the hot loop (autonomous system)
     A = field.linear
-    wp = field.nonlinear
-    if wp is None:
+    pot = field.potential
+    if pot is None:
         def f(t, z):
             return A @ z
     else:
+        wp = pot.w_prime
+
         def f(t, z):
             dz = A @ z
             dz[3] -= wp(z[0])
@@ -321,8 +311,8 @@ def integrate(
     s2 = core.h2(params).coeffs
     h1s = 0.5 * np.einsum("ni,ij,nj->n", states, s1, states)
     h2s = 0.5 * np.einsum("ni,ij,nj->n", states, s2, states)
-    if field.w is not None:
-        hint = h1s - np.array([field.w(q) for q in states[:, 0]])
+    if pot is not None:
+        hint = h1s - np.array([pot.w(q) for q in states[:, 0]])
     else:
         hint = h1s.copy()
     meta = {
@@ -335,7 +325,7 @@ def integrate(
         "t_end": t_end,
         "n_steps": n_steps,
         "n_rhs": n_rhs,
-        "interacting": field.nonlinear is not None,
+        "interacting": pot is not None,
     }
     return Trajectory(times, states, h1s, h2s, hint, meta)
 

@@ -55,14 +55,6 @@ class NoSolutionError(PuoscError):
     """The embedding constraint system has no solution for these inputs."""
 
 
-class NonUniqueError(PuoscError):
-    """The normalized embedding constraint system is underdetermined."""
-
-    def __init__(self, dimension: int):
-        self.dimension = dimension
-        super().__init__(f"solution manifold has dimension {dimension} > 0")
-
-
 class SingularMapError(PuoscError):
     """Transform jacobian is singular; tensors cannot be pushed through it."""
 

@@ -5,7 +5,8 @@ when the matrices commute, so the symmetry algebra is the commutant of A.
 For distinct nonzero frequencies A has four distinct eigenvalues and the
 commutant is the abelian span of {I, A, A^2, A^3}; acting with its elements
 on H1 produces the conserved charges, and solving J.grad(H) = flow for the
-charge proportional to H2 produces the second Hamiltonian structure.
+charge proportional to H2 (core.solve_bihamiltonian) produces the second
+Hamiltonian structure.
 
 For an interacting flow the invariance condition for a constant tensor J is
 imposed pointwise: DV(z) J + J DV(z)^T = 0 at every sample z.  Any nonzero
@@ -21,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import core
-from .config import DEFAULT_SEED, EPS_ALGEBRA, EPS_SINGULAR, SVD_RANK_CUTOFF
+from .config import DEFAULT_SEED, EPS_ALGEBRA, SVD_RANK_CUTOFF
 from .core import (
     JET,
     JetState,
@@ -30,12 +31,7 @@ from .core import (
     QuadraticObservable,
     VectorField,
 )
-from .errors import (
-    ChartMismatchError,
-    InsufficientSamplesError,
-    NotAntisymmetricError,
-    SingularHessianError,
-)
+from .errors import ChartMismatchError, InsufficientSamplesError
 
 
 # ---------------------------------------------------------------------------
@@ -60,15 +56,6 @@ class LinearSymmetry:
 class SymmetryBasis:
     generators: tuple
     dimension: int
-
-
-@dataclass(frozen=True)
-class LieDerivativeReport:
-    """Residual of the invariance condition for a candidate tensor."""
-
-    tensor: PoissonTensor
-    residual_norm: float
-    sample_points: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +128,7 @@ def max_pairwise_commutator(basis: SymmetryBasis) -> float:
 
 
 # ---------------------------------------------------------------------------
-# charges and bi-Hamiltonian solve
+# symmetry action and charges
 # ---------------------------------------------------------------------------
 
 def apply_symmetry(
@@ -188,26 +175,6 @@ def resolve_structure_signs(params: PUParams) -> tuple[int, int]:
     if len(hits) != 1:
         raise AssertionError(f"sign resolution not unique: {hits}")
     return hits[0]
-
-
-def solve_bihamiltonian(
-    params: PUParams, h_target: QuadraticObservable
-) -> PoissonTensor:
-    """Solve J.grad(H_target) = flow for a constant tensor J = A S^-1.
-
-    Raises SingularHessianError if the Hessian is singular, and
-    NotAntisymmetricError (with the symmetric part's norm) if the solution is
-    not a Poisson tensor -- then no constant structure pairs with H_target.
-    """
-    S = h_target.coeffs
-    sv = np.linalg.svd(S, compute_uv=False)
-    if sv[-1] <= EPS_SINGULAR * max(sv[0], 1.0):
-        raise SingularHessianError("target Hessian is singular")
-    J = core.flow_matrix(params) @ np.linalg.inv(S)
-    sym = 0.5 * (J + J.T)
-    if np.linalg.norm(sym) > EPS_ALGEBRA * max(1.0, np.linalg.norm(J)):
-        raise NotAntisymmetricError(float(np.linalg.norm(sym)))
-    return PoissonTensor(0.5 * (J - J.T), JET)
 
 
 def symmetry_charges(params: PUParams, basis: Optional[SymmetryBasis] = None):
@@ -281,12 +248,12 @@ def invariant_tensor_space(
     """Basis of constant antisymmetric tensors invariant under the flow.
 
     Linear field: solves A J + J A^T = 0 (samples are irrelevant and may be
-    omitted).  Nonlinear field: the condition DV(z) J + J DV(z)^T = 0 is
+    omitted).  Interacting field: the condition DV(z) J + J DV(z)^T = 0 is
     imposed at every sample point; at least 3 points with distinct q are
     required, otherwise the system degenerates to the free one and
     InsufficientSamplesError is raised.
     """
-    if field.nonlinear is None:
+    if field.potential is None:
         jacobians = [np.asarray(field.linear, dtype=float)]
     else:
         if sample_points is None:
@@ -325,21 +292,3 @@ def tensor_projection_residual(
     coef, *_ = np.linalg.lstsq(B, X, rcond=None)
     res = X - B @ coef
     return float(np.linalg.norm(res) / max(np.linalg.norm(X), 1.0))
-
-
-def invariance_report(
-    field: VectorField,
-    j: PoissonTensor,
-    sample_points: Optional[Sequence[JetState]] = None,
-) -> LieDerivativeReport:
-    """Max invariance residual of a candidate tensor over the samples."""
-    if sample_points is None:
-        sample_points = (
-            [JetState(0, 0, 0, 0)] if field.nonlinear is None
-            else default_sample_points()
-        )
-    worst = 0.0
-    for z in sample_points:
-        worst = max(worst, float(np.linalg.norm(
-            lie_derivative_residual(field, j, z))))
-    return LieDerivativeReport(j, worst, tuple(sample_points))

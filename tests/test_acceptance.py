@@ -90,9 +90,7 @@ def test_criterion_4_invariant_tensor_scan():
     assert tensor_projection_residual(free_basis, p.j1(PAR)) < 1e-10
     assert tensor_projection_residual(free_basis, p.j2(PAR)) < 1e-10
     for lam in (0.01, 0.1, 1.0):
-        pot = p.quartic(lam)
-        field = p.interacting_vector_field(PAR, pot.w_prime, w=pot.w,
-                                           w_second=pot.w_second)
+        field = p.field_for(PAR, p.quartic(lam))
         basis = p.invariant_tensor_space(field, default_sample_points(10))
         assert len(basis) == 1
         assert tensor_projection_residual(basis, p.j1(PAR)) < 1e-10

@@ -196,3 +196,57 @@ def test_modes_ostro_chart(capsys):
     assert run(["modes", *FIG_FLAGS]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["h1"] == pytest.approx(0.125)
+
+
+# ---------------------------------------------------------------------------
+# flag contract: each subcommand accepts only the flags it reads
+# ---------------------------------------------------------------------------
+
+FREQ = ["--omega1", "1.5", "--omega2", "0.5"]
+STATE = ["--chart", "jet", "--q0", "1", "--qd0", "0", "--qdd0", "-1",
+         "--qddd0", "0", "--x1", "0", "--x2", "0", "--p1", "0", "--p2", "0"]
+INTEGRATOR = ["--t-end", "5", "--tol", "1e-9", "--sample-rate", "0.5",
+              "--escape-radius", "100"]
+KEPT_FLAGS = {
+    "verify": [*FREQ, "--lambda", "0.2", "--seed", "3", "--out", "o"],
+    "simulate": [*FREQ, "--lambda", "0.2", *STATE, *INTEGRATOR,
+                 "--out", "o", "--format", "json"],
+    "embed": [*FREQ, "--out", "o", "--family", "tb1", "--branch", "-",
+              "--ax", "1", "--ay", "1", "--bx", "2", "--by", "1", "--g", "1"],
+    "scan": [*FREQ, *STATE, *INTEGRATOR, "--out", "o", "--lambda-min", "1",
+             "--lambda-max", "2", "--grid-points", "4", "--bisect-iters", "3"],
+    "modes": [*FREQ, *STATE, "--out", "o"],
+}
+
+
+@pytest.mark.parametrize("argv", [
+    ["embed", "--family", "tb1", "--q0", "1"],
+    ["embed", "--family", "tb1", "--lambda", "1"],
+    ["verify", "--t-end", "5"],
+    ["verify", "--chart", "ostro"],
+    ["modes", "--tol", "1e-9"],
+    ["modes", "--lambda", "1"],
+    ["scan", "--lambda", "3"],
+    ["scan", "--seed", "1"],
+    ["scan", "--format", "json"],
+    ["simulate", "--seed", "1"],
+])
+def test_subcommand_rejects_unread_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    # "unrecognized arguments", or "ambiguous option" for scan --lambda,
+    # which abbreviates --lambda-min and --lambda-max
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(KEPT_FLAGS))
+def test_subcommand_parses_kept_flags(command):
+    args = cli.build_parser().parse_args([command, *KEPT_FLAGS[command]])
+    assert args.func is getattr(cli, f"cmd_{command}")
+    assert args.omega1 == 1.5 and args.out == "o"
+
+
+def test_unset_config_fields_keep_defaults():
+    args = cli.build_parser().parse_args(["embed", "--family", "ta1"])
+    assert cli._config_from_args(args) == cli.RunConfig()

@@ -145,7 +145,6 @@ def test_j2_entries_and_antisymmetry():
     off[0, 1] = off[1, 0] = off[2, 3] = off[3, 2] = 0.0
     assert np.all(off == 0.0)
     assert np.array_equal(J, -J.T)
-    assert p.j2(PAR).jacobi_residual() == 0.0
 
 
 def test_j2_grad_h2_is_free_flow():
@@ -176,7 +175,7 @@ def test_hamilton_identity_exact():
 def test_interacting_field_sign():
     # flow satisfies q'''' + alpha qdd + beta q + W'(q) = 0
     lam = 0.1
-    V = p.interacting_vector_field(PAR, lambda q: lam * q ** 3)
+    V = p.field_for(PAR, p.quartic(lam))
     dz = V.flow(p.JetState(2, 0, 0, 0))
     assert dz[3] == pytest.approx(-4.0 * 2 - lam * 8, abs=1e-14)
     q4 = dz[3]
@@ -184,16 +183,16 @@ def test_interacting_field_sign():
 
 
 def test_interacting_field_zero_potential_matches_free():
-    V = p.interacting_vector_field(PAR, lambda q: 0.0)
+    V = p.field_for(PAR, p.quartic(0.0))
     z = p.JetState(1.0, -0.5, 0.25, 2.0)
     assert np.allclose(V.flow(z), p.free_vector_field(PAR).flow(z), atol=0)
 
 
-def test_field_jacobian_finite_difference_fallback():
-    lam = 0.7
-    V = p.interacting_vector_field(PAR, lambda q: lam * q ** 3)
-    D = V.jacobian(p.JetState(1.5, 0, 0, 0))
-    assert D[3, 0] == pytest.approx(-PAR.beta - 3 * lam * 1.5 ** 2, rel=1e-8)
+def test_field_jacobian_exact():
+    lam, q = 0.7, 1.5
+    V = p.field_for(PAR, p.quartic(lam))
+    D = V.jacobian(p.JetState(q, 0, 0, 0))
+    assert D[3, 0] == pytest.approx(-PAR.beta - 3 * lam * q ** 2, rel=1e-14)
 
 
 # ---------------------------------------------------------------------------

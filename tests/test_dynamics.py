@@ -149,26 +149,14 @@ def test_trajectory_times_strictly_increasing():
 def test_chart_equivalence():
     # integrating the momentum-chart equations directly matches transporting
     # the jet trajectory through the chart map
-    from dataclasses import dataclass
-    from typing import Callable, Optional
-
     L = ostro_jacobian(PAR)
     Linv = ostro_jacobian_inv(PAR)
     A_ostro = L @ flow_matrix(PAR) @ Linv
 
-    @dataclass
-    class OstroField:
-        linear: np.ndarray
-        nonlinear: Optional[Callable] = None
-        w: Optional[Callable] = None
-
-        def flow(self, z):
-            return self.linear @ np.asarray(z, dtype=float)
-
     z0 = p.JetState(0.2, -0.4, 1.0, 0.3)
     s0 = p.jet_to_ostro(PAR, z0)
     jet = p.integrate(PAR, p.free_vector_field(PAR), z0, 50.0, tol=1e-11)
-    ostro = p.integrate(PAR, OstroField(A_ostro),
+    ostro = p.integrate(PAR, p.VectorField(A_ostro),
                         p.JetState.from_array(s0.as_array()), 50.0, tol=1e-11)
     transported = jet.states @ L.T
     assert np.max(np.abs(transported - ostro.states)) < 1e-7

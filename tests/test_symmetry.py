@@ -13,7 +13,6 @@ from puosc.errors import (
 )
 from puosc.symmetry import (
     default_sample_points,
-    invariance_report,
     max_pairwise_commutator,
     projection_residual,
     tensor_projection_residual,
@@ -200,8 +199,7 @@ def test_free_field_invariant_space_dimension_2():
 
 
 def test_interacting_field_collapses_to_j1():
-    field = p.interacting_vector_field(
-        PAR, lambda q: 0.1 * q ** 3, w_second=lambda q: 0.3 * q ** 2)
+    field = p.field_for(PAR, p.quartic(0.1))
     basis = p.invariant_tensor_space(field, default_sample_points(10))
     assert len(basis) == 1
     assert tensor_projection_residual(basis, p.j1(PAR)) < 1e-10
@@ -209,8 +207,7 @@ def test_interacting_field_collapses_to_j1():
 
 
 def test_interacting_scan_insufficient_samples():
-    field = p.interacting_vector_field(
-        PAR, lambda q: q ** 3, w_second=lambda q: 3 * q ** 2)
+    field = p.field_for(PAR, p.quartic(1.0))
     pts = [p.JetState(0.0, float(k), 0.5, -1.0) for k in range(10)]
     with pytest.raises(InsufficientSamplesError):
         p.invariant_tensor_space(field, pts)
@@ -225,8 +222,7 @@ def test_lie_derivative_residual_free_field():
 
 def test_lie_derivative_residual_interacting_j2_pattern():
     lam = 1.0
-    field = p.interacting_vector_field(
-        PAR, lambda q: lam * q ** 3, w_second=lambda q: 3 * lam * q ** 2)
+    field = p.field_for(PAR, p.quartic(lam))
     z = p.JetState(1.0, 0.0, 0.0, 0.0)
     R = p.lie_derivative_residual(field, p.j2(PAR), z)
     # only the (qd, qddd) pair picks up the broken dq^dqd block:
@@ -240,33 +236,31 @@ def test_lie_derivative_residual_interacting_j2_pattern():
 
 
 def test_lie_derivative_residual_j2_vanishes_at_q_zero():
-    field = p.interacting_vector_field(
-        PAR, lambda q: 2.0 * q ** 3, w_second=lambda q: 6.0 * q ** 2)
+    field = p.field_for(PAR, p.quartic(2.0))
     z = p.JetState(0.0, 1.3, -0.4, 0.8)
     assert np.linalg.norm(p.lie_derivative_residual(field, p.j2(PAR), z)) < 1e-14
 
 
 def test_lie_derivative_residual_j1_immune_to_interaction():
-    field = p.interacting_vector_field(
-        PAR, lambda q: 5.0 * q ** 3, w_second=lambda q: 15.0 * q ** 2)
+    field = p.field_for(PAR, p.quartic(5.0))
     z = p.JetState(2.0, -1.0, 0.5, 0.3)
     assert np.linalg.norm(p.lie_derivative_residual(field, p.j1(PAR), z)) < 1e-14
 
 
-def test_invariance_report():
-    field = p.interacting_vector_field(
-        PAR, lambda q: 0.5 * q ** 3, w_second=lambda q: 1.5 * q ** 2)
-    r1 = invariance_report(field, p.j1(PAR))
-    r2 = invariance_report(field, p.j2(PAR))
-    assert r1.residual_norm < 1e-13
-    assert r2.residual_norm > 1e-3
+def test_max_invariance_residual_over_default_samples():
+    field = p.field_for(PAR, p.quartic(0.5))
+
+    def worst(J):
+        return max(np.linalg.norm(p.lie_derivative_residual(field, J, z))
+                   for z in default_sample_points())
+
+    assert worst(p.j1(PAR)) < 1e-13
+    assert worst(p.j2(PAR)) > 1e-3
 
 
 def test_interacting_collapse_various_couplings():
     for lam in (0.01, 0.1, 1.0):
-        field = p.interacting_vector_field(
-            PAR, lambda q, lam=lam: lam * q ** 3,
-            w_second=lambda q, lam=lam: 3 * lam * q ** 2)
+        field = p.field_for(PAR, p.quartic(lam))
         basis = p.invariant_tensor_space(field, default_sample_points(10))
         assert len(basis) == 1
         assert tensor_projection_residual(basis, p.j1(PAR)) < 1e-10
