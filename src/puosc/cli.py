@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from typing import Optional
@@ -78,6 +79,10 @@ class RunConfig:
     seed: int = DEFAULT_SEED
     out: Optional[str] = None
     fmt: str = "csv"
+
+    def __post_init__(self):
+        if self.lam < 0.0:
+            raise PreconditionViolatedError("lambda must be non-negative")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -166,7 +171,9 @@ def run_invariant_suite(params: PUParams, lam: float = 0.1,
             except PuoscError:
                 continue
             S = core.blend_h(params, float(c1), float(c2)).coeffs
-            worst_blend = max(worst_blend, float(np.linalg.norm(J @ S - A)))
+            bscale = max(1.0, float(np.linalg.norm(J) * np.linalg.norm(S)))
+            worst_blend = max(worst_blend,
+                              float(np.linalg.norm(J @ S - A)) / bscale)
             n_blend += 1
     record("blend_grid", worst_blend < 1e-10 and n_blend > 300,
            {"max_residual": worst_blend, "points": n_blend})
@@ -270,24 +277,14 @@ def cmd_verify(args) -> int:
 
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
-    try:
-        params = cfg.params()
-        if cfg.sample_rate <= 0:
-            raise PreconditionViolatedError("sample_rate must be positive")
-        z0 = cfg.initial_state(params)
-        pot = cfg.potential()
-        field = dynamics.field_for(params, pot)
-        radius = (cfg.escape_radius if cfg.escape_radius is not None
-                  else dynamics.default_escape_radius(z0))
-        traj = dynamics.integrate(params, field, z0, cfg.t_end, cfg.tol,
-                                  sample_rate=cfg.sample_rate,
-                                  escape_radius=radius)
-    except (DegenerateFrequenciesError, PreconditionViolatedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except StepUnderflowError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    params = cfg.params()
+    z0 = cfg.initial_state(params)
+    field = dynamics.field_for(params, cfg.potential())
+    radius = (cfg.escape_radius if cfg.escape_radius is not None
+              else dynamics.default_escape_radius(z0))
+    traj = dynamics.integrate(params, field, z0, cfg.t_end, cfg.tol,
+                              sample_rate=cfg.sample_rate,
+                              escape_radius=radius)
 
     header = [
         "# puosc trajectory",
@@ -295,27 +292,23 @@ def cmd_simulate(args) -> int:
         "# config: " + json.dumps(cfg.to_dict(), sort_keys=True),
     ]
     out_path = cfg.out or "pu_trajectory.csv"
-    try:
-        if cfg.fmt == "csv":
-            rows = dynamics.trajectory_csv_rows(params, traj)
-            with open(out_path, "w") as fh:
-                fh.write("\n".join(header) + "\n")
-                fh.write(dynamics.CSV_HEADER + "\n")
-                fh.write("\n".join(rows) + "\n")
-        else:
-            payload = {
-                "config": cfg.to_dict(), "version": __version__,
-                "times": traj.times.tolist(),
-                "states": traj.states.tolist(),
-                "h1": traj.h1_series.tolist(),
-                "h2": traj.h2_series.tolist(),
-                "hint": traj.hint_series.tolist(),
-                "meta": traj.meta,
-            }
-            _emit_json(payload, out_path)
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    if cfg.fmt == "csv":
+        rows = dynamics.trajectory_csv_rows(params, traj)
+        with open(out_path, "w") as fh:
+            fh.write("\n".join(header) + "\n")
+            fh.write(dynamics.CSV_HEADER + "\n")
+            fh.write("\n".join(rows) + "\n")
+    else:
+        payload = {
+            "config": cfg.to_dict(), "version": __version__,
+            "times": traj.times.tolist(),
+            "states": traj.states.tolist(),
+            "h1": traj.h1_series.tolist(),
+            "h2": traj.h2_series.tolist(),
+            "hint": traj.hint_series.tolist(),
+            "meta": traj.meta,
+        }
+        _emit_json(payload, out_path)
 
     summary = {
         "bounded": not traj.escaped,
@@ -345,12 +338,8 @@ def _map_payload(m: embedding.TransformMap) -> dict:
         "verify": {
             "passes": v.passes,
             "contract": v.contract,
-            "phi1": {"kind": v.phi1.kind, "factor": v.phi1.factor,
-                     "residual": v.phi1.residual,
-                     "coefficients": list(v.phi1.coefficients)},
-            "phi2": {"kind": v.phi2.kind, "factor": v.phi2.factor,
-                     "residual": v.phi2.residual,
-                     "coefficients": list(v.phi2.coefficients)},
+            "phi1": dataclasses.asdict(v.phi1),
+            "phi2": dataclasses.asdict(v.phi2),
         },
     }
 
@@ -359,71 +348,52 @@ def cmd_embed(args) -> int:
     cfg = _config_from_args(args)
     family = args.family.capitalize()  # ta1 -> Ta1
     branch = +1 if args.branch == "+" else -1
-    free_keys = {"Ta1": ("a_x", "a_y", "g"), "Ta2": ("a_x", "a_y", "g"),
-                 "Tb1": ("a_x", "b_x", "g"), "Tb2": ("a_x", "b_y", "g")}
-    if family not in free_keys:
-        print(f"error: unknown family {args.family!r}", file=sys.stderr)
-        return EXIT_USAGE
     supplied = {"a_x": args.ax, "a_y": args.ay, "b_x": args.bx,
                 "b_y": args.by, "g": args.g}
-    free = {}
-    for key in free_keys[family]:
-        if supplied[key] is None:
-            print(f"error: family {family} requires --{key.replace('_', '')}",
-                  file=sys.stderr)
-            return EXIT_USAGE
-        free[key] = supplied[key]
+    free = {k: v for k, v in supplied.items() if v is not None}
+    params = cfg.params()
+    solved = embedding.solve_family(family, branch, free, params)
+    payload = {
+        "config": cfg.to_dict(), "version": __version__,
+        "family": family, "branch": branch, "free": free,
+        "solved": _map_payload(solved),
+    }
+    try:
+        tab = embedding.tabulated_family(family, branch, free, params)
+        payload["tabulated"] = _map_payload(tab)
+        payload["delta"] = {
+            k: payload["tabulated"][k] - payload["solved"][k]
+            for k in ("mu0", "mu2", "nu0", "nu2")
+        }
+    except PuoscError as exc:
+        payload["tabulated"] = f"unavailable: {exc}"
 
     try:
-        params = cfg.params()
-        solved = embedding.solve_family(family, branch, free, params)
-        payload = {
-            "config": cfg.to_dict(), "version": __version__,
-            "family": family, "branch": branch, "free": free,
-            "solved": _map_payload(solved),
-        }
-        try:
-            tab = embedding.tabulated_family(family, branch, free, params)
-            payload["tabulated"] = _map_payload(tab)
-            payload["delta"] = {
-                k: payload["tabulated"][k] - payload["solved"][k]
-                for k in ("mu0", "mu2", "nu0", "nu2")
-            }
-        except PuoscError as exc:
-            payload["tabulated"] = f"unavailable: {exc}"
-
-        try:
-            push = embedding.pushforward_poisson(solved)
-            payload["pushforward"] = push.j.tolist()
-            payload["qqdot_component"] = embedding.qqdot_component(push)
-            payload["singular_pushforward"] = False
-        except PuoscError as exc:
-            payload["pushforward"] = None
-            payload["singular_pushforward"] = True
-            payload["pushforward_note"] = str(exc)
-
-        rep = embedding.pullback_hamiltonian(solved)
-        if rep.degenerate:
-            payload["pullback"] = {"degenerate": True, "note": rep.note}
-        else:
-            pos = embedding.positivity(params, rep.observable)
-            payload["pullback"] = {
-                "degenerate": False,
-                "fitted_c1": rep.fitted.c1, "fitted_c2": rep.fitted.c2,
-                "fit_residual": rep.fit_residual,
-                "tabulated_c1": rep.tabulated.c1,
-                "tabulated_c2": rep.tabulated.c2,
-                "delta_c1": rep.fitted.c1 - rep.tabulated.c1,
-                "delta_c2": rep.fitted.c2 - rep.tabulated.c2,
-                "positive_definite": pos.positive_definite,
-                "eigenvalues": list(pos.eigenvalues),
-            }
-    except (DegenerateFrequenciesError, PreconditionViolatedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        push = embedding.pushforward_poisson(solved)
+        payload["pushforward"] = push.j.tolist()
+        payload["qqdot_component"] = embedding.qqdot_component(push)
+        payload["singular_pushforward"] = False
     except PuoscError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        payload["pushforward"] = None
+        payload["singular_pushforward"] = True
+        payload["pushforward_note"] = str(exc)
+
+    rep = embedding.pullback_hamiltonian(solved)
+    if rep.degenerate:
+        payload["pullback"] = {"degenerate": True, "note": rep.note}
+    else:
+        pos = embedding.positivity(params, rep.observable)
+        payload["pullback"] = {
+            "degenerate": False,
+            "fitted_c1": rep.fitted.c1, "fitted_c2": rep.fitted.c2,
+            "fit_residual": rep.fit_residual,
+            "tabulated_c1": rep.tabulated.c1,
+            "tabulated_c2": rep.tabulated.c2,
+            "delta_c1": rep.fitted.c1 - rep.tabulated.c1,
+            "delta_c2": rep.fitted.c2 - rep.tabulated.c2,
+            "positive_definite": pos.positive_definite,
+            "eigenvalues": list(pos.eigenvalues),
+        }
 
     _emit_json(payload, cfg.out)
     return EXIT_OK
@@ -435,22 +405,16 @@ def cmd_embed(args) -> int:
 
 def cmd_scan(args) -> int:
     cfg = _config_from_args(args)
-    if args.lambda_max < args.lambda_min:
-        print("error: inverted lambda range", file=sys.stderr)
-        return EXIT_USAGE
+    params = cfg.params()
+    z0 = cfg.initial_state(params)
+    radius = (cfg.escape_radius if cfg.escape_radius is not None
+              else dynamics.default_escape_radius(z0))
     try:
-        params = cfg.params()
-        z0 = cfg.initial_state(params)
-        radius = (cfg.escape_radius if cfg.escape_radius is not None
-                  else dynamics.default_escape_radius(z0))
         report = dynamics.threshold_search(
             params, z0, cfg.t_end, radius,
             (args.lambda_min, args.lambda_max),
             grid_points=args.grid_points, bisect_iters=args.bisect_iters,
             tol=cfg.tol, sample_rate=cfg.sample_rate)
-    except (DegenerateFrequenciesError, PreconditionViolatedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except ScanDegenerateError as exc:
         payload = {
             "config": cfg.to_dict(), "version": __version__,
@@ -459,9 +423,6 @@ def cmd_scan(args) -> int:
         }
         _emit_json(payload, cfg.out)
         return EXIT_SCAN_DEGENERATE
-    except StepUnderflowError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
     payload = {
         "config": cfg.to_dict(), "version": __version__,
@@ -481,12 +442,8 @@ def cmd_scan(args) -> int:
 
 def cmd_modes(args) -> int:
     cfg = _config_from_args(args)
-    try:
-        params = cfg.params()
-        z0 = cfg.initial_state(params)
-    except (DegenerateFrequenciesError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    params = cfg.params()
+    z0 = cfg.initial_state(params)
     m = dynamics.mode_decompose(params, z0)
     e = dynamics.mode_energy(params, m)
     payload = {
@@ -508,19 +465,31 @@ def cmd_modes(args) -> int:
 _DEFAULTS = RunConfig()
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float flag: NaN and inf are usage errors."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+_finite_float.__name__ = "finite float"  # named in argparse's error message
+
+
 def _add_frequencies(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--omega1", type=float, default=_DEFAULTS.omega1)
-    sp.add_argument("--omega2", type=float, default=_DEFAULTS.omega2)
+    for name in ("omega1", "omega2"):
+        sp.add_argument(f"--{name}", type=_finite_float,
+                        default=getattr(_DEFAULTS, name))
 
 
 def _add_coupling(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--lambda", dest="lam", type=float, default=_DEFAULTS.lam,
-                    help="quartic coupling strength")
+    sp.add_argument("--lambda", dest="lam", type=_finite_float,
+                    default=_DEFAULTS.lam, help="quartic coupling strength")
 
 
 def _add_state(sp: argparse.ArgumentParser) -> None:
     for name in ("q0", "qd0", "qdd0", "qddd0", "x1", "x2", "p1", "p2"):
-        sp.add_argument(f"--{name}", type=float,
+        sp.add_argument(f"--{name}", type=_finite_float,
                         default=getattr(_DEFAULTS, name))
     sp.add_argument("--chart", choices=("jet", "ostro"),
                     default=_DEFAULTS.chart,
@@ -528,13 +497,13 @@ def _add_state(sp: argparse.ArgumentParser) -> None:
 
 
 def _add_integrator(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--t-end", dest="t_end", type=float,
+    sp.add_argument("--t-end", dest="t_end", type=_finite_float,
                     default=_DEFAULTS.t_end)
-    sp.add_argument("--tol", type=float, default=_DEFAULTS.tol)
-    sp.add_argument("--sample-rate", dest="sample_rate", type=float,
+    sp.add_argument("--tol", type=_finite_float, default=_DEFAULTS.tol)
+    sp.add_argument("--sample-rate", dest="sample_rate", type=_finite_float,
                     default=_DEFAULTS.sample_rate)
-    sp.add_argument("--escape-radius", dest="escape_radius", type=float,
-                    default=_DEFAULTS.escape_radius)
+    sp.add_argument("--escape-radius", dest="escape_radius",
+                    type=_finite_float, default=_DEFAULTS.escape_radius)
 
 
 def _add_output(sp: argparse.ArgumentParser) -> None:
@@ -573,11 +542,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", required=True,
                     choices=("ta1", "ta2", "tb1", "tb2"))
     sp.add_argument("--branch", choices=("+", "-"), default="+")
-    sp.add_argument("--ax", type=float, default=None)
-    sp.add_argument("--ay", type=float, default=None)
-    sp.add_argument("--bx", type=float, default=None)
-    sp.add_argument("--by", type=float, default=None)
-    sp.add_argument("--g", type=float, default=None)
+    for name in ("ax", "ay", "bx", "by", "g"):
+        sp.add_argument(f"--{name}", type=_finite_float, default=None)
     sp.set_defaults(func=cmd_embed)
 
     sp = sub.add_parser("scan", help="coupling-threshold search")
@@ -585,8 +551,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_state(sp)
     _add_integrator(sp)
     _add_output(sp)
-    sp.add_argument("--lambda-min", dest="lambda_min", type=float, default=0.0)
-    sp.add_argument("--lambda-max", dest="lambda_max", type=float, default=10.0)
+    sp.add_argument("--lambda-min", dest="lambda_min", type=_finite_float,
+                    default=0.0)
+    sp.add_argument("--lambda-max", dest="lambda_max", type=_finite_float,
+                    default=10.0)
     sp.add_argument("--grid-points", dest="grid_points", type=int,
                     default=SCAN_GRID_POINTS)
     sp.add_argument("--bisect-iters", dest="bisect_iters", type=int,
@@ -602,9 +570,26 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# (error classes, exit code, stderr prefix); the first isinstance match wins
+_EXIT_TABLE = (
+    ((StepUnderflowError, ArithmeticError), EXIT_NUMERICAL,
+     "numerical failure"),
+    ((DegenerateFrequenciesError, PreconditionViolatedError), EXIT_USAGE,
+     "error"),
+    (OSError, EXIT_NUMERICAL, "io error"),
+    (PuoscError, EXIT_NUMERICAL, "error"),
+)
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (PuoscError, OSError, ArithmeticError) as exc:
+        for kind, code, prefix in _EXIT_TABLE:
+            if isinstance(exc, kind):
+                print(f"{prefix}: {exc}", file=sys.stderr)
+                return code
 
 
 if __name__ == "__main__":

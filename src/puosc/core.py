@@ -36,6 +36,7 @@ from .errors import (
     ChartMismatchError,
     DegenerateFrequenciesError,
     NotAntisymmetricError,
+    PreconditionViolatedError,
     SingularBlendError,
     SingularHessianError,
 )
@@ -86,7 +87,7 @@ class JetState:
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.as_array())):
-            raise ValueError("jet state components must be finite")
+            raise PreconditionViolatedError("jet state must be finite")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.q, self.qd, self.qdd, self.qddd], dtype=float)
@@ -108,7 +109,7 @@ class OstroState:
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.as_array())):
-            raise ValueError("momentum-chart components must be finite")
+            raise PreconditionViolatedError("momentum state must be finite")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.p1, self.p2], dtype=float)

@@ -217,15 +217,18 @@ def integrate(
     Output is recorded on the equidistant sample grid (steps are capped to
     land exactly on sample times, so samples carry full integrator accuracy).
     H1, H2 and the interacting energy H1 - W are recorded per sample.  When
-    escape_radius is set and |z| reaches it, integration terminates early and
-    the escape time is recorded in meta (not an error).
+    escape_radius (which must exceed |z0|) is set and |z| reaches it,
+    integration terminates early and the escape time is recorded in meta.
     """
     if not (1e-13 <= tol <= 1e-3):
         raise PreconditionViolatedError("tol must lie in [1e-13, 1e-3]")
-    if t_end <= 0.0:
+    if not t_end > 0.0:
         raise PreconditionViolatedError("t_end must be positive")
-    if sample_rate <= 0.0:
+    if not sample_rate > 0.0:
         raise PreconditionViolatedError("sample_rate must be positive")
+    if escape_radius is not None and not (
+            escape_radius > float(np.linalg.norm(z0.as_array()))):
+        raise PreconditionViolatedError("escape_radius must exceed |z0|")
 
     # hoist the flow out of the dataclass for the hot loop (autonomous system)
     A = field.linear
@@ -360,8 +363,6 @@ def runaway_scan(
     Deterministic for fixed settings; the verdict's escape_time is present
     exactly when the state norm reached escape_radius before t_end.
     """
-    if escape_radius <= float(np.linalg.norm(z0.as_array())):
-        raise PreconditionViolatedError("escape_radius must exceed |z0|")
     field = field_for(params, w)
     traj = integrate(params, field, z0, t_end, tol, sample_rate,
                      escape_radius=escape_radius)
@@ -433,6 +434,8 @@ def threshold_search(
         raise PreconditionViolatedError(
             "lambda range must satisfy 0 <= lo <= hi"
         )
+    if grid_points < 2:
+        raise PreconditionViolatedError("grid_points must be at least 2")
 
     def classify(lam: float) -> RunawayVerdict:
         pot = quartic(lam) if lam > 0.0 else None
@@ -442,6 +445,8 @@ def threshold_search(
     if lam_hi == lam_lo:
         grid_vals = np.array([lam_lo])
     elif lam_lo == 0.0:
+        if lam_hi * 1e-3 == 0.0:
+            raise PreconditionViolatedError("lambda_max underflows the grid")
         grid_vals = np.concatenate(
             [[0.0], np.geomspace(lam_hi * 1e-3, lam_hi, grid_points - 1)]
         )

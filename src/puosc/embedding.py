@@ -48,7 +48,10 @@ from .errors import (
     SingularMapError,
 )
 
-FAMILIES = ("Ta1", "Ta2", "Tb1", "Tb2")
+# The free parameters that fix each family; all else is dependent.
+FREE_PARAMS = {"Ta1": ("a_x", "a_y", "g"), "Ta2": ("a_x", "a_y", "g"),
+               "Tb1": ("a_x", "b_x", "g"), "Tb2": ("a_x", "b_y", "g")}
+FAMILIES = tuple(FREE_PARAMS)
 BRANCHES = (+1, -1)
 
 
@@ -135,6 +138,8 @@ def _build_map(family, branch, mu0, mu2, nu0, nu2, model, params):
         [nu0, 0.0, nu2, 0.0],
         [0.0, ay * nu0, 0.0, ay * nu2],
     ])
+    if not np.all(np.isfinite([*jac.flat, *vars(model).values()])):
+        raise NoSolutionError(f"{family} row overflows for these parameters")
     return TransformMap(family, branch, float(mu0), float(mu2), float(nu0),
                         float(nu2), model, params, jac)
 
@@ -180,11 +185,21 @@ def derived_constants(model: TwoDimModel, params: PUParams) -> DerivedConstants:
     )
 
 
-def _check_family_branch(family: str, branch: int):
-    if family not in FAMILIES:
+def _need(family: str, branch: int, free: dict) -> tuple:
+    """The family's free parameters as floats, in FREE_PARAMS order; an
+    unknown family or branch, or a missing or extra key, is a precondition
+    violation that names the offending value."""
+    if family not in FREE_PARAMS:
         raise PreconditionViolatedError(f"unknown family {family!r}")
     if branch not in BRANCHES:
         raise PreconditionViolatedError("branch must be +1 or -1")
+    keys = FREE_PARAMS[family]
+    for key in (*keys, *free):
+        if (key in keys) != (key in free):
+            verb = "needs" if key in keys else "does not take"
+            raise PreconditionViolatedError(
+                f"{family} {verb} free parameter {key!r}")
+    return tuple(float(free[k]) for k in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -197,13 +212,12 @@ def tabulated_family(family: str, branch: int, free: dict,
     data and not trusted: several rows fail the off-shell identities; compare
     with solve_family via verify_map / reconciliation_report.
 
-    Free parameters: Ta1/Ta2 need {a_x, a_y, g}; Tb1 needs {a_x, b_x, g};
-    Tb2 needs {a_x, b_y, g}.
+    free holds exactly the family's FREE_PARAMS keys.
     """
-    _check_family_branch(family, branch)
+    values = _need(family, branch, free)
     al = params.alpha
     if family in ("Ta1", "Ta2"):
-        ax, ay, g = _need(free, "a_x", "a_y", "g")
+        ax, ay, g = values
         if ax == 0.0 or ay == 0.0:
             raise PreconditionViolatedError("Ta rows need a_x, a_y nonzero")
         if family == "Ta1":
@@ -222,7 +236,7 @@ def tabulated_family(family: str, branch: int, free: dict,
         return _build_map(family, branch, mu0, 1.0 / (2.0 * ax),
                           nu0, 1.0 / (2.0 * ay), model, params)
     if family == "Tb1":
-        ax, bx, g = _need(free, "a_x", "b_x", "g")
+        ax, bx, g = values
         if ax == 0.0 or g == 0.0:
             raise PreconditionViolatedError("Tb1 needs a_x, g nonzero")
         tau = _tau(params, ax, bx)
@@ -236,7 +250,7 @@ def tabulated_family(family: str, branch: int, free: dict,
         return _build_map(family, branch, (al - bx / ax) / ax, 1.0 / ax,
                           tau / (g * ax * ax), 0.0, model, params)
     # Tb2
-    ax, by, g = _need(free, "a_x", "b_y", "g")
+    ax, by, g = values
     if ax == 0.0 or by == 0.0:
         raise PreconditionViolatedError("Tb2 needs a_x, b_y nonzero")
     r = _rho0(params, branch)
@@ -246,13 +260,6 @@ def tabulated_family(family: str, branch: int, free: dict,
     model = TwoDimModel(ax, 0.0, bx, by, g)
     return _build_map(family, branch, mu0, 1.0 / ax, nu0, -g / (ax * by),
                       model, params)
-
-
-def _need(d: dict, *keys):
-    try:
-        return tuple(float(d[k]) for k in keys)
-    except KeyError as exc:
-        raise PreconditionViolatedError(f"missing free parameter {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +279,10 @@ def solve_family(family: str, branch: int, free: dict,
     once the phi_2 = 0 alternative (nu2 = 0 vs a_y = 0) is chosen.  Every
     returned map passes verify_map with zero residual.
     """
-    _check_family_branch(family, branch)
+    values = _need(family, branch, free)
     al, be = params.alpha, params.beta
     if family == "Ta1":
-        ax, ay, g = _need(free, "a_x", "a_y", "g")
+        ax, ay, g = values
         if ax == 0.0 or ay == 0.0:
             raise NoSolutionError("family a needs a_x, a_y nonzero")
         # u = v branch: alpha*u - 2u^2 = beta/2, g drops out
@@ -287,7 +294,7 @@ def solve_family(family: str, branch: int, free: dict,
         return _build_map(family, branch, mu0, 1.0 / (2.0 * ax),
                           nu0, 1.0 / (2.0 * ay), model, params)
     if family == "Ta2":
-        ax, ay, g = _need(free, "a_x", "a_y", "g")
+        ax, ay, g = values
         if ax == 0.0 or ay == 0.0:
             raise NoSolutionError("family a needs a_x, a_y nonzero")
         # u != v branch: u + v = S pins the sum, the quadratic splits via rho_g
@@ -301,7 +308,7 @@ def solve_family(family: str, branch: int, free: dict,
         return _build_map(family, branch, mu0, 1.0 / (2.0 * ax),
                           nu0, 1.0 / (2.0 * ay), model, params)
     if family == "Tb1":
-        ax, bx, g = _need(free, "a_x", "b_x", "g")
+        ax, bx, g = values
         if ax == 0.0:
             raise NoSolutionError("a_x must be nonzero")
         if g == 0.0:
@@ -317,7 +324,7 @@ def solve_family(family: str, branch: int, free: dict,
         return _build_map(family, branch, mu0, 1.0 / ax, nu0, 0.0,
                           model, params)
     # Tb2: a_y = 0, y = -(g/b_y) x identically
-    ax, by, g = _need(free, "a_x", "b_y", "g")
+    ax, by, g = values
     if ax == 0.0:
         raise NoSolutionError("a_x must be nonzero")
     if by == 0.0:
@@ -630,7 +637,7 @@ def _row_values(m: TransformMap) -> dict:
 def draw_free_params(family: str, rng: np.random.Generator,
                      params: PUParams) -> dict:
     """Random admissible free parameters for a family (rejection sampling on
-    the real-branch and tau != 0 conditions)."""
+    the real-branch and tau != 0 conditions), keyed by FREE_PARAMS."""
     for _ in range(200):
         ax = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0)
         if family in ("Ta1", "Ta2"):
@@ -640,16 +647,16 @@ def draw_free_params(family: str, rng: np.random.Generator,
                 rad = params.alpha ** 2 - 4.0 * params.beta - 4.0 * g * g / (ax * ay)
                 if rad < 1e-6:
                     continue
-            return {"a_x": ax, "a_y": ay, "g": g}
+            return dict(zip(FREE_PARAMS[family], (ax, ay, g)))
         if family == "Tb1":
             bx = rng.uniform(-3.0, 3.0)
             g = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.5)
             if abs(_tau(params, ax, bx)) < 1e-3:
                 continue
-            return {"a_x": ax, "b_x": bx, "g": g}
+            return dict(zip(FREE_PARAMS[family], (ax, bx, g)))
         by = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0)
         g = rng.uniform(-1.0, 1.0)
-        return {"a_x": ax, "b_y": by, "g": g}
+        return dict(zip(FREE_PARAMS[family], (ax, by, g)))
     raise NoSolutionError(f"could not draw admissible parameters for {family}")
 
 

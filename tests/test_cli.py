@@ -3,8 +3,11 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from puosc import cli
+from puosc import cli, core
+from puosc.embedding import FREE_PARAMS
 
 FIG_FLAGS = ["--chart", "ostro", "--p1", "0.5", "--p2", "-0.5"]
 
@@ -250,3 +253,196 @@ def test_subcommand_parses_kept_flags(command):
 def test_unset_config_fields_keep_defaults():
     args = cli.build_parser().parse_args(["embed", "--family", "ta1"])
     assert cli._config_from_args(args) == cli.RunConfig()
+
+
+# ---------------------------------------------------------------------------
+# exit-code contract: every rejected input exits with its code, no traceback
+# ---------------------------------------------------------------------------
+
+def exit_code(argv):
+    """main's return value, or argparse's exit status for a rejected flag."""
+    try:
+        return cli.main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+NEAR_SINGULAR = ["--omega1", "4.120375483143782",
+                 "--omega2", "4.22334286248707"]
+TB1 = ["embed", "--family", "tb1", "--ax", "1", "--bx", "2"]
+
+# "{tmp}" is a writable directory, "{missing}" one that does not exist
+EXIT_CASES = [
+    # NaN and inf flags are usage errors before any command runs
+    ("simulate-q0-nan",
+     ["simulate", "--q0", "nan", "--out", "{tmp}/t.csv"], 2),
+    ("simulate-t-end-nan",
+     ["simulate", "--t-end", "nan", "--out", "{tmp}/t.csv"], 2),
+    ("simulate-sample-rate-nan",
+     ["simulate", "--sample-rate", "nan", "--out", "{tmp}/t.csv"], 2),
+    ("scan-q0-nan",
+     ["scan", "--q0", "nan", "--t-end", "1", "--out", "{tmp}/s.json"], 2),
+    ("embed-g-nan", [*TB1, "--g", "nan", "--out", "{tmp}/e.json"], 2),
+    ("embed-g-inf", [*TB1, "--g", "inf", "--out", "{tmp}/e.json"], 2),
+    # an --out path that cannot be written is an io error
+    ("verify-unwritable-out", ["verify", "--out", "{missing}/v.json"], 3),
+    ("embed-unwritable-out",
+     [*TB1, "--g", "1", "--out", "{missing}/e.json"], 3),
+    ("scan-unwritable-out",
+     ["scan", "--lambda-min", "0", "--lambda-max", "0", "--t-end", "1",
+      "--out", "{missing}/s.json"], 3),
+    ("modes-unwritable-out", ["modes", "--out", "{missing}/m.json"], 3),
+    # no silent substitution of the coupling or the scan grid
+    ("simulate-negative-lambda",
+     ["simulate", "--lambda", "-1", "--out", "{tmp}/t.csv"], 2),
+    ("verify-negative-lambda",
+     ["verify", "--lambda", "-5", "--out", "{tmp}/v.json"], 2),
+    ("scan-grid-points-0",
+     ["scan", "--grid-points", "0", "--t-end", "1", "--out", "{tmp}/s.json"],
+     2),
+    ("scan-grid-points-1",
+     ["scan", "--grid-points", "1", "--t-end", "1", "--out", "{tmp}/s.json"],
+     2),
+    # escape radius inside the initial state
+    ("simulate-escape-radius-below-z0",
+     ["simulate", "--q0", "1", "--escape-radius", "0.5",
+      "--out", "{tmp}/t.csv"], 2),
+    # a flag the family does not take
+    ("embed-extra-family-flag",
+     [*TB1, "--g", "1", "--ay", "1", "--out", "{tmp}/e.json"], 2),
+    # correct tensors near the singular blend rays pass the suite
+    ("verify-near-singular-blend",
+     ["verify", *NEAR_SINGULAR, "--out", "{tmp}/v.json"], 0),
+]
+
+
+@pytest.mark.parametrize("argv, code", [
+    pytest.param(argv, code, id=name) for name, argv, code in EXIT_CASES])
+def test_exit_code_contract(argv, code, tmp_path, capsys):
+    argv = [a.format(tmp=tmp_path, missing=tmp_path / "missing")
+            for a in argv]
+    assert exit_code(argv) == code
+    err = capsys.readouterr().err
+    assert ("error:" in err) == (code != 0)
+    assert "Traceback" not in err
+
+
+def test_exit_code_messages(tmp_path, capsys):
+    assert exit_code(["scan", "--lambda-min", "5", "--lambda-max", "1"]) == 2
+    assert capsys.readouterr().err == (
+        "error: lambda range must satisfy 0 <= lo <= hi\n")
+    assert exit_code(["simulate", "--q0", "nan"]) == 2
+    assert "invalid finite float value: 'nan'" in capsys.readouterr().err
+    assert exit_code(["modes", "--out", str(tmp_path / "no" / "m")]) == 3
+    assert capsys.readouterr().err.startswith("io error: ")
+    assert exit_code([*TB1[:-2], "--g", "1"]) == 2
+    assert capsys.readouterr().err == "error: Tb1 needs free parameter 'b_x'\n"
+
+
+def _blend_grid(params):
+    report = cli.run_invariant_suite(params)
+    return next(c for c in report["checks"] if c["name"] == "blend_grid")
+
+
+def test_blend_grid_passes_near_singular_rays():
+    params = core.make_params(float(NEAR_SINGULAR[1]), float(NEAR_SINGULAR[3]))
+    check = _blend_grid(params)
+    assert check["passed"]
+    assert check["detail"]["max_residual"] < 1e-15
+
+
+def test_blend_grid_rejects_tabulated_tensors(monkeypatch):
+    # the check must still tell wrong tensors from right ones
+    monkeypatch.setattr(core, "blend_j", core.blend_j_tabulated)
+    params = core.make_params(float(NEAR_SINGULAR[1]), float(NEAR_SINGULAR[3]))
+    check = _blend_grid(params)
+    assert not check["passed"]
+    assert check["detail"]["max_residual"] > 1e-3
+
+
+# ---------------------------------------------------------------------------
+# property: no argument values make main raise or exit outside {0, 2, 3, 4}
+# ---------------------------------------------------------------------------
+
+SPECIAL = st.sampled_from(["nan", "inf", "-inf", "0", "-0.0", "-1"])
+WIDE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _value(typical, *finite):
+    """A flag value: three times in four a typical float, else any other
+    given finite float, or NaN, inf, zero or a negative."""
+    rare = st.one_of(*(f.map(repr) for f in finite), SPECIAL)
+    return st.integers(0, 3).flatmap(
+        lambda i: typical.map(repr) if i else rare)
+
+
+def _argv(command, fixed=(), required=None, **optional):
+    """`command` and `fixed`, then every `required` flag and any subset of
+    the `optional` ones, each as `--flag=value` (argparse reads a separate
+    "-1e-05" as a flag, not as a value)."""
+    def flags(d):
+        return {f"--{k.replace('_', '-')}": v for k, v in d.items()}
+
+    return st.fixed_dictionaries(flags(required or {}),
+                                 optional=flags(optional)).map(
+        lambda d: [command, *fixed, *(f"{k}={v}" for k, v in d.items())])
+
+
+STATE_FLAGS = ("q0", "qd0", "qdd0", "qddd0", "x1", "x2", "p1", "p2")
+STATE = {k: _value(st.floats(-2.0, 2.0), WIDE) for k in STATE_FLAGS}
+COUPLING = _value(st.floats(0.0, 20.0), WIDE)
+# Cost bounds, not validity bounds: the step count grows with omega and
+# t_end, and samples are allocated up front from t_end / sample_rate with
+# no cap (an open item), so tiny sample rates are left out.
+OMEGA = _value(st.floats(0.1, 5.0), st.floats(max_value=5.0))
+INTEGRATOR = {
+    "omega1": OMEGA,
+    "omega2": OMEGA,
+    "tol": _value(st.floats(1e-10, 1e-3), WIDE),
+    "sample_rate": _value(st.floats(0.01, 1.0), st.floats(max_value=0.0),
+                          st.floats(min_value=0.01)),
+    "escape_radius": _value(st.floats(0.0, 1e4), WIDE),
+}
+T_END = {"t_end": _value(st.floats(0.0, 2.0), st.floats(max_value=2.0))}
+CHART = st.sampled_from([("--chart", "jet"), ("--chart", "ostro")])
+FREQ = _value(st.floats(0.1, 5.0), WIDE)
+# embed and modes run no integrator, so extreme values are cheap to try
+EMBED = _value(WIDE, st.floats(-3.0, 3.0))
+
+
+def _embed(family, branch):
+    # the family's own flags always, any of the others as extras
+    keys = [k.replace("_", "") for k in FREE_PARAMS[family]]
+    extras = [k for k in ("ax", "ay", "bx", "by", "g") if k not in keys]
+    return _argv("embed", ("--family", family.lower(), "--branch", branch),
+                 required={k: EMBED for k in keys}, omega1=FREQ, omega2=FREQ,
+                 **{k: EMBED for k in extras})
+
+
+ARGV = st.one_of(
+    CHART.flatmap(lambda chart: _argv(
+        "simulate", chart, required=T_END, **{"lambda": COUPLING}, **STATE,
+        **INTEGRATOR)),
+    CHART.flatmap(lambda chart: _argv(
+        "scan", chart, required={
+            **T_END, "grid_points": st.integers(-1, 4).map(str),
+            "bisect_iters": st.integers(-1, 2).map(str)},
+        lambda_min=COUPLING, lambda_max=COUPLING, **STATE, **INTEGRATOR)),
+    st.tuples(st.sampled_from(sorted(FREE_PARAMS)),
+              st.sampled_from("+-")).flatmap(lambda fb: _embed(*fb)),
+    CHART.flatmap(lambda chart: _argv(
+        "modes", chart, omega1=FREQ, omega2=FREQ,
+        **{k: EMBED for k in STATE_FLAGS})),
+)
+
+
+@pytest.fixture(scope="module")
+def out_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("property")
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+@given(argv=ARGV)
+def test_main_exit_code_property(argv, out_dir):
+    out = out_dir / ("out.csv" if argv[0] == "simulate" else "out.json")
+    assert exit_code([*argv, "--out", str(out)]) in (0, 2, 3, 4)

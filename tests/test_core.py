@@ -8,6 +8,7 @@ from puosc.core import flow_matrix, h1_ostro_matrix, ostro_jacobian, ostro_jacob
 from puosc.errors import (
     ChartMismatchError,
     DegenerateFrequenciesError,
+    PreconditionViolatedError,
     SingularBlendError,
 )
 
@@ -51,6 +52,16 @@ def test_jet_to_ostro_examples():
     assert p.jet_to_ostro(PAR, p.JetState(1, 0, 0, 0)) == p.OstroState(1, 0, 0, 0)
     s = p.jet_to_ostro(PAR, p.JetState(0, 1, 2, 3))
     assert (s.x1, s.x2, s.p1, s.p2) == (0, 1, -8, 2)
+
+
+def test_non_finite_states_are_precondition_errors():
+    with pytest.raises(PreconditionViolatedError):
+        p.JetState(float("nan"), 0, 0, 0)
+    with pytest.raises(PreconditionViolatedError):
+        p.OstroState(0, 0, float("inf"), 0)
+    # a finite momentum-chart state whose jet image overflows
+    with pytest.raises(PreconditionViolatedError):
+        p.ostro_to_jet(PAR, p.OstroState(0, 1e308, 0, 0))
 
 
 def test_ostro_to_jet_inverse_example():

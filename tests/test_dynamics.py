@@ -138,6 +138,19 @@ def test_integrate_invalid_settings():
         p.integrate(PAR, V, z0, 10.0, sample_rate=0.0)
 
 
+@pytest.mark.parametrize("settings", [
+    {"t_end": float("nan")},
+    {"sample_rate": float("nan")},
+    {"escape_radius": 0.5},            # below |z0| = 1
+    {"escape_radius": float("nan")},
+])
+def test_integrate_rejects_nan_and_small_escape_radius(settings):
+    kwargs = {"t_end": 10.0, **settings}
+    with pytest.raises(PreconditionViolatedError):
+        p.integrate(PAR, p.free_vector_field(PAR), p.JetState(1, 0, 0, 0),
+                    **kwargs)
+
+
 def test_trajectory_times_strictly_increasing():
     traj = p.integrate(PAR, p.free_vector_field(PAR), p.JetState(1, 0, -1, 0),
                        7.3, tol=1e-8, sample_rate=0.25)
@@ -243,6 +256,19 @@ def test_threshold_search_trivial_range_all_bounded():
 def test_threshold_search_inverted_range():
     with pytest.raises(PreconditionViolatedError):
         p.threshold_search(PAR, FIG_Z0, 50.0, 1000.0, (5.0, 1.0))
+
+
+@pytest.mark.parametrize("grid_points", [0, 1])
+def test_threshold_search_needs_two_grid_points(grid_points):
+    with pytest.raises(PreconditionViolatedError, match="grid_points"):
+        p.threshold_search(PAR, FIG_Z0, 5.0, 1000.0, (1.0, 2.0),
+                           grid_points=grid_points)
+
+
+def test_threshold_search_rejects_underflowing_grid():
+    # the geometric grid from lambda_max * 1e-3 would start at 0
+    with pytest.raises(PreconditionViolatedError, match="underflows"):
+        p.threshold_search(PAR, FIG_Z0, 5.0, 1000.0, (0.0, 5e-324))
 
 
 def test_threshold_search_all_unbounded():

@@ -8,6 +8,7 @@ import puosc as p
 from puosc.embedding import (
     BRANCHES,
     FAMILIES,
+    FREE_PARAMS,
     draw_free_params,
     fit_blend,
     blend_coefficients_from_sos,
@@ -136,6 +137,31 @@ def test_solve_family_bad_inputs():
         p.solve_family("Ta2", +1, {"a_x": 1.0, "a_y": 1.0, "g": 2.0}, PAR)
     with pytest.raises(PreconditionViolatedError):
         p.solve_family("bogus", +1, {}, PAR)
+
+
+@pytest.mark.parametrize("build", [p.solve_family, p.tabulated_family])
+@pytest.mark.parametrize("free, key", [
+    ({"a_x": 1.0, "g": 1.0}, "'b_x'"),                          # missing
+    ({"a_x": 1.0, "b_x": 2.0, "g": 1.0, "a_y": 1.0}, "'a_y'"),  # extra
+])
+def test_free_parameters_must_match_family_exactly(build, free, key):
+    with pytest.raises(PreconditionViolatedError, match=key):
+        build("Tb1", +1, free, PAR)
+
+
+@pytest.mark.parametrize("build", [p.solve_family, p.tabulated_family])
+def test_overflowing_row_is_no_solution(build):
+    # a subnormal a_y puts 1/(2 a_y) beyond the float range
+    free = {"a_x": 0.76, "a_y": 2.2e-311, "g": -2.6}
+    with pytest.raises(NoSolutionError, match="overflows"):
+        build("Ta1", +1, free, PAR)
+
+
+def test_drawn_free_parameters_match_table():
+    rng = np.random.default_rng(0)
+    for family in FAMILIES:
+        free = draw_free_params(family, rng, PAR)
+        assert tuple(free) == FREE_PARAMS[family]
 
 
 def test_solved_rows_pass_50_draws_per_family():
