@@ -49,6 +49,7 @@ from .dynamics import (
     mode_energy,
     mode_reconstruct,
     quartic,
+    runaway_batch,
     runaway_scan,
     threshold_search,
 )

@@ -83,6 +83,8 @@ class RunConfig:
     def __post_init__(self):
         if self.lam < 0.0:
             raise PreconditionViolatedError("lambda must be non-negative")
+        if self.seed < 0:
+            raise PreconditionViolatedError("seed must be non-negative")
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

@@ -9,7 +9,9 @@ which gives a closed-form oracle for the integrator and an exact mode
 decomposition of any jet state.  The integrator is a fixed-algorithm embedded
 Runge-Kutta 5(4) pair with PI step-size control and deterministic stepping:
 steps land exactly on the equidistant sample times, so repeated runs with the
-same settings reproduce output bit for bit on one platform.
+same settings reproduce output bit for bit on one platform.  Coupling scans
+classify many couplings at once with a lane-batched copy of the same step
+controller (runaway_batch).
 
 An interaction potential W destabilizes the model: the quartic family
 W(q) = lam q^4 / 4 keeps trajectories bounded below a coupling threshold and
@@ -39,6 +41,16 @@ from .errors import (
     ScanDegenerateError,
     StepUnderflowError,
 )
+
+# Lanes of one runaway_batch kernel run: a longer coupling list runs in
+# batches of this many, so its integrator state stays this small.
+LANES_PER_BATCH = 32
+# Bisection halvings one threshold_search refinement round classifies in a
+# single batch: 2**5 - 1 = 31 candidate midpoints.
+SPECULATION_DEPTH = 5
+# Largest t_end / sample_rate an integration accepts; the sample grid is
+# allocated up front.
+MAX_SAMPLES = 10 ** 7
 
 
 # ---------------------------------------------------------------------------
@@ -152,17 +164,21 @@ class Trajectory:
         return self.meta.get("escape_time") is not None
 
 
-# Dormand-Prince 5(4) tableau (FSAL: the last stage is next step's first).
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247,
-                                49 / 176, -5103 / 18656)
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
-                                -17253 / 339200, 22 / 525, -1 / 40)
+# Dormand-Prince 5(4) tableau (FSAL: the last stage is next step's first),
+# as 0-d arrays: numpy multiplies an array by one faster than by a float.
+_A21 = np.array(1 / 5)
+_A31, _A32 = map(np.array, (3 / 40, 9 / 40))
+_A41, _A42, _A43 = map(np.array, (44 / 45, -56 / 15, 32 / 9))
+_A51, _A52, _A53, _A54 = map(np.array, (19372 / 6561, -25360 / 2187,
+                                        64448 / 6561, -212 / 729))
+_A61, _A62, _A63, _A64, _A65 = map(np.array, (9017 / 3168, -355 / 33,
+                                              46732 / 5247, 49 / 176,
+                                              -5103 / 18656))
+_B1, _B3, _B4, _B5, _B6 = map(np.array, (35 / 384, 500 / 1113, 125 / 192,
+                                         -2187 / 6784, 11 / 84))
+_E1, _E3, _E4, _E5, _E6, _E7 = map(np.array, (71 / 57600, -71 / 16695,
+                                              71 / 1920, -17253 / 339200,
+                                              22 / 525, -1 / 40))
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -177,14 +193,14 @@ def _error_norm(err, y_old, y_new, tol):
     return math.sqrt(0.25 * float(r @ r))
 
 
-def _initial_step(f, t0, z0, tol):
-    f0 = f(t0, z0)
+def _initial_step(f, z0, tol):
+    f0 = f(z0)
     scale = tol + tol * np.abs(z0)
     d0 = np.sqrt(np.mean((z0 / scale) ** 2))
     d1 = np.sqrt(np.mean((f0 / scale) ** 2))
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     z1 = z0 + h0 * f0
-    f1 = f(t0 + h0, z1)
+    f1 = f(z1)
     d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
@@ -193,7 +209,28 @@ def _initial_step(f, t0, z0, tol):
     return min(100.0 * h0, h1), f0
 
 
+def _dp_stages(f, z, k1, hs):
+    """Stages k2..k7 of one DP5(4) step of size hs from z, whose first stage
+    is k1: returns (z_new, k7, error vector).  Purely elementwise, so it
+    serves one state (4,) with a float hs and a batch of states (N, 4),
+    each row with its own step in hs, alike."""
+    k2 = f(z + hs * (_A21 * k1))
+    k3 = f(z + hs * (_A31 * k1 + _A32 * k2))
+    k4 = f(z + hs * (_A41 * k1 + _A42 * k2 + _A43 * k3))
+    k5 = f(z + hs * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
+    k6 = f(z + hs * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
+                     + _A65 * k5))
+    z_new = z + hs * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
+    k7 = f(z_new)
+    err_vec = hs * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
+                    + _E7 * k7)
+    return z_new, k7, err_vec
+
+
 def _sample_times(t_end: float, sample_rate: float) -> np.ndarray:
+    if not t_end / sample_rate <= MAX_SAMPLES:
+        raise PreconditionViolatedError(
+            f"t_end / sample_rate must not exceed {MAX_SAMPLES}")
     n = int(math.floor(t_end / sample_rate + 1e-9))
     ts = np.arange(n + 1) * sample_rate
     if ts[-1] < t_end - 1e-9 * max(1.0, t_end):
@@ -201,6 +238,19 @@ def _sample_times(t_end: float, sample_rate: float) -> np.ndarray:
     else:
         ts[-1] = min(ts[-1], t_end)
     return ts
+
+
+def _check_run(z0: JetState, t_end, tol, sample_rate, escape_radius):
+    """Preconditions shared by integrate and runaway_batch."""
+    if not (1e-13 <= tol <= 1e-3):
+        raise PreconditionViolatedError("tol must lie in [1e-13, 1e-3]")
+    if not t_end > 0.0:
+        raise PreconditionViolatedError("t_end must be positive")
+    if not sample_rate > 0.0:
+        raise PreconditionViolatedError("sample_rate must be positive")
+    if escape_radius is not None and not (
+            escape_radius > float(np.linalg.norm(z0.as_array()))):
+        raise PreconditionViolatedError("escape_radius must exceed |z0|")
 
 
 def integrate(
@@ -220,26 +270,18 @@ def integrate(
     escape_radius (which must exceed |z0|) is set and |z| reaches it,
     integration terminates early and the escape time is recorded in meta.
     """
-    if not (1e-13 <= tol <= 1e-3):
-        raise PreconditionViolatedError("tol must lie in [1e-13, 1e-3]")
-    if not t_end > 0.0:
-        raise PreconditionViolatedError("t_end must be positive")
-    if not sample_rate > 0.0:
-        raise PreconditionViolatedError("sample_rate must be positive")
-    if escape_radius is not None and not (
-            escape_radius > float(np.linalg.norm(z0.as_array()))):
-        raise PreconditionViolatedError("escape_radius must exceed |z0|")
+    _check_run(z0, t_end, tol, sample_rate, escape_radius)
 
     # hoist the flow out of the dataclass for the hot loop (autonomous system)
     A = field.linear
     pot = field.potential
     if pot is None:
-        def f(t, z):
+        def f(z):
             return A @ z
     else:
         wp = pot.w_prime
 
-        def f(t, z):
+        def f(z):
             dz = A @ z
             dz[3] -= wp(z[0])
             return dz
@@ -248,7 +290,7 @@ def integrate(
     z = z0.as_array()
     t = 0.0
 
-    h, k1 = _initial_step(f, t, z, tol)
+    h, k1 = _initial_step(f, z, tol)
     n_rhs = 2
     n_steps = 0
     err_prev = 1e-4
@@ -270,20 +312,8 @@ def integrate(
             raise StepUnderflowError(t)
 
         # seven stages, FSAL (k7 is next step's k1)
-        hs = h_step
-        k2 = f(t + _C2 * hs, z + hs * (_A21 * k1))
-        k3 = f(t + _C3 * hs, z + hs * (_A31 * k1 + _A32 * k2))
-        k4 = f(t + _C4 * hs, z + hs * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-        k5 = f(t + _C5 * hs, z + hs * (_A51 * k1 + _A52 * k2 + _A53 * k3
-                                       + _A54 * k4))
-        k6 = f(t + hs, z + hs * (_A61 * k1 + _A62 * k2 + _A63 * k3
-                                 + _A64 * k4 + _A65 * k5))
-        z_new = z + hs * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5
-                          + _B6 * k6)
-        k7 = f(t + hs, z_new)
+        z_new, k7, err_vec = _dp_stages(f, z, k1, h_step)
         n_rhs += 6
-        err_vec = hs * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5
-                        + _E6 * k6 + _E7 * k7)
         err = _error_norm(err_vec, z, z_new, tol)
 
         if err <= 1.0:
@@ -382,6 +412,123 @@ class GridPoint:
     escape_time: Optional[float]
 
 
+def _quartic_companion(A: np.ndarray, lam: np.ndarray):
+    """Right-hand side over an (N, 4) batch of jet states: the companion
+    flow A (shift rows, last row A[3]) minus lam q**3 on qddd, lane k with
+    coupling lam[k]."""
+    a30, a32 = float(A[3, 0]), float(A[3, 2])
+
+    def f(y):
+        q = y[:, 0]
+        dz = np.empty_like(y)
+        dz[:, :3] = y[:, 1:]
+        dz[:, 3] = a30 * q + a32 * y[:, 2] - lam * (q * q * q)
+        return dz
+
+    return f
+
+
+def _escape_times(A, lams, z0, ts, escape_radius, tol) -> list:
+    """Escape time of each lane of one kernel run, None when it stays
+    bounded up to ts[-1]: integrate's step controller over an (N, 4) state.
+
+    Each lane carries its own t, h, err_prev, FSAL stage k1 and sample
+    cursor; a lane that escapes or reaches the last sample time leaves the
+    arrays.  All arithmetic is elementwise per lane and the error norm sums
+    in a fixed order, so lane k is bitwise the run of lams[k] alone.
+    """
+    n = len(lams)
+    z = np.tile(z0, (n, 1))
+    h = np.empty(n)
+    k1 = np.empty((n, 4))
+    for i in range(n):
+        h[i], k1[i] = _initial_step(_quartic_companion(A, lams[i:i + 1]),
+                                    z[i:i + 1], tol)
+    f = _quartic_companion(A, lams)
+    # the capping threshold of each sample time, as integrate computes it
+    reach = ts - 1e-14 * np.maximum(1.0, np.abs(ts))
+    lane = np.arange(n)
+    t = np.zeros(n)
+    err_prev = np.full(n, 1e-4)
+    i_next = np.ones(n, dtype=np.intp)
+    escape = [None] * n
+
+    while len(lane):
+        target = ts[i_next]
+        capped = t + h >= reach[i_next]
+        h_step = np.where(capped, target - t, h)
+        small = h_step < 1e-14 * np.maximum(1.0, t)
+        if np.count_nonzero(small):
+            raise StepUnderflowError(float(t[small.argmax()]))
+
+        # a full (N, 4) step array multiplies faster than an (N, 1) one
+        z_new, k7, err_vec = _dp_stages(f, z, k1, h_step[:, None].repeat(4, 1))
+        r = err_vec / (tol * (1.0 + np.maximum(np.abs(z), np.abs(z_new))))
+        err = np.sqrt(0.25 * (r * r).sum(-1))
+        ok = err <= 1.0
+        err_b = np.maximum(err, 1e-10)
+        # fmax and fmin drop a NaN factor, as integrate's max and min do
+        grow = _SAFETY * err_b ** (-_PI_ALPHA) * err_prev ** _PI_BETA
+        h_ok = h_step * np.fmin(_MAX_FACTOR, np.fmax(_MIN_FACTOR, grow))
+        t_ok = np.where(capped, target, t + h_step)
+        if np.count_nonzero(ok) == len(ok):
+            t, z, k1, err_prev, h = t_ok, z_new, k7, err_b, h_ok
+            i_next = i_next + capped
+        else:
+            shrink = _SAFETY * err ** (-_PI_ALPHA)
+            h = np.where(ok, h_ok,
+                         h_step * np.fmin(1.0, np.fmax(_MIN_FACTOR, shrink)))
+            t = np.where(ok, t_ok, t)
+            z = np.where(ok[:, None], z_new, z)
+            k1 = np.where(ok[:, None], k7, k1)
+            err_prev = np.where(ok, err_b, err_prev)
+            i_next = i_next + (ok & capped)
+
+        escaped = np.sqrt((z * z).sum(-1)) >= escape_radius
+        done = escaped | (i_next == len(ts))
+        if np.count_nonzero(done):
+            for i in np.flatnonzero(escaped):
+                escape[lane[i]] = float(t[i])
+            keep = ~done
+            lane, lams, z, k1 = lane[keep], lams[keep], z[keep], k1[keep]
+            t, h, err_prev, i_next = t[keep], h[keep], err_prev[keep], i_next[keep]
+            f = _quartic_companion(A, lams)
+    return escape
+
+
+def runaway_batch(
+    params: PUParams,
+    lams: Sequence[float],
+    z0: JetState,
+    t_end: float,
+    escape_radius: float,
+    tol: float = DEFAULT_TOL,
+    sample_rate: float = DEFAULT_SAMPLE_RATE,
+) -> tuple:
+    """Classify each quartic coupling in lams as bounded or escaping, as
+    runaway_scan(params, quartic(lam), ...) does, in lane-batched kernel
+    runs of at most LANES_PER_BATCH couplings.
+
+    The kernel keeps integrate's tableau, PI control, initial step, sample
+    grid capping, step-underflow check and escape test, per lane.  The
+    error norm is summed elementwise rather than by a dot product, so an
+    escape time can differ from runaway_scan's in the last digits or by
+    part of a step.  Lane k's GridPoint is bitwise that of a batch of
+    lams[k] alone.  Raises StepUnderflowError when any lane underflows.
+    """
+    _check_run(z0, t_end, tol, sample_rate, escape_radius)
+    ts = _sample_times(t_end, sample_rate)
+    A = core.flow_matrix(params)
+    lams = [float(lam) for lam in lams]
+    points = []
+    for start in range(0, len(lams), LANES_PER_BATCH):
+        batch = lams[start:start + LANES_PER_BATCH]
+        times = _escape_times(A, np.array(batch), z0.as_array(), ts,
+                              escape_radius, tol)
+        points += [GridPoint(lam, t is None, t) for lam, t in zip(batch, times)]
+    return tuple(points)
+
+
 def analyze_grid_flags(flags: Sequence[bool]):
     """Monotonicity and first bounded-to-escaping transition of a grid.
 
@@ -422,8 +569,10 @@ def threshold_search(
     """Locate the quartic-coupling threshold between bounded and escaping
     behavior for fixed initial data and horizon.
 
-    A coarse geometric grid over the coupling range is classified first, then
-    bisection refines the first bounded-to-escaping transition.  The reported
+    A coarse geometric grid over the coupling range is classified first, in
+    runaway_batch kernel runs, then bisect_iters bisection halvings refine
+    the first bounded-to-escaping transition, SPECULATION_DEPTH halvings per
+    batch (see _speculative_bisection).  The reported
     threshold is a function of (t_end, escape_radius): longer horizons can
     only lower it.  A caveat flag is set when the grid classification is not
     monotone in the coupling.  Raises ScanDegenerateError when every grid
@@ -436,11 +585,12 @@ def threshold_search(
         )
     if grid_points < 2:
         raise PreconditionViolatedError("grid_points must be at least 2")
+    if bisect_iters < 0:
+        raise PreconditionViolatedError("bisect_iters must be non-negative")
 
-    def classify(lam: float) -> RunawayVerdict:
-        pot = quartic(lam) if lam > 0.0 else None
-        return runaway_scan(params, pot, z0, t_end, escape_radius,
-                            tol=tol, sample_rate=sample_rate)
+    def classify(lams) -> tuple:
+        return runaway_batch(params, lams, z0, t_end, escape_radius,
+                             tol=tol, sample_rate=sample_rate)
 
     if lam_hi == lam_lo:
         grid_vals = np.array([lam_lo])
@@ -453,10 +603,7 @@ def threshold_search(
     else:
         grid_vals = np.geomspace(lam_lo, lam_hi, grid_points)
 
-    grid = []
-    for lam in grid_vals:
-        v = classify(float(lam))
-        grid.append(GridPoint(float(lam), v.bounded, v.escape_time))
+    grid = classify(grid_vals)
 
     flags = [p.bounded for p in grid]
     if all(flags):
@@ -472,19 +619,53 @@ def threshold_search(
         "lambda_range": [lam_lo, lam_hi],
     }
     if trans is None:
-        return ThresholdReport(None, tuple(grid), monotone, True, settings)
+        return ThresholdReport(None, grid, monotone, True, settings)
 
-    lo, hi = grid[trans].lam, grid[trans + 1].lam
-    for _ in range(bisect_iters):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if classify(mid).bounded:
-            lo = mid
-        else:
-            hi = mid
-    return ThresholdReport(0.5 * (lo + hi), tuple(grid), monotone,
-                           not monotone, settings)
+    lo, hi = _speculative_bisection(
+        grid[trans].lam, grid[trans + 1].lam, bisect_iters,
+        lambda lams: [p.bounded for p in classify(lams)])
+    return ThresholdReport(0.5 * (lo + hi), grid, monotone, not monotone,
+                           settings)
+
+
+def _speculative_bisection(lo: float, hi: float, iters: int, bounded):
+    """The bracket [lo, hi] after `iters` bisection halvings towards the
+    bounded-to-escaping transition, with the classifications made
+    SPECULATION_DEPTH halvings at a time.
+
+    A round lays out the tree of the 2**k - 1 midpoints the next k halvings
+    can visit (heap order: node j's escaping child is 2j+1, its bounded
+    child 2j+2), classifies them with one call of bounded (couplings ->
+    flags) and walks the bisection path through the tree.  Each midpoint is
+    0.5 * (lo + hi) of the bracket sequential bisection would hold there, and
+    a midpoint that no longer splits its bracket stops the walk, so the
+    visited midpoints, the choices and the bracket are sequential
+    bisection's.
+    """
+    while iters > 0:
+        k = min(SPECULATION_DEPTH, iters)
+        iters -= k
+        brackets, mids = {0: (lo, hi)}, {}
+        for j in range(2 ** k - 1):
+            if j in brackets:
+                a, b = brackets[j]
+                mid = 0.5 * (a + b)
+                if not (mid <= a or mid >= b):
+                    mids[j] = mid
+                    brackets[2 * j + 1] = (a, mid)
+                    brackets[2 * j + 2] = (mid, b)
+        if 0 not in mids:
+            return lo, hi
+        flags = dict(zip(mids, bounded(list(mids.values()))))
+        j = 0
+        for _ in range(k):
+            if j not in mids:
+                return lo, hi
+            if flags[j]:
+                lo, j = mids[j], 2 * j + 2
+            else:
+                hi, j = mids[j], 2 * j + 1
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------

@@ -303,6 +303,15 @@ EXIT_CASES = [
     ("scan-grid-points-1",
      ["scan", "--grid-points", "1", "--t-end", "1", "--out", "{tmp}/s.json"],
      2),
+    ("scan-negative-bisect-iters",
+     ["scan", "--bisect-iters=-1", "--t-end", "1", "--out", "{tmp}/s.json"],
+     2),
+    ("verify-negative-seed", ["verify", "--seed=-1", "--out", "{tmp}/v.json"],
+     2),
+    # the sample grid is capped before it is allocated
+    ("simulate-sample-grid-too-large",
+     ["simulate", "--t-end=5.8e-15", "--sample-rate=2.2e-311",
+      "--out", "{tmp}/t.csv"], 2),
     # escape radius inside the initial state
     ("simulate-escape-radius-below-z0",
      ["simulate", "--q0", "1", "--escape-radius", "0.5",
@@ -392,8 +401,8 @@ STATE_FLAGS = ("q0", "qd0", "qdd0", "qddd0", "x1", "x2", "p1", "p2")
 STATE = {k: _value(st.floats(-2.0, 2.0), WIDE) for k in STATE_FLAGS}
 COUPLING = _value(st.floats(0.0, 20.0), WIDE)
 # Cost bounds, not validity bounds: the step count grows with omega and
-# t_end, and samples are allocated up front from t_end / sample_rate with
-# no cap (an open item), so tiny sample rates are left out.
+# t_end, and every sample time ends a step (up to dynamics.MAX_SAMPLES of
+# them), so tiny sample rates are left out.
 OMEGA = _value(st.floats(0.1, 5.0), st.floats(max_value=5.0))
 INTEGRATOR = {
     "omega1": OMEGA,

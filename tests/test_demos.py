@@ -2,7 +2,8 @@
 
 demos/01-03 exercise the blend and bi-Hamiltonian API (blend_j,
 solve_bihamiltonian and their errors) and take well under a second each.
-demos/04_ghost_dynamics.py is left out: its threshold scan takes about 15 s.
+demos/04_ghost_dynamics.py runs the trajectories and a 16-point,
+20-halving threshold scan in a few seconds.
 """
 
 import os
@@ -14,7 +15,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = ("01_bihamiltonian_structure.py", "02_lie_symmetries.py",
-         "03_two_dimensional_embeddings.py")
+         "03_two_dimensional_embeddings.py", "04_ghost_dynamics.py")
 
 
 @pytest.mark.parametrize("name", DEMOS)

@@ -1,16 +1,25 @@
 """Integrator accuracy, conservation, mode decomposition, runaway detection."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import puosc as p
 from puosc.core import flow_matrix, ostro_jacobian, ostro_jacobian_inv
 from puosc.dynamics import (
     CSV_HEADER,
+    LANES_PER_BATCH,
+    MAX_SAMPLES,
+    SPECULATION_DEPTH,
     GridPoint,
+    _speculative_bisection,
     closed_form_states,
     default_escape_radius,
     field_for,
+    runaway_batch,
     trajectory_csv_rows,
 )
 from puosc.errors import (
@@ -329,3 +338,128 @@ def test_analyze_grid_flags():
     assert not monotone and trans == 0
     monotone, trans = analyze_grid_flags([False, True, False])
     assert not monotone and trans == 1
+
+
+# ---------------------------------------------------------------------------
+# lane-batched classification and speculative bisection
+# ---------------------------------------------------------------------------
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=100)
+@given(lams=st.lists(st.floats(0.0, 300.0), min_size=1, max_size=6),
+       pick=st.integers(0, 5),
+       tol=st.floats(1e-10, 1e-6),
+       t_end=st.floats(0.2, 5.0),
+       radius=st.floats(2.0, 1000.0))
+def test_batch_lane_equals_batch_of_one(lams, pick, tol, t_end, radius):
+    k = pick % len(lams)
+    batch = runaway_batch(PAR, lams, FIG_Z0, t_end, radius, tol=tol)
+    alone = runaway_batch(PAR, [lams[k]], FIG_Z0, t_end, radius, tol=tol)
+    assert len(batch) == len(lams)
+    assert batch[k] == alone[0]     # float fields compared bitwise
+
+
+def test_batch_spans_several_kernel_runs():
+    lams = np.linspace(0.0, 400.0, LANES_PER_BATCH + 3)
+    batch = runaway_batch(PAR, lams, FIG_Z0, 5.0, 20.0, tol=1e-8)
+    assert [g.lam for g in batch] == [float(x) for x in lams]
+    assert batch[-1] == runaway_batch(PAR, lams[-1:], FIG_Z0, 5.0, 20.0,
+                                      tol=1e-8)[0]
+    assert batch[0].bounded and not batch[-1].bounded
+
+
+def test_batch_verdicts_match_runaway_scan():
+    # the 16-point criterion-8 grid threshold_search builds over [0, 10]
+    lams = np.concatenate([[0.0], np.geomspace(1e-2, 10.0, 15)])
+    batch = runaway_batch(PAR, lams, FIG_Z0, 200.0, 1000.0, tol=1e-8)
+    for lam, point in zip(lams, batch):
+        v = p.runaway_scan(PAR, p.quartic(lam) if lam > 0 else None, FIG_Z0,
+                           200.0, 1000.0, tol=1e-8)
+        assert point.bounded == v.bounded, lam
+        if not v.bounded:
+            assert abs(point.escape_time - v.escape_time) <= 1e-2, lam
+    assert any(g.bounded for g in batch) and not all(g.bounded for g in batch)
+
+
+def test_batch_preconditions():
+    with pytest.raises(PreconditionViolatedError, match="escape_radius"):
+        runaway_batch(PAR, [1.0], FIG_Z0, 10.0, 0.1)
+    with pytest.raises(PreconditionViolatedError, match="tol"):
+        runaway_batch(PAR, [1.0], FIG_Z0, 10.0, 1000.0, tol=1.0)
+    assert runaway_batch(PAR, [], FIG_Z0, 10.0, 1000.0) == ()
+
+
+def _sequential_bisection(lo, hi, iters, bounded):
+    # the bisection loop threshold_search ran one coupling at a time
+    visited = []
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        visited.append(mid)
+        if bounded(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi, visited
+
+
+PREDICATES = {
+    "monotone": lambda lam: lam < 6.61592193163,
+    # bounded below 6.375, escaping to 6.45, bounded again to 6.55
+    "interleaved": lambda lam: lam < 6.375 or 6.45 <= lam < 6.55,
+    "windows": lambda lam: int(lam * 997.0) % 3 != 0,
+}
+
+
+@pytest.mark.parametrize("iters", [0, 1, 4, 5, 6, 40])
+@pytest.mark.parametrize("name", sorted(PREDICATES))
+def test_speculative_bisection_is_sequential_bisection(name, iters):
+    pred = PREDICATES[name]
+    batches = []
+
+    def classify(lams):
+        assert len(lams) <= 2 ** SPECULATION_DEPTH - 1 <= LANES_PER_BATCH
+        batches.append(list(lams))
+        return [pred(lam) for lam in lams]
+
+    lo, hi, visited = _sequential_bisection(6.2, 6.8, iters, pred)
+    assert _speculative_bisection(6.2, 6.8, iters, classify) == (lo, hi)
+    classified = {lam for b in batches for lam in b}
+    assert set(visited) <= classified
+    assert len(batches) == -(-iters // SPECULATION_DEPTH)
+
+
+@pytest.mark.parametrize("always", [True, False])
+@pytest.mark.parametrize("iters", [3, 40, 10 ** 9])
+def test_speculative_bisection_stops_on_unsplittable_bracket(iters, always):
+    # a bracket six ulps wide stops splitting partway through a round
+    lo = hi = 6.5
+    for _ in range(6):
+        hi = np.nextafter(hi, np.inf)
+    expect = _sequential_bisection(lo, hi, iters, lambda lam: always)[:2]
+    got = _speculative_bisection(lo, hi, iters,
+                                 lambda lams: [always] * len(lams))
+    assert got == expect and got != (lo, hi)
+    # a bracket with no float inside classifies nothing
+    assert _speculative_bisection(lo, lo, iters, None) == (lo, lo)
+
+
+def test_threshold_search_rejects_negative_bisect_iters():
+    with pytest.raises(PreconditionViolatedError, match="bisect_iters"):
+        p.threshold_search(PAR, FIG_Z0, 5.0, 1000.0, (1.0, 2.0),
+                           bisect_iters=-1)
+
+
+def test_sample_grid_cap_rejects_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionViolatedError, match="sample_rate"):
+            p.integrate(PAR, p.free_vector_field(PAR), FIG_Z0, 1e3,
+                        sample_rate=1e3 / (MAX_SAMPLES + 1))
+        with pytest.raises(PreconditionViolatedError, match="sample_rate"):
+            runaway_batch(PAR, [1.0], FIG_Z0, 5.8e-15, 1000.0,
+                          sample_rate=2.2e-311)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
