@@ -59,5 +59,6 @@ print(f"threshold lam* = {rep.lambda_star:.4f} "
 for g in rep.grid:
     marker = "bounded" if g.bounded else f"escapes at t = {g.escape_time:.1f}"
     print(f"  lam = {g.lam:7.4f}: {marker}")
-print("\nnote: lam* is a property of (t_end, escape_radius); longer horizons"
-      "\ncan only lower it. The transition itself is the robust statement.")
+print("\nnote: lam* is a property of (t_end, escape_radius, tol); longer"
+      "\nhorizons can only lower it. The transition itself is the robust"
+      " statement.")

@@ -39,7 +39,6 @@ from .core import (
 )
 from .dynamics import (
     ModeAmplitudes,
-    RunawayVerdict,
     ThresholdReport,
     Trajectory,
     closed_form_states,
@@ -50,7 +49,6 @@ from .dynamics import (
     mode_reconstruct,
     quartic,
     runaway_batch,
-    runaway_scan,
     threshold_search,
 )
 from .embedding import (

@@ -416,7 +416,7 @@ def cmd_scan(args) -> int:
             params, z0, cfg.t_end, radius,
             (args.lambda_min, args.lambda_max),
             grid_points=args.grid_points, bisect_iters=args.bisect_iters,
-            tol=cfg.tol, sample_rate=cfg.sample_rate)
+            tol=cfg.tol)
     except ScanDegenerateError as exc:
         payload = {
             "config": cfg.to_dict(), "version": __version__,
@@ -502,8 +502,6 @@ def _add_integrator(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--t-end", dest="t_end", type=_finite_float,
                     default=_DEFAULTS.t_end)
     sp.add_argument("--tol", type=_finite_float, default=_DEFAULTS.tol)
-    sp.add_argument("--sample-rate", dest="sample_rate", type=_finite_float,
-                    default=_DEFAULTS.sample_rate)
     sp.add_argument("--escape-radius", dest="escape_radius",
                     type=_finite_float, default=_DEFAULTS.escape_radius)
 
@@ -533,6 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coupling(sp)
     _add_state(sp)
     _add_integrator(sp)
+    sp.add_argument("--sample-rate", dest="sample_rate", type=_finite_float,
+                    default=_DEFAULTS.sample_rate)
     _add_output(sp)
     sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
                     default=_DEFAULTS.fmt)

@@ -11,7 +11,8 @@ Runge-Kutta 5(4) pair with PI step-size control and deterministic stepping:
 steps land exactly on the equidistant sample times, so repeated runs with the
 same settings reproduce output bit for bit on one platform.  Coupling scans
 classify many couplings at once with a lane-batched copy of the same step
-controller (runaway_batch).
+controller (runaway_batch), which records no samples: it steps freely and
+caps only its last step to t_end.
 
 An interaction potential W destabilizes the model: the quartic family
 W(q) = lam q^4 / 4 keeps trajectories bounded below a coupling threshold and
@@ -48,8 +49,8 @@ LANES_PER_BATCH = 32
 # Bisection halvings one threshold_search refinement round classifies in a
 # single batch: 2**5 - 1 = 31 candidate midpoints.
 SPECULATION_DEPTH = 5
-# Largest t_end / sample_rate an integration accepts; the sample grid is
-# allocated up front.
+# Largest t_end / sample_rate integrate accepts; the sample grid is allocated
+# up front.
 MAX_SAMPLES = 10 ** 7
 
 
@@ -228,26 +229,28 @@ def _dp_stages(f, z, k1, hs):
 
 
 def _sample_times(t_end: float, sample_rate: float) -> np.ndarray:
+    """Sample times 0, sample_rate, 2 sample_rate, ... and t_end last: a grid
+    time within 1e-9 max(1, t_end) below t_end becomes t_end."""
+    if not sample_rate > 0.0:
+        raise PreconditionViolatedError("sample_rate must be positive")
     if not t_end / sample_rate <= MAX_SAMPLES:
         raise PreconditionViolatedError(
             f"t_end / sample_rate must not exceed {MAX_SAMPLES}")
     n = int(math.floor(t_end / sample_rate + 1e-9))
     ts = np.arange(n + 1) * sample_rate
-    if ts[-1] < t_end - 1e-9 * max(1.0, t_end):
-        ts = np.append(ts, t_end)
+    if n and ts[-1] >= t_end - 1e-9 * max(1.0, t_end):
+        ts[-1] = t_end
     else:
-        ts[-1] = min(ts[-1], t_end)
+        ts = np.append(ts, t_end)
     return ts
 
 
-def _check_run(z0: JetState, t_end, tol, sample_rate, escape_radius):
+def _check_run(z0: JetState, t_end, tol, escape_radius):
     """Preconditions shared by integrate and runaway_batch."""
     if not (1e-13 <= tol <= 1e-3):
         raise PreconditionViolatedError("tol must lie in [1e-13, 1e-3]")
     if not t_end > 0.0:
         raise PreconditionViolatedError("t_end must be positive")
-    if not sample_rate > 0.0:
-        raise PreconditionViolatedError("sample_rate must be positive")
     if escape_radius is not None and not (
             escape_radius > float(np.linalg.norm(z0.as_array()))):
         raise PreconditionViolatedError("escape_radius must exceed |z0|")
@@ -270,7 +273,7 @@ def integrate(
     escape_radius (which must exceed |z0|) is set and |z| reaches it,
     integration terminates early and the escape time is recorded in meta.
     """
-    _check_run(z0, t_end, tol, sample_rate, escape_radius)
+    _check_run(z0, t_end, tol, escape_radius)
 
     # hoist the flow out of the dataclass for the hot loop (autonomous system)
     A = field.linear
@@ -372,40 +375,6 @@ def default_escape_radius(z0: JetState) -> float:
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class RunawayVerdict:
-    bounded: bool
-    escape_time: Optional[float]
-    max_norm: float
-    escape_radius: float
-
-
-def runaway_scan(
-    params: PUParams,
-    w: Optional[Potential],
-    z0: JetState,
-    t_end: float,
-    escape_radius: float,
-    tol: float = DEFAULT_TOL,
-    sample_rate: float = DEFAULT_SAMPLE_RATE,
-) -> RunawayVerdict:
-    """Integrate and classify a run as bounded or escaping.
-
-    Deterministic for fixed settings; the verdict's escape_time is present
-    exactly when the state norm reached escape_radius before t_end.
-    """
-    field = field_for(params, w)
-    traj = integrate(params, field, z0, t_end, tol, sample_rate,
-                     escape_radius=escape_radius)
-    max_norm = float(np.max(np.linalg.norm(traj.states, axis=1)))
-    return RunawayVerdict(
-        bounded=not traj.escaped,
-        escape_time=traj.meta["escape_time"],
-        max_norm=max_norm,
-        escape_radius=escape_radius,
-    )
-
-
-@dataclass(frozen=True)
 class GridPoint:
     lam: float
     bounded: bool
@@ -428,14 +397,17 @@ def _quartic_companion(A: np.ndarray, lam: np.ndarray):
     return f
 
 
-def _escape_times(A, lams, z0, ts, escape_radius, tol) -> list:
+def _escape_times(A, lams, z0, t_end, escape_radius, tol) -> list:
     """Escape time of each lane of one kernel run, None when it stays
-    bounded up to ts[-1]: integrate's step controller over an (N, 4) state.
+    bounded up to t_end: integrate's step controller over an (N, 4) state,
+    with no sample grid.
 
-    Each lane carries its own t, h, err_prev, FSAL stage k1 and sample
-    cursor; a lane that escapes or reaches the last sample time leaves the
-    arrays.  All arithmetic is elementwise per lane and the error norm sums
-    in a fixed order, so lane k is bitwise the run of lams[k] alone.
+    Each lane carries its own t, h, err_prev and FSAL stage k1, and caps
+    only the step that reaches t_end; a lane that escapes or reaches t_end
+    leaves the arrays.  A lane's escape time is the end of its first
+    accepted step with |z| >= escape_radius.  All arithmetic is elementwise
+    per lane and the error norm sums in a fixed order, so lane k is bitwise
+    the run of lams[k] alone.
     """
     n = len(lams)
     z = np.tile(z0, (n, 1))
@@ -445,18 +417,16 @@ def _escape_times(A, lams, z0, ts, escape_radius, tol) -> list:
         h[i], k1[i] = _initial_step(_quartic_companion(A, lams[i:i + 1]),
                                     z[i:i + 1], tol)
     f = _quartic_companion(A, lams)
-    # the capping threshold of each sample time, as integrate computes it
-    reach = ts - 1e-14 * np.maximum(1.0, np.abs(ts))
+    # the capping threshold of t_end, as integrate computes it
+    reach = t_end - 1e-14 * max(1.0, t_end)
     lane = np.arange(n)
     t = np.zeros(n)
     err_prev = np.full(n, 1e-4)
-    i_next = np.ones(n, dtype=np.intp)
     escape = [None] * n
 
     while len(lane):
-        target = ts[i_next]
-        capped = t + h >= reach[i_next]
-        h_step = np.where(capped, target - t, h)
+        capped = t + h >= reach
+        h_step = np.where(capped, t_end - t, h)
         small = h_step < 1e-14 * np.maximum(1.0, t)
         if np.count_nonzero(small):
             raise StepUnderflowError(float(t[small.argmax()]))
@@ -470,10 +440,9 @@ def _escape_times(A, lams, z0, ts, escape_radius, tol) -> list:
         # fmax and fmin drop a NaN factor, as integrate's max and min do
         grow = _SAFETY * err_b ** (-_PI_ALPHA) * err_prev ** _PI_BETA
         h_ok = h_step * np.fmin(_MAX_FACTOR, np.fmax(_MIN_FACTOR, grow))
-        t_ok = np.where(capped, target, t + h_step)
+        t_ok = np.where(capped, t_end, t + h_step)
         if np.count_nonzero(ok) == len(ok):
             t, z, k1, err_prev, h = t_ok, z_new, k7, err_b, h_ok
-            i_next = i_next + capped
         else:
             shrink = _SAFETY * err ** (-_PI_ALPHA)
             h = np.where(ok, h_ok,
@@ -482,16 +451,15 @@ def _escape_times(A, lams, z0, ts, escape_radius, tol) -> list:
             z = np.where(ok[:, None], z_new, z)
             k1 = np.where(ok[:, None], k7, k1)
             err_prev = np.where(ok, err_b, err_prev)
-            i_next = i_next + (ok & capped)
 
         escaped = np.sqrt((z * z).sum(-1)) >= escape_radius
-        done = escaped | (i_next == len(ts))
+        done = escaped | (ok & capped)
         if np.count_nonzero(done):
             for i in np.flatnonzero(escaped):
                 escape[lane[i]] = float(t[i])
             keep = ~done
             lane, lams, z, k1 = lane[keep], lams[keep], z[keep], k1[keep]
-            t, h, err_prev, i_next = t[keep], h[keep], err_prev[keep], i_next[keep]
+            t, h, err_prev = t[keep], h[keep], err_prev[keep]
             f = _quartic_companion(A, lams)
     return escape
 
@@ -503,27 +471,27 @@ def runaway_batch(
     t_end: float,
     escape_radius: float,
     tol: float = DEFAULT_TOL,
-    sample_rate: float = DEFAULT_SAMPLE_RATE,
 ) -> tuple:
-    """Classify each quartic coupling in lams as bounded or escaping, as
-    runaway_scan(params, quartic(lam), ...) does, in lane-batched kernel
-    runs of at most LANES_PER_BATCH couplings.
+    """Classify each quartic coupling in lams as bounded or escaping up to
+    t_end, in lane-batched kernel runs of at most LANES_PER_BATCH couplings.
 
-    The kernel keeps integrate's tableau, PI control, initial step, sample
-    grid capping, step-underflow check and escape test, per lane.  The
-    error norm is summed elementwise rather than by a dot product, so an
-    escape time can differ from runaway_scan's in the last digits or by
-    part of a step.  Lane k's GridPoint is bitwise that of a batch of
-    lams[k] alone.  Raises StepUnderflowError when any lane underflows.
+    The kernel keeps integrate's tableau, PI control, initial step,
+    step-underflow check and escape test, per lane, but records no samples:
+    only the last step is capped, to t_end.  The verdict is a function of
+    (t_end, escape_radius, tol) alone.  It agrees with
+    integrate(..., escape_radius=...) except where the different step
+    sequence moves an escape across t_end or a marginal run across the
+    radius; escape times differ by part of a step.  Lane k's GridPoint is
+    bitwise that of a batch of lams[k] alone.  Raises StepUnderflowError
+    when any lane underflows.
     """
-    _check_run(z0, t_end, tol, sample_rate, escape_radius)
-    ts = _sample_times(t_end, sample_rate)
+    _check_run(z0, t_end, tol, escape_radius)
     A = core.flow_matrix(params)
     lams = [float(lam) for lam in lams]
     points = []
     for start in range(0, len(lams), LANES_PER_BATCH):
         batch = lams[start:start + LANES_PER_BATCH]
-        times = _escape_times(A, np.array(batch), z0.as_array(), ts,
+        times = _escape_times(A, np.array(batch), z0.as_array(), t_end,
                               escape_radius, tol)
         points += [GridPoint(lam, t is None, t) for lam, t in zip(batch, times)]
     return tuple(points)
@@ -564,7 +532,6 @@ def threshold_search(
     grid_points: int = SCAN_GRID_POINTS,
     bisect_iters: int = SCAN_BISECT_ITERS,
     tol: float = DEFAULT_TOL,
-    sample_rate: float = DEFAULT_SAMPLE_RATE,
 ) -> ThresholdReport:
     """Locate the quartic-coupling threshold between bounded and escaping
     behavior for fixed initial data and horizon.
@@ -572,9 +539,9 @@ def threshold_search(
     A coarse geometric grid over the coupling range is classified first, in
     runaway_batch kernel runs, then bisect_iters bisection halvings refine
     the first bounded-to-escaping transition, SPECULATION_DEPTH halvings per
-    batch (see _speculative_bisection).  The reported
-    threshold is a function of (t_end, escape_radius): longer horizons can
-    only lower it.  A caveat flag is set when the grid classification is not
+    batch (see _speculative_bisection).  The reported threshold is a
+    function of (t_end, escape_radius, tol): longer horizons can only lower
+    it.  A caveat flag is set when the grid classification is not
     monotone in the coupling.  Raises ScanDegenerateError when every grid
     point is bounded or every one escapes.
     """
@@ -589,8 +556,7 @@ def threshold_search(
         raise PreconditionViolatedError("bisect_iters must be non-negative")
 
     def classify(lams) -> tuple:
-        return runaway_batch(params, lams, z0, t_end, escape_radius,
-                             tol=tol, sample_rate=sample_rate)
+        return runaway_batch(params, lams, z0, t_end, escape_radius, tol=tol)
 
     if lam_hi == lam_lo:
         grid_vals = np.array([lam_lo])
@@ -614,8 +580,7 @@ def threshold_search(
     monotone, trans = analyze_grid_flags(flags)
     settings = {
         "t_end": t_end, "escape_radius": escape_radius, "tol": tol,
-        "sample_rate": sample_rate, "grid_points": int(len(grid_vals)),
-        "bisect_iters": bisect_iters,
+        "grid_points": int(len(grid_vals)), "bisect_iters": bisect_iters,
         "lambda_range": [lam_lo, lam_hi],
     }
     if trans is None:

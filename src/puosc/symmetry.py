@@ -106,11 +106,19 @@ def known_generators(params: PUParams) -> SymmetryBasis:
 
 def projection_residual(basis: SymmetryBasis, candidate: np.ndarray) -> float:
     """Relative distance of a candidate generator from span(basis)."""
-    X = np.asarray(candidate, dtype=float).ravel()
-    B = np.stack([g.xi.ravel() for g in basis.generators], axis=1)
-    coef, *_ = np.linalg.lstsq(B, X, rcond=None)
-    res = X - B @ coef
-    return float(np.linalg.norm(res) / max(np.linalg.norm(X), 1.0))
+    return _span_residual([g.xi.ravel() for g in basis.generators],
+                          np.asarray(candidate, dtype=float).ravel())
+
+
+def _span_residual(columns: Sequence[np.ndarray], x: np.ndarray) -> float:
+    """Least-squares distance of x from the span of columns, relative to
+    max(|x|, 1); 1.0 when there are no columns."""
+    if not columns:
+        return 1.0
+    B = np.stack(columns, axis=1)
+    coef, *_ = np.linalg.lstsq(B, x, rcond=None)
+    res = x - B @ coef
+    return float(np.linalg.norm(res) / max(np.linalg.norm(x), 1.0))
 
 
 def max_pairwise_commutator(basis: SymmetryBasis) -> float:
@@ -285,10 +293,4 @@ def tensor_projection_residual(
     basis: Sequence[PoissonTensor], candidate: PoissonTensor
 ) -> float:
     """Relative distance of a tensor from the span of a tensor basis."""
-    X = candidate.j.ravel()
-    if not basis:
-        return 1.0
-    B = np.stack([t.j.ravel() for t in basis], axis=1)
-    coef, *_ = np.linalg.lstsq(B, X, rcond=None)
-    res = X - B @ coef
-    return float(np.linalg.norm(res) / max(np.linalg.norm(X), 1.0))
+    return _span_residual([t.j.ravel() for t in basis], candidate.j.ravel())

@@ -1,5 +1,6 @@
 """CLI subcommands, exit codes, and output determinism."""
 
+import dataclasses
 import json
 
 import pytest
@@ -208,12 +209,11 @@ def test_modes_ostro_chart(capsys):
 FREQ = ["--omega1", "1.5", "--omega2", "0.5"]
 STATE = ["--chart", "jet", "--q0", "1", "--qd0", "0", "--qdd0", "-1",
          "--qddd0", "0", "--x1", "0", "--x2", "0", "--p1", "0", "--p2", "0"]
-INTEGRATOR = ["--t-end", "5", "--tol", "1e-9", "--sample-rate", "0.5",
-              "--escape-radius", "100"]
+INTEGRATOR = ["--t-end", "5", "--tol", "1e-9", "--escape-radius", "100"]
 KEPT_FLAGS = {
     "verify": [*FREQ, "--lambda", "0.2", "--seed", "3", "--out", "o"],
     "simulate": [*FREQ, "--lambda", "0.2", *STATE, *INTEGRATOR,
-                 "--out", "o", "--format", "json"],
+                 "--sample-rate", "0.5", "--out", "o", "--format", "json"],
     "embed": [*FREQ, "--out", "o", "--family", "tb1", "--branch", "-",
               "--ax", "1", "--ay", "1", "--bx", "2", "--by", "1", "--g", "1"],
     "scan": [*FREQ, *STATE, *INTEGRATOR, "--out", "o", "--lambda-min", "1",
@@ -233,6 +233,7 @@ KEPT_FLAGS = {
     ["scan", "--seed", "1"],
     ["scan", "--format", "json"],
     ["simulate", "--seed", "1"],
+    ["scan", "--sample-rate", "0.5"],
 ])
 def test_subcommand_rejects_unread_flag(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -401,17 +402,17 @@ STATE_FLAGS = ("q0", "qd0", "qdd0", "qddd0", "x1", "x2", "p1", "p2")
 STATE = {k: _value(st.floats(-2.0, 2.0), WIDE) for k in STATE_FLAGS}
 COUPLING = _value(st.floats(0.0, 20.0), WIDE)
 # Cost bounds, not validity bounds: the step count grows with omega and
-# t_end, and every sample time ends a step (up to dynamics.MAX_SAMPLES of
-# them), so tiny sample rates are left out.
+# t_end, and every simulate sample time ends a step (up to
+# dynamics.MAX_SAMPLES of them), so tiny sample rates are left out.
 OMEGA = _value(st.floats(0.1, 5.0), st.floats(max_value=5.0))
 INTEGRATOR = {
     "omega1": OMEGA,
     "omega2": OMEGA,
     "tol": _value(st.floats(1e-10, 1e-3), WIDE),
-    "sample_rate": _value(st.floats(0.01, 1.0), st.floats(max_value=0.0),
-                          st.floats(min_value=0.01)),
     "escape_radius": _value(st.floats(0.0, 1e4), WIDE),
 }
+SAMPLE_RATE = _value(st.floats(0.01, 1.0), st.floats(max_value=0.0),
+                     st.floats(min_value=0.01))
 T_END = {"t_end": _value(st.floats(0.0, 2.0), st.floats(max_value=2.0))}
 CHART = st.sampled_from([("--chart", "jet"), ("--chart", "ostro")])
 FREQ = _value(st.floats(0.1, 5.0), WIDE)
@@ -431,7 +432,7 @@ def _embed(family, branch):
 ARGV = st.one_of(
     CHART.flatmap(lambda chart: _argv(
         "simulate", chart, required=T_END, **{"lambda": COUPLING}, **STATE,
-        **INTEGRATOR)),
+        **INTEGRATOR, sample_rate=SAMPLE_RATE)),
     CHART.flatmap(lambda chart: _argv(
         "scan", chart, required={
             **T_END, "grid_points": st.integers(-1, 4).map(str),
@@ -450,8 +451,37 @@ def out_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("property")
 
 
+def _drawn_config(argv):
+    """RunConfig field -> flag value, for every flag in argv that sets one."""
+    fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
+    pairs = [a.split("=", 1) for a in argv if "=" in a]
+    pairs += [argv[i:i + 2] for i, a in enumerate(argv) if a == "--chart"]
+    drawn = {}
+    for flag, value in pairs:
+        name = flag[2:].replace("-", "_")
+        name = "lam" if name == "lambda" else name
+        if name in fields:
+            drawn[name] = value
+    return drawn
+
+
+def _echoed_config(out):
+    if out.suffix == ".csv":
+        line = next(li for li in out.read_text().splitlines()
+                    if li.startswith("# config: "))
+        return json.loads(line[len("# config: "):])
+    return json.loads(out.read_text())["config"]
+
+
 @settings(derandomize=True, deadline=None, database=None, max_examples=300)
 @given(argv=ARGV)
 def test_main_exit_code_property(argv, out_dir):
     out = out_dir / ("out.csv" if argv[0] == "simulate" else "out.json")
-    assert exit_code([*argv, "--out", str(out)]) in (0, 2, 3, 4)
+    code = exit_code([*argv, "--out", str(out)])
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        # no silent substitution: the output echoes every value it was given
+        echoed = _echoed_config(out)
+        for name, value in _drawn_config(argv).items():
+            used = value if name == "chart" else float(value)
+            assert echoed[name] == used, name

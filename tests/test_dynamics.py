@@ -160,6 +160,22 @@ def test_integrate_rejects_nan_and_small_escape_radius(settings):
                     **kwargs)
 
 
+@pytest.mark.parametrize("t_end", [1e-12, 1e-10, 9.9e-10])
+def test_short_run_ends_at_t_end(t_end):
+    # the last sample is t_end however short the run
+    traj = p.integrate(PAR, p.free_vector_field(PAR), p.JetState(1, 0, 0, 0),
+                       t_end)
+    assert traj.times[-1] == t_end
+    assert traj.times[0] == 0.0 and len(traj.times) == 2
+    assert traj.meta["n_steps"] >= 1
+
+
+@pytest.mark.parametrize("t_end", [1e-12, 1e-10, 9.9e-10])
+def test_short_horizon_batch_classifies(t_end):
+    assert runaway_batch(PAR, [0.0, 100.0], FIG_Z0, t_end, 1000.0) == (
+        GridPoint(0.0, True, None), GridPoint(100.0, True, None))
+
+
 def test_trajectory_times_strictly_increasing():
     traj = p.integrate(PAR, p.free_vector_field(PAR), p.JetState(1, 0, -1, 0),
                        7.3, tol=1e-8, sample_rate=0.25)
@@ -218,26 +234,24 @@ def test_quartic_label_and_values():
 # ---------------------------------------------------------------------------
 
 def test_runaway_free_is_bounded():
-    v = p.runaway_scan(PAR, None, FIG_Z0, 200.0, 1000.0)
+    (v,) = runaway_batch(PAR, [0.0], FIG_Z0, 200.0, 1000.0)
     assert v.bounded and v.escape_time is None
-    assert v.max_norm < 1000.0
 
 
 def test_runaway_large_coupling_escapes():
-    v = p.runaway_scan(PAR, p.quartic(10.0), FIG_Z0, 200.0, 1000.0)
+    (v,) = runaway_batch(PAR, [10.0], FIG_Z0, 200.0, 1000.0)
     assert not v.bounded
     assert v.escape_time is not None and v.escape_time < 200.0
-    assert v.max_norm >= 1000.0
 
 
 def test_runaway_very_large_coupling_escapes():
-    v = p.runaway_scan(PAR, p.quartic(100.0), FIG_Z0, 200.0, 1000.0)
+    (v,) = runaway_batch(PAR, [100.0], FIG_Z0, 200.0, 1000.0)
     assert not v.bounded and v.escape_time < 30.0
 
 
 def test_runaway_precondition():
     with pytest.raises(PreconditionViolatedError):
-        p.runaway_scan(PAR, None, FIG_Z0, 10.0, escape_radius=0.1)
+        runaway_batch(PAR, [0.0], FIG_Z0, 10.0, escape_radius=0.1)
 
 
 def test_default_escape_radius():
@@ -247,9 +261,9 @@ def test_default_escape_radius():
 
 
 def test_verdict_invariant():
-    v = p.runaway_scan(PAR, p.quartic(10.0), FIG_Z0, 200.0, 1000.0)
-    assert (not v.bounded) == (v.escape_time is not None
-                               and v.max_norm >= v.escape_radius)
+    for v in runaway_batch(PAR, [0.0, 10.0], FIG_Z0, 200.0, 1000.0):
+        assert (not v.bounded) == (v.escape_time is not None
+                                   and 0.0 < v.escape_time <= 200.0)
 
 
 # ---------------------------------------------------------------------------
@@ -367,16 +381,19 @@ def test_batch_spans_several_kernel_runs():
     assert batch[0].bounded and not batch[-1].bounded
 
 
-def test_batch_verdicts_match_runaway_scan():
-    # the 16-point criterion-8 grid threshold_search builds over [0, 10]
+def test_batch_verdicts_match_integrate():
+    # the 16-point criterion-8 grid threshold_search builds over [0, 10];
+    # integrate steps on the 0.1 sample grid, the batch on its own steps
     lams = np.concatenate([[0.0], np.geomspace(1e-2, 10.0, 15)])
     batch = runaway_batch(PAR, lams, FIG_Z0, 200.0, 1000.0, tol=1e-8)
     for lam, point in zip(lams, batch):
-        v = p.runaway_scan(PAR, p.quartic(lam) if lam > 0 else None, FIG_Z0,
-                           200.0, 1000.0, tol=1e-8)
-        assert point.bounded == v.bounded, lam
-        if not v.bounded:
-            assert abs(point.escape_time - v.escape_time) <= 1e-2, lam
+        pot = p.quartic(lam) if lam > 0 else None
+        traj = p.integrate(PAR, field_for(PAR, pot), FIG_Z0, 200.0, tol=1e-8,
+                           escape_radius=1000.0)
+        assert point.bounded == (not traj.escaped), lam
+        if traj.escaped:
+            gap = abs(point.escape_time - traj.meta["escape_time"])
+            assert gap <= 1e-2, lam
     assert any(g.bounded for g in batch) and not all(g.bounded for g in batch)
 
 
@@ -456,9 +473,6 @@ def test_sample_grid_cap_rejects_before_allocating():
         with pytest.raises(PreconditionViolatedError, match="sample_rate"):
             p.integrate(PAR, p.free_vector_field(PAR), FIG_Z0, 1e3,
                         sample_rate=1e3 / (MAX_SAMPLES + 1))
-        with pytest.raises(PreconditionViolatedError, match="sample_rate"):
-            runaway_batch(PAR, [1.0], FIG_Z0, 5.8e-15, 1000.0,
-                          sample_rate=2.2e-311)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
