@@ -9,7 +9,7 @@ negative-energy modes. Below a coupling threshold trajectories stay bounded
 interacting energy H1 - W is conserved to integrator accuracy, while H2
 drifts: exactly one structure survives.
 
-Run: python demos/04_ghost_dynamics.py          (~10 seconds)
+Run: python demos/04_ghost_dynamics.py          (~2 seconds)
 """
 
 import numpy as np

@@ -6,13 +6,13 @@ Free motion is the superposition of two harmonic modes,
     q(t) = 2 Re[a1 exp(-i w1 t)] + 2 Re[a2 exp(-i w2 t)],
 
 which gives a closed-form oracle for the integrator and an exact mode
-decomposition of any jet state.  The integrator is a fixed-algorithm embedded
-Runge-Kutta 5(4) pair with PI step-size control and deterministic stepping:
-steps land exactly on the equidistant sample times, so repeated runs with the
-same settings reproduce output bit for bit on one platform.  Coupling scans
-classify many couplings at once with a lane-batched copy of the same step
-controller (runaway_batch), which records no samples: it steps freely and
-caps only its last step to t_end.
+decomposition of any jet state.  Every run, a sampled trajectory
+(integrate) or one coupling of a scan (runaway_batch), goes through one
+Dormand-Prince 5(4) lane with PI step-size control, written on Python floats
+because numpy call overhead outweighs the arithmetic on a 4-vector.  The
+lane shortens a step only to land on a stop: integrate's equidistant sample
+times, or t_end alone for a scan.  Stepping is deterministic, so repeated
+runs with the same settings reproduce output bit for bit on one platform.
 
 An interaction potential W destabilizes the model: the quartic family
 W(q) = lam q^4 / 4 keeps trajectories bounded below a coupling threshold and
@@ -43,12 +43,6 @@ from .errors import (
     StepUnderflowError,
 )
 
-# Lanes of one runaway_batch kernel run: a longer coupling list runs in
-# batches of this many, so its integrator state stays this small.
-LANES_PER_BATCH = 32
-# Bisection halvings one threshold_search refinement round classifies in a
-# single batch: 2**5 - 1 = 31 candidate midpoints.
-SPECULATION_DEPTH = 5
 # Largest t_end / sample_rate integrate accepts; the sample grid is allocated
 # up front.
 MAX_SAMPLES = 10 ** 7
@@ -129,7 +123,7 @@ def quartic(lam: float) -> Potential:
     lam = float(lam)
     return Potential(
         lambda q: 0.25 * lam * q ** 4,      # W
-        lambda q: lam * q ** 3,             # W'
+        lambda q: lam * (q * q * q),        # W'
         lambda q: 3.0 * lam * q ** 2,       # W''
         f"quartic(lam={lam!r})",
     )
@@ -165,21 +159,16 @@ class Trajectory:
         return self.meta.get("escape_time") is not None
 
 
-# Dormand-Prince 5(4) tableau (FSAL: the last stage is next step's first),
-# as 0-d arrays: numpy multiplies an array by one faster than by a float.
-_A21 = np.array(1 / 5)
-_A31, _A32 = map(np.array, (3 / 40, 9 / 40))
-_A41, _A42, _A43 = map(np.array, (44 / 45, -56 / 15, 32 / 9))
-_A51, _A52, _A53, _A54 = map(np.array, (19372 / 6561, -25360 / 2187,
-                                        64448 / 6561, -212 / 729))
-_A61, _A62, _A63, _A64, _A65 = map(np.array, (9017 / 3168, -355 / 33,
-                                              46732 / 5247, 49 / 176,
-                                              -5103 / 18656))
-_B1, _B3, _B4, _B5, _B6 = map(np.array, (35 / 384, 500 / 1113, 125 / 192,
-                                         -2187 / 6784, 11 / 84))
-_E1, _E3, _E4, _E5, _E6, _E7 = map(np.array, (71 / 57600, -71 / 16695,
-                                              71 / 1920, -17253 / 339200,
-                                              22 / 525, -1 / 40))
+# Dormand-Prince 5(4) tableau (FSAL: the last stage is next step's first)
+_A21 = 1 / 5
+_A31, _A32 = 3 / 40, 9 / 40
+_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
+_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
+_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
+                                -5103 / 18656)
+_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
+                                -17253 / 339200, 22 / 525, -1 / 40)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -187,45 +176,161 @@ _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 
-
-def _error_norm(err, y_old, y_new, tol):
-    scale = tol * (1.0 + np.maximum(np.abs(y_old), np.abs(y_new)))
-    r = err / scale
-    return math.sqrt(0.25 * float(r @ r))
+# the first three rows of every flow_matrix: q' = qd, qd' = qdd, qdd' = qddd
+_SHIFT_ROWS = [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
 
 
-def _initial_step(f, z0, tol):
-    f0 = f(z0)
-    scale = tol + tol * np.abs(z0)
-    d0 = np.sqrt(np.mean((z0 / scale) ** 2))
-    d1 = np.sqrt(np.mean((f0 / scale) ** 2))
+def _float_rhs(field: VectorField):
+    """The field as a closure (q0, q1, q2, q3) -> 4-tuple on Python floats.
+
+    A linear part of the companion shape flow_matrix builds (shift rows and
+    the row a30 q + a32 qdd) is evaluated as that shape; any other linear
+    part row by row.  The interaction enters as -W'(q) on the last
+    component, through the field's own Potential.w_prime.
+    """
+    A = field.linear.tolist()
+    wp = None if field.potential is None else field.potential.w_prime
+    if A[:3] == _SHIFT_ROWS and A[3][1] == A[3][3] == 0.0:
+        a30, a32 = A[3][0], A[3][2]
+        if wp is None:
+            def f(q0, q1, q2, q3):
+                return q1, q2, q3, a30 * q0 + a32 * q2
+        else:
+            def f(q0, q1, q2, q3):
+                return q1, q2, q3, a30 * q0 + a32 * q2 - wp(q0)
+        return f
+
+    (a00, a01, a02, a03), (a10, a11, a12, a13), \
+        (a20, a21, a22, a23), (a30, a31, a32, a33) = A
+    w = wp or (lambda q: 0.0)
+
+    def f(q0, q1, q2, q3):
+        return (a00 * q0 + a01 * q1 + a02 * q2 + a03 * q3,
+                a10 * q0 + a11 * q1 + a12 * q2 + a13 * q3,
+                a20 * q0 + a21 * q1 + a22 * q2 + a23 * q3,
+                a30 * q0 + a31 * q1 + a32 * q2 + a33 * q3 - w(q0))
+    return f
+
+
+def _rms(v, scale) -> float:
+    return math.sqrt(sum((x / s) * (x / s) for x, s in zip(v, scale)) / 4.0)
+
+
+def _initial_step(f, y, f0, tol) -> float:
+    """First trial step from y and its slope f0 = f(y) (Hairer, Norsett and
+    Wanner, Solving ODEs I, II.4)."""
+    scale = [tol + tol * abs(x) for x in y]
+    d0, d1 = _rms(y, scale), _rms(f0, scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    z1 = z0 + h0 * f0
-    f1 = f(z1)
-    d2 = np.sqrt(np.mean(((f1 - f0) / scale) ** 2)) / h0
+    f1 = f(*(x + h0 * k for x, k in zip(y, f0)))
+    d2 = _rms([b - a for a, b in zip(f0, f1)], scale) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
         h1 = (0.01 / max(d1, d2)) ** 0.2
-    return min(100.0 * h0, h1), f0
+    return min(100.0 * h0, h1)
 
 
-def _dp_stages(f, z, k1, hs):
-    """Stages k2..k7 of one DP5(4) step of size hs from z, whose first stage
-    is k1: returns (z_new, k7, error vector).  Purely elementwise, so it
-    serves one state (4,) with a float hs and a batch of states (N, 4),
-    each row with its own step in hs, alike."""
-    k2 = f(z + hs * (_A21 * k1))
-    k3 = f(z + hs * (_A31 * k1 + _A32 * k2))
-    k4 = f(z + hs * (_A41 * k1 + _A42 * k2 + _A43 * k3))
-    k5 = f(z + hs * (_A51 * k1 + _A52 * k2 + _A53 * k3 + _A54 * k4))
-    k6 = f(z + hs * (_A61 * k1 + _A62 * k2 + _A63 * k3 + _A64 * k4
-                     + _A65 * k5))
-    z_new = z + hs * (_B1 * k1 + _B3 * k3 + _B4 * k4 + _B5 * k5 + _B6 * k6)
-    k7 = f(z_new)
-    err_vec = hs * (_E1 * k1 + _E3 * k3 + _E4 * k4 + _E5 * k5 + _E6 * k6
-                    + _E7 * k7)
-    return z_new, k7, err_vec
+def _dp54(rhs, y0, stops, tol, escape_radius):
+    """One adaptive DP5(4) run with PI step control on Python floats.
+
+    rhs is a _float_rhs closure, y0 a 4-tuple of floats, stops the
+    increasing positive times the run must land on (the last ends it), tol
+    and escape_radius floats (math.inf for no escape test).  A step that
+    would reach a stop within 1e-14 max(1, |stop|) is shortened to end on
+    it; such a capped step is exempt from the step-underflow check, since
+    its size is the positive gap to the stop.  The run ends at the last
+    stop or at the end of the first accepted step with |z| >= escape_radius.
+
+    Returns (times, rows, escape_time, n_steps, n_rhs, n_rejected): the time
+    and state after every capped step and after the escaping step, the
+    escape time or None, and the step and right-hand-side counts.  Raises
+    StepUnderflowError when an uncapped step falls below
+    1e-14 max(1, t).
+    """
+    q0, q1, q2, q3 = y0
+    k1 = rhs(q0, q1, q2, q3)
+    h = _initial_step(rhs, y0, k1, tol)
+    t = 0.0
+    err_prev = 1e-4
+    n_steps = n_rejected = 0
+    times, rows = [], []
+    neg_alpha, beta = -_PI_ALPHA, _PI_BETA
+    for target in stops:
+        reach = target - 1e-14 * max(1.0, abs(target))
+        while True:
+            capped = t + h >= reach
+            if capped:
+                hs = target - t
+            else:
+                hs = h
+                if hs < 1e-14 * max(1.0, t):
+                    raise StepUnderflowError(t)
+
+            a0, a1, a2, a3 = k1
+            b0, b1, b2, b3 = rhs(q0 + hs * (_A21 * a0), q1 + hs * (_A21 * a1),
+                                 q2 + hs * (_A21 * a2), q3 + hs * (_A21 * a3))
+            c0, c1, c2, c3 = rhs(q0 + hs * (_A31 * a0 + _A32 * b0),
+                                 q1 + hs * (_A31 * a1 + _A32 * b1),
+                                 q2 + hs * (_A31 * a2 + _A32 * b2),
+                                 q3 + hs * (_A31 * a3 + _A32 * b3))
+            d0, d1, d2, d3 = rhs(
+                q0 + hs * (_A41 * a0 + _A42 * b0 + _A43 * c0),
+                q1 + hs * (_A41 * a1 + _A42 * b1 + _A43 * c1),
+                q2 + hs * (_A41 * a2 + _A42 * b2 + _A43 * c2),
+                q3 + hs * (_A41 * a3 + _A42 * b3 + _A43 * c3))
+            e0, e1, e2, e3 = rhs(
+                q0 + hs * (_A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
+                q1 + hs * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
+                q2 + hs * (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
+                q3 + hs * (_A51 * a3 + _A52 * b3 + _A53 * c3 + _A54 * d3))
+            g0, g1, g2, g3 = rhs(
+                q0 + hs * (_A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0
+                           + _A65 * e0),
+                q1 + hs * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1
+                           + _A65 * e1),
+                q2 + hs * (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2
+                           + _A65 * e2),
+                q3 + hs * (_A61 * a3 + _A62 * b3 + _A63 * c3 + _A64 * d3
+                           + _A65 * e3))
+            p0 = q0 + hs * (_B1 * a0 + _B3 * c0 + _B4 * d0 + _B5 * e0 + _B6 * g0)
+            p1 = q1 + hs * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * g1)
+            p2 = q2 + hs * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * g2)
+            p3 = q3 + hs * (_B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * g3)
+            k7 = s0, s1, s2, s3 = rhs(p0, p1, p2, p3)
+            r0 = (hs * (_E1 * a0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * g0
+                        + _E7 * s0) / (tol * (1.0 + max(abs(q0), abs(p0)))))
+            r1 = (hs * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * g1
+                        + _E7 * s1) / (tol * (1.0 + max(abs(q1), abs(p1)))))
+            r2 = (hs * (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * g2
+                        + _E7 * s2) / (tol * (1.0 + max(abs(q2), abs(p2)))))
+            r3 = (hs * (_E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * g3
+                        + _E7 * s3) / (tol * (1.0 + max(abs(q3), abs(p3)))))
+            err = math.sqrt(0.25 * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3))
+
+            if not err <= 1.0:
+                n_rejected += 1
+                h = hs * min(1.0, max(_MIN_FACTOR, _SAFETY * err ** neg_alpha))
+                continue
+            n_steps += 1
+            t = target if capped else t + hs
+            q0, q1, q2, q3 = p0, p1, p2, p3
+            k1 = k7
+            err_b = max(err, 1e-10)
+            factor = _SAFETY * err_b ** neg_alpha * err_prev ** beta
+            err_prev = err_b
+            h = hs * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            escaped = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) \
+                >= escape_radius
+            if capped or escaped:
+                times.append(t)
+                rows.append((q0, q1, q2, q3))
+            if escaped:
+                return (times, rows, t, n_steps,
+                        2 + 6 * (n_steps + n_rejected), n_rejected)
+            if capped:
+                break
+    return times, rows, None, n_steps, 2 + 6 * (n_steps + n_rejected), n_rejected
 
 
 def _sample_times(t_end: float, sample_rate: float) -> np.ndarray:
@@ -272,77 +377,19 @@ def integrate(
     H1, H2 and the interacting energy H1 - W are recorded per sample.  When
     escape_radius (which must exceed |z0|) is set and |z| reaches it,
     integration terminates early and the escape time is recorded in meta.
+    meta also counts accepted steps (n_steps), rejected steps (n_rejected)
+    and right-hand-side evaluations, n_rhs = 2 + 6 (n_steps + n_rejected).
     """
     _check_run(z0, t_end, tol, escape_radius)
-
-    # hoist the flow out of the dataclass for the hot loop (autonomous system)
-    A = field.linear
     pot = field.potential
-    if pot is None:
-        def f(z):
-            return A @ z
-    else:
-        wp = pot.w_prime
+    y0 = tuple(z0.as_array().tolist())
+    stops = _sample_times(t_end, sample_rate)[1:].tolist()
+    radius = math.inf if escape_radius is None else float(escape_radius)
+    row_times, rows, escape_time, n_steps, n_rhs, n_rejected = _dp54(
+        _float_rhs(field), y0, stops, float(tol), radius)
 
-        def f(z):
-            dz = A @ z
-            dz[3] -= wp(z[0])
-            return dz
-
-    ts = _sample_times(t_end, sample_rate)
-    z = z0.as_array()
-    t = 0.0
-
-    h, k1 = _initial_step(f, z, tol)
-    n_rhs = 2
-    n_steps = 0
-    err_prev = 1e-4
-
-    rows = [z.copy()]
-    row_times = [0.0]
-    escape_time = None
-    i_next = 1
-
-    while i_next < len(ts) and escape_time is None:
-        target = float(ts[i_next])
-        capped = False
-        if t + h >= target - 1e-14 * max(1.0, abs(target)):
-            h_step = target - t
-            capped = True
-        else:
-            h_step = h
-        if h_step < 1e-14 * max(1.0, abs(t)):
-            raise StepUnderflowError(t)
-
-        # seven stages, FSAL (k7 is next step's k1)
-        z_new, k7, err_vec = _dp_stages(f, z, k1, h_step)
-        n_rhs += 6
-        err = _error_norm(err_vec, z, z_new, tol)
-
-        if err <= 1.0:
-            n_steps += 1
-            t = target if capped else t + h_step
-            z = z_new
-            k1 = k7
-            err_b = max(err, 1e-10)
-            factor = _SAFETY * err_b ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-            err_prev = err_b
-            h = h_step * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            if capped:
-                rows.append(z.copy())
-                row_times.append(t)
-                i_next += 1
-            if escape_radius is not None and np.linalg.norm(z) >= escape_radius:
-                escape_time = t
-                if row_times[-1] < t:
-                    rows.append(z.copy())
-                    row_times.append(t)
-        else:
-            factor = _SAFETY * err ** (-_PI_ALPHA)
-            h = h_step * min(1.0, max(_MIN_FACTOR, factor))
-
-    states = np.array(rows)
-    times = np.array(row_times)
+    states = np.array([y0, *rows])
+    times = np.array([0.0, *row_times])
     s1 = core.h1(params).coeffs
     s2 = core.h2(params).coeffs
     h1s = 0.5 * np.einsum("ni,ij,nj->n", states, s1, states)
@@ -361,6 +408,7 @@ def integrate(
         "t_end": t_end,
         "n_steps": n_steps,
         "n_rhs": n_rhs,
+        "n_rejected": n_rejected,
         "interacting": pot is not None,
     }
     return Trajectory(times, states, h1s, h2s, hint, meta)
@@ -381,89 +429,6 @@ class GridPoint:
     escape_time: Optional[float]
 
 
-def _quartic_companion(A: np.ndarray, lam: np.ndarray):
-    """Right-hand side over an (N, 4) batch of jet states: the companion
-    flow A (shift rows, last row A[3]) minus lam q**3 on qddd, lane k with
-    coupling lam[k]."""
-    a30, a32 = float(A[3, 0]), float(A[3, 2])
-
-    def f(y):
-        q = y[:, 0]
-        dz = np.empty_like(y)
-        dz[:, :3] = y[:, 1:]
-        dz[:, 3] = a30 * q + a32 * y[:, 2] - lam * (q * q * q)
-        return dz
-
-    return f
-
-
-def _escape_times(A, lams, z0, t_end, escape_radius, tol) -> list:
-    """Escape time of each lane of one kernel run, None when it stays
-    bounded up to t_end: integrate's step controller over an (N, 4) state,
-    with no sample grid.
-
-    Each lane carries its own t, h, err_prev and FSAL stage k1, and caps
-    only the step that reaches t_end; a lane that escapes or reaches t_end
-    leaves the arrays.  A lane's escape time is the end of its first
-    accepted step with |z| >= escape_radius.  All arithmetic is elementwise
-    per lane and the error norm sums in a fixed order, so lane k is bitwise
-    the run of lams[k] alone.
-    """
-    n = len(lams)
-    z = np.tile(z0, (n, 1))
-    h = np.empty(n)
-    k1 = np.empty((n, 4))
-    for i in range(n):
-        h[i], k1[i] = _initial_step(_quartic_companion(A, lams[i:i + 1]),
-                                    z[i:i + 1], tol)
-    f = _quartic_companion(A, lams)
-    # the capping threshold of t_end, as integrate computes it
-    reach = t_end - 1e-14 * max(1.0, t_end)
-    lane = np.arange(n)
-    t = np.zeros(n)
-    err_prev = np.full(n, 1e-4)
-    escape = [None] * n
-
-    while len(lane):
-        capped = t + h >= reach
-        h_step = np.where(capped, t_end - t, h)
-        small = h_step < 1e-14 * np.maximum(1.0, t)
-        if np.count_nonzero(small):
-            raise StepUnderflowError(float(t[small.argmax()]))
-
-        # a full (N, 4) step array multiplies faster than an (N, 1) one
-        z_new, k7, err_vec = _dp_stages(f, z, k1, h_step[:, None].repeat(4, 1))
-        r = err_vec / (tol * (1.0 + np.maximum(np.abs(z), np.abs(z_new))))
-        err = np.sqrt(0.25 * (r * r).sum(-1))
-        ok = err <= 1.0
-        err_b = np.maximum(err, 1e-10)
-        # fmax and fmin drop a NaN factor, as integrate's max and min do
-        grow = _SAFETY * err_b ** (-_PI_ALPHA) * err_prev ** _PI_BETA
-        h_ok = h_step * np.fmin(_MAX_FACTOR, np.fmax(_MIN_FACTOR, grow))
-        t_ok = np.where(capped, t_end, t + h_step)
-        if np.count_nonzero(ok) == len(ok):
-            t, z, k1, err_prev, h = t_ok, z_new, k7, err_b, h_ok
-        else:
-            shrink = _SAFETY * err ** (-_PI_ALPHA)
-            h = np.where(ok, h_ok,
-                         h_step * np.fmin(1.0, np.fmax(_MIN_FACTOR, shrink)))
-            t = np.where(ok, t_ok, t)
-            z = np.where(ok[:, None], z_new, z)
-            k1 = np.where(ok[:, None], k7, k1)
-            err_prev = np.where(ok, err_b, err_prev)
-
-        escaped = np.sqrt((z * z).sum(-1)) >= escape_radius
-        done = escaped | (ok & capped)
-        if np.count_nonzero(done):
-            for i in np.flatnonzero(escaped):
-                escape[lane[i]] = float(t[i])
-            keep = ~done
-            lane, lams, z, k1 = lane[keep], lams[keep], z[keep], k1[keep]
-            t, h, err_prev = t[keep], h[keep], err_prev[keep]
-            f = _quartic_companion(A, lams)
-    return escape
-
-
 def runaway_batch(
     params: PUParams,
     lams: Sequence[float],
@@ -473,27 +438,25 @@ def runaway_batch(
     tol: float = DEFAULT_TOL,
 ) -> tuple:
     """Classify each quartic coupling in lams as bounded or escaping up to
-    t_end, in lane-batched kernel runs of at most LANES_PER_BATCH couplings.
+    t_end, one DP5(4) run per coupling.
 
-    The kernel keeps integrate's tableau, PI control, initial step,
-    step-underflow check and escape test, per lane, but records no samples:
-    only the last step is capped, to t_end.  The verdict is a function of
-    (t_end, escape_radius, tol) alone.  It agrees with
-    integrate(..., escape_radius=...) except where the different step
-    sequence moves an escape across t_end or a marginal run across the
-    radius; escape times differ by part of a step.  Lane k's GridPoint is
-    bitwise that of a batch of lams[k] alone.  Raises StepUnderflowError
-    when any lane underflows.
+    Each run is integrate's lane with t_end as its only stop: it records no
+    samples, steps as its error control allows and caps only its last step,
+    so the verdict is a function of (t_end, escape_radius, tol) alone.  Its
+    escape time is the end of the first accepted step with
+    |z| >= escape_radius, bit for bit integrate's with sample_rate = t_end.
+    Couplings, times and tolerances are converted to Python floats first.
+    Raises StepUnderflowError when a run underflows.
     """
     _check_run(z0, t_end, tol, escape_radius)
-    A = core.flow_matrix(params)
-    lams = [float(lam) for lam in lams]
+    y0 = tuple(z0.as_array().tolist())
+    t_end, escape_radius, tol = float(t_end), float(escape_radius), float(tol)
     points = []
-    for start in range(0, len(lams), LANES_PER_BATCH):
-        batch = lams[start:start + LANES_PER_BATCH]
-        times = _escape_times(A, np.array(batch), z0.as_array(), t_end,
-                              escape_radius, tol)
-        points += [GridPoint(lam, t is None, t) for lam, t in zip(batch, times)]
+    for lam in lams:
+        lam = float(lam)
+        rhs = _float_rhs(field_for(params, quartic(lam)))
+        t = _dp54(rhs, y0, (t_end,), tol, escape_radius)[2]
+        points.append(GridPoint(lam, t is None, t))
     return tuple(points)
 
 
@@ -536,10 +499,11 @@ def threshold_search(
     """Locate the quartic-coupling threshold between bounded and escaping
     behavior for fixed initial data and horizon.
 
-    A coarse geometric grid over the coupling range is classified first, in
-    runaway_batch kernel runs, then bisect_iters bisection halvings refine
-    the first bounded-to-escaping transition, SPECULATION_DEPTH halvings per
-    batch (see _speculative_bisection).  The reported threshold is a
+    A coarse geometric grid over the coupling range is classified first by
+    runaway_batch, then bisect_iters bisection halvings refine the first
+    bounded-to-escaping transition, one coupling at a time (see _bisect),
+    stopping early once the bracket no longer splits.  The reported
+    threshold is a
     function of (t_end, escape_radius, tol): longer horizons can only lower
     it.  A caveat flag is set when the grid classification is not
     monotone in the coupling.  Raises ScanDegenerateError when every grid
@@ -586,50 +550,25 @@ def threshold_search(
     if trans is None:
         return ThresholdReport(None, grid, monotone, True, settings)
 
-    lo, hi = _speculative_bisection(
-        grid[trans].lam, grid[trans + 1].lam, bisect_iters,
-        lambda lams: [p.bounded for p in classify(lams)])
+    lo, hi = _bisect(grid[trans].lam, grid[trans + 1].lam, bisect_iters,
+                     lambda lam: classify([lam])[0].bounded)
     return ThresholdReport(0.5 * (lo + hi), grid, monotone, not monotone,
                            settings)
 
 
-def _speculative_bisection(lo: float, hi: float, iters: int, bounded):
-    """The bracket [lo, hi] after `iters` bisection halvings towards the
-    bounded-to-escaping transition, with the classifications made
-    SPECULATION_DEPTH halvings at a time.
-
-    A round lays out the tree of the 2**k - 1 midpoints the next k halvings
-    can visit (heap order: node j's escaping child is 2j+1, its bounded
-    child 2j+2), classifies them with one call of bounded (couplings ->
-    flags) and walks the bisection path through the tree.  Each midpoint is
-    0.5 * (lo + hi) of the bracket sequential bisection would hold there, and
-    a midpoint that no longer splits its bracket stops the walk, so the
-    visited midpoints, the choices and the bracket are sequential
-    bisection's.
-    """
-    while iters > 0:
-        k = min(SPECULATION_DEPTH, iters)
-        iters -= k
-        brackets, mids = {0: (lo, hi)}, {}
-        for j in range(2 ** k - 1):
-            if j in brackets:
-                a, b = brackets[j]
-                mid = 0.5 * (a + b)
-                if not (mid <= a or mid >= b):
-                    mids[j] = mid
-                    brackets[2 * j + 1] = (a, mid)
-                    brackets[2 * j + 2] = (mid, b)
-        if 0 not in mids:
-            return lo, hi
-        flags = dict(zip(mids, bounded(list(mids.values()))))
-        j = 0
-        for _ in range(k):
-            if j not in mids:
-                return lo, hi
-            if flags[j]:
-                lo, j = mids[j], 2 * j + 2
-            else:
-                hi, j = mids[j], 2 * j + 1
+def _bisect(lo: float, hi: float, iters: int, bounded):
+    """The bracket [lo, hi] after at most `iters` halvings at the midpoint
+    0.5 * (lo + hi), keeping the bounded end in lo and the escaping end in
+    hi; bounded(lam) classifies one coupling.  Stops early when the midpoint
+    no longer splits the bracket."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if mid <= lo or mid >= hi:
+            break
+        if bounded(mid):
+            lo = mid
+        else:
+            hi = mid
     return lo, hi
 
 

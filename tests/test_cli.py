@@ -4,7 +4,7 @@ import dataclasses
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from puosc import cli, core
@@ -51,6 +51,38 @@ def test_verify_interacting_dimension_reported(tmp_path):
                  if c["name"] == "invariant_tensors_interacting")
     assert check["detail"]["dimension"] == 1
     assert check["detail"]["lambda"] == 0.1
+
+
+def _suite_checks(report, *names):
+    return [next(c for c in report["checks"] if c["name"] == n) for n in names]
+
+
+def test_verify_commutant_checks_scale_with_the_flow(tmp_path):
+    # seed 349503 draws omega = (9.45, 9.60), |A| = 8236: correct commutant
+    # residuals of 1.1e-12 in absolute terms, 1.4e-16 relative to |A|
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--seed", "349503", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    for check in _suite_checks(rep, "commutant_abelian", "generator_projection"):
+        assert check["passed"]
+        assert max(check["detail"].values()) < 1e-15
+
+
+def test_verify_commutant_checks_reject_a_wrong_basis(monkeypatch):
+    # the scaled checks must still tell a wrong commutant from the right one
+    from puosc import symmetry
+    right = symmetry.commutant_basis
+
+    def wrong(A):
+        basis = right(A)
+        bent = symmetry.LinearSymmetry(basis.generators[0].xi + 1e-6 * A.T)
+        return symmetry.SymmetryBasis((bent, *basis.generators[1:]), 4)
+
+    monkeypatch.setattr(symmetry, "commutant_basis", wrong)
+    report = cli.run_invariant_suite(core.make_params(1.0, 2.0))
+    for check in _suite_checks(report, "commutant_abelian",
+                               "generator_projection"):
+        assert not check["passed"]
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +461,19 @@ def _embed(family, branch):
                  **{k: EMBED for k in extras})
 
 
+# scan draws that bracket a transition, so that scan exits 0 and its echo is
+# checked: a kicked state, a short horizon, couplings up to 1e4
+SCAN_TRANSITION = _argv(
+    "scan", ("--chart", "jet", "--lambda-min=0", "--lambda-max=1e4"),
+    required={"q0": st.floats(0.5, 1.5).map(repr),
+              "qd0": st.floats(-1.0, 1.0).map(repr),
+              "t_end": st.floats(1.0, 3.0).map(repr),
+              "grid_points": st.integers(3, 5).map(str),
+              "bisect_iters": st.integers(0, 3).map(str)},
+    tol=st.floats(1e-8, 1e-6).map(repr))
+
 ARGV = st.one_of(
+    SCAN_TRANSITION,
     CHART.flatmap(lambda chart: _argv(
         "simulate", chart, required=T_END, **{"lambda": COUPLING}, **STATE,
         **INTEGRATOR, sample_rate=SAMPLE_RATE)),
@@ -485,3 +529,15 @@ def test_main_exit_code_property(argv, out_dir):
         for name, value in _drawn_config(argv).items():
             used = value if name == "chart" else float(value)
             assert echoed[name] == used, name
+
+
+def test_scan_transition_draws_exit_zero(out_dir):
+    # the property test's scan echo check is reached: some draw of the
+    # transition family exits 0
+    out = out_dir / "transition.json"
+    argv = find(SCAN_TRANSITION,
+                lambda argv: exit_code([*argv, "--out", str(out)]) == 0,
+                settings=settings(derandomize=True, database=None,
+                                  max_examples=20,
+                                  phases=[Phase.generate]))
+    assert argv[0] == "scan"

@@ -3,7 +3,7 @@
 demos/01-03 exercise the blend and bi-Hamiltonian API (blend_j,
 solve_bihamiltonian and their errors) and take well under a second each.
 demos/04_ghost_dynamics.py runs the trajectories and a 16-point,
-20-halving threshold scan in a few seconds.
+20-halving threshold scan in a second or two.
 """
 
 import os

@@ -11,11 +11,9 @@ import puosc as p
 from puosc.core import flow_matrix, ostro_jacobian, ostro_jacobian_inv
 from puosc.dynamics import (
     CSV_HEADER,
-    LANES_PER_BATCH,
     MAX_SAMPLES,
-    SPECULATION_DEPTH,
     GridPoint,
-    _speculative_bisection,
+    _bisect,
     closed_form_states,
     default_escape_radius,
     field_for,
@@ -160,9 +158,13 @@ def test_integrate_rejects_nan_and_small_escape_radius(settings):
                     **kwargs)
 
 
-@pytest.mark.parametrize("t_end", [1e-12, 1e-10, 9.9e-10])
+SHORT_HORIZONS = [1e-12, 1e-10, 9.9e-10, 1e-15, 1e-20, 1e-300]
+
+
+@pytest.mark.parametrize("t_end", SHORT_HORIZONS)
 def test_short_run_ends_at_t_end(t_end):
-    # the last sample is t_end however short the run
+    # the last sample is t_end however short the run: the capped step to a
+    # stop is exempt from the step-underflow check
     traj = p.integrate(PAR, p.free_vector_field(PAR), p.JetState(1, 0, 0, 0),
                        t_end)
     assert traj.times[-1] == t_end
@@ -170,10 +172,22 @@ def test_short_run_ends_at_t_end(t_end):
     assert traj.meta["n_steps"] >= 1
 
 
-@pytest.mark.parametrize("t_end", [1e-12, 1e-10, 9.9e-10])
+@pytest.mark.parametrize("t_end", SHORT_HORIZONS)
 def test_short_horizon_batch_classifies(t_end):
     assert runaway_batch(PAR, [0.0, 100.0], FIG_Z0, t_end, 1000.0) == (
         GridPoint(0.0, True, None), GridPoint(100.0, True, None))
+
+
+@pytest.mark.parametrize("lam, tol, radius", [
+    (0.0, 1e-10, 1e3), (5.0, 1e-8, 1e3), (10.0, 1e-6, 1e3),
+    # steps are rejected as a runaway blows up towards a far escape radius
+    (100.0, 1e-4, 1e6)])
+def test_step_counters(lam, tol, radius):
+    traj = p.integrate(PAR, field_for(PAR, p.quartic(lam)), FIG_Z0, 50.0,
+                       tol=tol, sample_rate=50.0, escape_radius=radius)
+    meta = traj.meta
+    assert meta["n_rhs"] == 2 + 6 * (meta["n_steps"] + meta["n_rejected"])
+    assert meta["n_rejected"] > 0 or radius == 1e3
 
 
 def test_trajectory_times_strictly_increasing():
@@ -355,7 +369,7 @@ def test_analyze_grid_flags():
 
 
 # ---------------------------------------------------------------------------
-# lane-batched classification and speculative bisection
+# one lane per coupling, and the bisection
 # ---------------------------------------------------------------------------
 
 @settings(derandomize=True, deadline=None, database=None, max_examples=100)
@@ -373,12 +387,23 @@ def test_batch_lane_equals_batch_of_one(lams, pick, tol, t_end, radius):
 
 
 def test_batch_spans_several_kernel_runs():
-    lams = np.linspace(0.0, 400.0, LANES_PER_BATCH + 3)
+    lams = np.linspace(0.0, 400.0, 35)
     batch = runaway_batch(PAR, lams, FIG_Z0, 5.0, 20.0, tol=1e-8)
     assert [g.lam for g in batch] == [float(x) for x in lams]
     assert batch[-1] == runaway_batch(PAR, lams[-1:], FIG_Z0, 5.0, 20.0,
                                       tol=1e-8)[0]
     assert batch[0].bounded and not batch[-1].bounded
+
+
+@pytest.mark.parametrize("lam", [0.0, 5.0, 8.78, 10.0, 100.0])
+def test_batch_escape_time_is_integrate_with_one_sample(lam):
+    # a scan lane is integrate's lane with t_end as its only stop, so the
+    # two take the same steps and agree bit for bit
+    (point,) = runaway_batch(PAR, [lam], FIG_Z0, 200.0, 1000.0, tol=1e-8)
+    traj = p.integrate(PAR, field_for(PAR, p.quartic(lam)), FIG_Z0, 200.0,
+                       tol=1e-8, sample_rate=200.0, escape_radius=1000.0)
+    assert point.escape_time == traj.meta["escape_time"]
+    assert point.bounded == (not traj.escaped)
 
 
 def test_batch_verdicts_match_integrate():
@@ -405,8 +430,24 @@ def test_batch_preconditions():
     assert runaway_batch(PAR, [], FIG_Z0, 10.0, 1000.0) == ()
 
 
+def test_numpy_scalar_inputs_give_float_fields():
+    # numpy scalars are converted at the boundary, so the lane runs on
+    # Python floats and returns them
+    grid = runaway_batch(PAR, np.array([0.0, 100.0]), FIG_Z0, np.float64(50.0),
+                         np.float64(1000.0), tol=np.float64(1e-8))
+    assert not grid[1].bounded
+    for g in grid:
+        assert type(g.lam) is float
+    assert type(grid[1].escape_time) is float
+    rep = p.threshold_search(PAR, FIG_Z0, np.float64(120.0), np.float64(1000.0),
+                             np.array([5.0, 12.0]), grid_points=4,
+                             bisect_iters=3, tol=np.float64(1e-8))
+    assert type(rep.lambda_star) is float
+    assert all(type(g.lam) is float for g in rep.grid)
+
+
 def _sequential_bisection(lo, hi, iters, bounded):
-    # the bisection loop threshold_search ran one coupling at a time
+    # reference: bisection at 0.5 * (lo + hi), one coupling at a time
     visited = []
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
@@ -431,34 +472,43 @@ PREDICATES = {
 @pytest.mark.parametrize("iters", [0, 1, 4, 5, 6, 40])
 @pytest.mark.parametrize("name", sorted(PREDICATES))
 def test_speculative_bisection_is_sequential_bisection(name, iters):
+    # threshold_search's bisection (_bisect) visits the midpoints, and makes
+    # the choices, of sequential bisection, classifying one per call
     pred = PREDICATES[name]
-    batches = []
+    classified = []
 
-    def classify(lams):
-        assert len(lams) <= 2 ** SPECULATION_DEPTH - 1 <= LANES_PER_BATCH
-        batches.append(list(lams))
-        return [pred(lam) for lam in lams]
+    def classify(lam):
+        classified.append(lam)
+        return pred(lam)
 
     lo, hi, visited = _sequential_bisection(6.2, 6.8, iters, pred)
-    assert _speculative_bisection(6.2, 6.8, iters, classify) == (lo, hi)
-    classified = {lam for b in batches for lam in b}
-    assert set(visited) <= classified
-    assert len(batches) == -(-iters // SPECULATION_DEPTH)
+    assert _bisect(6.2, 6.8, iters, classify) == (lo, hi)
+    assert classified == visited
+    assert len(classified) == iters
+    # lo moves only to bounded midpoints, hi only to escaping ones
+    assert (lo == 6.2 or pred(lo)) and (hi == 6.8 or not pred(hi))
 
 
 @pytest.mark.parametrize("always", [True, False])
 @pytest.mark.parametrize("iters", [3, 40, 10 ** 9])
 def test_speculative_bisection_stops_on_unsplittable_bracket(iters, always):
-    # a bracket six ulps wide stops splitting partway through a round
+    # a bracket six ulps wide stops splitting after a few halvings
     lo = hi = 6.5
     for _ in range(6):
         hi = np.nextafter(hi, np.inf)
-    expect = _sequential_bisection(lo, hi, iters, lambda lam: always)[:2]
-    got = _speculative_bisection(lo, hi, iters,
-                                 lambda lams: [always] * len(lams))
-    assert got == expect and got != (lo, hi)
+    calls = []
+
+    def classify(lam):
+        calls.append(lam)
+        return always
+
+    *expect, visited = _sequential_bisection(lo, hi, iters,
+                                             lambda lam: always)
+    got = _bisect(lo, hi, iters, classify)
+    assert got == tuple(expect) and got != (lo, hi)
+    assert calls == visited and len(calls) < 6
     # a bracket with no float inside classifies nothing
-    assert _speculative_bisection(lo, lo, iters, None) == (lo, lo)
+    assert _bisect(lo, lo, iters, None) == (lo, lo)
 
 
 def test_threshold_search_rejects_negative_bisect_iters():
