@@ -194,8 +194,10 @@ def run_invariant_suite(params: PUParams, lam: float = 0.1,
         A = core.flow_matrix(par)
         basis = symmetry.commutant_basis(A)
         dims.append(basis.dimension)
-        # the basis is a numerical null space of X -> AX - XA, so its
-        # rounding error grows with |A|: both residuals are scaled by it
+        # both residuals are already relative to their operands (unit
+        # generators, |g|), so they measure the basis's own error; the basis
+        # is a numerical null space of X -> AX - XA, whose rounding error
+        # grows with |A|, and that growth is divided out
         scale = max(1.0, float(np.linalg.norm(A)))
         worst_comm = max(worst_comm,
                          symmetry.max_pairwise_commutator(basis) / scale)

@@ -222,6 +222,8 @@ def _initial_step(f, y, f0, tol) -> float:
     scale = [tol + tol * abs(x) for x in y]
     d0, d1 = _rms(y, scale), _rms(f0, scale)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    if not h0 > 0.0:
+        return 0.0      # an infinite or NaN slope: the first step underflows
     f1 = f(*(x + h0 * k for x, k in zip(y, f0)))
     d2 = _rms([b - a for a, b in zip(f0, f1)], scale) / h0
     if max(d1, d2) <= 1e-15:
@@ -245,8 +247,9 @@ def _dp54(rhs, y0, stops, tol, escape_radius):
     Returns (times, rows, escape_time, n_steps, n_rhs, n_rejected): the time
     and state after every capped step and after the escaping step, the
     escape time or None, and the step and right-hand-side counts.  Raises
-    StepUnderflowError when an uncapped step falls below
-    1e-14 max(1, t).
+    StepUnderflowError when an uncapped step falls below 1e-14 max(1, t),
+    or when a capped step is rejected and its shrunk size would still be
+    capped, since the retry would repeat the rejected step exactly.
     """
     q0, q1, q2, q3 = y0
     k1 = rhs(q0, q1, q2, q3)
@@ -311,6 +314,8 @@ def _dp54(rhs, y0, stops, tol, escape_radius):
             if not err <= 1.0:
                 n_rejected += 1
                 h = hs * min(1.0, max(_MIN_FACTOR, _SAFETY * err ** neg_alpha))
+                if capped and t + h >= reach:
+                    raise StepUnderflowError(t)
                 continue
             n_steps += 1
             t = target if capped else t + hs

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
@@ -69,20 +70,36 @@ def test_verify_commutant_checks_scale_with_the_flow(tmp_path):
 
 
 def test_verify_commutant_checks_reject_a_wrong_basis(monkeypatch):
-    # the scaled checks must still tell a wrong commutant from the right one
+    # at the seed-349503 draw (|A| = 8236) a commutant generator bent along
+    # A^T fails each check once its absolute residual passes 1e-12 |A|, and
+    # not before: both residuals are scaled by |A| exactly once
     from puosc import symmetry
-    right = symmetry.commutant_basis
+    par = core.make_params(9.450664502595535, 9.60169554945272)
+    A = core.flow_matrix(par)
+    bound = 1e-12 * float(np.linalg.norm(A))
+    right = symmetry.commutant_basis(A)
 
-    def wrong(A):
-        basis = right(A)
-        bent = symmetry.LinearSymmetry(basis.generators[0].xi + 1e-6 * A.T)
-        return symmetry.SymmetryBasis((bent, *basis.generators[1:]), 4)
+    def bent(c):
+        first, *rest = right.generators
+        return symmetry.SymmetryBasis(
+            (symmetry.LinearSymmetry(first.xi + c * A.T), *rest), 4)
 
-    monkeypatch.setattr(symmetry, "commutant_basis", wrong)
-    report = cli.run_invariant_suite(core.make_params(1.0, 2.0))
-    for check in _suite_checks(report, "commutant_abelian",
-                               "generator_projection"):
-        assert not check["passed"]
+    residuals = {
+        "commutant_abelian": lambda c: symmetry.max_pairwise_commutator(bent(c)),
+        "generator_projection": lambda c: max(
+            symmetry.projection_residual(bent(c), g.xi)
+            for g in symmetry.known_generators(par).generators),
+    }
+    monkeypatch.setattr(cli, "_random_params", lambda rng: par)
+    for name, residual in residuals.items():
+        per_bend = residual(1e-9) / 1e-9     # linear in c at these sizes
+        for factor in (0.5, 2.0):
+            c = factor * bound / per_bend
+            assert residual(c) == pytest.approx(factor * bound, rel=0.05)
+            monkeypatch.setattr(symmetry, "commutant_basis",
+                                lambda _A, c=c: bent(c))
+            check, = _suite_checks(cli.run_invariant_suite(par), name)
+            assert check["passed"] is (factor < 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +534,8 @@ def _echoed_config(out):
     return json.loads(out.read_text())["config"]
 
 
-@settings(derandomize=True, deadline=None, database=None, max_examples=300)
+# six draw families, about 60 draws each
+@settings(derandomize=True, deadline=None, database=None, max_examples=360)
 @given(argv=ARGV)
 def test_main_exit_code_property(argv, out_dir):
     out = out_dir / ("out.csv" if argv[0] == "simulate" else "out.json")

@@ -1,5 +1,7 @@
 """Integrator accuracy, conservation, mode decomposition, runaway detection."""
 
+import contextlib
+import signal
 import tracemalloc
 
 import numpy as np
@@ -23,6 +25,7 @@ from puosc.dynamics import (
 from puosc.errors import (
     PreconditionViolatedError,
     ScanDegenerateError,
+    StepUnderflowError,
 )
 
 PAR = p.make_params(1.0, 2.0)
@@ -170,6 +173,44 @@ def test_short_run_ends_at_t_end(t_end):
     assert traj.times[-1] == t_end
     assert traj.times[0] == 0.0 and len(traj.times) == 2
     assert traj.meta["n_steps"] >= 1
+
+
+@contextlib.contextmanager
+def _within(seconds):
+    """Fail, rather than hang, when the block runs longer than seconds."""
+    def stop(*_):
+        raise AssertionError(f"still running after {seconds} s")
+    old = signal.signal(signal.SIGALRM, stop)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+# W'(1e103) = lam * 1e309 overflows: an infinite slope at lam = 1 and
+# 0 * inf = NaN at lam = 0.  Neither a capped nor an uncapped first step
+# can be taken, so the run must end in step underflow at t = 0.
+@pytest.mark.parametrize("lam", [0.0, 1.0])
+@pytest.mark.parametrize("t_end", [1e-15, 1e-300, 1.0])
+def test_non_finite_slope_underflows_at_once(lam, t_end):
+    z0 = p.JetState(1e103, 0, 0, 0)
+    with _within(10), pytest.raises(StepUnderflowError) as exc:
+        p.integrate(PAR, field_for(PAR, p.quartic(lam)), z0, t_end)
+    assert exc.value.last_time == 0.0
+    with _within(10), pytest.raises(StepUnderflowError) as exc:
+        runaway_batch(PAR, [lam], z0, t_end, 1e106)
+    assert exc.value.last_time == 0.0
+
+
+@pytest.mark.parametrize("argv", [
+    "simulate --t-end 1e-15 --q0 1e103 --lambda 1",
+    "scan --t-end 1e-15 --q0 1e103 --lambda-max 1e4"])
+def test_short_run_with_non_finite_slope_exits_3(argv):
+    from puosc import cli
+    with _within(10):
+        assert cli.main(argv.split()) == cli.EXIT_NUMERICAL
 
 
 @pytest.mark.parametrize("t_end", SHORT_HORIZONS)
@@ -351,7 +392,6 @@ def test_csv_deterministic():
 def test_step_underflow_on_finite_time_blowup():
     # without an escape radius a blowing-up run ends in step underflow,
     # reporting the last good time
-    from puosc.errors import StepUnderflowError
     with pytest.raises(StepUnderflowError) as exc:
         p.integrate(PAR, field_for(PAR, p.quartic(100.0)), FIG_Z0, 50.0,
                     tol=1e-8)
