@@ -20,8 +20,9 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
-from dataclasses import dataclass
+import traceback
 from typing import Optional
 
 import numpy as np
@@ -34,6 +35,7 @@ from .config import (
     DEFAULT_TOL,
     SCAN_BISECT_ITERS,
     SCAN_GRID_POINTS,
+    SUITE_LAMBDA,
 )
 from .core import JetState, OstroState, PUParams
 from .errors import (
@@ -52,71 +54,45 @@ EXIT_SCAN_DEGENERATE = 4
 
 
 # ---------------------------------------------------------------------------
-# configuration
+# configuration and output
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Fully serializable run configuration; a run is reproducible from its
-    config alone, and the config is echoed into every output."""
-
-    omega1: float = 1.0
-    omega2: float = 2.0
-    lam: float = 0.0
-    chart: str = "jet"
-    q0: float = 0.0
-    qd0: float = 0.0
-    qdd0: float = 0.0
-    qddd0: float = 0.0
-    x1: float = 0.0
-    x2: float = 0.0
-    p1: float = 0.0
-    p2: float = 0.0
-    t_end: float = DEFAULT_T_END
-    tol: float = DEFAULT_TOL
-    sample_rate: float = DEFAULT_SAMPLE_RATE
-    escape_radius: Optional[float] = None
-    seed: int = DEFAULT_SEED
-    out: Optional[str] = None
-    fmt: str = "csv"
-
-    def __post_init__(self):
-        if self.lam < 0.0:
-            raise PreconditionViolatedError("lambda must be non-negative")
-        if self.seed < 0:
-            raise PreconditionViolatedError("seed must be non-negative")
-
-    def to_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
-    def params(self) -> PUParams:
-        return core.make_params(self.omega1, self.omega2)
-
-    def initial_state(self, params: PUParams) -> JetState:
-        if self.chart == "jet":
-            return JetState(self.q0, self.qd0, self.qdd0, self.qddd0)
-        return core.ostro_to_jet(
-            params, OstroState(self.x1, self.x2, self.p1, self.p2))
-
-    def potential(self) -> Optional[core.Potential]:
-        return dynamics.quartic(self.lam) if self.lam > 0.0 else None
+def _config(args) -> dict:
+    """The subcommand's parsed flags, defaults included: the config that
+    every output echoes and that the run is reproducible from."""
+    return {k: v for k, v in vars(args).items()
+            if k not in ("func", "command")}
 
 
-def _config_from_args(args) -> RunConfig:
-    """RunConfig from parsed flags; fields a subcommand has no flag for keep
-    their RunConfig defaults, so every output echoes the full config."""
-    return RunConfig(**{f.name: getattr(args, f.name)
-                        for f in dataclasses.fields(RunConfig)
-                        if hasattr(args, f.name)})
+def _initial_state(args, params: PUParams) -> JetState:
+    if args.chart == "jet":
+        return JetState(args.q0, args.qd0, args.qdd0, args.qddd0)
+    return core.ostro_to_jet(
+        params, OstroState(args.x1, args.x2, args.p1, args.p2))
+
+
+def _escape_radius(args, z0: JetState) -> float:
+    if args.escape_radius is not None:
+        return args.escape_radius
+    return dynamics.default_escape_radius(z0)
+
+
+def _json_text(payload: dict) -> str:
+    """Sorted, indented JSON; a NaN or infinity is a numerical failure."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True,
+                          allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise ArithmeticError(f"non-finite value in output ({exc})") from None
 
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True)
+    text = _json_text(payload)
     if out:
         with open(out, "w") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +106,20 @@ def _random_params(rng) -> PUParams:
             return core.make_params(w1, w2)
 
 
-def run_invariant_suite(params: PUParams, lam: float = 0.1,
+def run_invariant_suite(params: PUParams, lam: float = SUITE_LAMBDA,
                         seed: int = DEFAULT_SEED, n_draws: int = 100) -> dict:
     """Every structural identity of the library as one pass/fail report.
 
     Randomized sections draw n_draws frequency pairs from (0.1, 10) with
-    separation > 0.05, all driven by one seed.
+    separation > 0.05, all driven by one seed; the interacting check runs
+    at coupling lam.  Raises PreconditionViolatedError unless lam > 0 and
+    seed >= 0.
     """
+    if not lam > 0.0:
+        raise PreconditionViolatedError(
+            "lambda must be positive: the interacting check needs a coupling")
+    if seed < 0:
+        raise PreconditionViolatedError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -230,15 +213,14 @@ def run_invariant_suite(params: PUParams, lam: float = 0.1,
            len(free_basis) == 2 and max(r1, r2) < 1e-10,
            {"dimension": len(free_basis), "j1_residual": r1, "j2_residual": r2})
 
-    lam_eff = lam if lam > 0 else 0.1
-    field = dynamics.field_for(params, dynamics.quartic(lam_eff))
+    field = dynamics.field_for(params, dynamics.quartic(lam))
     pts = symmetry.default_sample_points(10, seed)
     int_basis = symmetry.invariant_tensor_space(field, pts)
     ri1 = symmetry.tensor_projection_residual(int_basis, core.j1(params))
     ri2 = symmetry.tensor_projection_residual(int_basis, core.j2(params))
     record("invariant_tensors_interacting",
            len(int_basis) == 1 and ri1 < 1e-10 and ri2 > 1e-3,
-           {"lambda": lam_eff, "dimension": len(int_basis),
+           {"lambda": lam, "dimension": len(int_basis),
             "j1_residual": ri1, "j2_residual": ri2})
 
     rec = embedding.reconciliation_report(params, n_draws=5, seed=seed)
@@ -265,18 +247,17 @@ def run_invariant_suite(params: PUParams, lam: float = 0.1,
 
 
 def cmd_verify(args) -> int:
-    cfg = _config_from_args(args)
     try:
-        params = cfg.params()
+        params = core.make_params(args.omega1, args.omega2)
     except DegenerateFrequenciesError as exc:
         _emit_json({"passed": False, "first_failure": "degenerate-frequencies",
-                    "error": str(exc), "config": cfg.to_dict(),
-                    "version": __version__}, cfg.out)
+                    "error": str(exc), "config": _config(args),
+                    "version": __version__}, args.out)
         return EXIT_INVARIANT
-    report = run_invariant_suite(params, lam=cfg.lam, seed=cfg.seed)
-    report["config"] = cfg.to_dict()
+    report = run_invariant_suite(params, lam=args.lam, seed=args.seed)
+    report["config"] = _config(args)
     report["version"] = __version__
-    _emit_json(report, cfg.out)
+    _emit_json(report, args.out)
     return EXIT_OK if report["passed"] else EXIT_INVARIANT
 
 
@@ -285,23 +266,34 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_simulate(args) -> int:
-    cfg = _config_from_args(args)
-    params = cfg.params()
-    z0 = cfg.initial_state(params)
-    field = dynamics.field_for(params, cfg.potential())
-    radius = (cfg.escape_radius if cfg.escape_radius is not None
-              else dynamics.default_escape_radius(z0))
-    traj = dynamics.integrate(params, field, z0, cfg.t_end, cfg.tol,
-                              sample_rate=cfg.sample_rate,
-                              escape_radius=radius)
+    params = core.make_params(args.omega1, args.omega2)
+    z0 = _initial_state(args, params)
+    # lambda = 0 keeps the free field, with no W' call per RHS evaluation
+    potential = dynamics.quartic(args.lam) if args.lam != 0.0 else None
+    traj = dynamics.integrate(params, dynamics.field_for(params, potential),
+                              z0, args.t_end, args.tol,
+                              sample_rate=args.sample_rate,
+                              escape_radius=_escape_radius(args, z0))
 
+    config = _config(args)
+    out_path = args.out or "pu_trajectory.csv"
+    summary = _json_text({
+        "bounded": not traj.escaped,
+        "escape_time": traj.meta["escape_time"],
+        "drift_h1": traj.drift("h1"),
+        "drift_h2": traj.drift("h2"),
+        "drift_hint": traj.drift("hint"),
+        "n_steps": traj.meta["n_steps"],
+        "out": out_path,
+        "config": config,
+        "version": __version__,
+    })  # before any output, so a non-finite drift writes no file
     header = [
         "# puosc trajectory",
         f"# version: {__version__}",
-        "# config: " + json.dumps(cfg.to_dict(), sort_keys=True),
+        "# config: " + json.dumps(config, sort_keys=True),
     ]
-    out_path = cfg.out or "pu_trajectory.csv"
-    if cfg.fmt == "csv":
+    if args.fmt == "csv":
         rows = dynamics.trajectory_csv_rows(params, traj)
         with open(out_path, "w") as fh:
             fh.write("\n".join(header) + "\n")
@@ -309,7 +301,7 @@ def cmd_simulate(args) -> int:
             fh.write("\n".join(rows) + "\n")
     else:
         payload = {
-            "config": cfg.to_dict(), "version": __version__,
+            "config": config, "version": __version__,
             "times": traj.times.tolist(),
             "states": traj.states.tolist(),
             "h1": traj.h1_series.tolist(),
@@ -318,19 +310,7 @@ def cmd_simulate(args) -> int:
             "meta": traj.meta,
         }
         _emit_json(payload, out_path)
-
-    summary = {
-        "bounded": not traj.escaped,
-        "escape_time": traj.meta["escape_time"],
-        "drift_h1": traj.drift("h1"),
-        "drift_h2": traj.drift("h2"),
-        "drift_hint": traj.drift("hint"),
-        "n_steps": traj.meta["n_steps"],
-        "out": out_path,
-        "config": cfg.to_dict(),
-        "version": __version__,
-    }
-    sys.stdout.write(json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    sys.stdout.write(summary)
     return EXIT_OK
 
 
@@ -354,16 +334,15 @@ def _map_payload(m: embedding.TransformMap) -> dict:
 
 
 def cmd_embed(args) -> int:
-    cfg = _config_from_args(args)
     family = args.family.capitalize()  # ta1 -> Ta1
     branch = +1 if args.branch == "+" else -1
     supplied = {"a_x": args.ax, "a_y": args.ay, "b_x": args.bx,
                 "b_y": args.by, "g": args.g}
     free = {k: v for k, v in supplied.items() if v is not None}
-    params = cfg.params()
+    params = core.make_params(args.omega1, args.omega2)
     solved = embedding.solve_family(family, branch, free, params)
     payload = {
-        "config": cfg.to_dict(), "version": __version__,
+        "config": _config(args), "version": __version__,
         "family": family, "branch": branch, "free": free,
         "solved": _map_payload(solved),
     }
@@ -404,7 +383,7 @@ def cmd_embed(args) -> int:
             "eigenvalues": list(pos.eigenvalues),
         }
 
-    _emit_json(payload, cfg.out)
+    _emit_json(payload, args.out)
     return EXIT_OK
 
 
@@ -413,35 +392,32 @@ def cmd_embed(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_scan(args) -> int:
-    cfg = _config_from_args(args)
-    params = cfg.params()
-    z0 = cfg.initial_state(params)
-    radius = (cfg.escape_radius if cfg.escape_radius is not None
-              else dynamics.default_escape_radius(z0))
+    params = core.make_params(args.omega1, args.omega2)
+    z0 = _initial_state(args, params)
     try:
         report = dynamics.threshold_search(
-            params, z0, cfg.t_end, radius,
+            params, z0, args.t_end, _escape_radius(args, z0),
             (args.lambda_min, args.lambda_max),
             grid_points=args.grid_points, bisect_iters=args.bisect_iters,
-            tol=cfg.tol)
+            tol=args.tol)
     except ScanDegenerateError as exc:
         payload = {
-            "config": cfg.to_dict(), "version": __version__,
+            "config": _config(args), "version": __version__,
             "degenerate": exc.kind,
             "grid": [dataclasses.asdict(gp) for gp in (exc.grid or [])],
         }
-        _emit_json(payload, cfg.out)
+        _emit_json(payload, args.out)
         return EXIT_SCAN_DEGENERATE
 
     payload = {
-        "config": cfg.to_dict(), "version": __version__,
+        "config": _config(args), "version": __version__,
         "lambda_star": report.lambda_star,
         "monotone": report.monotone,
         "caveat": report.caveat,
         "settings": report.settings,
         "grid": [dataclasses.asdict(gp) for gp in report.grid],
     }
-    _emit_json(payload, cfg.out)
+    _emit_json(payload, args.out)
     return EXIT_OK
 
 
@@ -450,29 +426,25 @@ def cmd_scan(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_modes(args) -> int:
-    cfg = _config_from_args(args)
-    params = cfg.params()
-    z0 = cfg.initial_state(params)
+    params = core.make_params(args.omega1, args.omega2)
+    z0 = _initial_state(args, params)
     m = dynamics.mode_decompose(params, z0)
     e = dynamics.mode_energy(params, m)
     payload = {
-        "config": cfg.to_dict(), "version": __version__,
+        "config": _config(args), "version": __version__,
         "a1": {"re": m.a1.real, "im": m.a1.imag, "abs": abs(m.a1)},
         "a2": {"re": m.a2.real, "im": m.a2.imag, "abs": abs(m.a2)},
         "e1": e["e1"], "e2": e["e2"], "total": e["total"],
         "h1": core.h1(params).value(z0),
         "h2": core.h2(params).value(z0),
     }
-    _emit_json(payload, cfg.out)
+    _emit_json(payload, args.out)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-_DEFAULTS = RunConfig()
-
 
 def _finite_float(text: str) -> float:
     """argparse type of every float flag: NaN and inf are usage errors."""
@@ -486,35 +458,32 @@ _finite_float.__name__ = "finite float"  # named in argparse's error message
 
 
 def _add_frequencies(sp: argparse.ArgumentParser) -> None:
-    for name in ("omega1", "omega2"):
-        sp.add_argument(f"--{name}", type=_finite_float,
-                        default=getattr(_DEFAULTS, name))
+    sp.add_argument("--omega1", type=_finite_float, default=1.0)
+    sp.add_argument("--omega2", type=_finite_float, default=2.0)
 
 
-def _add_coupling(sp: argparse.ArgumentParser) -> None:
+def _add_coupling(sp: argparse.ArgumentParser, default: float) -> None:
     sp.add_argument("--lambda", dest="lam", type=_finite_float,
-                    default=_DEFAULTS.lam, help="quartic coupling strength")
+                    default=default, help="quartic coupling strength")
 
 
 def _add_state(sp: argparse.ArgumentParser) -> None:
     for name in ("q0", "qd0", "qdd0", "qddd0", "x1", "x2", "p1", "p2"):
-        sp.add_argument(f"--{name}", type=_finite_float,
-                        default=getattr(_DEFAULTS, name))
-    sp.add_argument("--chart", choices=("jet", "ostro"),
-                    default=_DEFAULTS.chart,
+        sp.add_argument(f"--{name}", type=_finite_float, default=0.0)
+    sp.add_argument("--chart", choices=("jet", "ostro"), default="jet",
                     help="which set of initial-state flags to read")
 
 
 def _add_integrator(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--t-end", dest="t_end", type=_finite_float,
-                    default=_DEFAULTS.t_end)
-    sp.add_argument("--tol", type=_finite_float, default=_DEFAULTS.tol)
+                    default=DEFAULT_T_END)
+    sp.add_argument("--tol", type=_finite_float, default=DEFAULT_TOL)
     sp.add_argument("--escape-radius", dest="escape_radius",
-                    type=_finite_float, default=_DEFAULTS.escape_radius)
+                    type=_finite_float, default=None)
 
 
 def _add_output(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--out", type=str, default=_DEFAULTS.out)
+    sp.add_argument("--out", type=str, default=None)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -528,21 +497,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run the invariant suite")
     _add_frequencies(sp)
-    _add_coupling(sp)
-    sp.add_argument("--seed", type=int, default=_DEFAULTS.seed)
+    _add_coupling(sp, default=SUITE_LAMBDA)
+    sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output(sp)
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("simulate", help="integrate one trajectory to CSV")
     _add_frequencies(sp)
-    _add_coupling(sp)
+    _add_coupling(sp, default=0.0)
     _add_state(sp)
     _add_integrator(sp)
     sp.add_argument("--sample-rate", dest="sample_rate", type=_finite_float,
-                    default=_DEFAULTS.sample_rate)
+                    default=DEFAULT_SAMPLE_RATE)
     _add_output(sp)
     sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
-                    default=_DEFAULTS.fmt)
+                    default="csv")
     sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("embed", help="two-dimensional family report")
@@ -587,6 +556,8 @@ _EXIT_TABLE = (
      "error"),
     (OSError, EXIT_NUMERICAL, "io error"),
     (PuoscError, EXIT_NUMERICAL, "error"),
+    # anything else is a defect, not a verdict on the input: never exit 1
+    (Exception, EXIT_NUMERICAL, "internal error"),
 )
 
 
@@ -594,10 +565,16 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (PuoscError, OSError, ArithmeticError) as exc:
+    except Exception as exc:
         for kind, code, prefix in _EXIT_TABLE:
             if isinstance(exc, kind):
-                print(f"{prefix}: {exc}", file=sys.stderr)
+                message = f"{prefix}: {exc}"
+                if kind is Exception:  # name the defect and where it arose
+                    where = traceback.extract_tb(exc.__traceback__)[-1]
+                    message = (f"{prefix}: {type(exc).__name__}: {exc} "
+                               f"({os.path.basename(where.filename)}:"
+                               f"{where.lineno} in {where.name})")
+                print(message, file=sys.stderr)
                 return code
 
 

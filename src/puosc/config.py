@@ -24,6 +24,9 @@ DEFAULT_T_END = 200.0
 # Escape radius default is 1e3 * max(1, |z0|).
 ESCAPE_RADIUS_FACTOR = 1e3
 
+# Coupling of the invariant suite's interacting check.
+SUITE_LAMBDA = 0.1
+
 # Threshold scan defaults.
 SCAN_GRID_POINTS = 32
 SCAN_BISECT_ITERS = 40

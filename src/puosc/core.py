@@ -43,6 +43,15 @@ from .errors import (
 
 JET = "jet"
 OSTRO = "ostrogradsky"
+_CHARTS = {JET: JET, OSTRO: OSTRO, "ostro": OSTRO}
+
+
+def _chart(name: str) -> str:
+    """Canonical chart name; "ostro" abbreviates the momentum chart."""
+    try:
+        return _CHARTS[name]
+    except KeyError:
+        raise ChartMismatchError(f"unknown chart {name!r}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +326,7 @@ def j1(params: PUParams, chart: str = JET) -> PoissonTensor:
     through the chart map, -dq^dqddd + dqd^dqdd + alpha*dqdd^dqddd.
     """
     a = params.alpha
-    if chart == JET:
+    if _chart(chart) == JET:
         J = np.array([
             [0.0, 0.0, 0.0, -1.0],
             [0.0, 0.0, 1.0, 0.0],
@@ -325,15 +334,13 @@ def j1(params: PUParams, chart: str = JET) -> PoissonTensor:
             [1.0, 0.0, -a, 0.0],
         ])
         return PoissonTensor(J, JET)
-    if chart in (OSTRO, "ostro"):
-        J = np.array([
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [-1.0, 0.0, 0.0, 0.0],
-            [0.0, -1.0, 0.0, 0.0],
-        ])
-        return PoissonTensor(J, OSTRO)
-    raise ChartMismatchError(f"unknown chart {chart!r}")
+    J = np.array([
+        [0.0, 0.0, 1.0, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+        [-1.0, 0.0, 0.0, 0.0],
+        [0.0, -1.0, 0.0, 0.0],
+    ])
+    return PoissonTensor(J, OSTRO)
 
 
 def j2(params: PUParams) -> PoissonTensor:
@@ -517,7 +524,7 @@ def _sym_exact(S: np.ndarray) -> np.ndarray:
 
 def transport_tensor(params: PUParams, t: PoissonTensor, chart: str) -> PoissonTensor:
     """Push a Poisson tensor to the other chart: J -> L J L^T."""
-    target = OSTRO if chart in (OSTRO, "ostro") else JET
+    target = _chart(chart)
     if t.chart == target:
         return t
     L = ostro_jacobian(params) if target == OSTRO else ostro_jacobian_inv(params)
@@ -529,7 +536,7 @@ def transport_observable(
     params: PUParams, f: QuadraticObservable, chart: str
 ) -> QuadraticObservable:
     """Carry a quadratic observable to the other chart: S -> L^-T S L^-1."""
-    target = OSTRO if chart in (OSTRO, "ostro") else JET
+    target = _chart(chart)
     if f.chart == target:
         return f
     Linv = ostro_jacobian_inv(params) if target == OSTRO else ostro_jacobian(params)

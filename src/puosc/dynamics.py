@@ -118,9 +118,12 @@ def quartic(lam: float) -> Potential:
 
     With the library's sign convention the interacting jerk equation is
     q'''' + alpha q'' + beta q + lam q^3 = 0; lam > 0 is the destabilizing
-    direction, with runaway above a finite coupling threshold.
+    direction, with runaway above a finite coupling threshold.  Raises
+    PreconditionViolatedError unless lam >= 0.
     """
     lam = float(lam)
+    if not lam >= 0.0:
+        raise PreconditionViolatedError("lambda must be non-negative")
     return Potential(
         lambda q: 0.25 * lam * q ** 4,      # W
         lambda q: lam * (q * q * q),        # W'

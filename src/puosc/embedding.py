@@ -122,12 +122,15 @@ class TransformMap:
         return self.mu0 * self.nu2 - self.mu2 * self.nu0
 
     @property
-    def singular(self) -> bool:
+    def rank_deficient(self) -> bool:
+        """The coordinate block is singular (x proportional to y)."""
         scale = max(1.0, abs(self.mu0), abs(self.mu2),
                     abs(self.nu0), abs(self.nu2))
-        return self.model.degenerate or (
-            abs(self.transform_det) <= EPS_SINGULAR * scale * scale
-        )
+        return abs(self.transform_det) <= EPS_SINGULAR * scale * scale
+
+    @property
+    def singular(self) -> bool:
+        return self.model.degenerate or self.rank_deficient
 
 
 def _build_map(family, branch, mu0, mu2, nu0, nu2, model, params):
@@ -431,10 +434,7 @@ def verify_map(m: TransformMap) -> MapVerification:
     else:
         contract = "(phi, 0)"
         passes = (r1.kind == "proportional" and r2.kind == "zero")
-    det = m.transform_det
-    rank_deficient = abs(det) <= EPS_SINGULAR * max(
-        1.0, abs(m.mu0), abs(m.mu2), abs(m.nu0), abs(m.nu2)) ** 2
-    return MapVerification(r1, r2, contract, passes, rank_deficient,
+    return MapVerification(r1, r2, contract, passes, m.rank_deficient,
                            max(r1.residual, r2.residual))
 
 

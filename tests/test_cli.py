@@ -1,6 +1,6 @@
 """CLI subcommands, exit codes, and output determinism."""
 
-import dataclasses
+import argparse
 import json
 
 import numpy as np
@@ -33,6 +33,9 @@ def test_verify_default_passes(tmp_path):
     assert "invariant_tensors_interacting" in names
     assert rep["version"]
     assert rep["config"]["omega1"] == 1.0
+    # the echoed coupling is the one the interacting check ran at
+    check, = _suite_checks(rep, "invariant_tensors_interacting")
+    assert rep["config"]["lam"] == check["detail"]["lambda"] == 0.1
 
 
 def test_verify_degenerate_frequencies(tmp_path):
@@ -52,6 +55,16 @@ def test_verify_interacting_dimension_reported(tmp_path):
                  if c["name"] == "invariant_tensors_interacting")
     assert check["detail"]["dimension"] == 1
     assert check["detail"]["lambda"] == 0.1
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"lam": 0.0}, {"lam": -0.0}, {"lam": -1.0}, {"lam": float("nan")},
+    {"seed": -1},
+])
+def test_invariant_suite_preconditions(kwargs):
+    from puosc.errors import PreconditionViolatedError
+    with pytest.raises(PreconditionViolatedError):
+        cli.run_invariant_suite(core.make_params(1.0, 2.0), **kwargs)
 
 
 def _suite_checks(report, *names):
@@ -300,9 +313,21 @@ def test_subcommand_parses_kept_flags(command):
     assert args.omega1 == 1.5 and args.out == "o"
 
 
-def test_unset_config_fields_keep_defaults():
-    args = cli.build_parser().parse_args(["embed", "--family", "ta1"])
-    assert cli._config_from_args(args) == cli.RunConfig()
+@pytest.mark.parametrize("command", sorted(KEPT_FLAGS))
+def test_config_is_the_subcommands_flags(command):
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[command]
+    flags = [a for a in sub._actions if a.dest != "help"]
+    # KEPT_FLAGS sets every flag of the subcommand
+    assert all(set(a.option_strings) & set(KEPT_FLAGS[command]) for a in flags)
+    args = parser.parse_args([command, *KEPT_FLAGS[command]])
+    assert cli._config(args) == {a.dest: getattr(args, a.dest) for a in flags}
+    # unset flags echo their defaults
+    required = {"family": "tb1"} if command == "embed" else {}
+    args = parser.parse_args(
+        [command, *(f"--{k}={v}" for k, v in required.items())])
+    assert cli._config(args) == {a.dest: a.default for a in flags} | required
 
 
 # ---------------------------------------------------------------------------
@@ -358,6 +383,9 @@ EXIT_CASES = [
      2),
     ("verify-negative-seed", ["verify", "--seed=-1", "--out", "{tmp}/v.json"],
      2),
+    # the interacting check needs a coupling; it is not replaced by another
+    ("verify-zero-lambda",
+     ["verify", "--lambda", "0", "--out", "{tmp}/v.json"], 2),
     # the sample grid is capped before it is allocated
     ("simulate-sample-grid-too-large",
      ["simulate", "--t-end=5.8e-15", "--sample-rate=2.2e-311",
@@ -369,6 +397,13 @@ EXIT_CASES = [
     # a flag the family does not take
     ("embed-extra-family-flag",
      [*TB1, "--g", "1", "--ay", "1", "--out", "{tmp}/e.json"], 2),
+    # a NaN or infinity in the output is a numerical failure, not JSON
+    ("modes-non-finite-energy",
+     ["modes", "--omega1=1.5", "--q0=4.4692693099808655e+153",
+      "--out", "{tmp}/m.json"], 3),
+    ("simulate-non-finite-drift",
+     ["simulate", "--q0", "1e152", "--omega1", "1e4", "--t-end", "1e-20",
+      "--out", "{tmp}/t.csv"], 3),
     # correct tensors near the singular blend rays pass the suite
     ("verify-near-singular-blend",
      ["verify", *NEAR_SINGULAR, "--out", "{tmp}/v.json"], 0),
@@ -382,7 +417,10 @@ def test_exit_code_contract(argv, code, tmp_path, capsys):
             for a in argv]
     assert exit_code(argv) == code
     err = capsys.readouterr().err
-    assert ("error:" in err) == (code != 0)
+    # an "error:" message (argparse's, or the exit table's "error", "io
+    # error" and "internal error" rows), or the "numerical failure" row's
+    said = "error:" in err or err.startswith("numerical failure: ")
+    assert said == (code != 0)
     assert "Traceback" not in err
 
 
@@ -396,6 +434,34 @@ def test_exit_code_messages(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("io error: ")
     assert exit_code([*TB1[:-2], "--g", "1"]) == 2
     assert capsys.readouterr().err == "error: Tb1 needs free parameter 'b_x'\n"
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("argv", [
+    ["modes", "--omega1=1.5", "--q0=4.4692693099808655e+153"],
+    ["simulate", "--q0", "1e152", "--omega1", "1e4", "--t-end", "1e-20"],
+])
+def test_non_finite_output_writes_nothing(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert exit_code([*argv, "--out", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.err.startswith("numerical failure: non-finite value")
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_unexpected_error_is_an_internal_error(monkeypatch, capsys):
+    from puosc import dynamics
+
+    def broken(*_):
+        raise KeyError("a1")
+
+    monkeypatch.setattr(dynamics, "mode_decompose", broken)
+    assert exit_code(["modes", "--q0", "1"]) == 3
+    err = capsys.readouterr().err
+    line = broken.__code__.co_firstlineno + 1   # the raise statement
+    assert err == (
+        f"internal error: KeyError: 'a1' (test_cli.py:{line} in broken)\n")
 
 
 def _blend_grid(params):
@@ -513,16 +579,15 @@ def out_dir(tmp_path_factory):
 
 
 def _drawn_config(argv):
-    """RunConfig field -> flag value, for every flag in argv that sets one."""
-    fields = {f.name for f in dataclasses.fields(cli.RunConfig)}
-    pairs = [a.split("=", 1) for a in argv if "=" in a]
-    pairs += [argv[i:i + 2] for i, a in enumerate(argv) if a == "--chart"]
+    """Config key -> flag text, for every flag in argv: `--flag=value` or
+    `--flag value`; `--lambda` is stored as `lam`."""
+    items = iter(argv[1:])
     drawn = {}
-    for flag, value in pairs:
+    for item in items:
+        flag, eq, value = item.partition("=")
         name = flag[2:].replace("-", "_")
-        name = "lam" if name == "lambda" else name
-        if name in fields:
-            drawn[name] = value
+        value = value if eq else next(items)
+        drawn["lam" if name == "lambda" else name] = value
     return drawn
 
 
@@ -545,8 +610,7 @@ def test_main_exit_code_property(argv, out_dir):
         # no silent substitution: the output echoes every value it was given
         echoed = _echoed_config(out)
         for name, value in _drawn_config(argv).items():
-            used = value if name == "chart" else float(value)
-            assert echoed[name] == used, name
+            assert echoed[name] == type(echoed[name])(value), name
 
 
 def test_scan_transition_draws_exit_zero(out_dir):

@@ -193,6 +193,12 @@ def test_interacting_field_sign():
     assert q4 + PAR.alpha * 0.0 + PAR.beta * 2.0 + lam * 8 == pytest.approx(0.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("lam", [-1.0, -1e-300, float("nan")])
+def test_quartic_rejects_negative_coupling(lam):
+    with pytest.raises(PreconditionViolatedError):
+        p.quartic(lam)
+
+
 def test_interacting_field_zero_potential_matches_free():
     V = p.field_for(PAR, p.quartic(0.0))
     z = p.JetState(1.0, -0.5, 0.25, 2.0)
@@ -349,6 +355,24 @@ def test_chart_covariance_of_structures():
     assert np.allclose(H1_ostro.coeffs, h1_ostro_matrix(PAR), atol=1e-14)
     back = p.transport_observable(PAR, H1_ostro, "jet")
     assert np.allclose(back.coeffs, p.h1(PAR).coeffs, atol=1e-14)
+
+
+@pytest.mark.parametrize("chart", ["bogus", "Ostro", "momentum", ""])
+def test_unknown_chart_name_rejected(chart):
+    with pytest.raises(ChartMismatchError):
+        p.j1(PAR, chart=chart)
+    with pytest.raises(ChartMismatchError):
+        p.transport_tensor(PAR, p.j1(PAR), chart)
+    with pytest.raises(ChartMismatchError):
+        p.transport_observable(PAR, p.h1(PAR), chart)
+
+
+def test_chart_names_and_abbreviation():
+    for name, chart in (("jet", "jet"), ("ostro", "ostrogradsky"),
+                        ("ostrogradsky", "ostrogradsky")):
+        assert p.j1(PAR, chart=name).chart == chart
+        assert p.transport_tensor(PAR, p.j1(PAR), name).chart == chart
+        assert p.transport_observable(PAR, p.h1(PAR), name).chart == chart
 
 
 def test_h1_linear_in_p1():
