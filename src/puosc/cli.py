@@ -20,9 +20,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-import traceback
 from typing import Optional
 
 import numpy as np
@@ -106,6 +104,14 @@ def _random_params(rng) -> PUParams:
             return core.make_params(w1, w2)
 
 
+def _check_suite_args(lam: float, seed: int) -> None:
+    if not lam > 0.0:
+        raise PreconditionViolatedError(
+            "lambda must be positive: the interacting check needs a coupling")
+    if seed < 0:
+        raise PreconditionViolatedError("seed must be non-negative")
+
+
 def run_invariant_suite(params: PUParams, lam: float = SUITE_LAMBDA,
                         seed: int = DEFAULT_SEED, n_draws: int = 100) -> dict:
     """Every structural identity of the library as one pass/fail report.
@@ -115,11 +121,7 @@ def run_invariant_suite(params: PUParams, lam: float = SUITE_LAMBDA,
     at coupling lam.  Raises PreconditionViolatedError unless lam > 0 and
     seed >= 0.
     """
-    if not lam > 0.0:
-        raise PreconditionViolatedError(
-            "lambda must be positive: the interacting check needs a coupling")
-    if seed < 0:
-        raise PreconditionViolatedError("seed must be non-negative")
+    _check_suite_args(lam, seed)
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -247,6 +249,7 @@ def run_invariant_suite(params: PUParams, lam: float = SUITE_LAMBDA,
 
 
 def cmd_verify(args) -> int:
+    _check_suite_args(args.lam, args.seed)   # a bad flag exits 2 first
     try:
         params = core.make_params(args.omega1, args.omega2)
     except DegenerateFrequenciesError as exc:
@@ -548,16 +551,16 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-# (error classes, exit code, stderr prefix); the first isinstance match wins
+# (error classes, exit code, stderr line); the first isinstance match wins
 _EXIT_TABLE = (
     ((StepUnderflowError, ArithmeticError), EXIT_NUMERICAL,
-     "numerical failure"),
+     "numerical failure: {exc}"),
     ((DegenerateFrequenciesError, PreconditionViolatedError), EXIT_USAGE,
-     "error"),
-    (OSError, EXIT_NUMERICAL, "io error"),
-    (PuoscError, EXIT_NUMERICAL, "error"),
+     "error: {exc}"),
+    (OSError, EXIT_NUMERICAL, "io error: {exc}"),
+    (PuoscError, EXIT_NUMERICAL, "error: {exc}"),
     # anything else is a defect, not a verdict on the input: never exit 1
-    (Exception, EXIT_NUMERICAL, "internal error"),
+    (Exception, EXIT_NUMERICAL, "internal error: {kind}: {exc}"),
 )
 
 
@@ -566,17 +569,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except Exception as exc:
-        for kind, code, prefix in _EXIT_TABLE:
+        for kind, code, line in _EXIT_TABLE:
             if isinstance(exc, kind):
-                message = f"{prefix}: {exc}"
-                if kind is Exception:  # name the defect and where it arose
-                    where = traceback.extract_tb(exc.__traceback__)[-1]
-                    message = (f"{prefix}: {type(exc).__name__}: {exc} "
-                               f"({os.path.basename(where.filename)}:"
-                               f"{where.lineno} in {where.name})")
-                print(message, file=sys.stderr)
+                print(line.format(exc=exc, kind=type(exc).__name__),
+                      file=sys.stderr)
                 return code
-
 
 if __name__ == "__main__":
     sys.exit(main())
