@@ -9,10 +9,13 @@ which gives a closed-form oracle for the integrator and an exact mode
 decomposition of any jet state.  Every run, a sampled trajectory
 (integrate) or one coupling of a scan (runaway_batch), goes through one
 Dormand-Prince 5(4) lane with PI step-size control, written on Python floats
-because numpy call overhead outweighs the arithmetic on a 4-vector.  The
-lane shortens a step only to land on a stop: integrate's equidistant sample
-times, or t_end alone for a scan.  Stepping is deterministic, so repeated
-runs with the same settings reproduce output bit for bit on one platform.
+because numpy call overhead outweighs the arithmetic on a 4-vector.  For the
+same reason its step loop calls no max, min or abs: on four floats a builtin
+call costs more than the arithmetic it guards, so each is written as the
+conditional expression that returns what the builtin returns.  The lane
+shortens a step only to land on a stop: integrate's equidistant sample times,
+or t_end alone for a scan.  Stepping is deterministic, so repeated runs with
+the same settings reproduce output bit for bit on one platform.
 
 An interaction potential W destabilizes the model: the quartic family
 W(q) = lam q^4 / 4 keeps trajectories bounded below a coupling threshold and
@@ -254,6 +257,7 @@ def _dp54(rhs, y0, stops, tol, escape_radius):
     or when a capped step is rejected and its shrunk size would still be
     capped, since the retry would repeat the rejected step exactly.
     """
+    sqrt = math.sqrt
     q0, q1, q2, q3 = y0
     k1 = rhs(q0, q1, q2, q3)
     h = _initial_step(rhs, y0, k1, tol)
@@ -264,13 +268,14 @@ def _dp54(rhs, y0, stops, tol, escape_radius):
     neg_alpha, beta = -_PI_ALPHA, _PI_BETA
     for target in stops:
         reach = target - 1e-14 * max(1.0, abs(target))
+        # no max/min/abs calls: each costs more than the arithmetic it guards
         while True:
             capped = t + h >= reach
             if capped:
                 hs = target - t
             else:
                 hs = h
-                if hs < 1e-14 * max(1.0, t):
+                if hs < 1e-14 * (t if t > 1.0 else 1.0):
                     raise StepUnderflowError(t)
 
             a0, a1, a2, a3 = k1
@@ -304,19 +309,32 @@ def _dp54(rhs, y0, stops, tol, escape_radius):
             p2 = q2 + hs * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * g2)
             p3 = q3 + hs * (_B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * g3)
             k7 = s0, s1, s2, s3 = rhs(p0, p1, p2, p3)
+            # the error scale 1 + max(|q_i|, |p_i|), each builtin written as
+            # the conditional returning what it returns: max(a, b) is
+            # (b if b > a else a), min(a, b) is (b if b < a else a)
+            m0 = -q0 if q0 < 0.0 else q0
+            m1 = -q1 if q1 < 0.0 else q1
+            m2 = -q2 if q2 < 0.0 else q2
+            m3 = -q3 if q3 < 0.0 else q3
+            n0 = -p0 if p0 < 0.0 else p0
+            n1 = -p1 if p1 < 0.0 else p1
+            n2 = -p2 if p2 < 0.0 else p2
+            n3 = -p3 if p3 < 0.0 else p3
             r0 = (hs * (_E1 * a0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * g0
-                        + _E7 * s0) / (tol * (1.0 + max(abs(q0), abs(p0)))))
+                        + _E7 * s0) / (tol * (1.0 + (n0 if n0 > m0 else m0))))
             r1 = (hs * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * g1
-                        + _E7 * s1) / (tol * (1.0 + max(abs(q1), abs(p1)))))
+                        + _E7 * s1) / (tol * (1.0 + (n1 if n1 > m1 else m1))))
             r2 = (hs * (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * g2
-                        + _E7 * s2) / (tol * (1.0 + max(abs(q2), abs(p2)))))
+                        + _E7 * s2) / (tol * (1.0 + (n2 if n2 > m2 else m2))))
             r3 = (hs * (_E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * g3
-                        + _E7 * s3) / (tol * (1.0 + max(abs(q3), abs(p3)))))
-            err = math.sqrt(0.25 * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3))
+                        + _E7 * s3) / (tol * (1.0 + (n3 if n3 > m3 else m3))))
+            err = sqrt(0.25 * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3))
 
             if not err <= 1.0:
                 n_rejected += 1
-                h = hs * min(1.0, max(_MIN_FACTOR, _SAFETY * err ** neg_alpha))
+                shrink = _SAFETY * err ** neg_alpha
+                shrink = shrink if shrink > _MIN_FACTOR else _MIN_FACTOR
+                h = hs * (shrink if shrink < 1.0 else 1.0)
                 if capped and t + h >= reach:
                     raise StepUnderflowError(t)
                 continue
@@ -324,11 +342,12 @@ def _dp54(rhs, y0, stops, tol, escape_radius):
             t = target if capped else t + hs
             q0, q1, q2, q3 = p0, p1, p2, p3
             k1 = k7
-            err_b = max(err, 1e-10)
+            err_b = 1e-10 if 1e-10 > err else err
             factor = _SAFETY * err_b ** neg_alpha * err_prev ** beta
             err_prev = err_b
-            h = hs * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
-            escaped = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) \
+            factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
+            h = hs * (factor if factor < _MAX_FACTOR else _MAX_FACTOR)
+            escaped = sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) \
                 >= escape_radius
             if capped or escaped:
                 times.append(t)
@@ -358,14 +377,24 @@ def _sample_times(t_end: float, sample_rate: float) -> np.ndarray:
     return ts
 
 
+def _state_norm(z0: JetState) -> float:
+    """|z0| on Python floats, computed as the lane's escape test computes |z|.
+    Raises OverflowError when it is not finite (a state too large to
+    square)."""
+    q0, q1, q2, q3 = z0.as_array().tolist()
+    norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+    if not math.isfinite(norm):
+        raise OverflowError("|z0| is not finite in floating point")
+    return norm
+
+
 def _check_run(z0: JetState, t_end, tol, escape_radius):
     """Preconditions shared by integrate and runaway_batch."""
     if not (1e-13 <= tol <= 1e-3):
         raise PreconditionViolatedError("tol must lie in [1e-13, 1e-3]")
     if not t_end > 0.0:
         raise PreconditionViolatedError("t_end must be positive")
-    if escape_radius is not None and not (
-            escape_radius > float(np.linalg.norm(z0.as_array()))):
+    if escape_radius is not None and not escape_radius > _state_norm(z0):
         raise PreconditionViolatedError("escape_radius must exceed |z0|")
 
 
@@ -423,7 +452,9 @@ def integrate(
 
 
 def default_escape_radius(z0: JetState) -> float:
-    return ESCAPE_RADIUS_FACTOR * max(1.0, float(np.linalg.norm(z0.as_array())))
+    """ESCAPE_RADIUS_FACTOR max(1, |z0|); raises OverflowError when |z0| is
+    not finite."""
+    return ESCAPE_RADIUS_FACTOR * max(1.0, _state_norm(z0))
 
 
 # ---------------------------------------------------------------------------
@@ -589,12 +620,11 @@ CSV_HEADER = "t,q,qd,qdd,qddd,x1,x2,p1,p2,H1,H2,Hint"
 
 def trajectory_csv_rows(params: PUParams, traj: Trajectory) -> list:
     """CSV rows (no header) with both charts and the three energy series."""
-    a = params.alpha
+    a = float(params.alpha)
     rows = []
-    for i, t in enumerate(traj.times):
-        q, qd, qdd, qddd = traj.states[i]
-        p1 = -a * qd - qddd
-        vals = [t, q, qd, qdd, qddd, q, qd, p1, qdd,
-                traj.h1_series[i], traj.h2_series[i], traj.hint_series[i]]
-        rows.append(",".join(repr(float(v)) for v in vals))
+    for t, (q, qd, qdd, qddd), h1, h2, hint in zip(
+            traj.times.tolist(), traj.states.tolist(), traj.h1_series.tolist(),
+            traj.h2_series.tolist(), traj.hint_series.tolist()):
+        rows.append(",".join(map(repr, (t, q, qd, qdd, qddd, q, qd,
+                                        -a * qd - qddd, qdd, h1, h2, hint))))
     return rows

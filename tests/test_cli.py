@@ -409,6 +409,12 @@ EXIT_CASES = [
     ("simulate-escape-radius-below-z0",
      ["simulate", "--q0", "1", "--escape-radius", "0.5",
       "--out", "{tmp}/t.csv"], 2),
+    # |z0| overflows a float: no default radius exists, a numerical failure
+    ("simulate-z0-norm-overflows",
+     ["simulate", "--q0", "1e155", "--t-end", "0.5",
+      "--out", "{tmp}/t.csv"], 3),
+    ("scan-z0-norm-overflows",
+     ["scan", "--q0", "1e155", "--t-end", "0.5", "--out", "{tmp}/s.json"], 3),
     # a flag the family does not take
     ("embed-extra-family-flag",
      [*TB1, "--g", "1", "--ay", "1", "--out", "{tmp}/e.json"], 2),

@@ -1,8 +1,12 @@
 """Integrator accuracy, conservation, mode decomposition, runaway detection."""
 
+import ast
 import contextlib
+import inspect
+import math
 import signal
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,10 +16,18 @@ from hypothesis import strategies as st
 import puosc as p
 from puosc.core import flow_matrix, ostro_jacobian, ostro_jacobian_inv
 from puosc.dynamics import (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
+    _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
+    _E1, _E3, _E4, _E5, _E6, _E7, _MAX_FACTOR, _MIN_FACTOR,
+    _PI_ALPHA, _PI_BETA, _SAFETY,
     CSV_HEADER,
     MAX_SAMPLES,
     GridPoint,
     _bisect,
+    _dp54,
+    _float_rhs,
+    _initial_step,
+    _sample_times,
     closed_form_states,
     default_escape_radius,
     field_for,
@@ -315,6 +327,22 @@ def test_default_escape_radius():
     assert default_escape_radius(big) == pytest.approx(1e4)
 
 
+def test_state_norm_overflow_is_a_numerical_failure():
+    # |z0|^2 overflows a float: no radius can be compared with it, so the run
+    # fails as arithmetic, not as a bad radius, and warns nothing
+    huge = p.JetState(1e155, 0, 0, 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(OverflowError):
+            default_escape_radius(huge)
+        with pytest.raises(OverflowError):
+            p.integrate(PAR, p.free_vector_field(PAR), huge, 0.5,
+                        escape_radius=1e300)
+        with pytest.raises(OverflowError):
+            runaway_batch(PAR, [1.0], huge, 0.5, 1e300)
+    assert default_escape_radius(p.JetState(1e154, 0, 0, 0)) == 1e157
+
+
 def test_verdict_invariant():
     for v in runaway_batch(PAR, [0.0, 10.0], FIG_Z0, 200.0, 1000.0):
         assert (not v.bounded) == (v.escape_time is not None
@@ -387,6 +415,20 @@ def test_csv_deterministic():
     t1 = p.integrate(PAR, field_for(PAR, p.quartic(0.5)), FIG_Z0, 3.0, tol=1e-9)
     t2 = p.integrate(PAR, field_for(PAR, p.quartic(0.5)), FIG_Z0, 3.0, tol=1e-9)
     assert trajectory_csv_rows(PAR, t1) == trajectory_csv_rows(PAR, t2)
+
+
+def test_csv_rows_match_numpy_scalar_formatting():
+    # reference: each value formatted as repr(float(numpy scalar)), with p1
+    # computed on numpy scalars
+    traj = p.integrate(PAR, field_for(PAR, p.quartic(0.5)), FIG_Z0, 3.0,
+                       tol=1e-9)
+    expected = []
+    for i, t in enumerate(traj.times):
+        q, qd, qdd, qddd = traj.states[i]
+        vals = [t, q, qd, qdd, qddd, q, qd, -PAR.alpha * qd - qddd, qdd,
+                traj.h1_series[i], traj.h2_series[i], traj.hint_series[i]]
+        expected.append(",".join(repr(float(v)) for v in vals))
+    assert trajectory_csv_rows(PAR, traj) == expected
 
 
 def test_step_underflow_on_finite_time_blowup():
@@ -567,3 +609,172 @@ def test_sample_grid_cap_rejects_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1e6
+
+
+# ---------------------------------------------------------------------------
+# the lane against its reference
+# ---------------------------------------------------------------------------
+
+# The lane as it was written with max, min and abs calls in its step loop,
+# copied verbatim.  The lane writes each call as a conditional returning what
+# the builtin returns, so the two must agree bit for bit.
+def _reference_dp54(rhs, y0, stops, tol, escape_radius):
+    """One adaptive DP5(4) run with PI step control on Python floats.
+
+    rhs is a _float_rhs closure, y0 a 4-tuple of floats, stops the
+    increasing positive times the run must land on (the last ends it), tol
+    and escape_radius floats (math.inf for no escape test).  A step that
+    would reach a stop within 1e-14 max(1, |stop|) is shortened to end on
+    it; such a capped step is exempt from the step-underflow check, since
+    its size is the positive gap to the stop.  The run ends at the last
+    stop or at the end of the first accepted step with |z| >= escape_radius.
+
+    Returns (times, rows, escape_time, n_steps, n_rhs, n_rejected): the time
+    and state after every capped step and after the escaping step, the
+    escape time or None, and the step and right-hand-side counts.  Raises
+    StepUnderflowError when an uncapped step falls below 1e-14 max(1, t),
+    or when a capped step is rejected and its shrunk size would still be
+    capped, since the retry would repeat the rejected step exactly.
+    """
+    q0, q1, q2, q3 = y0
+    k1 = rhs(q0, q1, q2, q3)
+    h = _initial_step(rhs, y0, k1, tol)
+    t = 0.0
+    err_prev = 1e-4
+    n_steps = n_rejected = 0
+    times, rows = [], []
+    neg_alpha, beta = -_PI_ALPHA, _PI_BETA
+    for target in stops:
+        reach = target - 1e-14 * max(1.0, abs(target))
+        while True:
+            capped = t + h >= reach
+            if capped:
+                hs = target - t
+            else:
+                hs = h
+                if hs < 1e-14 * max(1.0, t):
+                    raise StepUnderflowError(t)
+
+            a0, a1, a2, a3 = k1
+            b0, b1, b2, b3 = rhs(q0 + hs * (_A21 * a0), q1 + hs * (_A21 * a1),
+                                 q2 + hs * (_A21 * a2), q3 + hs * (_A21 * a3))
+            c0, c1, c2, c3 = rhs(q0 + hs * (_A31 * a0 + _A32 * b0),
+                                 q1 + hs * (_A31 * a1 + _A32 * b1),
+                                 q2 + hs * (_A31 * a2 + _A32 * b2),
+                                 q3 + hs * (_A31 * a3 + _A32 * b3))
+            d0, d1, d2, d3 = rhs(
+                q0 + hs * (_A41 * a0 + _A42 * b0 + _A43 * c0),
+                q1 + hs * (_A41 * a1 + _A42 * b1 + _A43 * c1),
+                q2 + hs * (_A41 * a2 + _A42 * b2 + _A43 * c2),
+                q3 + hs * (_A41 * a3 + _A42 * b3 + _A43 * c3))
+            e0, e1, e2, e3 = rhs(
+                q0 + hs * (_A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
+                q1 + hs * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
+                q2 + hs * (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
+                q3 + hs * (_A51 * a3 + _A52 * b3 + _A53 * c3 + _A54 * d3))
+            g0, g1, g2, g3 = rhs(
+                q0 + hs * (_A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0
+                           + _A65 * e0),
+                q1 + hs * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1
+                           + _A65 * e1),
+                q2 + hs * (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2
+                           + _A65 * e2),
+                q3 + hs * (_A61 * a3 + _A62 * b3 + _A63 * c3 + _A64 * d3
+                           + _A65 * e3))
+            p0 = q0 + hs * (_B1 * a0 + _B3 * c0 + _B4 * d0 + _B5 * e0 + _B6 * g0)
+            p1 = q1 + hs * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * g1)
+            p2 = q2 + hs * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * g2)
+            p3 = q3 + hs * (_B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * g3)
+            k7 = s0, s1, s2, s3 = rhs(p0, p1, p2, p3)
+            r0 = (hs * (_E1 * a0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * g0
+                        + _E7 * s0) / (tol * (1.0 + max(abs(q0), abs(p0)))))
+            r1 = (hs * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * g1
+                        + _E7 * s1) / (tol * (1.0 + max(abs(q1), abs(p1)))))
+            r2 = (hs * (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * g2
+                        + _E7 * s2) / (tol * (1.0 + max(abs(q2), abs(p2)))))
+            r3 = (hs * (_E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * g3
+                        + _E7 * s3) / (tol * (1.0 + max(abs(q3), abs(p3)))))
+            err = math.sqrt(0.25 * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3))
+
+            if not err <= 1.0:
+                n_rejected += 1
+                h = hs * min(1.0, max(_MIN_FACTOR, _SAFETY * err ** neg_alpha))
+                if capped and t + h >= reach:
+                    raise StepUnderflowError(t)
+                continue
+            n_steps += 1
+            t = target if capped else t + hs
+            q0, q1, q2, q3 = p0, p1, p2, p3
+            k1 = k7
+            err_b = max(err, 1e-10)
+            factor = _SAFETY * err_b ** neg_alpha * err_prev ** beta
+            err_prev = err_b
+            h = hs * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
+            escaped = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) \
+                >= escape_radius
+            if capped or escaped:
+                times.append(t)
+                rows.append((q0, q1, q2, q3))
+            if escaped:
+                return (times, rows, t, n_steps,
+                        2 + 6 * (n_steps + n_rejected), n_rejected)
+            if capped:
+                break
+    return times, rows, None, n_steps, 2 + 6 * (n_steps + n_rejected), n_rejected
+
+
+def _outcome(run, rhs, y0, stops, tol, radius):
+    # repr tells -0.0 from 0.0, so signed zeros must match too
+    try:
+        return repr(run(rhs, y0, stops, tol, radius))
+    except StepUnderflowError as exc:
+        return f"StepUnderflowError at {exc.last_time!r}"
+
+
+FIG_Y0 = tuple(FIG_Z0.as_array().tolist())
+SAMPLE_STOPS = _sample_times(200.0, 0.1)[1:].tolist()
+LANE_CASES = {
+    # trajectory workload runs: sample-grid stops, tol 1e-10
+    "trajectory-free": (None, FIG_Y0, SAMPLE_STOPS, 1e-10, math.inf),
+    "trajectory-5": (5.0, FIG_Y0, SAMPLE_STOPS, 1e-10, math.inf),
+    # scan lanes on both sides of lambda* = 8.78...
+    **{f"scan-{lam}": (lam, FIG_Y0, [200.0], 1e-8, 1000.0)
+       for lam in (0.0, 6.6, 8.78, 100.0)},
+    # the rejecting run of test_step_counters
+    "rejecting": (100.0, FIG_Y0, [50.0], 1e-4, 1e6),
+    # finite-time blow-up with no radius: underflow at t > 1
+    "blowup": (100.0, FIG_Y0, _sample_times(50.0, 0.1)[1:].tolist(), 1e-8,
+               math.inf),
+    "signed-zeros-free": (None, (0.0, -0.0, 0.0, -0.0), [0.5, 1.0], 1e-8,
+                          math.inf),
+    "signed-zeros-1": (1.0, (-0.0, 0.0, -0.0, 0.0), [1.0], 1e-8, 1000.0),
+    "t-end-1e-15": (None, FIG_Y0, [1e-15], 1e-8, 1000.0),
+    "t-end-5e-324": (None, FIG_Y0, [5e-324], 1e-8, 1000.0),
+    # 0 * q^3 turns NaN once q^3 overflows at a stage: uncapped steps are
+    # rejected on a NaN error until the step underflows
+    "nan-error-uncapped": (0.0, (-5e102, -2.5e102, -7e101, -3.5e102), [50.0],
+                           1e-8, math.inf),
+    # the non-finite slopes of test_non_finite_slope_underflows_at_once
+    **{f"nan-slope-{lam}-{t_end}": (lam, (1e103, 0.0, 0.0, 0.0), [t_end],
+                                    1e-8, 1e106)
+       for lam in (0.0, 1.0) for t_end in (1e-15, 1e-300, 1.0)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(LANE_CASES))
+def test_lane_is_its_reference_bit_for_bit(name):
+    lam, y0, stops, tol, radius = LANE_CASES[name]
+    rhs = _float_rhs(field_for(PAR, None if lam is None else p.quartic(lam)))
+    with _within(30):
+        assert (_outcome(_dp54, rhs, y0, stops, tol, radius)
+                == _outcome(_reference_dp54, rhs, y0, stops, tol, radius))
+
+
+def test_lane_step_loop_calls_no_min_max_abs():
+    # a builtin call costs more than the float arithmetic it guards
+    tree = ast.parse(inspect.getsource(_dp54))
+    loops = [n for n in ast.walk(tree) if isinstance(n, ast.While)]
+    assert loops
+    called = {n.func.id for loop in loops for n in ast.walk(loop)
+              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
+    assert not called & {"max", "min", "abs"}
