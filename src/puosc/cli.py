@@ -567,7 +567,10 @@ _EXIT_TABLE = (
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        # a non-finite result is reported by the exit table's one line, not
+        # also by a numpy warning
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except Exception as exc:
         for kind, code, line in _EXIT_TABLE:
             if isinstance(exc, kind):

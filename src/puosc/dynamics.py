@@ -7,15 +7,22 @@ Free motion is the superposition of two harmonic modes,
 
 which gives a closed-form oracle for the integrator and an exact mode
 decomposition of any jet state.  Every run, a sampled trajectory
-(integrate) or one coupling of a scan (runaway_batch), goes through one
-Dormand-Prince 5(4) lane with PI step-size control, written on Python floats
-because numpy call overhead outweighs the arithmetic on a 4-vector.  For the
-same reason its step loop calls no max, min or abs: on four floats a builtin
-call costs more than the arithmetic it guards, so each is written as the
-conditional expression that returns what the builtin returns.  The lane
-shortens a step only to land on a stop: integrate's equidistant sample times,
-or t_end alone for a scan.  Stepping is deterministic, so repeated runs with
-the same settings reproduce output bit for bit on one platform.
+(integrate) or one coupling of a scan (runaway_batch), is one Dormand-Prince
+5(4) run with PI step-size control, written on Python floats because numpy
+call overhead outweighs the arithmetic on a 4-vector.  For the same reason
+its step loop calls no max, min or abs: on four floats a builtin call costs
+more than the arithmetic it guards, so each is written as the conditional
+expression that returns what the builtin returns.  Every field the library
+builds has the companion shape of the jet chart, z' = (qd, qdd, qddd,
+a30 q + a32 qdd - W'(q)), and runs in the companion lane (_companion_dp54),
+which writes that field into the stage arithmetic: a stage is four state
+components and one force row, with no right-hand-side call, and the tableau
+is bound to locals.  Any other linear part runs the same algorithm in the
+closure lane (_dp54) through a _float_rhs closure; the two lanes agree bit
+for bit on a companion field.  A lane shortens a step only to land on a
+stop: integrate's equidistant sample times, or t_end alone for a scan.
+Stepping is deterministic, so repeated runs with the same settings reproduce
+output bit for bit on one platform.
 
 An interaction potential W destabilizes the model: the quartic family
 W(q) = lam q^4 / 4 keeps trajectories bounded below a coupling threshold and
@@ -186,29 +193,29 @@ _PI_BETA = 0.4 / 5.0
 _SHIFT_ROWS = [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
 
 
-def _float_rhs(field: VectorField):
-    """The field as a closure (q0, q1, q2, q3) -> 4-tuple on Python floats.
+def _no_force(q):
+    """W' of a free field."""
+    return 0.0
 
-    A linear part of the companion shape flow_matrix builds (shift rows and
-    the row a30 q + a32 qdd) is evaluated as that shape; any other linear
-    part row by row.  The interaction enters as -W'(q) on the last
-    component, through the field's own Potential.w_prime.
-    """
+
+def _companion(field: VectorField):
+    """(a30, a32, w_prime) when the field has the companion shape
+    flow_matrix builds, z' = (qd, qdd, qddd, a30 q + a32 qdd - W'(q)), or
+    None for any other linear part.  A free field gets _no_force."""
     A = field.linear.tolist()
-    wp = None if field.potential is None else field.potential.w_prime
-    if A[:3] == _SHIFT_ROWS and A[3][1] == A[3][3] == 0.0:
-        a30, a32 = A[3][0], A[3][2]
-        if wp is None:
-            def f(q0, q1, q2, q3):
-                return q1, q2, q3, a30 * q0 + a32 * q2
-        else:
-            def f(q0, q1, q2, q3):
-                return q1, q2, q3, a30 * q0 + a32 * q2 - wp(q0)
-        return f
+    if A[:3] != _SHIFT_ROWS or not A[3][1] == A[3][3] == 0.0:
+        return None
+    wp = _no_force if field.potential is None else field.potential.w_prime
+    return A[3][0], A[3][2], wp
 
+
+def _float_rhs(field: VectorField):
+    """The field as a closure (q0, q1, q2, q3) -> 4-tuple on Python floats,
+    its linear part evaluated row by row; the interaction enters as -W'(q)
+    on the last component, through the field's own Potential.w_prime."""
     (a00, a01, a02, a03), (a10, a11, a12, a13), \
-        (a20, a21, a22, a23), (a30, a31, a32, a33) = A
-    w = wp or (lambda q: 0.0)
+        (a20, a21, a22, a23), (a30, a31, a32, a33) = field.linear.tolist()
+    w = _no_force if field.potential is None else field.potential.w_prime
 
     def f(q0, q1, q2, q3):
         return (a00 * q0 + a01 * q1 + a02 * q2 + a03 * q3,
@@ -360,6 +367,133 @@ def _dp54(rhs, y0, stops, tol, escape_radius):
     return times, rows, None, n_steps, 2 + 6 * (n_steps + n_rejected), n_rejected
 
 
+def _companion_dp54(a30, a32, w_prime, y0, stops, tol, escape_radius):
+    """_dp54 for a field of the companion shape (see _companion), bit for bit
+    _dp54 with the closure (q1, q2, q3, a30 q0 + a32 q2 - w_prime(q0)).
+
+    The first three slope components of a stage are its state's last three,
+    so each stage computes its four state components and one
+    a30 u0 + a32 u2 - w_prime(u0), with no closure call and no tuple.  The
+    FSAL slope is (q1, q2, q3, f3), and the accepted step's |p_i| are the
+    next step's |q_i|.  The tableau and controller constants are locals.  A
+    free field passes w_prime = _no_force: x - 0.0 == x for every float,
+    -0.0, inf and NaN included.  Arguments, return value and errors are
+    _dp54's.
+    """
+    sqrt = math.sqrt
+    A21, A31, A32, A41, A42, A43 = _A21, _A31, _A32, _A41, _A42, _A43
+    A51, A52, A53, A54 = _A51, _A52, _A53, _A54
+    A61, A62, A63, A64, A65 = _A61, _A62, _A63, _A64, _A65
+    B1, B3, B4, B5, B6 = _B1, _B3, _B4, _B5, _B6
+    E1, E3, E4, E5, E6, E7 = _E1, _E3, _E4, _E5, _E6, _E7
+    safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
+    neg_alpha, beta = -_PI_ALPHA, _PI_BETA
+
+    def rhs(q0, q1, q2, q3):
+        return q1, q2, q3, a30 * q0 + a32 * q2 - w_prime(q0)
+
+    q0, q1, q2, q3 = y0
+    k1 = rhs(q0, q1, q2, q3)
+    f3 = k1[3]
+    h = _initial_step(rhs, y0, k1, tol)
+    m0 = -q0 if q0 < 0.0 else q0
+    m1 = -q1 if q1 < 0.0 else q1
+    m2 = -q2 if q2 < 0.0 else q2
+    m3 = -q3 if q3 < 0.0 else q3
+    t = 0.0
+    err_prev = 1e-4
+    n_steps = n_rejected = 0
+    times, rows = [], []
+    for target in stops:
+        reach = target - 1e-14 * max(1.0, abs(target))
+        # no call but sqrt, w_prime and StepUnderflowError: a call costs more
+        # than the float arithmetic it stands for (see _dp54)
+        while True:
+            capped = t + h >= reach
+            if capped:
+                hs = target - t
+            else:
+                hs = h
+                if hs < 1e-14 * (t if t > 1.0 else 1.0):
+                    raise StepUnderflowError(t)
+
+            u0 = q0 + hs * (A21 * q1)
+            b0 = q1 + hs * (A21 * q2)
+            b1 = q2 + hs * (A21 * q3)
+            b2 = q3 + hs * (A21 * f3)
+            b3 = a30 * u0 + a32 * b1 - w_prime(u0)
+            u0 = q0 + hs * (A31 * q1 + A32 * b0)
+            c0 = q1 + hs * (A31 * q2 + A32 * b1)
+            c1 = q2 + hs * (A31 * q3 + A32 * b2)
+            c2 = q3 + hs * (A31 * f3 + A32 * b3)
+            c3 = a30 * u0 + a32 * c1 - w_prime(u0)
+            u0 = q0 + hs * (A41 * q1 + A42 * b0 + A43 * c0)
+            d0 = q1 + hs * (A41 * q2 + A42 * b1 + A43 * c1)
+            d1 = q2 + hs * (A41 * q3 + A42 * b2 + A43 * c2)
+            d2 = q3 + hs * (A41 * f3 + A42 * b3 + A43 * c3)
+            d3 = a30 * u0 + a32 * d1 - w_prime(u0)
+            u0 = q0 + hs * (A51 * q1 + A52 * b0 + A53 * c0 + A54 * d0)
+            e0 = q1 + hs * (A51 * q2 + A52 * b1 + A53 * c1 + A54 * d1)
+            e1 = q2 + hs * (A51 * q3 + A52 * b2 + A53 * c2 + A54 * d2)
+            e2 = q3 + hs * (A51 * f3 + A52 * b3 + A53 * c3 + A54 * d3)
+            e3 = a30 * u0 + a32 * e1 - w_prime(u0)
+            u0 = q0 + hs * (A61 * q1 + A62 * b0 + A63 * c0 + A64 * d0
+                            + A65 * e0)
+            g0 = q1 + hs * (A61 * q2 + A62 * b1 + A63 * c1 + A64 * d1
+                            + A65 * e1)
+            g1 = q2 + hs * (A61 * q3 + A62 * b2 + A63 * c2 + A64 * d2
+                            + A65 * e2)
+            g2 = q3 + hs * (A61 * f3 + A62 * b3 + A63 * c3 + A64 * d3
+                            + A65 * e3)
+            g3 = a30 * u0 + a32 * g1 - w_prime(u0)
+            p0 = q0 + hs * (B1 * q1 + B3 * c0 + B4 * d0 + B5 * e0 + B6 * g0)
+            p1 = q1 + hs * (B1 * q2 + B3 * c1 + B4 * d1 + B5 * e1 + B6 * g1)
+            p2 = q2 + hs * (B1 * q3 + B3 * c2 + B4 * d2 + B5 * e2 + B6 * g2)
+            p3 = q3 + hs * (B1 * f3 + B3 * c3 + B4 * d3 + B5 * e3 + B6 * g3)
+            s3 = a30 * p0 + a32 * p2 - w_prime(p0)
+            n0 = -p0 if p0 < 0.0 else p0
+            n1 = -p1 if p1 < 0.0 else p1
+            n2 = -p2 if p2 < 0.0 else p2
+            n3 = -p3 if p3 < 0.0 else p3
+            r0 = (hs * (E1 * q1 + E3 * c0 + E4 * d0 + E5 * e0 + E6 * g0
+                        + E7 * p1) / (tol * (1.0 + (n0 if n0 > m0 else m0))))
+            r1 = (hs * (E1 * q2 + E3 * c1 + E4 * d1 + E5 * e1 + E6 * g1
+                        + E7 * p2) / (tol * (1.0 + (n1 if n1 > m1 else m1))))
+            r2 = (hs * (E1 * q3 + E3 * c2 + E4 * d2 + E5 * e2 + E6 * g2
+                        + E7 * p3) / (tol * (1.0 + (n2 if n2 > m2 else m2))))
+            r3 = (hs * (E1 * f3 + E3 * c3 + E4 * d3 + E5 * e3 + E6 * g3
+                        + E7 * s3) / (tol * (1.0 + (n3 if n3 > m3 else m3))))
+            err = sqrt(0.25 * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3))
+
+            if not err <= 1.0:
+                n_rejected += 1
+                shrink = safety * err ** neg_alpha
+                shrink = shrink if shrink > min_factor else min_factor
+                h = hs * (shrink if shrink < 1.0 else 1.0)
+                if capped and t + h >= reach:
+                    raise StepUnderflowError(t)
+                continue
+            n_steps += 1
+            t = target if capped else t + hs
+            q0, q1, q2, q3, f3 = p0, p1, p2, p3, s3
+            m0, m1, m2, m3 = n0, n1, n2, n3
+            err_b = 1e-10 if 1e-10 > err else err
+            factor = safety * err_b ** neg_alpha * err_prev ** beta
+            err_prev = err_b
+            factor = factor if factor > min_factor else min_factor
+            h = hs * (factor if factor < max_factor else max_factor)
+            escaped = sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) \
+                >= escape_radius
+            if capped or escaped:
+                break
+        times.append(t)
+        rows.append((q0, q1, q2, q3))
+        if escaped:
+            return (times, rows, t, n_steps,
+                    2 + 6 * (n_steps + n_rejected), n_rejected)
+    return times, rows, None, n_steps, 2 + 6 * (n_steps + n_rejected), n_rejected
+
+
 def _sample_times(t_end: float, sample_rate: float) -> np.ndarray:
     """Sample times 0, sample_rate, 2 sample_rate, ... and t_end last: a grid
     time within 1e-9 max(1, t_end) below t_end becomes t_end."""
@@ -422,8 +556,12 @@ def integrate(
     y0 = tuple(z0.as_array().tolist())
     stops = _sample_times(t_end, sample_rate)[1:].tolist()
     radius = math.inf if escape_radius is None else float(escape_radius)
-    row_times, rows, escape_time, n_steps, n_rhs, n_rejected = _dp54(
-        _float_rhs(field), y0, stops, float(tol), radius)
+    companion = _companion(field)
+    if companion is None:
+        lane = _dp54(_float_rhs(field), y0, stops, float(tol), radius)
+    else:
+        lane = _companion_dp54(*companion, y0, stops, float(tol), radius)
+    row_times, rows, escape_time, n_steps, n_rhs, n_rejected = lane
 
     states = np.array([y0, *rows])
     times = np.array([0.0, *row_times])
@@ -466,6 +604,8 @@ class GridPoint:
     lam: float
     bounded: bool
     escape_time: Optional[float]
+    n_steps: int            # the run's accepted steps
+    n_rejected: int         # and its rejected ones
 
 
 def runaway_batch(
@@ -479,23 +619,25 @@ def runaway_batch(
     """Classify each quartic coupling in lams as bounded or escaping up to
     t_end, one DP5(4) run per coupling.
 
-    Each run is integrate's lane with t_end as its only stop: it records no
-    samples, steps as its error control allows and caps only its last step,
-    so the verdict is a function of (t_end, escape_radius, tol) alone.  Its
-    escape time is the end of the first accepted step with
-    |z| >= escape_radius, bit for bit integrate's with sample_rate = t_end.
+    Each run is integrate's companion lane with t_end as its only stop: it
+    records no samples, steps as its error control allows and caps only its
+    last step, so the verdict is a function of (t_end, escape_radius, tol)
+    alone.  Its escape time is the end of the first accepted step with
+    |z| >= escape_radius, and its accepted and rejected step counts are
+    n_steps and n_rejected, bit for bit integrate's with sample_rate = t_end.
     Couplings, times and tolerances are converted to Python floats first.
     Raises StepUnderflowError when a run underflows.
     """
     _check_run(z0, t_end, tol, escape_radius)
     y0 = tuple(z0.as_array().tolist())
     t_end, escape_radius, tol = float(t_end), float(escape_radius), float(tol)
+    a30, _, a32, _ = core.flow_matrix(params)[3].tolist()
     points = []
     for lam in lams:
         lam = float(lam)
-        rhs = _float_rhs(field_for(params, quartic(lam)))
-        t = _dp54(rhs, y0, (t_end,), tol, escape_radius)[2]
-        points.append(GridPoint(lam, t is None, t))
+        _, _, t, n_steps, _, n_rejected = _companion_dp54(
+            a30, a32, quartic(lam).w_prime, y0, (t_end,), tol, escape_radius)
+        points.append(GridPoint(lam, t is None, t, n_steps, n_rejected))
     return tuple(points)
 
 

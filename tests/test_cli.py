@@ -444,6 +444,12 @@ def test_exit_code_contract(argv, code, tmp_path, capsys):
     said = "error:" in err or err.startswith("numerical failure: ")
     assert said == (code != 0)
     assert "Traceback" not in err
+    # one line: the exit table's, or argparse's error after its usage
+    lines = err.splitlines()
+    if lines and lines[0].startswith("usage: "):
+        assert lines[-1].startswith("puosc "), err
+        lines = lines[-1:]
+    assert len(lines) == (code != 0), err
 
 
 def test_exit_code_messages(tmp_path, capsys):
@@ -458,7 +464,6 @@ def test_exit_code_messages(tmp_path, capsys):
     assert capsys.readouterr().err == "error: Tb1 needs free parameter 'b_x'\n"
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("argv", [
     ["modes", "--omega1=1.5", "--q0=4.4692693099808655e+153"],
     ["simulate", "--q0", "1e152", "--omega1", "1e4", "--t-end", "1e-20"],

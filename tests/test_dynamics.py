@@ -24,6 +24,8 @@ from puosc.dynamics import (
     MAX_SAMPLES,
     GridPoint,
     _bisect,
+    _companion,
+    _companion_dp54,
     _dp54,
     _float_rhs,
     _initial_step,
@@ -227,8 +229,9 @@ def test_short_run_with_non_finite_slope_exits_3(argv):
 
 @pytest.mark.parametrize("t_end", SHORT_HORIZONS)
 def test_short_horizon_batch_classifies(t_end):
+    # one step, capped to land on t_end
     assert runaway_batch(PAR, [0.0, 100.0], FIG_Z0, t_end, 1000.0) == (
-        GridPoint(0.0, True, None), GridPoint(100.0, True, None))
+        GridPoint(0.0, True, None, 1, 0), GridPoint(100.0, True, None, 1, 0))
 
 
 @pytest.mark.parametrize("lam, tol, radius", [
@@ -486,6 +489,8 @@ def test_batch_escape_time_is_integrate_with_one_sample(lam):
                        tol=1e-8, sample_rate=200.0, escape_radius=1000.0)
     assert point.escape_time == traj.meta["escape_time"]
     assert point.bounded == (not traj.escaped)
+    assert point.n_steps == traj.meta["n_steps"]
+    assert point.n_rejected == traj.meta["n_rejected"]
 
 
 def test_batch_verdicts_match_integrate():
@@ -616,8 +621,9 @@ def test_sample_grid_cap_rejects_before_allocating():
 # ---------------------------------------------------------------------------
 
 # The lane as it was written with max, min and abs calls in its step loop,
-# copied verbatim.  The lane writes each call as a conditional returning what
-# the builtin returns, so the two must agree bit for bit.
+# copied verbatim.  Both lanes write each call as a conditional returning
+# what the builtin returns, and the companion lane writes the companion
+# closure into its stage arithmetic, so all three must agree bit for bit.
 def _reference_dp54(rhs, y0, stops, tol, escape_radius):
     """One adaptive DP5(4) run with PI step control on Python floats.
 
@@ -723,58 +729,167 @@ def _reference_dp54(rhs, y0, stops, tol, escape_radius):
     return times, rows, None, n_steps, 2 + 6 * (n_steps + n_rejected), n_rejected
 
 
-def _outcome(run, rhs, y0, stops, tol, radius):
+def _companion_rhs(a30, a32, wp):
+    # the reference closure for a companion-shaped field, as the closure
+    # lane evaluated it before the companion lane took these fields over
+    if wp is None:
+        def f(q0, q1, q2, q3):
+            return q1, q2, q3, a30 * q0 + a32 * q2
+    else:
+        def f(q0, q1, q2, q3):
+            return q1, q2, q3, a30 * q0 + a32 * q2 - wp(q0)
+    return f
+
+
+def _outcome(run, y0, stops, tol, radius):
     # repr tells -0.0 from 0.0, so signed zeros must match too
     try:
-        return repr(run(rhs, y0, stops, tol, radius))
+        return repr(run(y0, stops, tol, radius))
     except StepUnderflowError as exc:
         return f"StepUnderflowError at {exc.last_time!r}"
 
 
+# W = 2 (1 - cos q): a bounded, non-polynomial force
+PENDULUM = p.Potential(lambda q: 2.0 * (1.0 - math.cos(q)),
+                       lambda q: 2.0 * math.sin(q),
+                       lambda q: 2.0 * math.cos(q), "pendulum")
 FIG_Y0 = tuple(FIG_Z0.as_array().tolist())
 SAMPLE_STOPS = _sample_times(200.0, 0.1)[1:].tolist()
+# (potential, y0, stops, tol, escape_radius)
 LANE_CASES = {
     # trajectory workload runs: sample-grid stops, tol 1e-10
     "trajectory-free": (None, FIG_Y0, SAMPLE_STOPS, 1e-10, math.inf),
-    "trajectory-5": (5.0, FIG_Y0, SAMPLE_STOPS, 1e-10, math.inf),
+    "trajectory-5": (p.quartic(5.0), FIG_Y0, SAMPLE_STOPS, 1e-10, math.inf),
     # scan lanes on both sides of lambda* = 8.78...
-    **{f"scan-{lam}": (lam, FIG_Y0, [200.0], 1e-8, 1000.0)
+    **{f"scan-{lam}": (p.quartic(lam), FIG_Y0, [200.0], 1e-8, 1000.0)
        for lam in (0.0, 6.6, 8.78, 100.0)},
     # the rejecting run of test_step_counters
-    "rejecting": (100.0, FIG_Y0, [50.0], 1e-4, 1e6),
+    "rejecting": (p.quartic(100.0), FIG_Y0, [50.0], 1e-4, 1e6),
     # finite-time blow-up with no radius: underflow at t > 1
-    "blowup": (100.0, FIG_Y0, _sample_times(50.0, 0.1)[1:].tolist(), 1e-8,
-               math.inf),
+    "blowup": (p.quartic(100.0), FIG_Y0,
+               _sample_times(50.0, 0.1)[1:].tolist(), 1e-8, math.inf),
     "signed-zeros-free": (None, (0.0, -0.0, 0.0, -0.0), [0.5, 1.0], 1e-8,
                           math.inf),
-    "signed-zeros-1": (1.0, (-0.0, 0.0, -0.0, 0.0), [1.0], 1e-8, 1000.0),
+    "signed-zeros-1": (p.quartic(1.0), (-0.0, 0.0, -0.0, 0.0), [1.0], 1e-8,
+                       1000.0),
     "t-end-1e-15": (None, FIG_Y0, [1e-15], 1e-8, 1000.0),
     "t-end-5e-324": (None, FIG_Y0, [5e-324], 1e-8, 1000.0),
     # 0 * q^3 turns NaN once q^3 overflows at a stage: uncapped steps are
     # rejected on a NaN error until the step underflows
-    "nan-error-uncapped": (0.0, (-5e102, -2.5e102, -7e101, -3.5e102), [50.0],
+    "nan-error-uncapped": (p.quartic(0.0),
+                           (-5e102, -2.5e102, -7e101, -3.5e102), [50.0],
                            1e-8, math.inf),
     # the non-finite slopes of test_non_finite_slope_underflows_at_once
-    **{f"nan-slope-{lam}-{t_end}": (lam, (1e103, 0.0, 0.0, 0.0), [t_end],
-                                    1e-8, 1e106)
+    **{f"nan-slope-{lam}-{t_end}": (p.quartic(lam), (1e103, 0.0, 0.0, 0.0),
+                                    [t_end], 1e-8, 1e106)
        for lam in (0.0, 1.0) for t_end in (1e-15, 1e-300, 1.0)},
+    # a force that is not a quartic
+    "pendulum": (PENDULUM, (3.0, 0.0, -1.0, 0.5), _sample_times(
+        50.0, 0.5)[1:].tolist(), 1e-9, 1000.0),
 }
+
+
+def _lane_case(name):
+    # the case's companion coefficients and force, and its reference closure
+    pot, y0, stops, tol, radius = LANE_CASES[name]
+    a30, a32, w_prime = _companion(field_for(PAR, pot))
+    rhs = _companion_rhs(a30, a32, None if pot is None else pot.w_prime)
+    return (a30, a32, w_prime), rhs, (y0, stops, tol, radius)
 
 
 @pytest.mark.parametrize("name", sorted(LANE_CASES))
 def test_lane_is_its_reference_bit_for_bit(name):
-    lam, y0, stops, tol, radius = LANE_CASES[name]
-    rhs = _float_rhs(field_for(PAR, None if lam is None else p.quartic(lam)))
+    companion, rhs, args = _lane_case(name)
     with _within(30):
-        assert (_outcome(_dp54, rhs, y0, stops, tol, radius)
-                == _outcome(_reference_dp54, rhs, y0, stops, tol, radius))
+        assert (_outcome(lambda *a: _companion_dp54(*companion, *a), *args)
+                == _outcome(lambda *a: _reference_dp54(rhs, *a), *args))
+
+
+@pytest.mark.parametrize("name", sorted(LANE_CASES))
+def test_closure_lane_is_its_reference_bit_for_bit(name):
+    _, rhs, args = _lane_case(name)
+    with _within(30):
+        assert (_outcome(lambda *a: _dp54(rhs, *a), *args)
+                == _outcome(lambda *a: _reference_dp54(rhs, *a), *args))
+
+
+def _damped(A33=0.0, A31=0.0):
+    A = flow_matrix(PAR).copy()
+    A[3, 3], A[3, 1] = A33, A31
+    return p.VectorField(A, p.quartic(1.0))
+
+
+# the momentum-chart flow of test_chart_equivalence
+MOMENTUM_FIELD = p.VectorField(
+    ostro_jacobian(PAR) @ flow_matrix(PAR) @ ostro_jacobian_inv(PAR))
+
+
+@pytest.mark.parametrize("field", [
+    _damped(A33=-0.1), _damped(A31=0.05), MOMENTUM_FIELD],
+    ids=["damped", "a31", "momentum-chart"])
+def test_other_linear_parts_take_the_closure_lane(field, monkeypatch):
+    # companion rows with a nonzero A[3][3] or A[3][1], or no companion rows
+    # at all, are not the companion shape: integrate runs the closure lane,
+    # bit for bit
+    from puosc import dynamics
+
+    def companion_lane(*_):
+        raise AssertionError("the companion lane ran")
+
+    assert _companion(field) is None
+    monkeypatch.setattr(dynamics, "_companion_dp54", companion_lane)
+    traj = p.integrate(PAR, field, FIG_Z0, 20.0, tol=1e-9, sample_rate=0.5)
+    times, rows, escape_time, n_steps, n_rhs, n_rejected = _dp54(
+        _float_rhs(field), FIG_Y0, _sample_times(20.0, 0.5)[1:].tolist(),
+        1e-9, math.inf)
+    assert repr(traj.times.tolist()) == repr([0.0, *times])
+    assert repr(traj.states.tolist()) == repr([list(FIG_Y0),
+                                               *map(list, rows)])
+    assert (traj.meta["n_steps"], traj.meta["n_rhs"],
+            traj.meta["n_rejected"]) == (n_steps, n_rhs, n_rejected)
+
+
+@pytest.mark.parametrize("pot", [None, p.quartic(5.0), PENDULUM])
+def test_library_fields_take_the_companion_lane(pot, monkeypatch):
+    # every field flow_matrix, free_vector_field and field_for build has the
+    # companion shape, so integrate never runs the closure lane on them
+    from puosc import dynamics
+
+    def closure_lane(*_):
+        raise AssertionError("the closure lane ran")
+
+    field = field_for(PAR, pot)
+    a30, a32, _ = _companion(field)
+    assert (a30, a32) == (-PAR.beta, -PAR.alpha)
+    monkeypatch.setattr(dynamics, "_dp54", closure_lane)
+    traj = p.integrate(PAR, field, FIG_Z0, 20.0, tol=1e-9, sample_rate=0.5)
+    assert traj.meta["n_steps"] > 0
+
+
+def test_batch_counts_rejections_as_integrate_does():
+    # the rejecting run of test_step_counters, as one scan lane
+    (point,) = runaway_batch(PAR, [100.0], FIG_Z0, 50.0, 1e6, tol=1e-4)
+    traj = p.integrate(PAR, field_for(PAR, p.quartic(100.0)), FIG_Z0, 50.0,
+                       tol=1e-4, sample_rate=50.0, escape_radius=1e6)
+    assert point.n_rejected == traj.meta["n_rejected"] > 0
+    assert point.n_steps == traj.meta["n_steps"]
+
+
+def _called_in_loops(fn) -> set:
+    tree = ast.parse(inspect.getsource(fn))
+    loops = [n for n in ast.walk(tree) if isinstance(n, ast.While)]
+    assert loops
+    return {n.func.id if isinstance(n.func, ast.Name) else ast.unparse(n.func)
+            for loop in loops for n in ast.walk(loop)
+            if isinstance(n, ast.Call)}
 
 
 def test_lane_step_loop_calls_no_min_max_abs():
     # a builtin call costs more than the float arithmetic it guards
-    tree = ast.parse(inspect.getsource(_dp54))
-    loops = [n for n in ast.walk(tree) if isinstance(n, ast.While)]
-    assert loops
-    called = {n.func.id for loop in loops for n in ast.walk(loop)
-              if isinstance(n, ast.Call) and isinstance(n.func, ast.Name)}
-    assert not called & {"max", "min", "abs"}
+    assert not _called_in_loops(_dp54) & {"max", "min", "abs"}
+
+
+def test_companion_step_loop_calls_only_sqrt_and_the_force():
+    # no closure, builtin or method call per stage
+    assert _called_in_loops(_companion_dp54) == {
+        "sqrt", "w_prime", "StepUnderflowError"}
