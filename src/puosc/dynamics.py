@@ -12,17 +12,14 @@ decomposition of any jet state.  Every run, a sampled trajectory
 call overhead outweighs the arithmetic on a 4-vector.  For the same reason
 its step loop calls no max, min or abs: on four floats a builtin call costs
 more than the arithmetic it guards, so each is written as the conditional
-expression that returns what the builtin returns.  Every field the library
-builds has the companion shape of the jet chart, z' = (qd, qdd, qddd,
-a30 q + a32 qdd - W'(q)), and runs in the companion lane (_companion_dp54),
-which writes that field into the stage arithmetic: a stage is four state
-components and one force row, with no right-hand-side call, and the tableau
-is bound to locals.  Any other linear part runs the same algorithm in the
-closure lane (_dp54) through a _float_rhs closure; the two lanes agree bit
-for bit on a companion field.  A lane shortens a step only to land on a
-stop: integrate's equidistant sample times, or t_end alone for a scan.
-Stepping is deterministic, so repeated runs with the same settings reproduce
-output bit for bit on one platform.
+expression that returns what the builtin returns.  The run is written for
+the jet-chart field, z' = (qd, qdd, qddd, a30 q + a32 qdd - W'(q)), the
+only one integrate accepts: a stage is four state components and one force
+row, with no right-hand-side call, and the tableau is bound to locals.
+States move between charts through ostro_jacobian.  The lane shortens a
+step only to land on a stop: integrate's equidistant sample times, or t_end
+alone for a scan.  Stepping is deterministic, so repeated runs with the same
+settings reproduce output bit for bit on one platform.
 
 An interaction potential W destabilizes the model: the quartic family
 W(q) = lam q^4 / 4 keeps trajectories bounded below a coupling threshold and
@@ -48,6 +45,7 @@ from .config import (
 )
 from .core import JetState, Potential, PUParams, VectorField
 from .errors import (
+    ChartMismatchError,
     PreconditionViolatedError,
     ScanDegenerateError,
     StepUnderflowError,
@@ -189,40 +187,10 @@ _MAX_FACTOR = 5.0
 _PI_ALPHA = 0.7 / 5.0
 _PI_BETA = 0.4 / 5.0
 
-# the first three rows of every flow_matrix: q' = qd, qd' = qdd, qdd' = qddd
-_SHIFT_ROWS = [[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]
-
 
 def _no_force(q):
     """W' of a free field."""
     return 0.0
-
-
-def _companion(field: VectorField):
-    """(a30, a32, w_prime) when the field has the companion shape
-    flow_matrix builds, z' = (qd, qdd, qddd, a30 q + a32 qdd - W'(q)), or
-    None for any other linear part.  A free field gets _no_force."""
-    A = field.linear.tolist()
-    if A[:3] != _SHIFT_ROWS or not A[3][1] == A[3][3] == 0.0:
-        return None
-    wp = _no_force if field.potential is None else field.potential.w_prime
-    return A[3][0], A[3][2], wp
-
-
-def _float_rhs(field: VectorField):
-    """The field as a closure (q0, q1, q2, q3) -> 4-tuple on Python floats,
-    its linear part evaluated row by row; the interaction enters as -W'(q)
-    on the last component, through the field's own Potential.w_prime."""
-    (a00, a01, a02, a03), (a10, a11, a12, a13), \
-        (a20, a21, a22, a23), (a30, a31, a32, a33) = field.linear.tolist()
-    w = _no_force if field.potential is None else field.potential.w_prime
-
-    def f(q0, q1, q2, q3):
-        return (a00 * q0 + a01 * q1 + a02 * q2 + a03 * q3,
-                a10 * q0 + a11 * q1 + a12 * q2 + a13 * q3,
-                a20 * q0 + a21 * q1 + a22 * q2 + a23 * q3,
-                a30 * q0 + a31 * q1 + a32 * q2 + a33 * q3 - w(q0))
-    return f
 
 
 def _rms(v, scale) -> float:
@@ -246,16 +214,25 @@ def _initial_step(f, y, f0, tol) -> float:
     return min(100.0 * h0, h1)
 
 
-def _dp54(rhs, y0, stops, tol, escape_radius):
-    """One adaptive DP5(4) run with PI step control on Python floats.
+def _dp54(a30, a32, w_prime, y0, stops, tol, escape_radius):
+    """One adaptive DP5(4) run with PI step control on Python floats, for
+    the jet-chart field z' = (qd, qdd, qddd, a30 q + a32 qdd - w_prime(q)).
 
-    rhs is a _float_rhs closure, y0 a 4-tuple of floats, stops the
-    increasing positive times the run must land on (the last ends it), tol
-    and escape_radius floats (math.inf for no escape test).  A step that
-    would reach a stop within 1e-14 max(1, |stop|) is shortened to end on
-    it; such a capped step is exempt from the step-underflow check, since
-    its size is the positive gap to the stop.  The run ends at the last
-    stop or at the end of the first accepted step with |z| >= escape_radius.
+    y0 is a 4-tuple of floats, stops the increasing positive times the run
+    must land on (the last ends it), tol and escape_radius floats (math.inf
+    for no escape test).  A step that would reach a stop within
+    1e-14 max(1, |stop|) is shortened to end on it; such a capped step is
+    exempt from the step-underflow check, since its size is the positive gap
+    to the stop.  The run ends at the last stop or at the end of the first
+    accepted step with |z| >= escape_radius.
+
+    The first three slope components of a stage are its state's last three,
+    so each stage computes its four state components and one
+    a30 u0 + a32 u2 - w_prime(u0), with no right-hand-side call and no
+    tuple.  The FSAL slope is (q1, q2, q3, f3), and the accepted step's
+    |p_i| are the next step's |q_i|.  The tableau and controller constants
+    are locals.  A free field passes w_prime = _no_force: x - 0.0 == x
+    for every float, -0.0, inf and NaN included.
 
     Returns (times, rows, escape_time, n_steps, n_rhs, n_rejected): the time
     and state after every capped step and after the escaping step, the
@@ -263,122 +240,6 @@ def _dp54(rhs, y0, stops, tol, escape_radius):
     StepUnderflowError when an uncapped step falls below 1e-14 max(1, t),
     or when a capped step is rejected and its shrunk size would still be
     capped, since the retry would repeat the rejected step exactly.
-    """
-    sqrt = math.sqrt
-    q0, q1, q2, q3 = y0
-    k1 = rhs(q0, q1, q2, q3)
-    h = _initial_step(rhs, y0, k1, tol)
-    t = 0.0
-    err_prev = 1e-4
-    n_steps = n_rejected = 0
-    times, rows = [], []
-    neg_alpha, beta = -_PI_ALPHA, _PI_BETA
-    for target in stops:
-        reach = target - 1e-14 * max(1.0, abs(target))
-        # no max/min/abs calls: each costs more than the arithmetic it guards
-        while True:
-            capped = t + h >= reach
-            if capped:
-                hs = target - t
-            else:
-                hs = h
-                if hs < 1e-14 * (t if t > 1.0 else 1.0):
-                    raise StepUnderflowError(t)
-
-            a0, a1, a2, a3 = k1
-            b0, b1, b2, b3 = rhs(q0 + hs * (_A21 * a0), q1 + hs * (_A21 * a1),
-                                 q2 + hs * (_A21 * a2), q3 + hs * (_A21 * a3))
-            c0, c1, c2, c3 = rhs(q0 + hs * (_A31 * a0 + _A32 * b0),
-                                 q1 + hs * (_A31 * a1 + _A32 * b1),
-                                 q2 + hs * (_A31 * a2 + _A32 * b2),
-                                 q3 + hs * (_A31 * a3 + _A32 * b3))
-            d0, d1, d2, d3 = rhs(
-                q0 + hs * (_A41 * a0 + _A42 * b0 + _A43 * c0),
-                q1 + hs * (_A41 * a1 + _A42 * b1 + _A43 * c1),
-                q2 + hs * (_A41 * a2 + _A42 * b2 + _A43 * c2),
-                q3 + hs * (_A41 * a3 + _A42 * b3 + _A43 * c3))
-            e0, e1, e2, e3 = rhs(
-                q0 + hs * (_A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
-                q1 + hs * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
-                q2 + hs * (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
-                q3 + hs * (_A51 * a3 + _A52 * b3 + _A53 * c3 + _A54 * d3))
-            g0, g1, g2, g3 = rhs(
-                q0 + hs * (_A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0
-                           + _A65 * e0),
-                q1 + hs * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1
-                           + _A65 * e1),
-                q2 + hs * (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2
-                           + _A65 * e2),
-                q3 + hs * (_A61 * a3 + _A62 * b3 + _A63 * c3 + _A64 * d3
-                           + _A65 * e3))
-            p0 = q0 + hs * (_B1 * a0 + _B3 * c0 + _B4 * d0 + _B5 * e0 + _B6 * g0)
-            p1 = q1 + hs * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * g1)
-            p2 = q2 + hs * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * g2)
-            p3 = q3 + hs * (_B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * g3)
-            k7 = s0, s1, s2, s3 = rhs(p0, p1, p2, p3)
-            # the error scale 1 + max(|q_i|, |p_i|), each builtin written as
-            # the conditional returning what it returns: max(a, b) is
-            # (b if b > a else a), min(a, b) is (b if b < a else a)
-            m0 = -q0 if q0 < 0.0 else q0
-            m1 = -q1 if q1 < 0.0 else q1
-            m2 = -q2 if q2 < 0.0 else q2
-            m3 = -q3 if q3 < 0.0 else q3
-            n0 = -p0 if p0 < 0.0 else p0
-            n1 = -p1 if p1 < 0.0 else p1
-            n2 = -p2 if p2 < 0.0 else p2
-            n3 = -p3 if p3 < 0.0 else p3
-            r0 = (hs * (_E1 * a0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * g0
-                        + _E7 * s0) / (tol * (1.0 + (n0 if n0 > m0 else m0))))
-            r1 = (hs * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * g1
-                        + _E7 * s1) / (tol * (1.0 + (n1 if n1 > m1 else m1))))
-            r2 = (hs * (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * g2
-                        + _E7 * s2) / (tol * (1.0 + (n2 if n2 > m2 else m2))))
-            r3 = (hs * (_E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * g3
-                        + _E7 * s3) / (tol * (1.0 + (n3 if n3 > m3 else m3))))
-            err = sqrt(0.25 * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3))
-
-            if not err <= 1.0:
-                n_rejected += 1
-                shrink = _SAFETY * err ** neg_alpha
-                shrink = shrink if shrink > _MIN_FACTOR else _MIN_FACTOR
-                h = hs * (shrink if shrink < 1.0 else 1.0)
-                if capped and t + h >= reach:
-                    raise StepUnderflowError(t)
-                continue
-            n_steps += 1
-            t = target if capped else t + hs
-            q0, q1, q2, q3 = p0, p1, p2, p3
-            k1 = k7
-            err_b = 1e-10 if 1e-10 > err else err
-            factor = _SAFETY * err_b ** neg_alpha * err_prev ** beta
-            err_prev = err_b
-            factor = factor if factor > _MIN_FACTOR else _MIN_FACTOR
-            h = hs * (factor if factor < _MAX_FACTOR else _MAX_FACTOR)
-            escaped = sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) \
-                >= escape_radius
-            if capped or escaped:
-                times.append(t)
-                rows.append((q0, q1, q2, q3))
-            if escaped:
-                return (times, rows, t, n_steps,
-                        2 + 6 * (n_steps + n_rejected), n_rejected)
-            if capped:
-                break
-    return times, rows, None, n_steps, 2 + 6 * (n_steps + n_rejected), n_rejected
-
-
-def _companion_dp54(a30, a32, w_prime, y0, stops, tol, escape_radius):
-    """_dp54 for a field of the companion shape (see _companion), bit for bit
-    _dp54 with the closure (q1, q2, q3, a30 q0 + a32 q2 - w_prime(q0)).
-
-    The first three slope components of a stage are its state's last three,
-    so each stage computes its four state components and one
-    a30 u0 + a32 u2 - w_prime(u0), with no closure call and no tuple.  The
-    FSAL slope is (q1, q2, q3, f3), and the accepted step's |p_i| are the
-    next step's |q_i|.  The tableau and controller constants are locals.  A
-    free field passes w_prime = _no_force: x - 0.0 == x for every float,
-    -0.0, inf and NaN included.  Arguments, return value and errors are
-    _dp54's.
     """
     sqrt = math.sqrt
     A21, A31, A32, A41, A42, A43 = _A21, _A31, _A32, _A41, _A42, _A43
@@ -407,7 +268,8 @@ def _companion_dp54(a30, a32, w_prime, y0, stops, tol, escape_radius):
     for target in stops:
         reach = target - 1e-14 * max(1.0, abs(target))
         # no call but sqrt, w_prime and StepUnderflowError: a call costs more
-        # than the float arithmetic it stands for (see _dp54)
+        # than the float arithmetic it stands for, so max(a, b) is written
+        # (b if b > a else a), min(a, b) is (b if b < a else a)
         while True:
             capped = t + h >= reach
             if capped:
@@ -550,18 +412,26 @@ def integrate(
     integration terminates early and the escape time is recorded in meta.
     meta also counts accepted steps (n_steps), rejected steps (n_rejected)
     and right-hand-side evaluations, n_rhs = 2 + 6 (n_steps + n_rejected).
+
+    field is the jet-chart field of params, free_vector_field(params) or
+    field_for(params, potential).  Raises ChartMismatchError when its linear
+    part is not exactly flow_matrix(params).
     """
+    A = core.flow_matrix(params)
+    if not np.array_equal(field.linear, A):
+        raise ChartMismatchError(
+            "the field's linear part is not flow_matrix(params); integrate "
+            "runs the jet-chart field of its params (move states between "
+            "charts with ostro_jacobian)")
     _check_run(z0, t_end, tol, escape_radius)
     pot = field.potential
     y0 = tuple(z0.as_array().tolist())
     stops = _sample_times(t_end, sample_rate)[1:].tolist()
     radius = math.inf if escape_radius is None else float(escape_radius)
-    companion = _companion(field)
-    if companion is None:
-        lane = _dp54(_float_rhs(field), y0, stops, float(tol), radius)
-    else:
-        lane = _companion_dp54(*companion, y0, stops, float(tol), radius)
-    row_times, rows, escape_time, n_steps, n_rhs, n_rejected = lane
+    a30, _, a32, _ = A[3].tolist()
+    row_times, rows, escape_time, n_steps, n_rhs, n_rejected = _dp54(
+        a30, a32, _no_force if pot is None else pot.w_prime, y0, stops,
+        float(tol), radius)
 
     states = np.array([y0, *rows])
     times = np.array([0.0, *row_times])
@@ -619,7 +489,7 @@ def runaway_batch(
     """Classify each quartic coupling in lams as bounded or escaping up to
     t_end, one DP5(4) run per coupling.
 
-    Each run is integrate's companion lane with t_end as its only stop: it
+    Each run is integrate's lane with t_end as its only stop: it
     records no samples, steps as its error control allows and caps only its
     last step, so the verdict is a function of (t_end, escape_radius, tol)
     alone.  Its escape time is the end of the first accepted step with
@@ -635,7 +505,7 @@ def runaway_batch(
     points = []
     for lam in lams:
         lam = float(lam)
-        _, _, t, n_steps, _, n_rejected = _companion_dp54(
+        _, _, t, n_steps, _, n_rejected = _dp54(
             a30, a32, quartic(lam).w_prime, y0, (t_end,), tol, escape_radius)
         points.append(GridPoint(lam, t is None, t, n_steps, n_rejected))
     return tuple(points)

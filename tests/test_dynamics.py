@@ -24,11 +24,9 @@ from puosc.dynamics import (
     MAX_SAMPLES,
     GridPoint,
     _bisect,
-    _companion,
-    _companion_dp54,
     _dp54,
-    _float_rhs,
     _initial_step,
+    _no_force,
     _sample_times,
     closed_form_states,
     default_escape_radius,
@@ -37,6 +35,7 @@ from puosc.dynamics import (
     trajectory_csv_rows,
 )
 from puosc.errors import (
+    ChartMismatchError,
     PreconditionViolatedError,
     ScanDegenerateError,
     StepUnderflowError,
@@ -255,19 +254,18 @@ def test_trajectory_times_strictly_increasing():
 
 
 def test_chart_equivalence():
-    # integrating the momentum-chart equations directly matches transporting
-    # the jet trajectory through the chart map
+    # the jet trajectory transported through the chart map is the exact
+    # momentum-chart flow exp(A_ostro t) s0
     L = ostro_jacobian(PAR)
     Linv = ostro_jacobian_inv(PAR)
-    A_ostro = L @ flow_matrix(PAR) @ Linv
+    ev, V = np.linalg.eig(L @ flow_matrix(PAR) @ Linv)
 
     z0 = p.JetState(0.2, -0.4, 1.0, 0.3)
-    s0 = p.jet_to_ostro(PAR, z0)
+    s0 = p.jet_to_ostro(PAR, z0).as_array()
     jet = p.integrate(PAR, p.free_vector_field(PAR), z0, 50.0, tol=1e-11)
-    ostro = p.integrate(PAR, p.VectorField(A_ostro),
-                        p.JetState.from_array(s0.as_array()), 50.0, tol=1e-11)
-    transported = jet.states @ L.T
-    assert np.max(np.abs(transported - ostro.states)) < 1e-7
+    exact = np.real((V * np.linalg.solve(V, s0))
+                    @ np.exp(np.outer(ev, jet.times))).T
+    assert np.max(np.abs(jet.states @ L.T - exact)) < 1e-7
 
 
 # ---------------------------------------------------------------------------
@@ -620,20 +618,22 @@ def test_sample_grid_cap_rejects_before_allocating():
 # the lane against its reference
 # ---------------------------------------------------------------------------
 
-# The lane as it was written with max, min and abs calls in its step loop,
-# copied verbatim.  Both lanes write each call as a conditional returning
-# what the builtin returns, and the companion lane writes the companion
-# closure into its stage arithmetic, so all three must agree bit for bit.
+# The lane as it was written with max, min and abs calls in its step loop
+# and a right-hand-side closure per stage, copied verbatim.  The lane writes
+# each call as a conditional returning what the builtin returns, and the
+# jet-chart closure into its stage arithmetic, so the two must agree bit for
+# bit.
 def _reference_dp54(rhs, y0, stops, tol, escape_radius):
     """One adaptive DP5(4) run with PI step control on Python floats.
 
-    rhs is a _float_rhs closure, y0 a 4-tuple of floats, stops the
-    increasing positive times the run must land on (the last ends it), tol
-    and escape_radius floats (math.inf for no escape test).  A step that
-    would reach a stop within 1e-14 max(1, |stop|) is shortened to end on
-    it; such a capped step is exempt from the step-underflow check, since
-    its size is the positive gap to the stop.  The run ends at the last
-    stop or at the end of the first accepted step with |z| >= escape_radius.
+    rhs is a closure (q0, q1, q2, q3) -> 4-tuple of floats, y0 a 4-tuple
+    of floats, stops the increasing positive times the run must land on
+    (the last ends it), tol and escape_radius floats (math.inf for no escape
+    test).  A step that would reach a stop within 1e-14 max(1, |stop|) is
+    shortened to end on it; such a capped step is exempt from the
+    step-underflow check, since its size is the positive gap to the stop.
+    The run ends at the last stop or at the end of the first accepted step
+    with |z| >= escape_radius.
 
     Returns (times, rows, escape_time, n_steps, n_rhs, n_rejected): the time
     and state after every capped step and after the escaping step, the
@@ -730,8 +730,8 @@ def _reference_dp54(rhs, y0, stops, tol, escape_radius):
 
 
 def _companion_rhs(a30, a32, wp):
-    # the reference closure for a companion-shaped field, as the closure
-    # lane evaluated it before the companion lane took these fields over
+    # the reference closure for the jet-chart field, as the lane evaluated
+    # it before the field was written into its stage arithmetic
     if wp is None:
         def f(q0, q1, q2, q3):
             return q1, q2, q3, a30 * q0 + a32 * q2
@@ -789,27 +789,14 @@ LANE_CASES = {
 }
 
 
-def _lane_case(name):
-    # the case's companion coefficients and force, and its reference closure
-    pot, y0, stops, tol, radius = LANE_CASES[name]
-    a30, a32, w_prime = _companion(field_for(PAR, pot))
-    rhs = _companion_rhs(a30, a32, None if pot is None else pot.w_prime)
-    return (a30, a32, w_prime), rhs, (y0, stops, tol, radius)
-
-
 @pytest.mark.parametrize("name", sorted(LANE_CASES))
 def test_lane_is_its_reference_bit_for_bit(name):
-    companion, rhs, args = _lane_case(name)
+    pot, *args = LANE_CASES[name]
+    a30, _, a32, _ = flow_matrix(PAR)[3].tolist()
+    w_prime = _no_force if pot is None else pot.w_prime
+    rhs = _companion_rhs(a30, a32, None if pot is None else pot.w_prime)
     with _within(30):
-        assert (_outcome(lambda *a: _companion_dp54(*companion, *a), *args)
-                == _outcome(lambda *a: _reference_dp54(rhs, *a), *args))
-
-
-@pytest.mark.parametrize("name", sorted(LANE_CASES))
-def test_closure_lane_is_its_reference_bit_for_bit(name):
-    _, rhs, args = _lane_case(name)
-    with _within(30):
-        assert (_outcome(lambda *a: _dp54(rhs, *a), *args)
+        assert (_outcome(lambda *a: _dp54(a30, a32, w_prime, *a), *args)
                 == _outcome(lambda *a: _reference_dp54(rhs, *a), *args))
 
 
@@ -819,51 +806,37 @@ def _damped(A33=0.0, A31=0.0):
     return p.VectorField(A, p.quartic(1.0))
 
 
-# the momentum-chart flow of test_chart_equivalence
+# the free flow in the momentum chart, L A L^-1
 MOMENTUM_FIELD = p.VectorField(
     ostro_jacobian(PAR) @ flow_matrix(PAR) @ ostro_jacobian_inv(PAR))
 
 
 @pytest.mark.parametrize("field", [
-    _damped(A33=-0.1), _damped(A31=0.05), MOMENTUM_FIELD],
-    ids=["damped", "a31", "momentum-chart"])
-def test_other_linear_parts_take_the_closure_lane(field, monkeypatch):
-    # companion rows with a nonzero A[3][3] or A[3][1], or no companion rows
-    # at all, are not the companion shape: integrate runs the closure lane,
-    # bit for bit
-    from puosc import dynamics
+    _damped(A33=-0.1), _damped(A31=0.05), MOMENTUM_FIELD,
+    p.free_vector_field(p.make_params(1.0, 3.0))],
+    ids=["damped", "a31", "momentum-chart", "foreign-params"])
+def test_integrate_rejects_a_foreign_linear_part(field):
+    # integrate runs the jet-chart field of its params and computes H1, H2
+    # from those params, so any other linear part is refused: a damped or
+    # a31 row, another chart, or another model's flow
+    with pytest.raises(ChartMismatchError, match="ostro_jacobian"):
+        p.integrate(PAR, field, FIG_Z0, 20.0, tol=1e-9, sample_rate=0.5)
 
-    def companion_lane(*_):
-        raise AssertionError("the companion lane ran")
 
-    assert _companion(field) is None
-    monkeypatch.setattr(dynamics, "_companion_dp54", companion_lane)
-    traj = p.integrate(PAR, field, FIG_Z0, 20.0, tol=1e-9, sample_rate=0.5)
-    times, rows, escape_time, n_steps, n_rhs, n_rejected = _dp54(
-        _float_rhs(field), FIG_Y0, _sample_times(20.0, 0.5)[1:].tolist(),
-        1e-9, math.inf)
+@pytest.mark.parametrize("pot", [None, p.quartic(5.0), PENDULUM])
+def test_integrate_runs_the_lane_on_its_params_field(pot):
+    # integrate takes (a30, a32) = (-beta, -alpha) from flow_matrix(params)
+    # and the force from the field's potential
+    traj = p.integrate(PAR, field_for(PAR, pot), FIG_Z0, 20.0, tol=1e-9,
+                       sample_rate=0.5)
+    times, rows, _, n_steps, n_rhs, n_rejected = _dp54(
+        -PAR.beta, -PAR.alpha, _no_force if pot is None else pot.w_prime,
+        FIG_Y0, _sample_times(20.0, 0.5)[1:].tolist(), 1e-9, math.inf)
     assert repr(traj.times.tolist()) == repr([0.0, *times])
     assert repr(traj.states.tolist()) == repr([list(FIG_Y0),
                                                *map(list, rows)])
     assert (traj.meta["n_steps"], traj.meta["n_rhs"],
             traj.meta["n_rejected"]) == (n_steps, n_rhs, n_rejected)
-
-
-@pytest.mark.parametrize("pot", [None, p.quartic(5.0), PENDULUM])
-def test_library_fields_take_the_companion_lane(pot, monkeypatch):
-    # every field flow_matrix, free_vector_field and field_for build has the
-    # companion shape, so integrate never runs the closure lane on them
-    from puosc import dynamics
-
-    def closure_lane(*_):
-        raise AssertionError("the closure lane ran")
-
-    field = field_for(PAR, pot)
-    a30, a32, _ = _companion(field)
-    assert (a30, a32) == (-PAR.beta, -PAR.alpha)
-    monkeypatch.setattr(dynamics, "_dp54", closure_lane)
-    traj = p.integrate(PAR, field, FIG_Z0, 20.0, tol=1e-9, sample_rate=0.5)
-    assert traj.meta["n_steps"] > 0
 
 
 def test_batch_counts_rejections_as_integrate_does():
@@ -884,12 +857,8 @@ def _called_in_loops(fn) -> set:
             if isinstance(n, ast.Call)}
 
 
-def test_lane_step_loop_calls_no_min_max_abs():
-    # a builtin call costs more than the float arithmetic it guards
-    assert not _called_in_loops(_dp54) & {"max", "min", "abs"}
-
-
-def test_companion_step_loop_calls_only_sqrt_and_the_force():
-    # no closure, builtin or method call per stage
-    assert _called_in_loops(_companion_dp54) == {
+def test_lane_step_loop_calls_only_sqrt_and_the_force():
+    # no closure, builtin (max, min, abs) or method call per stage: a call
+    # costs more than the float arithmetic it stands for
+    assert _called_in_loops(_dp54) == {
         "sqrt", "w_prime", "StepUnderflowError"}
