@@ -379,10 +379,32 @@ def free_vector_field(params: PUParams) -> VectorField:
 # blends
 # ---------------------------------------------------------------------------
 
+def _blend_hessians(params: PUParams, c1, c2) -> np.ndarray:
+    """Stack of blend Hessians c1*S1 + c2*S2 over 1-D arrays c1, c2."""
+    c1, c2 = (np.asarray(c, dtype=float)[:, None, None] for c in (c1, c2))
+    return _sym_exact(c1 * h1(params).coeffs + c2 * h2(params).coeffs)
+
+
 def blend_h(params: PUParams, c1: float, c2: float) -> QuadraticObservable:
     """Linear combination c1*H1 + c2*H2."""
-    S = c1 * h1(params).coeffs + c2 * h2(params).coeffs
-    return QuadraticObservable(_sym_exact(S))
+    return QuadraticObservable(_blend_hessians(params, [c1], [c2])[0])
+
+
+def _solve_stack(A: np.ndarray, S: np.ndarray):
+    """J = A S^-1 for a stack S of Hessians; returns (J, valid, singular,
+    sym_norm).  singular: sigma_min(S) <= EPS_SINGULAR max(sigma_max, 1).
+    valid: not singular and |sym(J)| = sym_norm <= EPS_ALGEBRA max(1, |J|).
+    J is antisymmetrised, and it and sym_norm are 0 where singular.
+    """
+    sv = np.linalg.svd(S, compute_uv=False)
+    singular = sv[:, -1] <= EPS_SINGULAR * np.maximum(sv[:, 0], 1.0)
+    J = np.zeros_like(S)
+    J[~singular] = A @ np.linalg.inv(S[~singular])
+    J_T = J.swapaxes(1, 2)
+    sym_norm = np.linalg.norm(0.5 * (J + J_T), axis=(1, 2))
+    bound = EPS_ALGEBRA * np.maximum(1.0, np.linalg.norm(J, axis=(1, 2)))
+    valid = ~(singular | (sym_norm > bound))
+    return 0.5 * (J - J_T), valid, singular, sym_norm
 
 
 def solve_bihamiltonian(
@@ -394,15 +416,13 @@ def solve_bihamiltonian(
     NotAntisymmetricError (with the symmetric part's norm) if the solution is
     not a Poisson tensor -- then no constant structure pairs with H_target.
     """
-    S = h_target.coeffs
-    sv = np.linalg.svd(S, compute_uv=False)
-    if sv[-1] <= EPS_SINGULAR * max(sv[0], 1.0):
+    J, valid, singular, sym_norm = _solve_stack(flow_matrix(params),
+                                                h_target.coeffs[None])
+    if singular[0]:
         raise SingularHessianError("target Hessian is singular")
-    J = flow_matrix(params) @ np.linalg.inv(S)
-    sym = 0.5 * (J + J.T)
-    if np.linalg.norm(sym) > EPS_ALGEBRA * max(1.0, np.linalg.norm(J)):
-        raise NotAntisymmetricError(float(np.linalg.norm(sym)))
-    return PoissonTensor(0.5 * (J - J.T), JET)
+    if not valid[0]:
+        raise NotAntisymmetricError(float(sym_norm[0]))
+    return PoissonTensor(J[0], JET)
 
 
 def blend_j(params: PUParams, c1: float, c2: float) -> PoissonTensor:
@@ -468,15 +488,12 @@ def blend_report(params: PUParams, c1: float, c2: float) -> dict:
     and max-entry deltas against the constructive one.
     """
     out: dict = {"c1": c1, "c2": c2}
-    variants = {
-        "constructive": lambda: blend_j(params, c1, c2),
-        "closed_form": lambda: blend_j_closed_form(params, c1, c2),
-        "tabulated": lambda: blend_j_tabulated(params, c1, c2),
-    }
+    variants = {"constructive": blend_j, "closed_form": blend_j_closed_form,
+                "tabulated": blend_j_tabulated}
     tensors = {}
     for name, build in variants.items():
         try:
-            tensors[name] = build()
+            tensors[name] = build(params, c1, c2)
             out[name] = tensors[name].j.tolist()
         except SingularBlendError as exc:
             out[name] = f"singular: {exc}"
@@ -514,8 +531,8 @@ def poisson_bracket(
 
 
 def _sym_exact(S: np.ndarray) -> np.ndarray:
-    # enforce bitwise symmetry without changing values beyond rounding
-    return 0.5 * (S + S.T)
+    # bitwise symmetry (of each matrix of a stack), values moved by rounding
+    return 0.5 * (S + S.swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from span{J1, J2} to span{J1}.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -70,12 +71,8 @@ def commutant_basis(A: np.ndarray) -> SymmetryBasis:
     distinct frequencies the dimension is exactly 4.
     """
     A = np.asarray(A, dtype=float)
-    K = np.empty((16, 16))
-    for k in range(16):
-        E = np.zeros(16)
-        E[k] = 1.0
-        E = E.reshape(4, 4)
-        K[:, k] = (E @ A - A @ E).ravel()
+    # column k of K is the row-major ravel of E_k A - A E_k
+    K = np.kron(np.eye(4), A.T) - np.kron(A, np.eye(4))
     _, sv, vt = np.linalg.svd(K)
     cutoff = SVD_RANK_CUTOFF * max(sv[0], 1.0)
     null_rows = vt[sv <= cutoff] if sv[0] > 0 else vt
@@ -128,10 +125,8 @@ def max_pairwise_commutator(basis: SymmetryBasis) -> float:
         n = np.linalg.norm(g.xi)
         mats.append(g.xi / n if n > 0 else g.xi)
     worst = 0.0
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            C = mats[i] @ mats[j] - mats[j] @ mats[i]
-            worst = max(worst, float(np.linalg.norm(C)))
+    for X, Y in itertools.combinations(mats, 2):
+        worst = max(worst, float(np.linalg.norm(X @ Y - Y @ X)))
     return worst
 
 
@@ -158,27 +153,19 @@ def resolve_structure_signs(params: PUParams) -> tuple[int, int]:
         H2(sigma): qdd^2 coefficient = sigma * alpha/(2 beta)
         J2(epsilon): dq^dqd block    = epsilon
 
-    such that J2.grad(H2) equals the free flow exactly.  Exactly one of the
-    four combinations works; core.h2/core.j2 ship it as (+1, -1).
+    such that J2.grad(H2) equals the free flow exactly, entrywise to a
+    relative EPS_ALGEBRA (so the order-1 dq^dqd block stays resolved at any
+    beta).  Exactly one of the four combinations works; core.h2/core.j2,
+    which give every other entry, ship it as (+1, -1).
     """
-    a, b = params.alpha, params.beta
     A = core.flow_matrix(params)
+    S2, J2 = np.array(core.h2(params).coeffs), np.array(core.j2(params).j)
     hits = []
     for sigma in (+1, -1):
-        S2 = np.array([
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, -1.0, 0.0, 0.0],
-            [1.0, 0.0, sigma * a / b, 0.0],
-            [0.0, 0.0, 0.0, 1.0 / b],
-        ])
+        S2[2, 2] = sigma * params.alpha / params.beta
         for eps in (+1, -1):
-            J2 = np.array([
-                [0.0, eps, 0.0, 0.0],
-                [-eps, 0.0, 0.0, 0.0],
-                [0.0, 0.0, 0.0, b],
-                [0.0, 0.0, -b, 0.0],
-            ])
-            if np.allclose(J2 @ S2, A, rtol=0.0, atol=EPS_ALGEBRA * (1 + b)):
+            J2[0, 1], J2[1, 0] = eps, -eps
+            if np.allclose(J2 @ S2, A, rtol=EPS_ALGEBRA, atol=EPS_ALGEBRA):
                 hits.append((sigma, eps))
     if len(hits) != 1:
         raise AssertionError(f"sign resolution not unique: {hits}")
@@ -202,8 +189,7 @@ def symmetry_charges(params: PUParams, basis: Optional[SymmetryBasis] = None):
     for g in basis.generators:
         Q = apply_symmetry(g, H1)
         q = Q.coeffs.ravel()
-        denom = float(s2 @ s2)
-        c = float(q @ s2) / denom
+        c = float(q @ s2) / float(s2 @ s2)
         res = np.linalg.norm(q - c * s2) / max(np.linalg.norm(q), 1.0)
         br = core.poisson_bracket(params, Q, H1, J1)
         out.append({

@@ -500,13 +500,130 @@ def test_blend_grid_passes_near_singular_rays():
     assert check["detail"]["max_residual"] < 1e-15
 
 
+BLEND_GRID = [(float(c1), float(c2)) for c1 in np.linspace(-2, 2, 20)
+              for c2 in np.linspace(-2, 2, 20)]
+
+
 def test_blend_grid_rejects_tabulated_tensors(monkeypatch):
-    # the check must still tell wrong tensors from right ones
-    monkeypatch.setattr(core, "blend_j", core.blend_j_tabulated)
+    # the check must still tell wrong tensors from right ones: the stacked
+    # solve is replaced by the quoted closed form on the same grid
+    from puosc.errors import SingularBlendError
     params = core.make_params(float(NEAR_SINGULAR[1]), float(NEAR_SINGULAR[3]))
+
+    def tabulated_stack(A, S):
+        assert len(S) == len(BLEND_GRID)
+        J = np.zeros_like(S)
+        valid = np.zeros(len(S), dtype=bool)
+        for k, (c1, c2) in enumerate(BLEND_GRID):
+            try:
+                J[k] = core.blend_j_tabulated(params, c1, c2).j
+                valid[k] = True
+            except SingularBlendError:
+                pass
+        return J, valid, ~valid, np.zeros(len(S))
+
+    monkeypatch.setattr(core, "_solve_stack", tabulated_stack)
     check = _blend_grid(params)
+    assert check["detail"]["points"] > 300
     assert not check["passed"]
     assert check["detail"]["max_residual"] > 1e-3
+
+
+# the verify pairs of the structure benchmark round at seed 101
+STRUCTURE_101 = [
+    (1.180747251012575, 0.5807904164130182),
+    (0.4273154236932234, 0.7826856102264192),
+    (1.1137278500593453, 1.5969508142278117),
+    (1.347643987920152, 0.8109349411813733),
+    (0.8108105047603087, 1.483574569656432),
+    (0.6043844141654439, 1.3068185911263874),
+    (1.2886614571656034, 1.0554301273389854),
+    (0.5462849766287746, 1.2597967129781555),
+    (1.8005948516043022, 0.7236549242737289),
+    (1.7278695411243916, 1.4898523676711746),
+]
+
+
+def _pointwise_blend_j(params, c1, c2):
+    # the per-matrix solve of one blend, with the library's gates; None
+    # where there is no Poisson tensor
+    S = c1 * core.h1(params).coeffs + c2 * core.h2(params).coeffs
+    S = 0.5 * (S + S.T)
+    sv = np.linalg.svd(S, compute_uv=False)
+    if sv[-1] <= 1e-10 * max(sv[0], 1.0):
+        return None, S
+    J = core.flow_matrix(params) @ np.linalg.inv(S)
+    if np.linalg.norm(0.5 * (J + J.T)) > 1e-12 * max(1.0, np.linalg.norm(J)):
+        return None, S
+    return 0.5 * (J - J.T), S
+
+
+@pytest.mark.parametrize("w1, w2", [
+    *STRUCTURE_101, (float(NEAR_SINGULAR[1]), float(NEAR_SINGULAR[3])),
+    (1.0, 2.0)])
+def test_blend_grid_stacked_solve_is_pointwise(w1, w2):
+    from puosc.errors import SingularBlendError
+    params = core.make_params(w1, w2)
+    A = core.flow_matrix(params)
+    c1, c2 = np.array(BLEND_GRID).T
+    J, valid, _, _ = core._solve_stack(A, core._blend_hessians(params, c1, c2))
+    worst, points = 0.0, 0
+    for k, (c1, c2) in enumerate(BLEND_GRID):
+        ref, S = _pointwise_blend_j(params, c1, c2)
+        assert valid[k] == (ref is not None)
+        if ref is None:
+            with pytest.raises(SingularBlendError):
+                core.blend_j(params, c1, c2)
+            continue
+        assert np.array_equal(J[k], ref)
+        assert np.array_equal(core.blend_j(params, c1, c2).j, ref)
+        scale = max(1.0, float(np.linalg.norm(ref) * np.linalg.norm(S)))
+        worst = max(worst, float(np.linalg.norm(ref @ S - A)) / scale)
+        points += 1
+    assert _blend_grid(params)["detail"] == {"max_residual": worst,
+                                             "points": points}
+
+
+def test_invariant_suite_calls_no_pointwise_blend(monkeypatch):
+    calls = []
+    for name in ("blend_j", "blend_h"):
+        def counted(*args, fn=getattr(core, name), name=name):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(core, name, counted)
+    assert cli.run_invariant_suite(core.make_params(1.0, 2.0))["passed"]
+    assert calls == []
+
+
+def test_symmetry_actions_rejects_an_inexact_euler_charge(monkeypatch):
+    # X2 = I/2 makes X2(H1) = H1 exact; a charge 1e-9 off (relative) fails
+    from puosc import symmetry
+    charges = symmetry.symmetry_charges
+
+    def scaled(params):
+        out = charges(params)
+        Q = out[1]["charge"]
+        out[1]["charge"] = core.QuadraticObservable((1 + 1e-9) * Q.coeffs)
+        return out
+
+    params = core.make_params(1.0, 2.0)
+    check, = _suite_checks(cli.run_invariant_suite(params), "symmetry_actions")
+    assert check["passed"]
+    monkeypatch.setattr(symmetry, "symmetry_charges", scaled)
+    check, = _suite_checks(cli.run_invariant_suite(params), "symmetry_actions")
+    assert not check["passed"]
+
+
+def test_verify_at_large_frequencies_is_a_verdict(tmp_path, capsys):
+    # the sign resolution's tolerance no longer grows with beta, so the
+    # dq^dqd orientation is still resolved at beta = 4e12
+    out = tmp_path / "v.json"
+    assert exit_code(["verify", "--omega1", "1000", "--omega2", "2000",
+                      "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    check, = _suite_checks(json.loads(out.read_text()), "sign_resolution")
+    assert check["passed"]
+    assert check["detail"]["sigma_eps"] == [1, -1]
 
 
 # ---------------------------------------------------------------------------

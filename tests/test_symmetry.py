@@ -67,6 +67,38 @@ def test_computed_basis_abelian_50_draws():
         assert max_pairwise_commutator(basis) < 1e-12
 
 
+def _loop_commutator_operator(A):
+    K = np.empty((16, 16))
+    for k in range(16):
+        E = np.zeros(16)
+        E[k] = 1.0
+        E = E.reshape(4, 4)
+        K[:, k] = (E @ A - A @ E).ravel()
+    return K
+
+
+def test_commutant_operator_is_the_column_loop(monkeypatch):
+    # the 16x16 operator X -> XA - AX, as commutant_basis hands it to the
+    # SVD, equals the column-by-column build bit for bit
+    seen = []
+    svd = np.linalg.svd
+
+    def spy(K, *args, **kwargs):
+        seen.append(np.array(K))
+        return svd(K, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    rng = np.random.default_rng(11)
+    mats = [np.zeros((4, 4)),
+            flow_matrix(p.make_params(9.450664502595535, 9.60169554945272)),
+            *(flow_matrix(random_params(rng)) for _ in range(50))]
+    for A in mats:
+        seen.clear()
+        p.commutant_basis(A)
+        K, = seen
+        assert np.array_equal(K, _loop_commutator_operator(A))
+
+
 def test_generators_orthonormal_frobenius():
     basis = p.commutant_basis(flow_matrix(PAR))
     G = np.stack([g.xi.ravel() for g in basis.generators])
@@ -185,6 +217,15 @@ def test_resolved_signs_are_shipped():
     rng = np.random.default_rng(10)
     for _ in range(10):
         assert p.resolve_structure_signs(random_params(rng)) == (1, -1)
+
+
+def test_resolved_signs_are_unique_from_small_to_large_frequencies():
+    # the comparison is entrywise relative: an absolute tolerance growing
+    # with beta swallowed the order-1 dq^dqd block from beta ~ 1e12 on
+    for w in np.geomspace(1e-3, 1e6, 400):
+        for ratio in (1.01, 1.5, 3.0):
+            par = p.make_params(w, ratio * w)
+            assert p.resolve_structure_signs(par) == (1, -1)
 
 
 # ---------------------------------------------------------------------------
