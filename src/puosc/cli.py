@@ -131,18 +131,25 @@ def run_invariant_suite(params: PUParams, lam: float = SUITE_LAMBDA,
     sigma_eps = symmetry.resolve_structure_signs(params)
     record("sign_resolution", sigma_eps == (1, -1), {"sigma_eps": list(sigma_eps)})
 
+    # the draws' matrices as stacks; core._frobenius sums each matrix as
+    # np.linalg.norm does, so every residual is the per-draw one bit for bit
     draws = [_random_params(rng) for _ in range(n_draws)]
-    worst_h = worst_bi = worst_comp = 0.0
-    for par in draws:
-        A = core.flow_matrix(par)
-        S1, S2, J1 = core.h1(par).coeffs, core.h2(par).coeffs, core.j1(par).j
-        scale = max(1.0, float(np.linalg.norm(A)))
-        worst_h = max(worst_h, float(np.linalg.norm(J1 @ S1 - A)) / scale)
-        worst_bi = max(worst_bi, float(np.linalg.norm(
-            core.j2(par).j @ S2 - A)) / scale)
-        cscale = max(1.0, float(np.linalg.norm(S1) * np.linalg.norm(S2)))
-        worst_comp = max(worst_comp, float(np.linalg.norm(
-            S1 @ J1 @ S2 - S2 @ J1 @ S1)) / cscale)
+
+    def stack(build):
+        return np.array([build(par) for par in draws]).reshape(-1, 4, 4)
+
+    As = stack(core.flow_matrix)
+    S1 = stack(lambda par: core.h1(par).coeffs)
+    S2 = stack(lambda par: core.h2(par).coeffs)
+    J1 = stack(lambda par: core.j1(par).j)
+    J2 = stack(lambda par: core.j2(par).j)
+    fro = core._frobenius
+    scale = np.maximum(1.0, fro(As))
+    worst_h = float((fro(J1 @ S1 - As) / scale).max(initial=0.0))
+    worst_bi = float((fro(J2 @ S2 - As) / scale).max(initial=0.0))
+    cscale = np.maximum(1.0, fro(S1) * fro(S2))
+    worst_comp = float((fro(S1 @ J1 @ S2 - S2 @ J1 @ S1) / cscale)
+                       .max(initial=0.0))
     record("hamilton_identity", worst_h < 1e-12, {"max_residual": worst_h})
     record("bihamilton_identity", worst_bi < 1e-12, {"max_residual": worst_bi})
     record("compatibility", worst_comp < 1e-12, {"max_residual": worst_comp})
@@ -169,24 +176,17 @@ def run_invariant_suite(params: PUParams, lam: float = SUITE_LAMBDA,
     record("h1_linear_in_p1", H1o.coeffs[2, 2] == 0.0,
            {"p1_squared_coefficient": float(H1o.coeffs[2, 2])})
 
-    dims = []
-    worst_proj = worst_comm = 0.0
-    for par in draws[:50]:
-        A = core.flow_matrix(par)
-        basis = symmetry.commutant_basis(A)
-        dims.append(basis.dimension)
-        # both residuals are already relative to their operands (unit
-        # generators, |g|), so they measure the basis's own error; the basis
-        # is a numerical null space of X -> AX - XA, whose rounding error
-        # grows with |A|, and that growth is divided out
-        scale = max(1.0, float(np.linalg.norm(A)))
-        worst_comm = max(worst_comm,
-                         symmetry.max_pairwise_commutator(basis) / scale)
-        for g in symmetry.known_generators(par).generators:
-            worst_proj = max(worst_proj,
-                             symmetry.projection_residual(basis, g.xi) / scale)
-    record("commutant_dimension", all(d == 4 for d in dims),
-           {"dimensions": sorted(set(dims))})
+    known = np.array([[g.xi for g in symmetry.known_generators(par).generators]
+                      for par in draws[:50]]).reshape(-1, 4, 4, 4)
+    dims, comm, proj = symmetry._commutant_checks(As[:50], known)
+    # both residuals are already relative to their operands (unit
+    # generators, |g|), so they measure the basis's own error; the basis
+    # is a numerical null space of X -> AX - XA, whose rounding error
+    # grows with |A|, and that growth is divided out
+    worst_comm = float((comm / scale[:50]).max(initial=0.0))
+    worst_proj = float((proj / scale[:50]).max(initial=0.0))
+    record("commutant_dimension", bool((dims == 4).all()),
+           {"dimensions": sorted(set(dims.tolist()))})
     record("commutant_abelian", worst_comm < 1e-12, {"max_commutator": worst_comm})
     record("generator_projection", worst_proj < 1e-12, {"max_residual": worst_proj})
 
@@ -415,6 +415,7 @@ def cmd_scan(args) -> int:
         "caveat": report.caveat,
         "settings": report.settings,
         "grid": [dataclasses.asdict(gp) for gp in report.grid],
+        "refine": report.refine,
     }
     _emit_json(payload, args.out)
     return EXIT_OK

@@ -520,19 +520,34 @@ def poisson_bracket(
     """Bracket {F, G} = grad(F).J.grad(G) of two quadratics, again quadratic.
 
     Coefficient matrix is S_F J S_G + (S_F J S_G)^T.  All three inputs must
-    live in the same chart.
+    live in the same chart.  Raises ArithmeticError when S_F J S_G is not
+    finite (it overflows once the frequencies reach about 1e75).
     """
     if not (f.chart == g.chart == j.chart):
         raise ChartMismatchError(
             f"charts differ: F={f.chart}, G={g.chart}, J={j.chart}"
         )
     M = f.coeffs @ j.j @ g.coeffs
+    if not np.isfinite(M).all():
+        raise ArithmeticError(
+            "non-finite value in the Poisson bracket S_F J S_G")
     return QuadraticObservable(_sym_exact(M + M.T), chart=f.chart)
 
 
 def _sym_exact(S: np.ndarray) -> np.ndarray:
     # bitwise symmetry (of each matrix of a stack), values moved by rounding
     return 0.5 * (S + S.swapaxes(-1, -2))
+
+
+def _frobenius(X: np.ndarray) -> np.ndarray:
+    """Frobenius norm of each matrix of a stack (..., r, c).
+
+    Each entry is summed as np.linalg.norm sums one matrix (a dot product of
+    its ravel with itself), so it equals the per-matrix norm bit for bit;
+    np.linalg.norm(X, axis=(-2, -1)) sums in another order.
+    """
+    f = X.reshape(*X.shape[:-2], 1, X.shape[-2] * X.shape[-1])
+    return np.sqrt(f @ f.swapaxes(-1, -2))[..., 0, 0]
 
 
 # ---------------------------------------------------------------------------

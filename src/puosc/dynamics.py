@@ -535,6 +535,7 @@ class ThresholdReport:
     monotone: bool
     caveat: bool
     settings: dict
+    refine: dict            # the bisection's runs, n_steps and n_rejected
 
 
 def threshold_search(
@@ -558,7 +559,8 @@ def threshold_search(
     function of (t_end, escape_radius, tol): longer horizons can only lower
     it.  A caveat flag is set when the grid classification is not
     monotone in the coupling.  Raises ScanDegenerateError when every grid
-    point is bounded or every one escapes.
+    point is bounded or every one escapes.  The report's refine entry sums
+    the bisection's runs: their count, n_steps and n_rejected.
     """
     lam_lo, lam_hi = float(lambda_range[0]), float(lambda_range[1])
     if lam_lo < 0.0 or lam_hi < lam_lo:
@@ -598,13 +600,22 @@ def threshold_search(
         "grid_points": int(len(grid_vals)), "bisect_iters": bisect_iters,
         "lambda_range": [lam_lo, lam_hi],
     }
-    if trans is None:
-        return ThresholdReport(None, grid, monotone, True, settings)
+    runs = []
 
-    lo, hi = _bisect(grid[trans].lam, grid[trans + 1].lam, bisect_iters,
-                     lambda lam: classify([lam])[0].bounded)
-    return ThresholdReport(0.5 * (lo + hi), grid, monotone, not monotone,
-                           settings)
+    def bounded(lam) -> bool:
+        runs.extend(classify([lam]))
+        return runs[-1].bounded
+
+    lambda_star = None
+    if trans is not None:
+        lo, hi = _bisect(grid[trans].lam, grid[trans + 1].lam, bisect_iters,
+                         bounded)
+        lambda_star = 0.5 * (lo + hi)
+    refine = {"runs": len(runs),
+              "n_steps": sum(p.n_steps for p in runs),
+              "n_rejected": sum(p.n_rejected for p in runs)}
+    return ThresholdReport(lambda_star, grid, monotone,
+                           trans is None or not monotone, settings, refine)
 
 
 def _bisect(lo: float, hi: float, iters: int, bounded):

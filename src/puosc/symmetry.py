@@ -16,7 +16,6 @@ from span{J1, J2} to span{J1}.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -63,20 +62,33 @@ class SymmetryBasis:
 # commutant computation
 # ---------------------------------------------------------------------------
 
+def _commutant_stack(As: np.ndarray):
+    """Commutants of a stack As (n, 4, 4), from one batched SVD of the 16x16
+    operators Xi -> [Xi, A].
+
+    Returns (V, dims).  V (n, 16, 4, 4) holds each operator's right singular
+    vectors as matrices, in the SVD's order; the commutant of As[i] is
+    spanned by the last dims[i] of them.  Singular values at most
+    SVD_RANK_CUTOFF * max(sigma_max, 1) count as zero, and all 16 do when
+    sigma_max = 0; being sorted, the zero ones are a suffix.
+    """
+    I = np.eye(4)
+    # column k of each K is the row-major ravel of E_k A - A E_k
+    K = np.kron(I, As.swapaxes(1, 2)) - np.kron(As, I)
+    _, sv, vt = np.linalg.svd(K)
+    cutoff = SVD_RANK_CUTOFF * np.maximum(sv[:, :1], 1.0)
+    dims = np.where(sv[:, 0] > 0, (sv <= cutoff).sum(axis=1), 16)
+    return vt.reshape(-1, 16, 4, 4), dims
+
+
 def commutant_basis(A: np.ndarray) -> SymmetryBasis:
     """Orthonormal (Frobenius) basis of {Xi : Xi A - A Xi = 0}.
 
-    Null space of the 16x16 operator Xi -> [Xi, A] via SVD; singular values
-    below SVD_RANK_CUTOFF * sigma_max count as zero.  For the free flow with
-    distinct frequencies the dimension is exactly 4.
+    _commutant_stack on a stack of one.  For the free flow with distinct
+    frequencies the dimension is exactly 4.
     """
-    A = np.asarray(A, dtype=float)
-    # column k of K is the row-major ravel of E_k A - A E_k
-    K = np.kron(np.eye(4), A.T) - np.kron(A, np.eye(4))
-    _, sv, vt = np.linalg.svd(K)
-    cutoff = SVD_RANK_CUTOFF * max(sv[0], 1.0)
-    null_rows = vt[sv <= cutoff] if sv[0] > 0 else vt
-    gens = tuple(LinearSymmetry(row.reshape(4, 4)) for row in null_rows)
+    V, (dim,) = _commutant_stack(np.asarray(A, dtype=float)[None])
+    gens = tuple(LinearSymmetry(X) for X in V[0, 16 - dim:])
     return SymmetryBasis(gens, len(gens))
 
 
@@ -103,31 +115,73 @@ def known_generators(params: PUParams) -> SymmetryBasis:
 
 def projection_residual(basis: SymmetryBasis, candidate: np.ndarray) -> float:
     """Relative distance of a candidate generator from span(basis)."""
-    return _span_residual([g.xi.ravel() for g in basis.generators],
-                          np.asarray(candidate, dtype=float).ravel())
+    return _residual_of_one([g.xi for g in basis.generators], candidate)
 
 
-def _span_residual(columns: Sequence[np.ndarray], x: np.ndarray) -> float:
-    """Least-squares distance of x from the span of columns, relative to
-    max(|x|, 1); 1.0 when there are no columns."""
-    if not columns:
-        return 1.0
-    B = np.stack(columns, axis=1)
-    coef, *_ = np.linalg.lstsq(B, x, rcond=None)
-    res = x - B @ coef
-    return float(np.linalg.norm(res) / max(np.linalg.norm(x), 1.0))
+def _span_residual(G: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Least-squares distance of each row of X[i] from the span of the rows
+    of G[i], relative to max(|x|, 1), for stacks G (n, k, m) and X (n, t, m);
+    shape (n, t), and 1.0 when k = 0.
+
+    The least-squares coefficients come from the SVD of G[i]^T, under
+    lstsq's rank rule: singular values at most eps * max(k, m) times the
+    largest count as zero.
+    """
+    n, k, m = G.shape
+    if k == 0:
+        return np.ones(X.shape[:2])
+    U, sv, Vt = np.linalg.svd(G.swapaxes(1, 2), full_matrices=False)
+    keep = sv > np.finfo(float).eps * max(k, m) * sv[:, :1]
+    inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
+    coef = (X @ U) * inv[:, None, :] @ Vt
+    R = X - coef @ G
+    return (core._frobenius(R[..., None, :])
+            / np.maximum(core._frobenius(X[..., None, :]), 1.0))
+
+
+def _residual_of_one(mats, candidate) -> float:
+    """_span_residual of one candidate matrix against one list of matrices."""
+    x = np.asarray(candidate, dtype=float).reshape(1, 1, -1)
+    G = np.reshape(np.asarray(mats, dtype=float), (1, -1, x.shape[-1]))
+    return float(_span_residual(G, x)[0, 0])
 
 
 def max_pairwise_commutator(basis: SymmetryBasis) -> float:
     """Largest Frobenius norm of [X_i, X_j] over normalized generators."""
-    mats = []
-    for g in basis.generators:
-        n = np.linalg.norm(g.xi)
-        mats.append(g.xi / n if n > 0 else g.xi)
-    worst = 0.0
-    for X, Y in itertools.combinations(mats, 2):
-        worst = max(worst, float(np.linalg.norm(X @ Y - Y @ X)))
-    return worst
+    G = np.reshape(np.asarray([g.xi for g in basis.generators], dtype=float),
+                   (1, -1, 4, 4))
+    return float(_max_commutator(G)[0])
+
+
+def _max_commutator(G: np.ndarray) -> np.ndarray:
+    """max_pairwise_commutator of each basis G[i] of a stack (n, d, 4, 4)."""
+    norms = core._frobenius(G)[..., None, None]
+    G = G / np.where(norms > 0, norms, 1.0)
+    i, j = np.triu_indices(G.shape[1], 1)
+    X, Y = G[:, i], G[:, j]
+    return core._frobenius(X @ Y - Y @ X).max(axis=1, initial=0.0)
+
+
+def _commutant_checks(As: np.ndarray, candidates: np.ndarray):
+    """The invariant suite's commutant section on a stack As (n, 4, 4), with
+    t candidate generators per matrix (n, t, 4, 4).
+
+    Returns (dims, commutators, residuals), each of shape (n,): the
+    commutant's dimension, max_pairwise_commutator of its basis, and the
+    largest projection_residual of the matrix's candidates.  One batched SVD
+    finds every commutant; commutants of equal dimension are checked as one
+    stack.
+    """
+    V, dims = _commutant_stack(As)
+    comm, proj = np.empty(len(dims)), np.empty(len(dims))
+    for d in set(dims.tolist()):  # np.unique would import numpy.ma
+        sel = dims == d
+        G = V[sel, 16 - d:]
+        comm[sel] = _max_commutator(G)
+        proj[sel] = _span_residual(
+            G.reshape(len(G), d, 16),
+            candidates[sel].reshape(len(G), -1, 16)).max(axis=1)
+    return dims, comm, proj
 
 
 # ---------------------------------------------------------------------------
@@ -279,4 +333,4 @@ def tensor_projection_residual(
     basis: Sequence[PoissonTensor], candidate: PoissonTensor
 ) -> float:
     """Relative distance of a tensor from the span of a tensor basis."""
-    return _span_residual([t.j.ravel() for t in basis], candidate.j.ravel())
+    return _residual_of_one([t.j for t in basis], candidate.j)

@@ -3,6 +3,7 @@
 import argparse
 import contextlib
 import io
+import itertools
 import json
 import sys
 
@@ -70,6 +71,10 @@ def test_invariant_suite_preconditions(kwargs):
         cli.run_invariant_suite(core.make_params(1.0, 2.0), **kwargs)
 
 
+# omega of the suite's draw at seed 349503, |A| = 8236
+SEED_349503 = (9.450664502595535, 9.60169554945272)
+
+
 def _suite_checks(report, *names):
     return [next(c for c in report["checks"] if c["name"] == n) for n in names]
 
@@ -90,10 +95,19 @@ def test_verify_commutant_checks_reject_a_wrong_basis(monkeypatch):
     # A^T fails each check once its absolute residual passes 1e-12 |A|, and
     # not before: both residuals are scaled by |A| exactly once
     from puosc import symmetry
-    par = core.make_params(9.450664502595535, 9.60169554945272)
+    par = core.make_params(*SEED_349503)
     A = core.flow_matrix(par)
     bound = 1e-12 * float(np.linalg.norm(A))
     right = symmetry.commutant_basis(A)
+    stack = symmetry._commutant_stack
+
+    def bent_stack(As, c):
+        # the stacked kernel, with each first generator bent as bent(c) is
+        V, dims = stack(As)
+        assert (dims == 4).all()
+        V = V.copy()
+        V[:, 12] += c * As.swapaxes(1, 2)
+        return V, dims
 
     def bent(c):
         first, *rest = right.generators
@@ -112,8 +126,8 @@ def test_verify_commutant_checks_reject_a_wrong_basis(monkeypatch):
         for factor in (0.5, 2.0):
             c = factor * bound / per_bend
             assert residual(c) == pytest.approx(factor * bound, rel=0.05)
-            monkeypatch.setattr(symmetry, "commutant_basis",
-                                lambda _A, c=c: bent(c))
+            monkeypatch.setattr(symmetry, "_commutant_stack",
+                                lambda As, c=c: bent_stack(As, c))
             check, = _suite_checks(cli.run_invariant_suite(par), name)
             assert check["passed"] is (factor < 1.0)
 
@@ -246,6 +260,9 @@ def test_scan_finds_threshold_small(tmp_path):
     assert rep["settings"]["t_end"] == 120.0
     flags = [g["bounded"] for g in rep["grid"]]
     assert flags[0] is True and flags[-1] is False
+    assert rep["refine"]["runs"] == 8
+    assert rep["refine"]["n_steps"] > 0
+    assert set(rep["refine"]) == {"runs", "n_steps", "n_rejected"}
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +442,10 @@ EXIT_CASES = [
     ("simulate-non-finite-drift",
      ["simulate", "--q0", "1e152", "--omega1", "1e4", "--t-end", "1e-20",
       "--out", "{tmp}/t.csv"], 3),
+    # a Poisson bracket that overflows is a numerical failure, not a defect
+    ("verify-bracket-overflows",
+     ["verify", "--omega1", "1e75", "--omega2", "2e75",
+      "--out", "{tmp}/v.json"], 3),
     # correct tensors near the singular blend rays pass the suite
     ("verify-near-singular-blend",
      ["verify", *NEAR_SINGULAR, "--out", "{tmp}/v.json"], 0),
@@ -467,6 +488,7 @@ def test_exit_code_messages(tmp_path, capsys):
 @pytest.mark.parametrize("argv", [
     ["modes", "--omega1=1.5", "--q0=4.4692693099808655e+153"],
     ["simulate", "--q0", "1e152", "--omega1", "1e4", "--t-end", "1e-20"],
+    ["verify", "--omega1", "1e75", "--omega2", "2e75"],
 ])
 def test_non_finite_output_writes_nothing(argv, tmp_path, capsys):
     out = tmp_path / "out"
@@ -591,6 +613,88 @@ def test_invariant_suite_calls_no_pointwise_blend(monkeypatch):
             calls.append(name)
             return fn(*args)
         monkeypatch.setattr(core, name, counted)
+    assert cli.run_invariant_suite(core.make_params(1.0, 2.0))["passed"]
+    assert calls == []
+
+
+def _pointwise_commutant(A, candidates):
+    # the per-draw commutant section: one SVD, pairwise commutators of the
+    # unit generators and one lstsq projection per candidate
+    K = np.kron(np.eye(4), A.T) - np.kron(A, np.eye(4))
+    _, sv, vt = np.linalg.svd(K)
+    rows = vt[sv <= 1e-10 * max(sv[0], 1.0)] if sv[0] > 0 else vt
+    gens = [row.reshape(4, 4) for row in rows]
+    unit = [g / np.linalg.norm(g) if np.linalg.norm(g) > 0 else g
+            for g in gens]
+    comm = 0.0
+    for X, Y in itertools.combinations(unit, 2):
+        comm = max(comm, float(np.linalg.norm(X @ Y - Y @ X)))
+    B = np.stack([g.ravel() for g in gens], axis=1)
+    proj = 0.0
+    for x in candidates:
+        coef, *_ = np.linalg.lstsq(B, x.ravel(), rcond=None)
+        proj = max(proj, float(np.linalg.norm(x.ravel() - B @ coef)
+                               / max(np.linalg.norm(x), 1.0)))
+    return gens, comm, proj
+
+
+# the span residuals are rounding noise of a 16-entry projection; the
+# stacked SVD and lstsq round differently, by up to 3e-16 on these inputs
+SPAN_ATOL = 16 * np.finfo(float).eps
+
+
+def test_stacked_commutant_section_is_pointwise():
+    from puosc import symmetry
+    # None is the zero matrix, whose commutant is every 4x4 matrix; its
+    # candidates are the (1, 2) generators
+    pairs = [*STRUCTURE_101[:5], None, *STRUCTURE_101[5:], SEED_349503]
+    As, candidates = [], []
+    for w in pairs:
+        par = core.make_params(*(w or (1.0, 2.0)))
+        As.append(core.flow_matrix(par) if w else np.zeros((4, 4)))
+        candidates.append([g.xi for g in
+                           symmetry.known_generators(par).generators])
+    As, candidates = np.array(As), np.array(candidates)
+    V, dims = symmetry._commutant_stack(As)
+    got = symmetry._commutant_checks(As, candidates)
+    assert dims.tolist() == got[0].tolist() == [4] * 5 + [16] + [4] * 6
+    for i, (A, C) in enumerate(zip(As, candidates)):
+        gens, comm, proj = _pointwise_commutant(A, C)
+        assert np.array_equal(V[i, 16 - dims[i]:], gens)
+        assert np.array_equal(
+            [g.xi for g in symmetry.commutant_basis(A).generators], gens)
+        assert got[1][i] == comm
+        assert abs(got[2][i] - proj) <= SPAN_ATOL
+    # and the suite's report is the loop's over the suite's 50 draws
+    params = core.make_params(1.0, 2.0)
+    rng = np.random.default_rng(cli.DEFAULT_SEED)
+    draws = [cli._random_params(rng) for _ in range(100)][:50]
+    dims, comm, proj = set(), 0.0, 0.0
+    for par in draws:
+        A = core.flow_matrix(par)
+        gens, c, r = _pointwise_commutant(
+            A, [g.xi for g in symmetry.known_generators(par).generators])
+        scale = max(1.0, float(np.linalg.norm(A)))
+        dims.add(len(gens))
+        comm, proj = max(comm, c / scale), max(proj, r / scale)
+    report = cli.run_invariant_suite(params)
+    dim, abelian, projection = _suite_checks(
+        report, "commutant_dimension", "commutant_abelian",
+        "generator_projection")
+    assert dim["detail"]["dimensions"] == sorted(dims) == [4]
+    assert abelian["detail"]["max_commutator"] == comm
+    assert abs(projection["detail"]["max_residual"] - proj) <= SPAN_ATOL
+
+
+def test_invariant_suite_calls_no_pointwise_commutant(monkeypatch):
+    from puosc import symmetry
+    calls = []
+    for name in ("commutant_basis", "projection_residual",
+                 "max_pairwise_commutator"):
+        def counted(*args, fn=getattr(symmetry, name), name=name):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(symmetry, name, counted)
     assert cli.run_invariant_suite(core.make_params(1.0, 2.0))["passed"]
     assert calls == []
 

@@ -385,14 +385,29 @@ def test_threshold_search_all_unbounded():
     assert exc.value.kind == "all-unbounded"
 
 
-def test_threshold_search_small():
+def test_threshold_search_small(monkeypatch):
     # coarse scan over a bracketing range; full-range scan lives in acceptance
+    from puosc import dynamics
+    batches = []
+
+    def spy(*args, batch=dynamics.runaway_batch, **kwargs):
+        batches.append(batch(*args, **kwargs))
+        return batches[-1]
+
+    monkeypatch.setattr(dynamics, "runaway_batch", spy)
     rep = p.threshold_search(PAR, FIG_Z0, 120.0, 1000.0, (5.0, 12.0),
                              grid_points=6, bisect_iters=12, tol=1e-8)
     assert rep.lambda_star is not None
     assert 5.0 < rep.lambda_star < 12.0
     flags = [g.bounded for g in rep.grid]
     assert flags[0] and not flags[-1]
+    # refine sums the bisection's runs, one coupling per batch after the grid
+    grid, *runs = batches
+    assert grid == rep.grid
+    runs = [run for run, in runs]
+    assert rep.refine == {"runs": 12,
+                          "n_steps": sum(r.n_steps for r in runs),
+                          "n_rejected": sum(r.n_rejected for r in runs)}
 
 
 # ---------------------------------------------------------------------------

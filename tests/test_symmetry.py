@@ -12,6 +12,7 @@ from puosc.errors import (
     SingularHessianError,
 )
 from puosc.symmetry import (
+    _commutant_stack,
     default_sample_points,
     max_pairwise_commutator,
     projection_residual,
@@ -78,8 +79,8 @@ def _loop_commutator_operator(A):
 
 
 def test_commutant_operator_is_the_column_loop(monkeypatch):
-    # the 16x16 operator X -> XA - AX, as commutant_basis hands it to the
-    # SVD, equals the column-by-column build bit for bit
+    # the 16x16 operators X -> XA - AX, as the commutant kernel hands them
+    # to one batched SVD, equal the column-by-column build bit for bit
     seen = []
     svd = np.linalg.svd
 
@@ -92,11 +93,16 @@ def test_commutant_operator_is_the_column_loop(monkeypatch):
     mats = [np.zeros((4, 4)),
             flow_matrix(p.make_params(9.450664502595535, 9.60169554945272)),
             *(flow_matrix(random_params(rng)) for _ in range(50))]
-    for A in mats:
-        seen.clear()
-        p.commutant_basis(A)
-        K, = seen
-        assert np.array_equal(K, _loop_commutator_operator(A))
+    _commutant_stack(np.array(mats))
+    K, = seen
+    assert K.shape == (len(mats), 16, 16)
+    for A, K_A in zip(mats, K):
+        assert np.array_equal(K_A, _loop_commutator_operator(A))
+    # commutant_basis is the stack of one
+    seen.clear()
+    p.commutant_basis(mats[1])
+    K, = seen
+    assert np.array_equal(K, _loop_commutator_operator(mats[1])[None])
 
 
 def test_generators_orthonormal_frobenius():
