@@ -33,6 +33,7 @@ from .config import (
     DEFAULT_TOL,
     SCAN_BISECT_ITERS,
     SCAN_GRID_POINTS,
+    SUITE_DRAWS,
     SUITE_LAMBDA,
 )
 from .core import JetState, OstroState, PUParams
@@ -113,10 +114,10 @@ def _check_suite_args(lam: float, seed: int) -> None:
 
 
 def run_invariant_suite(params: PUParams, lam: float = SUITE_LAMBDA,
-                        seed: int = DEFAULT_SEED, n_draws: int = 100) -> dict:
+                        seed: int = DEFAULT_SEED) -> dict:
     """Every structural identity of the library as one pass/fail report.
 
-    Randomized sections draw n_draws frequency pairs from (0.1, 10) with
+    Randomized sections draw SUITE_DRAWS frequency pairs from (0.1, 10) with
     separation > 0.05, all driven by one seed; the interacting check runs
     at coupling lam.  Raises PreconditionViolatedError unless lam > 0 and
     seed >= 0.
@@ -133,7 +134,7 @@ def run_invariant_suite(params: PUParams, lam: float = SUITE_LAMBDA,
 
     # the draws' matrices as stacks; core._frobenius sums each matrix as
     # np.linalg.norm does, so every residual is the per-draw one bit for bit
-    draws = [_random_params(rng) for _ in range(n_draws)]
+    draws = [_random_params(rng) for _ in range(SUITE_DRAWS)]
 
     def stack(build):
         return np.array([build(par) for par in draws]).reshape(-1, 4, 4)
@@ -267,7 +268,7 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     params = core.make_params(args.omega1, args.omega2)
     z0 = _initial_state(args, params)
-    # lambda = 0 keeps the free field, with no W' call per RHS evaluation
+    # lambda = 0 runs the free field, so meta["interacting"] is False
     potential = dynamics.quartic(args.lam) if args.lam != 0.0 else None
     traj = dynamics.integrate(params, dynamics.field_for(params, potential),
                               z0, args.t_end, args.tol,

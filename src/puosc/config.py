@@ -24,8 +24,9 @@ DEFAULT_T_END = 200.0
 # Escape radius default is 1e3 * max(1, |z0|).
 ESCAPE_RADIUS_FACTOR = 1e3
 
-# Coupling of the invariant suite's interacting check.
+# Invariant suite: coupling of its interacting check, frequency pairs drawn.
 SUITE_LAMBDA = 0.1
+SUITE_DRAWS = 100
 
 # Threshold scan defaults.
 SCAN_GRID_POINTS = 32

@@ -73,7 +73,8 @@ def make_params(omega1: float, omega2: float) -> PUParams:
 
     Raises DegenerateFrequenciesError unless 0 < omega1 != omega2; equal
     frequencies collapse the two-mode solution and the mode-projection
-    formulas divide by w1^2 - w2^2.
+    formulas divide by w1^2 - w2^2.  Raises OverflowError, naming the
+    quantity, when alpha or beta is not finite in floating point.
     """
     w1, w2 = float(omega1), float(omega2)
     if not (np.isfinite(w1) and np.isfinite(w2)):
@@ -82,7 +83,13 @@ def make_params(omega1: float, omega2: float) -> PUParams:
         raise DegenerateFrequenciesError("frequencies must be positive")
     if w1 == w2:
         raise DegenerateFrequenciesError("frequencies must be distinct")
-    return PUParams(w1, w2, w1 * w1 + w2 * w2, (w1 * w2) ** 2)
+    alpha = w1 * w1 + w2 * w2
+    if not np.isfinite(alpha):
+        raise OverflowError("alpha = omega1^2 + omega2^2 is not finite")
+    try:        # w1 w2 <= alpha / 2 is finite; a float power raises
+        return PUParams(w1, w2, alpha, (w1 * w2) ** 2)
+    except OverflowError:
+        raise OverflowError("beta = (omega1 omega2)^2 is not finite") from None
 
 
 @dataclass(frozen=True)

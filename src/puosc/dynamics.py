@@ -6,20 +6,21 @@ Free motion is the superposition of two harmonic modes,
     q(t) = 2 Re[a1 exp(-i w1 t)] + 2 Re[a2 exp(-i w2 t)],
 
 which gives a closed-form oracle for the integrator and an exact mode
-decomposition of any jet state.  Every run, a sampled trajectory
-(integrate) or one coupling of a scan (runaway_batch), is one Dormand-Prince
-5(4) run with PI step-size control, written on Python floats because numpy
-call overhead outweighs the arithmetic on a 4-vector.  For the same reason
-its step loop calls no max, min or abs: on four floats a builtin call costs
-more than the arithmetic it guards, so each is written as the conditional
-expression that returns what the builtin returns.  The run is written for
-the jet-chart field, z' = (qd, qdd, qddd, a30 q + a32 qdd - W'(q)), the
-only one integrate accepts: a stage is four state components and one force
-row, with no right-hand-side call, and the tableau is bound to locals.
-States move between charts through ostro_jacobian.  The lane shortens a
-step only to land on a stop: integrate's equidistant sample times, or t_end
-alone for a scan.  Stepping is deterministic, so repeated runs with the same
-settings reproduce output bit for bit on one platform.
+decomposition of any jet state.  Every run is an integrate call, a sampled
+trajectory or one coupling of a scan (runaway_batch, with t_end as its only
+sample): one Dormand-Prince 5(4) run with PI step-size control, written on
+Python floats because numpy call overhead outweighs the arithmetic on a
+4-vector.  For the same reason its step loop calls no max, min or abs: on
+four floats a builtin call costs more than the arithmetic it guards, so each
+is written as the conditional expression that returns what the builtin
+returns.  The run is written for the jet-chart field, z' = (qd, qdd, qddd,
+a30 q + a32 qdd - W'(q)), the only one integrate accepts: a stage is four
+state components and one force row, with no right-hand-side call, and the
+tableau is bound to locals.  States move between charts through
+ostro_jacobian.  The lane shortens a step only to land on a stop, one of
+integrate's equidistant sample times.  Stepping is deterministic, so
+repeated runs with the same settings reproduce output bit for bit on one
+platform.
 
 An interaction potential W destabilizes the model: the quartic family
 W(q) = lam q^4 / 4 keeps trajectories bounded below a coupling threshold and
@@ -218,13 +219,14 @@ def _dp54(a30, a32, w_prime, y0, stops, tol, escape_radius):
     """One adaptive DP5(4) run with PI step control on Python floats, for
     the jet-chart field z' = (qd, qdd, qddd, a30 q + a32 qdd - w_prime(q)).
 
-    y0 is a 4-tuple of floats, stops the increasing positive times the run
-    must land on (the last ends it), tol and escape_radius floats (math.inf
-    for no escape test).  A step that would reach a stop within
-    1e-14 max(1, |stop|) is shortened to end on it; such a capped step is
-    exempt from the step-underflow check, since its size is the positive gap
-    to the stop.  The run ends at the last stop or at the end of the first
-    accepted step with |z| >= escape_radius.
+    integrate, the one caller, reduces its field to (a30, a32, w_prime) and
+    passes y0 as a 4-tuple of floats, stops as the increasing positive
+    sample times the run must land on (the last ends it), tol and
+    escape_radius as floats (math.inf for no escape test).  A step that
+    would reach a stop within 1e-14 max(1, |stop|) is shortened to end on
+    it; such a capped step is exempt from the step-underflow check, since
+    its size is the positive gap to the stop.  The run ends at the last stop
+    or at the end of the first accepted step with |z| >= escape_radius.
 
     The first three slope components of a stage are its state's last three,
     so each stage computes its four state components and one
@@ -384,16 +386,6 @@ def _state_norm(z0: JetState) -> float:
     return norm
 
 
-def _check_run(z0: JetState, t_end, tol, escape_radius):
-    """Preconditions shared by integrate and runaway_batch."""
-    if not (1e-13 <= tol <= 1e-3):
-        raise PreconditionViolatedError("tol must lie in [1e-13, 1e-3]")
-    if not t_end > 0.0:
-        raise PreconditionViolatedError("t_end must be positive")
-    if escape_radius is not None and not escape_radius > _state_norm(z0):
-        raise PreconditionViolatedError("escape_radius must exceed |z0|")
-
-
 def integrate(
     params: PUParams,
     field: VectorField,
@@ -423,7 +415,12 @@ def integrate(
             "the field's linear part is not flow_matrix(params); integrate "
             "runs the jet-chart field of its params (move states between "
             "charts with ostro_jacobian)")
-    _check_run(z0, t_end, tol, escape_radius)
+    if not (1e-13 <= tol <= 1e-3):
+        raise PreconditionViolatedError("tol must lie in [1e-13, 1e-3]")
+    if not t_end > 0.0:
+        raise PreconditionViolatedError("t_end must be positive")
+    if escape_radius is not None and not escape_radius > _state_norm(z0):
+        raise PreconditionViolatedError("escape_radius must exceed |z0|")
     pot = field.potential
     y0 = tuple(z0.as_array().tolist())
     stops = _sample_times(t_end, sample_rate)[1:].tolist()
@@ -487,27 +484,23 @@ def runaway_batch(
     tol: float = DEFAULT_TOL,
 ) -> tuple:
     """Classify each quartic coupling in lams as bounded or escaping up to
-    t_end, one DP5(4) run per coupling.
+    t_end, one integrate run per coupling.
 
-    Each run is integrate's lane with t_end as its only stop: it
-    records no samples, steps as its error control allows and caps only its
-    last step, so the verdict is a function of (t_end, escape_radius, tol)
-    alone.  Its escape time is the end of the first accepted step with
-    |z| >= escape_radius, and its accepted and rejected step counts are
-    n_steps and n_rejected, bit for bit integrate's with sample_rate = t_end.
-    Couplings, times and tolerances are converted to Python floats first.
-    Raises StepUnderflowError when a run underflows.
+    Each run is integrate(params, field_for(params, quartic(lam)), z0, t_end,
+    tol, sample_rate=t_end, escape_radius=escape_radius): t_end is its only
+    sample, so it caps only its last step and the verdict is a function of
+    (t_end, escape_radius, tol) alone.  Each GridPoint takes escape_time,
+    n_steps and n_rejected from its run's meta.  integrate checks the
+    settings, so an empty lams returns () unchecked.
     """
-    _check_run(z0, t_end, tol, escape_radius)
-    y0 = tuple(z0.as_array().tolist())
-    t_end, escape_radius, tol = float(t_end), float(escape_radius), float(tol)
-    a30, _, a32, _ = core.flow_matrix(params)[3].tolist()
     points = []
-    for lam in lams:
-        lam = float(lam)
-        _, _, t, n_steps, _, n_rejected = _dp54(
-            a30, a32, quartic(lam).w_prime, y0, (t_end,), tol, escape_radius)
-        points.append(GridPoint(lam, t is None, t, n_steps, n_rejected))
+    for lam in map(float, lams):
+        meta = integrate(params, field_for(params, quartic(lam)), z0, t_end,
+                         tol, sample_rate=t_end,
+                         escape_radius=escape_radius).meta
+        t = meta["escape_time"]
+        points.append(GridPoint(lam, t is None, t, meta["n_steps"],
+                                meta["n_rejected"]))
     return tuple(points)
 
 
@@ -555,12 +548,11 @@ def threshold_search(
     runaway_batch, then bisect_iters bisection halvings refine the first
     bounded-to-escaping transition, one coupling at a time (see _bisect),
     stopping early once the bracket no longer splits.  The reported
-    threshold is a
-    function of (t_end, escape_radius, tol): longer horizons can only lower
-    it.  A caveat flag is set when the grid classification is not
-    monotone in the coupling.  Raises ScanDegenerateError when every grid
-    point is bounded or every one escapes.  The report's refine entry sums
-    the bisection's runs: their count, n_steps and n_rejected.
+    threshold is a function of (t_end, escape_radius, tol): longer horizons
+    can only lower it.  A caveat flag is set when the grid classification is
+    not monotone in the coupling.  Raises ScanDegenerateError when every
+    grid point is bounded or every one escapes.  The report's refine entry
+    sums the bisection's runs: their count, n_steps and n_rejected.
     """
     lam_lo, lam_hi = float(lambda_range[0]), float(lambda_range[1])
     if lam_lo < 0.0 or lam_hi < lam_lo:

@@ -77,7 +77,7 @@ def _commutant_stack(As: np.ndarray):
     K = np.kron(I, As.swapaxes(1, 2)) - np.kron(As, I)
     _, sv, vt = np.linalg.svd(K)
     cutoff = SVD_RANK_CUTOFF * np.maximum(sv[:, :1], 1.0)
-    dims = np.where(sv[:, 0] > 0, (sv <= cutoff).sum(axis=1), 16)
+    dims = (sv <= cutoff).sum(axis=1)
     return vt.reshape(-1, 16, 4, 4), dims
 
 
@@ -226,21 +226,19 @@ def resolve_structure_signs(params: PUParams) -> tuple[int, int]:
     return hits[0]
 
 
-def symmetry_charges(params: PUParams, basis: Optional[SymmetryBasis] = None):
-    """Charges X(H1) for each generator, raw and normalized against H2.
+def symmetry_charges(params: PUParams):
+    """Charges X(H1) for each known generator, raw and normalized against H2.
 
     Returns a list of dicts with the charge matrix, the fitted constant c in
     X(H1) ~ c*H2 with its relative residual, and the norm of {X(H1), H1}
     under J1 (zero for genuine conserved charges).
     """
-    if basis is None:
-        basis = known_generators(params)
     H1 = core.h1(params)
     H2 = core.h2(params)
     J1 = core.j1(params)
     s2 = H2.coeffs.ravel()
     out = []
-    for g in basis.generators:
+    for g in known_generators(params).generators:
         Q = apply_symmetry(g, H1)
         q = Q.coeffs.ravel()
         c = float(q @ s2) / float(s2 @ s2)

@@ -446,6 +446,16 @@ EXIT_CASES = [
     ("verify-bracket-overflows",
      ["verify", "--omega1", "1e75", "--omega2", "2e75",
       "--out", "{tmp}/v.json"], 3),
+    # frequencies whose alpha or beta overflows: the line names the quantity
+    ("verify-beta-overflows",
+     ["verify", "--omega1", "1e154", "--omega2", "2e154",
+      "--out", "{tmp}/v.json"], 3),
+    ("verify-beta-power-overflows",
+     ["verify", "--omega1", "1e80", "--omega2", "2e80",
+      "--out", "{tmp}/v.json"], 3),
+    ("modes-beta-power-overflows",
+     ["modes", "--omega1", "1e80", "--omega2", "2e80",
+      "--out", "{tmp}/m.json"], 3),
     # correct tensors near the singular blend rays pass the suite
     ("verify-near-singular-blend",
      ["verify", *NEAR_SINGULAR, "--out", "{tmp}/v.json"], 0),
@@ -465,6 +475,11 @@ def test_exit_code_contract(argv, code, tmp_path, capsys):
     said = "error:" in err or err.startswith("numerical failure: ")
     assert said == (code != 0)
     assert "Traceback" not in err
+    # a numerical failure names what failed, not a bare errno tuple such as
+    # (34, 'Numerical result out of range')
+    assert not err.startswith("numerical failure: ("), err
+    # a rejected input writes no file
+    assert code in (0, 1) or not any(tmp_path.iterdir())
     # one line: the exit table's, or argparse's error after its usage
     lines = err.splitlines()
     if lines and lines[0].startswith("usage: "):

@@ -43,6 +43,21 @@ def test_make_params_degenerate(w1, w2):
         p.make_params(w1, w2)
 
 
+@pytest.mark.parametrize("w1,w2,name", [
+    (1e80, 2e80, "beta"),       # w1 w2 is finite, its square is not
+    (1e-300, 1e155, "alpha"),   # beta is finite, alpha is not
+    (1e154, 2e154, "alpha"),    # both overflow; alpha is checked first
+])
+def test_make_params_names_the_overflowing_quantity(w1, w2, name):
+    with pytest.raises(OverflowError, match=f"^{name} = .* is not finite$"):
+        p.make_params(w1, w2)
+
+
+@pytest.mark.parametrize("w1,w2", [(0.5, 1.5), (1e76, 2e76), (3e-150, 1e-3)])
+def test_make_params_beta_is_the_float_power(w1, w2):
+    assert p.make_params(w1, w2).beta == (w1 * w2) ** 2
+
+
 # ---------------------------------------------------------------------------
 # chart maps
 # ---------------------------------------------------------------------------

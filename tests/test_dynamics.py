@@ -7,6 +7,7 @@ import math
 import signal
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -861,6 +862,43 @@ def test_batch_counts_rejections_as_integrate_does():
                        tol=1e-4, sample_rate=50.0, escape_radius=1e6)
     assert point.n_rejected == traj.meta["n_rejected"] > 0
     assert point.n_steps == traj.meta["n_steps"]
+
+
+def test_each_scan_coupling_is_one_integrate_run(monkeypatch):
+    from puosc import dynamics
+    calls = []
+
+    def spy(*args, run=dynamics.integrate, **kwargs):
+        calls.append((args, kwargs))
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "integrate", spy)
+    lams = [0.0, 5.0, 100.0]
+    runaway_batch(PAR, lams, FIG_Z0, 50.0, 1000.0, tol=1e-8)
+    assert len(calls) == len(lams)
+    for lam, (args, kwargs) in zip(lams, calls):
+        assert args[1].potential.label == f"quartic(lam={lam!r})"
+        assert kwargs["sample_rate"] == args[3] == 50.0     # t_end
+    # no coupling, no run: the settings are integrate's to check
+    calls.clear()
+    assert runaway_batch(PAR, [], FIG_Z0, 10.0, 0.1, tol=1.0) == ()
+    assert calls == []
+    rep = p.threshold_search(PAR, FIG_Z0, 120.0, 1000.0, (5.0, 12.0),
+                             grid_points=6, bisect_iters=4, tol=1e-8)
+    assert rep.refine["runs"] > 0
+    assert len(calls) == 6 + rep.refine["runs"]
+
+
+def test_only_integrate_calls_the_lane():
+    from puosc import dynamics
+    callers = []
+    for path in sorted(Path(dynamics.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for fn in tree.body:
+            callers += [(path.name, getattr(fn, "name", None))
+                        for n in ast.walk(fn) if isinstance(n, ast.Call)
+                        and "_dp54" in ast.unparse(n.func)]
+    assert callers == [("dynamics.py", "integrate")]
 
 
 def _called_in_loops(fn) -> set:
