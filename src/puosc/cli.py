@@ -20,6 +20,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 from typing import Optional
 
@@ -74,6 +75,12 @@ def _escape_radius(args, z0: JetState) -> float:
     if args.escape_radius is not None:
         return args.escape_radius
     return dynamics.default_escape_radius(z0)
+
+
+def _fields(obj) -> dict:
+    """A dataclass's fields as a shallow dict.  json.dumps writes it as it
+    writes dataclasses.asdict's deep copy, which copies every float."""
+    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def _json_text(payload: dict) -> str:
@@ -132,18 +139,13 @@ def run_invariant_suite(params: PUParams, lam: float = SUITE_LAMBDA,
     sigma_eps = symmetry.resolve_structure_signs(params)
     record("sign_resolution", sigma_eps == (1, -1), {"sigma_eps": list(sigma_eps)})
 
-    # the draws' matrices as stacks; core._frobenius sums each matrix as
-    # np.linalg.norm does, so every residual is the per-draw one bit for bit
+    # the draws' matrices as stacks, from one builder call each;
+    # core._frobenius sums each matrix as np.linalg.norm does, so every
+    # residual is the per-draw one bit for bit
     draws = [_random_params(rng) for _ in range(SUITE_DRAWS)]
-
-    def stack(build):
-        return np.array([build(par) for par in draws]).reshape(-1, 4, 4)
-
-    As = stack(core.flow_matrix)
-    S1 = stack(lambda par: core.h1(par).coeffs)
-    S2 = stack(lambda par: core.h2(par).coeffs)
-    J1 = stack(lambda par: core.j1(par).j)
-    J2 = stack(lambda par: core.j2(par).j)
+    alpha = np.array([par.alpha for par in draws])
+    As, S1, S2, J1, J2 = core._structure_stack(
+        alpha, [par.beta for par in draws])
     fro = core._frobenius
     scale = np.maximum(1.0, fro(As))
     worst_h = float((fro(J1 @ S1 - As) / scale).max(initial=0.0))
@@ -177,8 +179,7 @@ def run_invariant_suite(params: PUParams, lam: float = SUITE_LAMBDA,
     record("h1_linear_in_p1", H1o.coeffs[2, 2] == 0.0,
            {"p1_squared_coefficient": float(H1o.coeffs[2, 2])})
 
-    known = np.array([[g.xi for g in symmetry.known_generators(par).generators]
-                      for par in draws[:50]]).reshape(-1, 4, 4, 4)
+    known = symmetry._known_stack(As[:50], alpha[:50])
     dims, comm, proj = symmetry._commutant_checks(As[:50], known)
     # both residuals are already relative to their operands (unit
     # generators, |g|), so they measure the basis's own error; the basis
@@ -322,13 +323,13 @@ def _map_payload(m: embedding.TransformMap) -> dict:
     v = embedding.verify_map(m)
     return {
         "mu0": m.mu0, "mu2": m.mu2, "nu0": m.nu0, "nu2": m.nu2,
-        "model": dataclasses.asdict(m.model),
+        "model": _fields(m.model),
         "singular": m.singular,
         "verify": {
             "passes": v.passes,
             "contract": v.contract,
-            "phi1": dataclasses.asdict(v.phi1),
-            "phi2": dataclasses.asdict(v.phi2),
+            "phi1": _fields(v.phi1),
+            "phi2": _fields(v.phi2),
         },
     }
 
@@ -404,7 +405,7 @@ def cmd_scan(args) -> int:
         payload = {
             "config": _config(args), "version": __version__,
             "degenerate": exc.kind,
-            "grid": [dataclasses.asdict(gp) for gp in (exc.grid or [])],
+            "grid": [_fields(gp) for gp in (exc.grid or [])],
         }
         _emit_json(payload, args.out)
         return EXIT_SCAN_DEGENERATE
@@ -415,7 +416,7 @@ def cmd_scan(args) -> int:
         "monotone": report.monotone,
         "caveat": report.caveat,
         "settings": report.settings,
-        "grid": [dataclasses.asdict(gp) for gp in report.grid],
+        "grid": [_fields(gp) for gp in report.grid],
         "refine": report.refine,
     }
     _emit_json(payload, args.out)
@@ -446,6 +447,19 @@ def cmd_modes(args) -> int:
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser that reads a negative number in exponent form, such as
+    the "-1e-05" of "--g -1e-05", as a value.  argparse's own pattern of a
+    negative number has no exponent, so it read "-1e-05" as a flag.
+    Subparsers are made of the same class.  "-inf" is still a flag.
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
+
 
 def _finite_float(text: str) -> float:
     """argparse type of every float flag: NaN and inf are usage errors."""
@@ -489,7 +503,7 @@ def _add_output(sp: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """One subparser per command, each with only the flags it reads."""
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="puosc",
         description="fourth-order two-frequency oscillator experiments",
     )

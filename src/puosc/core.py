@@ -275,6 +275,18 @@ def ostro_to_jet(params: PUParams, s: OstroState) -> JetState:
 # Hamiltonians and Poisson tensors
 # ---------------------------------------------------------------------------
 
+# Each jet-chart structure matrix has its entries written once, as a table
+# in a = alpha and b = beta.  Its single-params builder evaluates the table
+# on the params' floats, and _structure_stack on (n,) arrays; negation and
+# division are correctly rounded in both, so the matrices agree bit for bit.
+
+def _h1_entries(a, b):
+    return ((-b, 0.0, 0.0, 0.0),
+            (0.0, -a, 0.0, -1.0),
+            (0.0, 0.0, 1.0, 0.0),
+            (0.0, -1.0, 0.0, 0.0))
+
+
 def h1(params: PUParams) -> QuadraticObservable:
     """Legendre-transform energy in jet coordinates:
 
@@ -283,14 +295,15 @@ def h1(params: PUParams) -> QuadraticObservable:
     In the momentum chart this is p2^2/2 + p1*x2 - beta*x1^2/2 + alpha*x2^2/2,
     linear in p1, hence unbounded below.
     """
-    a, b = params.alpha, params.beta
-    S = np.array([
-        [-b, 0.0, 0.0, 0.0],
-        [0.0, -a, 0.0, -1.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, -1.0, 0.0, 0.0],
-    ])
+    S = np.array(_h1_entries(params.alpha, params.beta))
     return QuadraticObservable(S)
+
+
+def _h2_entries(a, b):
+    return ((0.0, 0.0, 1.0, 0.0),
+            (0.0, -1.0, 0.0, 0.0),
+            (1.0, 0.0, a / b, 0.0),
+            (0.0, 0.0, 0.0, 1.0 / b))
 
 
 def h2(params: PUParams) -> QuadraticObservable:
@@ -301,13 +314,7 @@ def h2(params: PUParams) -> QuadraticObservable:
     The sign of the qdd^2 term is the build-time-resolved one: with it,
     J2.grad(H2) equals the free flow exactly, and X3(H1) = -beta*H2.
     """
-    a, b = params.alpha, params.beta
-    S = np.array([
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, -1.0, 0.0, 0.0],
-        [1.0, 0.0, a / b, 0.0],
-        [0.0, 0.0, 0.0, 1.0 / b],
-    ])
+    S = np.array(_h2_entries(params.alpha, params.beta))
     return QuadraticObservable(S)
 
 
@@ -326,21 +333,22 @@ def h1_ostro_matrix(params: PUParams) -> np.ndarray:
     ])
 
 
+def _j1_entries(a, b):
+    return ((0.0, 0.0, 0.0, -1.0),
+            (0.0, 0.0, 1.0, 0.0),
+            (0.0, -1.0, 0.0, a),
+            (1.0, 0.0, -a, 0.0))
+
+
 def j1(params: PUParams, chart: str = JET) -> PoissonTensor:
     """Canonical Poisson tensor.
 
     Momentum chart: {x_i, p_j} = delta_ij.  Jet chart: the same tensor pushed
     through the chart map, -dq^dqddd + dqd^dqdd + alpha*dqdd^dqddd.
     """
-    a = params.alpha
     if _chart(chart) == JET:
-        J = np.array([
-            [0.0, 0.0, 0.0, -1.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, -1.0, 0.0, a],
-            [1.0, 0.0, -a, 0.0],
-        ])
-        return PoissonTensor(J, JET)
+        return PoissonTensor(np.array(_j1_entries(params.alpha, params.beta)),
+                             JET)
     J = np.array([
         [0.0, 0.0, 1.0, 0.0],
         [0.0, 0.0, 0.0, 1.0],
@@ -350,31 +358,50 @@ def j1(params: PUParams, chart: str = JET) -> PoissonTensor:
     return PoissonTensor(J, OSTRO)
 
 
+def _j2_entries(a, b):
+    return ((0.0, -1.0, 0.0, 0.0),
+            (1.0, 0.0, 0.0, 0.0),
+            (0.0, 0.0, 0.0, b),
+            (0.0, 0.0, -b, 0.0))
+
+
 def j2(params: PUParams) -> PoissonTensor:
     """Second Poisson tensor, J2 = -dq^dqd + beta*dqdd^dqddd (jet chart).
 
     The orientation of the dq^dqd block is the build-time-resolved one paired
     with h2: J2.grad(H2) reproduces the free flow exactly.
     """
-    b = params.beta
-    J = np.array([
-        [0.0, -1.0, 0.0, 0.0],
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, b],
-        [0.0, 0.0, -b, 0.0],
-    ])
-    return PoissonTensor(J, JET)
+    return PoissonTensor(np.array(_j2_entries(params.alpha, params.beta)), JET)
+
+
+def _flow_entries(a, b):
+    return ((0.0, 1.0, 0.0, 0.0),
+            (0.0, 0.0, 1.0, 0.0),
+            (0.0, 0.0, 0.0, 1.0),
+            (-b, 0.0, -a, 0.0))
 
 
 def flow_matrix(params: PUParams) -> np.ndarray:
     """Companion matrix A of the jet-chart flow; A = J1 S1 exactly."""
-    a, b = params.alpha, params.beta
-    return np.array([
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 1.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [-b, 0.0, -a, 0.0],
-    ])
+    return np.array(_flow_entries(params.alpha, params.beta))
+
+
+def _structure_stack(alpha, beta) -> tuple:
+    """flow_matrix, h1, h2, j1 and j2 (jet chart) of n (alpha, beta) pairs:
+    five (n, 4, 4) stacks, matrix i of each bit for bit the builder's for
+    alpha[i] and beta[i].  Take beta from make_params: a numpy square of
+    omega1 omega2 can differ from its float power in the last bit.
+    """
+    a, b = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    stacks = []
+    for entries in (_flow_entries, _h1_entries, _h2_entries, _j1_entries,
+                    _j2_entries):
+        M = np.empty((len(a), 4, 4))
+        for i, row in enumerate(entries(a, b)):
+            for j, value in enumerate(row):
+                M[:, i, j] = value
+        stacks.append(M)
+    return tuple(stacks)
 
 
 def free_vector_field(params: PUParams) -> VectorField:

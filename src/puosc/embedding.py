@@ -247,7 +247,13 @@ def tabulated_family(family: str, branch: int, free: dict,
             raise PreconditionViolatedError(
                 "Tb1 needs b_x != a_x*(alpha + rho_0)/2, i.e. tau != 0"
             )
-        ay = -ax * g / tau ** 2
+        try:    # a float power raises where it overflows
+            tau2 = tau ** 2
+        except OverflowError:
+            raise OverflowError(
+                "non-finite value in the tabulated Tb1 row: tau^2 overflows "
+                "(tau = b_x^2 - a_x b_x alpha + a_x^2 beta)") from None
+        ay = -ax * g / tau2
         by = (g / tau) * (bx - ax * al)
         model = TwoDimModel(ax, ay, bx, by, g)
         return _build_map(family, branch, (al - bx / ax) / ax, 1.0 / ax,

@@ -92,6 +92,18 @@ def commutant_basis(A: np.ndarray) -> SymmetryBasis:
     return SymmetryBasis(gens, len(gens))
 
 
+def _known_stack(As: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """The known generators of each flow matrix of a stack As (n, 4, 4) with
+    its alpha (n,), as a stack (n, 4, 4, 4) in known_generators' order."""
+    A2 = As @ As
+    G = np.empty((len(As), 4, 4, 4))
+    G[:, 0] = As
+    G[:, 1] = 0.5 * np.eye(4)
+    G[:, 2] = 0.5 * A2
+    G[:, 3] = A2 @ As + alpha[:, None, None] * As
+    return G
+
+
 def known_generators(params: PUParams) -> SymmetryBasis:
     """The four closed-form symmetries of the free flow:
 
@@ -101,16 +113,12 @@ def known_generators(params: PUParams) -> SymmetryBasis:
         X4 = A^3 + alpha*A,  i.e. (alpha*qd + qddd) dq
                              - beta*(q dqd + qd dqdd + qdd dqddd).
 
-    All four commute pairwise (polynomials in A).
+    All four commute pairwise (polynomials in A).  _known_stack on a stack
+    of one.
     """
-    A = core.flow_matrix(params)
-    gens = (
-        LinearSymmetry(A),
-        LinearSymmetry(0.5 * np.eye(4)),
-        LinearSymmetry(0.5 * (A @ A)),
-        LinearSymmetry(A @ A @ A + params.alpha * A),
-    )
-    return SymmetryBasis(gens, 4)
+    G = _known_stack(core.flow_matrix(params)[None],
+                     np.array([params.alpha]))[0]
+    return SymmetryBasis(tuple(LinearSymmetry(X) for X in G), 4)
 
 
 def projection_residual(basis: SymmetryBasis, candidate: np.ndarray) -> float:

@@ -350,6 +350,22 @@ def test_config_is_the_subcommands_flags(command):
     assert cli._config(args) == {a.dest: a.default for a in flags} | required
 
 
+def _float_flags():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return [(command, a.option_strings[0], a.dest)
+            for command, sp in sorted(sub.choices.items())
+            for a in sp._actions if a.type is cli._finite_float]
+
+
+@pytest.mark.parametrize("command, flag, dest", _float_flags())
+def test_float_flag_reads_a_separate_negative_exponent(command, flag, dest):
+    required = ["--family", "tb1"] if command == "embed" else []
+    args = cli.build_parser().parse_args([command, *required, flag, "-1e-05"])
+    assert cli._config(args)[dest] == -1e-05
+
+
 # ---------------------------------------------------------------------------
 # exit-code contract: every rejected input exits with its code, no traceback
 # ---------------------------------------------------------------------------
@@ -388,6 +404,11 @@ EXIT_CASES = [
      ["scan", "--q0", "nan", "--t-end", "1", "--out", "{tmp}/s.json"], 2),
     ("embed-g-nan", [*TB1, "--g", "nan", "--out", "{tmp}/e.json"], 2),
     ("embed-g-inf", [*TB1, "--g", "inf", "--out", "{tmp}/e.json"], 2),
+    ("embed-g-negative-inf",
+     [*TB1, "--g", "-inf", "--out", "{tmp}/e.json"], 2),
+    # a negative value in exponent form is a value, not a flag
+    ("embed-g-negative-exponent",
+     [*TB1, "--g", "-7.46098001800366e-05", "--out", "{tmp}/e.json"], 0),
     # an --out path that cannot be written is an io error
     ("verify-unwritable-out", ["verify", "--out", "{missing}/v.json"], 3),
     ("embed-unwritable-out",
@@ -456,6 +477,10 @@ EXIT_CASES = [
     ("modes-beta-power-overflows",
      ["modes", "--omega1", "1e80", "--omega2", "2e80",
       "--out", "{tmp}/m.json"], 3),
+    # tau^2 of the tabulated Tb1 row overflows under the reconciliation check
+    ("verify-tau-power-overflows",
+     ["verify", "--omega1", "1e40", "--omega2", "2e40",
+      "--out", "{tmp}/v.json"], 3),
     # correct tensors near the singular blend rays pass the suite
     ("verify-near-singular-blend",
      ["verify", *NEAR_SINGULAR, "--out", "{tmp}/v.json"], 0),
@@ -504,6 +529,7 @@ def test_exit_code_messages(tmp_path, capsys):
     ["modes", "--omega1=1.5", "--q0=4.4692693099808655e+153"],
     ["simulate", "--q0", "1e152", "--omega1", "1e4", "--t-end", "1e-20"],
     ["verify", "--omega1", "1e75", "--omega2", "2e75"],
+    ["verify", "--omega1", "1e40", "--omega2", "2e40"],
 ])
 def test_non_finite_output_writes_nothing(argv, tmp_path, capsys):
     out = tmp_path / "out"
@@ -714,6 +740,24 @@ def test_invariant_suite_calls_no_pointwise_commutant(monkeypatch):
     assert calls == []
 
 
+def test_invariant_suite_builds_no_per_draw_matrices(monkeypatch):
+    # the draws' matrices come from the stacked builders; the single-params
+    # builders see only the suite's own params
+    from puosc import symmetry
+    params = core.make_params(1.0, 2.0)
+    calls = []
+    for module, name in ((core, "flow_matrix"), (core, "h1"), (core, "h2"),
+                         (core, "j1"), (core, "j2"),
+                         (symmetry, "known_generators")):
+        def counted(par, *args, fn=getattr(module, name), name=name,
+                    **kwargs):
+            calls.append((name, par))
+            return fn(par, *args, **kwargs)
+        monkeypatch.setattr(module, name, counted)
+    assert cli.run_invariant_suite(params)["passed"]
+    assert calls and all(par is params for _, par in calls)
+
+
 def test_symmetry_actions_rejects_an_inexact_euler_charge(monkeypatch):
     # X2 = I/2 makes X2(H1) = H1 exact; a charge 1e-9 off (relative) fails
     from puosc import symmetry
@@ -763,8 +807,7 @@ def _value(typical, *finite):
 
 def _argv(command, fixed=(), required=None, **optional):
     """`command` and `fixed`, then every `required` flag and any subset of
-    the `optional` ones, each as `--flag=value` (argparse reads a separate
-    "-1e-05" as a flag, not as a value)."""
+    the `optional` ones, each as `--flag=value`."""
     def flags(d):
         return {f"--{k.replace('_', '-')}": v for k, v in d.items()}
 

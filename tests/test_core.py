@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import puosc as p
+from puosc.config import DEFAULT_SEED
 from puosc.core import flow_matrix, h1_ostro_matrix, ostro_jacobian, ostro_jacobian_inv
 from puosc.errors import (
     ChartMismatchError,
@@ -350,6 +351,41 @@ def test_hamilton_and_bihamilton_identities_random():
                            rtol=0, atol=1e-14 * scale)
         assert np.allclose(p.j2(par).j @ p.h2(par).coeffs, A,
                            rtol=0, atol=1e-12 * scale)
+
+
+# a near-equal pair, and pairs near make_params' overflow limits: alpha
+# overflows above omega about 1.34e154, beta's power above omega1 omega2
+# about 1.34e154; 1/beta is subnormal at (1e77, 1.3e77), and alpha/beta
+# and 1/beta are near 1e299 and 1e305 at (3e-150, 1e-3)
+EDGE_PARAMS = [p.make_params(1.0, np.nextafter(1.0, 2.0)),
+               p.make_params(1e77, 1.3e77), p.make_params(1.3e154, 1e-3),
+               p.make_params(3e-150, 1e-3)]
+
+
+def suite_draws(seed):
+    from puosc import cli
+    from puosc.config import SUITE_DRAWS
+    rng = np.random.default_rng(seed)
+    return [cli._random_params(rng) for _ in range(SUITE_DRAWS)]
+
+
+STACKED_DRAWS = [pytest.param(suite_draws(seed), id=f"suite-seed-{seed}")
+                 for seed in (DEFAULT_SEED, 0, 349503)]
+STACKED_DRAWS.append(pytest.param(EDGE_PARAMS, id="edge-pairs"))
+
+
+@pytest.mark.parametrize("draws", STACKED_DRAWS)
+def test_structure_stack_is_the_builders_bit_for_bit(draws):
+    stacks = p.core._structure_stack([par.alpha for par in draws],
+                                     [par.beta for par in draws])
+    builders = (flow_matrix, lambda par: p.h1(par).coeffs,
+                lambda par: p.h2(par).coeffs, lambda par: p.j1(par).j,
+                lambda par: p.j2(par).j)
+    assert len(stacks) == len(builders)
+    for stack, build in zip(stacks, builders):
+        assert stack.shape == (len(draws), 4, 4)
+        for M, par in zip(stack, draws):
+            assert M.tobytes() == build(par).tobytes()
 
 
 def test_compatibility_condition():

@@ -13,11 +13,13 @@ from puosc.errors import (
 )
 from puosc.symmetry import (
     _commutant_stack,
+    _known_stack,
     default_sample_points,
     max_pairwise_commutator,
     projection_residual,
     tensor_projection_residual,
 )
+from test_core import STACKED_DRAWS
 
 PAR = p.make_params(1.0, 2.0)
 
@@ -116,6 +118,23 @@ def test_x2_is_half_identity_x1_is_flow():
     assert np.array_equal(gens[0].xi, flow_matrix(PAR))
     assert np.array_equal(gens[1].xi, 0.5 * np.eye(4))
     assert np.array_equal(gens[2].xi, 0.5 * flow_matrix(PAR) @ flow_matrix(PAR))
+
+
+@pytest.mark.parametrize("draws", STACKED_DRAWS)
+def test_known_stack_is_known_generators_bit_for_bit(draws):
+    alpha = np.array([par.alpha for par in draws])
+    As = p.core._structure_stack(alpha, [par.beta for par in draws])[0]
+    with np.errstate(all="ignore"):     # A^3 overflows at the edge pairs
+        G = _known_stack(As, alpha)
+        assert G.shape == (len(draws), 4, 4, 4)
+        for stacked, par in zip(G, draws):
+            A = flow_matrix(par)
+            # the per-matrix formulas, one 4x4 product at a time
+            reference = (A, 0.5 * np.eye(4), 0.5 * (A @ A),
+                         A @ A @ A + par.alpha * A)
+            gens = p.known_generators(par).generators
+            for X, g, R in zip(stacked, gens, reference, strict=True):
+                assert X.tobytes() == g.xi.tobytes() == R.tobytes()
 
 
 def test_x4_explicit_entries():
