@@ -61,7 +61,7 @@ def _config(args) -> dict:
     """The subcommand's parsed flags, defaults included: the config that
     every output echoes and that the run is reproducible from."""
     return {k: v for k, v in vars(args).items()
-            if k not in ("func", "command")}
+            if k != "command"}
 
 
 def _initial_state(args, params: PUParams) -> JetState:
@@ -83,13 +83,36 @@ def _fields(obj) -> dict:
     return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
+def _non_finite_path(value, path: str = "") -> Optional[str]:
+    """Key path, such as "pullback.eigenvalues[1]", of the first NaN or
+    infinity in json.dumps's sorted-key order; None when there is none."""
+    if isinstance(value, float):
+        return None if math.isfinite(value) else path
+    if isinstance(value, dict):
+        items = [(f"{path}.{k}" if path else str(k), value[k])
+                 for k in sorted(value)]
+    elif isinstance(value, (list, tuple)):
+        items = [(f"{path}[{i}]", v) for i, v in enumerate(value)]
+    else:
+        return None
+    for sub_path, sub in items:
+        found = _non_finite_path(sub, sub_path)
+        if found is not None:
+            return found
+    return None
+
+
 def _json_text(payload: dict) -> str:
-    """Sorted, indented JSON; a NaN or infinity is a numerical failure."""
+    """Sorted, indented JSON; a NaN or infinity is a numerical failure, and
+    its error names the first non-finite field."""
     try:
         return json.dumps(payload, indent=2, sort_keys=True,
                           allow_nan=False) + "\n"
     except ValueError as exc:
-        raise ArithmeticError(f"non-finite value in output ({exc})") from None
+        field = _non_finite_path(payload)
+        where = f" at {field}" if field else ""
+        raise ArithmeticError(
+            f"non-finite value in output{where} ({exc})") from None
 
 
 def _emit_json(payload: dict, out: Optional[str]) -> None:
@@ -354,7 +377,7 @@ def cmd_embed(args) -> int:
             k: payload["tabulated"][k] - payload["solved"][k]
             for k in ("mu0", "mu2", "nu0", "nu2")
         }
-    except PuoscError as exc:
+    except (PuoscError, OverflowError) as exc:   # tau^2 of a Tb1 row
         payload["tabulated"] = f"unavailable: {exc}"
 
     try:
@@ -502,7 +525,10 @@ def _add_output(sp: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """One subparser per command, each with only the flags it reads."""
+    """A fresh parser: one subparser per command, each with only the flags
+    it reads.  `main` parses with the one built at import, `_PARSER`; call
+    this for a parser of your own.  It binds no handler: `main` looks up
+    `cmd_<command>` when it runs."""
     ap = _Parser(
         prog="puosc",
         description="fourth-order two-frequency oscillator experiments",
@@ -515,7 +541,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_coupling(sp, default=SUITE_LAMBDA)
     sp.add_argument("--seed", type=int, default=DEFAULT_SEED)
     _add_output(sp)
-    sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("simulate", help="integrate one trajectory to CSV")
     _add_frequencies(sp)
@@ -527,7 +552,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(sp)
     sp.add_argument("--format", dest="fmt", choices=("csv", "json"),
                     default="csv")
-    sp.set_defaults(func=cmd_simulate)
 
     sp = sub.add_parser("embed", help="two-dimensional family report")
     _add_frequencies(sp)
@@ -537,7 +561,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--branch", choices=("+", "-"), default="+")
     for name in ("ax", "ay", "bx", "by", "g"):
         sp.add_argument(f"--{name}", type=_finite_float, default=None)
-    sp.set_defaults(func=cmd_embed)
 
     sp = sub.add_parser("scan", help="coupling-threshold search")
     _add_frequencies(sp)
@@ -552,15 +575,18 @@ def build_parser() -> argparse.ArgumentParser:
                     default=SCAN_GRID_POINTS)
     sp.add_argument("--bisect-iters", dest="bisect_iters", type=int,
                     default=SCAN_BISECT_ITERS)
-    sp.set_defaults(func=cmd_scan)
 
     sp = sub.add_parser("modes", help="mode amplitudes of an initial state")
     _add_frequencies(sp)
     _add_state(sp)
     _add_output(sp)
-    sp.set_defaults(func=cmd_modes)
 
     return ap
+
+
+# parse_args makes a new Namespace per call and does not change the parser;
+# argparse reads the terminal width and sys.stdout/sys.stderr when it prints
+_PARSER = build_parser()
 
 
 # (error classes, exit code, stderr line); the first isinstance match wins
@@ -577,12 +603,15 @@ _EXIT_TABLE = (
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
+    # the handler is looked up at call time, so a rebinding of cmd_<command>
+    # (a tracer's wrapper, a test's spy) is the function that runs
+    handler = globals()[f"cmd_{args.command}"]
     try:
         # a non-finite result is reported by the exit table's one line, not
         # also by a numpy warning
         with np.errstate(all="ignore"):
-            return args.func(args)
+            return handler(args)
     except Exception as exc:
         for kind, code, line in _EXIT_TABLE:
             if isinstance(exc, kind):

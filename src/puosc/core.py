@@ -74,7 +74,8 @@ def make_params(omega1: float, omega2: float) -> PUParams:
     Raises DegenerateFrequenciesError unless 0 < omega1 != omega2; equal
     frequencies collapse the two-mode solution and the mode-projection
     formulas divide by w1^2 - w2^2.  Raises OverflowError, naming the
-    quantity, when alpha or beta is not finite in floating point.
+    quantity, when alpha or beta is not finite in floating point, and
+    ArithmeticError when beta underflows to 0 (the structure divides by it).
     """
     w1, w2 = float(omega1), float(omega2)
     if not (np.isfinite(w1) and np.isfinite(w2)):
@@ -87,9 +88,12 @@ def make_params(omega1: float, omega2: float) -> PUParams:
     if not np.isfinite(alpha):
         raise OverflowError("alpha = omega1^2 + omega2^2 is not finite")
     try:        # w1 w2 <= alpha / 2 is finite; a float power raises
-        return PUParams(w1, w2, alpha, (w1 * w2) ** 2)
+        beta = (w1 * w2) ** 2
     except OverflowError:
         raise OverflowError("beta = (omega1 omega2)^2 is not finite") from None
+    if beta == 0.0:     # also when alpha is 0, as alpha >= 2 sqrt(beta)
+        raise ArithmeticError("beta = (omega1 omega2)^2 underflows to 0")
+    return PUParams(w1, w2, alpha, beta)
 
 
 @dataclass(frozen=True)
