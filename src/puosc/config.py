@@ -1,16 +1,13 @@
 """Global numerical policy.
 
 Two tolerances cover the whole library: identities that are exact in rational
-arithmetic are asserted to EPS_ALGEBRA (relative), and determinant-style
-singularity gates use EPS_SINGULAR.
+arithmetic are asserted to EPS_ALGEBRA (relative), and singularity gates use
+EPS_SINGULAR, which is also the cutoff of every rank decision: each one reads
+core._negligible.
 """
 
 EPS_ALGEBRA = 1e-12
 EPS_SINGULAR = 1e-10
-
-# Relative singular-value cutoff for rank decisions (commutant and
-# invariant-tensor null spaces).
-SVD_RANK_CUTOFF = 1e-10
 
 # Default seed for every stochastic draw (sample points, random parameter
 # sets); all randomness in the library flows from one seed per call.

@@ -430,12 +430,12 @@ def blend_h(params: PUParams, c1: float, c2: float) -> QuadraticObservable:
 
 def _solve_stack(A: np.ndarray, S: np.ndarray):
     """J = A S^-1 for a stack S of Hessians; returns (J, valid, singular,
-    sym_norm).  singular: sigma_min(S) <= EPS_SINGULAR max(sigma_max, 1).
+    sym_norm).  singular: _negligible(sigma_min(S)).
     valid: not singular and |sym(J)| = sym_norm <= EPS_ALGEBRA max(1, |J|).
     J is antisymmetrised, and it and sym_norm are 0 where singular.
     """
     sv = np.linalg.svd(S, compute_uv=False)
-    singular = sv[:, -1] <= EPS_SINGULAR * np.maximum(sv[:, 0], 1.0)
+    singular = _negligible(sv)[:, -1]
     J = np.zeros_like(S)
     J[~singular] = A @ np.linalg.inv(S[~singular])
     J_T = J.swapaxes(1, 2)
@@ -586,6 +586,13 @@ def _frobenius(X: np.ndarray) -> np.ndarray:
     """
     f = X.reshape(*X.shape[:-2], 1, X.shape[-2] * X.shape[-1])
     return np.sqrt(f @ f.swapaxes(-1, -2))[..., 0, 0]
+
+
+def _negligible(sv: np.ndarray) -> np.ndarray:
+    """The rank rule of every rank decision: in each descending row (..., k)
+    the singular values at most EPS_SINGULAR * max(sigma_max, 1) count as
+    zero.  They are a suffix of the row, all of it if sigma_max = 0."""
+    return sv <= EPS_SINGULAR * np.maximum(sv[..., :1], 1.0)
 
 
 # ---------------------------------------------------------------------------

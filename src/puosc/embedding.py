@@ -458,7 +458,7 @@ def pushforward_poisson(m: TransformMap) -> PoissonTensor:
     singular/degenerate families.
     """
     sv = np.linalg.svd(m.jac, compute_uv=False)
-    if sv[-1] <= EPS_SINGULAR * max(sv[0], 1.0):
+    if core._negligible(sv)[-1]:
         raise SingularMapError(
             f"{m.family} jacobian is singular (smallest sv {sv[-1]:.3e})"
         )
@@ -539,8 +539,9 @@ def pullback_hamiltonian(m: TransformMap) -> PullbackReport:
 
     S_pull = jac^T K_fo jac, fitted by least squares to c1*S1 + c2*S2; the
     residual must be below 1e-10 for a dynamics-preserving map, otherwise
-    NotInSpanError is raised.  Degenerate models (a_y = 0) have no model
-    Hamiltonian; a report with fitted=None is returned instead.
+    NotInSpanError is raised (ArithmeticError if it is not finite: its norm
+    overflows at large frequencies).  Degenerate models (a_y = 0) have no
+    model Hamiltonian; a report with fitted=None is returned instead.
     """
     if m.model.degenerate:
         return PullbackReport(None, None, None, None, True,
@@ -549,6 +550,8 @@ def pullback_hamiltonian(m: TransformMap) -> PullbackReport:
     S = m.jac.T @ K @ m.jac
     S = 0.5 * (S + S.T)
     c1, c2, res = fit_blend(m.params, S)
+    if not math.isfinite(res):
+        raise ArithmeticError(f"pullback fit residual is not finite: {res}")
     if res > 1e-10:
         raise NotInSpanError(res)
     return PullbackReport(

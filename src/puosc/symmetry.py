@@ -22,7 +22,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import core
-from .config import DEFAULT_SEED, EPS_ALGEBRA, SVD_RANK_CUTOFF
+from .config import DEFAULT_SEED, EPS_ALGEBRA
 from .core import (
     JET,
     JetState,
@@ -68,16 +68,14 @@ def _commutant_stack(As: np.ndarray):
 
     Returns (V, dims).  V (n, 16, 4, 4) holds each operator's right singular
     vectors as matrices, in the SVD's order; the commutant of As[i] is
-    spanned by the last dims[i] of them.  Singular values at most
-    SVD_RANK_CUTOFF * max(sigma_max, 1) count as zero, and all 16 do when
-    sigma_max = 0; being sorted, the zero ones are a suffix.
+    spanned by the last dims[i] of them, the ones core._negligible counts as
+    zero.
     """
     I = np.eye(4)
     # column k of each K is the row-major ravel of E_k A - A E_k
     K = np.kron(I, As.swapaxes(1, 2)) - np.kron(As, I)
     _, sv, vt = np.linalg.svd(K)
-    cutoff = SVD_RANK_CUTOFF * np.maximum(sv[:, :1], 1.0)
-    dims = (sv <= cutoff).sum(axis=1)
+    dims = core._negligible(sv).sum(axis=1)
     return vt.reshape(-1, 16, 4, 4), dims
 
 
@@ -216,9 +214,10 @@ def resolve_structure_signs(params: PUParams) -> tuple[int, int]:
         J2(epsilon): dq^dqd block    = epsilon
 
     such that J2.grad(H2) equals the free flow exactly, entrywise to a
-    relative EPS_ALGEBRA (so the order-1 dq^dqd block stays resolved at any
-    beta).  Exactly one of the four combinations works; core.h2/core.j2,
-    which give every other entry, ship it as (+1, -1).
+    relative EPS_ALGEBRA with no absolute floor (so the order-1 dq^dqd block
+    stays resolved at any beta).  Exactly one of the four combinations works;
+    core.h2/core.j2, which give every other entry, ship it as (+1, -1).
+    ArithmeticError if not exactly one does (as when beta is subnormal).
     """
     A = core.flow_matrix(params)
     S2, J2 = np.array(core.h2(params).coeffs), np.array(core.j2(params).j)
@@ -227,10 +226,12 @@ def resolve_structure_signs(params: PUParams) -> tuple[int, int]:
         S2[2, 2] = sigma * params.alpha / params.beta
         for eps in (+1, -1):
             J2[0, 1], J2[1, 0] = eps, -eps
-            if np.allclose(J2 @ S2, A, rtol=EPS_ALGEBRA, atol=EPS_ALGEBRA):
+            if np.allclose(J2 @ S2, A, rtol=EPS_ALGEBRA, atol=0.0):
                 hits.append((sigma, eps))
     if len(hits) != 1:
-        raise AssertionError(f"sign resolution not unique: {hits}")
+        raise ArithmeticError(
+            "signs (sigma, epsilon) of H2 and J2 not resolved: "
+            f"{len(hits)} of 4 pairs reproduce the flow")
     return hits[0]
 
 
@@ -265,12 +266,9 @@ def symmetry_charges(params: PUParams):
 # invariant-tensor scan
 # ---------------------------------------------------------------------------
 
-_ANTISYM_BASIS = []
-for _i in range(4):
-    for _j in range(_i + 1, 4):
-        _B = np.zeros((4, 4))
-        _B[_i, _j], _B[_j, _i] = 1.0, -1.0
-        _ANTISYM_BASIS.append(_B)
+# column k is the row-major ravel of E_ij - E_ji for the k-th pair i < j
+_I, _J = np.triu_indices(4, 1)
+_ANTISYM = (np.eye(16)[4 * _I + _J] - np.eye(16)[4 * _J + _I]).T
 
 
 def default_sample_points(
@@ -308,7 +306,7 @@ def invariant_tensor_space(
     InsufficientSamplesError is raised.
     """
     if field.potential is None:
-        jacobians = [np.asarray(field.linear, dtype=float)]
+        D = field.linear[None]
     else:
         if sample_points is None:
             sample_points = default_sample_points()
@@ -317,22 +315,16 @@ def invariant_tensor_space(
             raise InsufficientSamplesError(
                 f"need >= 3 sample points with distinct q, got {len(qs)}"
             )
-        jacobians = [field.jacobian(z) for z in sample_points]
+        D = np.array([field.jacobian(z) for z in sample_points])
 
-    blocks = []
-    for D in jacobians:
-        scale = max(np.linalg.norm(D), 1.0)
-        cols = [((D @ B + B @ D.T) / scale).ravel() for B in _ANTISYM_BASIS]
-        blocks.append(np.stack(cols, axis=1))
-    M = np.vstack(blocks)  # (16 * n_jacobians) x 6
-    _, sv, vt = np.linalg.svd(M)
-    cutoff = SVD_RANK_CUTOFF * max(sv[0], 1.0)
-    null = vt[sv <= cutoff]
-    out = []
-    for coeffs in null:
-        J = sum(c * B for c, B in zip(coeffs, _ANTISYM_BASIS))
-        out.append(PoissonTensor(0.5 * (J - J.T), JET))
-    return out
+    # ravel(D J + J D^T) = (kron(D, I) + kron(I, D)) ravel(J), taken on J's
+    # coordinates in the antisymmetric basis and scaled by max(|D|, 1)
+    I = np.eye(4)
+    M = (np.kron(D, I) + np.kron(I, D)) @ _ANTISYM
+    M /= np.maximum(core._frobenius(D), 1.0)[:, None, None]
+    _, sv, vt = np.linalg.svd(M.reshape(-1, 6), full_matrices=False)
+    J = (vt[core._negligible(sv)] @ _ANTISYM.T).reshape(-1, 4, 4)
+    return [PoissonTensor(0.5 * (X - X.T), JET) for X in J]
 
 
 def tensor_projection_residual(

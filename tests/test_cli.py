@@ -522,10 +522,19 @@ EXIT_CASES = [
      ["verify", "--omega1", "1e-100", "--omega2", "2e-100",
       "--out", "{tmp}/v.json"], 3),
     # the tabulated row's tau^2 overflow is reported as unavailable; the
-    # solved map's report then has a NaN fit residual, named in the line
+    # solved map's pullback fit residual then overflows, named in the line
     ("embed-tau-power-overflows",
      ["embed", "--family", "tb1", "--omega1", "1e40", "--omega2", "2e40",
-      "--ax", "1", "--bx", "2", "--g", "1", "--out", "{tmp}/e.json"], (0, 3)),
+      "--ax", "1", "--bx", "2", "--g", "1", "--out", "{tmp}/e.json"], 3),
+    # small frequencies resolve the structure signs, and the suite gives its
+    # verdict (blend_grid keeps no point)
+    ("verify-small-frequencies-resolve-signs",
+     ["verify", "--omega1", "1e-8", "--omega2", "2e-8",
+      "--out", "{tmp}/v.json"], 1),
+    # a subnormal beta leaves no sign pair that reproduces the flow
+    ("verify-signs-unresolved",
+     ["verify", "--omega1", "1e-78", "--omega2", "2e-78",
+      "--out", "{tmp}/v.json"], 3),
     # correct tensors near the singular blend rays pass the suite
     ("verify-near-singular-blend",
      ["verify", *NEAR_SINGULAR, "--out", "{tmp}/v.json"], 0),
@@ -535,20 +544,18 @@ EXIT_CASES = [
 @pytest.mark.parametrize("argv, code", [
     pytest.param(argv, code, id=name) for name, argv, code in EXIT_CASES])
 def test_exit_code_contract(argv, code, tmp_path, capsys):
-    """`code` is the exit code, or a tuple of the codes a row accepts."""
     argv = [a.format(tmp=tmp_path, missing=tmp_path / "missing")
             for a in argv]
-    codes, code = code, exit_code(argv)
-    assert code in (codes if isinstance(codes, tuple) else (codes,))
+    assert exit_code(argv) == code
     err = capsys.readouterr().err
     # a non-finite output value is named by its key path
     assert ("non-finite value in output" not in err
             or "non-finite value in output at " in err), err
     # an "error:" message (argparse's, or the exit table's "error" and "io
     # error" rows), or the "numerical failure" row's; exit_code fails on
-    # the "internal error" row's
+    # the "internal error" row's.  A verdict (0 or 1) says nothing there.
     said = "error:" in err or err.startswith("numerical failure: ")
-    assert said == (code != 0)
+    assert said == (code not in (0, 1))
     assert "Traceback" not in err
     # a numerical failure names what failed, not a bare errno tuple such as
     # (34, 'Numerical result out of range') or Python's "float division by
@@ -562,7 +569,7 @@ def test_exit_code_contract(argv, code, tmp_path, capsys):
     if lines and lines[0].startswith("usage: "):
         assert lines[-1].startswith("puosc "), err
         lines = lines[-1:]
-    assert len(lines) == (code != 0), err
+    assert len(lines) == (code not in (0, 1)), err
 
 
 def test_exit_code_messages(tmp_path, capsys):

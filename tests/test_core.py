@@ -11,6 +11,7 @@ from puosc.errors import (
     DegenerateFrequenciesError,
     PreconditionViolatedError,
     SingularBlendError,
+    SingularMapError,
 )
 
 PAR = p.make_params(1.0, 2.0)
@@ -431,3 +432,19 @@ def test_h1_linear_in_p1():
     S = p.transport_observable(PAR, p.h1(PAR), "ostrogradsky").coeffs
     assert S[2, 2] == 0.0
     assert S[1, 2] == 1.0  # the p1*x2 cross term carries the instability
+
+
+def test_every_rank_decision_reads_the_one_rule(monkeypatch):
+    # with every singular value counted as zero, each singular-value
+    # decision of the library flips: it reads core._negligible
+    monkeypatch.setattr(p.core, "_negligible",
+                        lambda sv: np.ones(np.shape(sv), dtype=bool))
+    S = np.stack([p.h1(PAR).coeffs, p.h2(PAR).coeffs, np.eye(4)])
+    _, valid, singular, _ = p.core._solve_stack(flow_matrix(PAR), S)
+    assert singular.all() and not valid.any()
+    assert p.commutant_basis(flow_matrix(PAR)).dimension == 16
+    assert len(p.invariant_tensor_space(p.free_vector_field(PAR))) == 6
+    m = p.solve_family("Ta2", +1, {"a_x": 1.0, "a_y": 2.0, "g": 0.5}, PAR)
+    assert not m.singular
+    with pytest.raises(SingularMapError):
+        p.pushforward_poisson(m)

@@ -303,6 +303,19 @@ def test_pullback_blend_tensor_consistency():
         assert np.allclose(J_blend.j, J_push.j, rtol=0, atol=1e-9 * scale)
 
 
+def test_pullback_non_finite_residual_is_a_numerical_failure():
+    # at (1e40, 2e40) the fit itself is finite, but the residual's norm
+    # overflows: the in-span gate must not let the NaN through
+    par = p.make_params(1e40, 2e40)
+    m = p.solve_family("Tb1", +1, {"a_x": 1.0, "b_x": 2.0, "g": 1.0}, par)
+    with np.errstate(all="ignore"):
+        S = m.jac.T @ p.embedding.model_hamiltonian_matrix(m.model) @ m.jac
+        c1, c2, res = fit_blend(par, 0.5 * (S + S.T))
+        assert np.isfinite([c1, c2]).all() and np.isnan(res)
+        with pytest.raises(ArithmeticError, match="fit residual"):
+            p.pullback_hamiltonian(m)
+
+
 def test_pullback_degenerate_tb2():
     m = p.solve_family("Tb2", +1, {"a_x": 1.0, "b_y": 1.0, "g": 0.5}, PAR)
     rep = p.pullback_hamiltonian(m)

@@ -15,11 +15,14 @@ from puosc.symmetry import (
     _commutant_stack,
     _known_stack,
     default_sample_points,
+    invariant_tensor_space,
     max_pairwise_commutator,
     projection_residual,
     tensor_projection_residual,
 )
+from test_cli import STRUCTURE_101
 from test_core import STACKED_DRAWS
+from test_dynamics import PENDULUM
 
 PAR = p.make_params(1.0, 2.0)
 
@@ -78,6 +81,53 @@ def _loop_commutator_operator(A):
         E = E.reshape(4, 4)
         K[:, k] = (E @ A - A @ E).ravel()
     return K
+
+
+def _loop_invariant_tensor_space(field):
+    # one 16x6 block per Jacobian, one column per antisymmetric basis matrix
+    basis = []
+    for i in range(4):
+        for j in range(i + 1, 4):
+            B = np.zeros((4, 4))
+            B[i, j], B[j, i] = 1.0, -1.0
+            basis.append(B)
+    if field.potential is None:
+        jacobians = [np.asarray(field.linear, dtype=float)]
+    else:
+        jacobians = [field.jacobian(z) for z in default_sample_points()]
+    blocks = []
+    for D in jacobians:
+        scale = max(np.linalg.norm(D), 1.0)
+        cols = [((D @ B + B @ D.T) / scale).ravel() for B in basis]
+        blocks.append(np.stack(cols, axis=1))
+    _, sv, vt = np.linalg.svd(np.vstack(blocks))
+    out = []
+    for coeffs in vt[sv <= 1e-10 * max(sv[0], 1.0)]:
+        J = sum(c * B for c, B in zip(coeffs, basis))
+        out.append(0.5 * (J - J.T))
+    return out
+
+
+@pytest.mark.parametrize("w1, w2", STRUCTURE_101)
+def test_invariant_tensor_space_is_the_basis_loop(w1, w2):
+    # the stacked kernel returns the per-Jacobian, per-basis-matrix loop's
+    # tensors bit for bit, for the free field, the quartic and a
+    # non-polynomial potential.  The free flow in a dense chart is there
+    # because the flow matrix's norm comes out the same in any summation
+    # order, and a dense matrix's does not: the block scale must be the
+    # loop's np.linalg.norm(D), as core._frobenius sums it
+    par = p.make_params(w1, w2)
+    P = np.random.default_rng(12).normal(size=(4, 4))
+    fields = [p.free_vector_field(par), p.field_for(par, PENDULUM),
+              *(p.field_for(par, p.quartic(lam))
+                for lam in (0.01, 0.1, 1.0, 1e3)),
+              p.VectorField(P @ flow_matrix(par) @ np.linalg.inv(P))]
+    for field in fields:
+        got = invariant_tensor_space(field)
+        want = _loop_invariant_tensor_space(field)
+        assert len(got) == len(want)
+        for J, R in zip(got, want):
+            assert J.j.tobytes() == R.tobytes()
 
 
 def test_commutant_operator_is_the_column_loop(monkeypatch):
@@ -245,12 +295,21 @@ def test_resolved_signs_are_shipped():
 
 
 def test_resolved_signs_are_unique_from_small_to_large_frequencies():
-    # the comparison is entrywise relative: an absolute tolerance growing
-    # with beta swallowed the order-1 dq^dqd block from beta ~ 1e12 on
-    for w in np.geomspace(1e-3, 1e6, 400):
-        for ratio in (1.01, 1.5, 3.0):
+    # the comparison is entrywise relative with no absolute floor: an
+    # absolute tolerance swallowed the order-1 dq^dqd block from beta ~ 1e12
+    # on, and admitted a second sigma once beta fell under about 1e-10
+    for w in [*np.geomspace(1e-77, 1e75, 400), 1e-77, 1e75]:
+        for ratio in (1.01, 1.2, 1.5, 2.0, 3.0, 5.0):
             par = p.make_params(w, ratio * w)
             assert p.resolve_structure_signs(par) == (1, -1)
+
+
+def test_unresolved_signs_are_a_numerical_failure():
+    # beta is subnormal at (1e-78, 2e-78): no sign pair reproduces the flow
+    # (J2 @ S2 meets inf * 0 on the way)
+    with np.errstate(invalid="ignore"), pytest.raises(
+            ArithmeticError, match="not resolved: 0 of 4"):
+        p.resolve_structure_signs(p.make_params(1e-78, 2e-78))
 
 
 # ---------------------------------------------------------------------------
