@@ -52,8 +52,8 @@ from .errors import (
     StepUnderflowError,
 )
 
-# Largest t_end / sample_rate integrate accepts; the sample grid is allocated
-# up front.
+# Largest t_end / sample_rate integrate accepts, and largest grid_points
+# threshold_search accepts; both grids are allocated up front.
 MAX_SAMPLES = 10 ** 7
 
 
@@ -113,8 +113,13 @@ def mode_energy(params: PUParams, m: ModeAmplitudes) -> dict:
     w1s, w2s = params.omega1 ** 2, params.omega2 ** 2
     r1 = w1s * (w1s - w2s)
     r2 = w2s * (w1s - w2s)
-    e1 = 2.0 * r1 * abs(m.a1) ** 2
-    e2 = -2.0 * r2 * abs(m.a2) ** 2
+    try:        # a float power raises where it overflows
+        e1 = 2.0 * r1 * abs(m.a1) ** 2
+        e2 = -2.0 * r2 * abs(m.a2) ** 2
+    except OverflowError:
+        raise OverflowError(
+            "mode energy is not finite: |a_i|^2 in e_i = +-2 R_i |a_i|^2 "
+            "overflows") from None
     return {"e1": e1, "e2": e2, "total": e1 + e2}
 
 
@@ -561,6 +566,9 @@ def threshold_search(
         )
     if grid_points < 2:
         raise PreconditionViolatedError("grid_points must be at least 2")
+    if grid_points > MAX_SAMPLES:
+        raise PreconditionViolatedError(
+            f"grid_points must not exceed {MAX_SAMPLES}")
     if bisect_iters < 0:
         raise PreconditionViolatedError("bisect_iters must be non-negative")
 

@@ -23,8 +23,9 @@ Two sets of family rows are shipped: tabulated_family transcribes a commonly
 quoted table verbatim as reference data, and solve_family re-derives every
 dependent parameter from the off-shell identity conditions; the two disagree
 on several rows and reconciliation_report records the deltas.  verify_map is
-the independent check: it recovers the polynomial coefficients of each phi_i
-by probing and classifies them, never consulting how the map was built.
+the independent check: it reads the polynomial coefficients of each phi_i off
+the substitution in closed form and classifies them, never consulting how the
+map was built.
 """
 
 from __future__ import annotations
@@ -240,8 +241,8 @@ def tabulated_family(family: str, branch: int, free: dict,
                           nu0, 1.0 / (2.0 * ay), model, params)
     if family == "Tb1":
         ax, bx, g = values
-        if ax == 0.0 or g == 0.0:
-            raise PreconditionViolatedError("Tb1 needs a_x, g nonzero")
+        if g * ax * ax == 0.0:      # nu0 divides by it
+            raise PreconditionViolatedError("Tb1 needs g a_x^2 nonzero")
         tau = _tau(params, ax, bx)
         if tau == 0.0:
             raise PreconditionViolatedError(
@@ -264,8 +265,13 @@ def tabulated_family(family: str, branch: int, free: dict,
         raise PreconditionViolatedError("Tb2 needs a_x, b_y nonzero")
     r = _rho0(params, branch)
     bx = g * g / by + 0.5 * ax * (al + r)
-    mu0 = 2.0 * params.beta / (ax * (al + r))
-    nu0 = 2.0 * params.beta * g / (ax * by * (al + r))
+    den_mu, den_nu = ax * (al + r), ax * by * (al + r)
+    if 0.0 in (den_mu, den_nu):
+        raise NoSolutionError(
+            "Tb2 row underflows: a_x (alpha + rho_0) or a_x b_y (alpha + "
+            "rho_0) is 0")
+    mu0 = 2.0 * params.beta / den_mu
+    nu0 = 2.0 * params.beta * g / den_nu
     model = TwoDimModel(ax, 0.0, bx, by, g)
     return _build_map(family, branch, mu0, 1.0 / ax, nu0, -g / (ax * by),
                       model, params)
@@ -290,26 +296,18 @@ def solve_family(family: str, branch: int, free: dict,
     """
     values = _need(family, branch, free)
     al, be = params.alpha, params.beta
-    if family == "Ta1":
+    if family in ("Ta1", "Ta2"):
         ax, ay, g = values
         if ax == 0.0 or ay == 0.0:
             raise NoSolutionError("family a needs a_x, a_y nonzero")
-        # u = v branch: alpha*u - 2u^2 = beta/2, g drops out
-        u = (al + _rho0(params, branch)) / 4.0
-        mu0, nu0 = u / ax, u / ay
-        bx = ax * al - 2.0 * ax * ax * mu0 - ax * g / ay
-        by = ay * al - 2.0 * ay * ay * nu0 - ay * g / ax
-        model = TwoDimModel(ax, ay, bx, by, g)
-        return _build_map(family, branch, mu0, 1.0 / (2.0 * ax),
-                          nu0, 1.0 / (2.0 * ay), model, params)
-    if family == "Ta2":
-        ax, ay, g = values
-        if ax == 0.0 or ay == 0.0:
-            raise NoSolutionError("family a needs a_x, a_y nonzero")
-        # u != v branch: u + v = S pins the sum, the quadratic splits via rho_g
-        rg = _rho_g(params, ax, ay, g, branch)
-        u = (al - 2.0 * g / ay + rg) / 4.0
-        v = (al - 2.0 * g / ax - rg) / 4.0
+        if family == "Ta1":
+            # u = v: alpha*u - 2u^2 = beta/2, g drops out
+            u = v = (al + _rho0(params, branch)) / 4.0
+        else:
+            # u != v: u + v = S pins the sum, the quadratic splits via rho_g
+            rg = _rho_g(params, ax, ay, g, branch)
+            u = (al - 2.0 * g / ay + rg) / 4.0
+            v = (al - 2.0 * g / ax - rg) / 4.0
         mu0, nu0 = u / ax, v / ay
         bx = ax * al - 2.0 * ax * ax * mu0 - ax * g / ay
         by = ay * al - 2.0 * ay * ay * nu0 - ay * g / ax
@@ -320,8 +318,9 @@ def solve_family(family: str, branch: int, free: dict,
         ax, bx, g = values
         if ax == 0.0:
             raise NoSolutionError("a_x must be nonzero")
-        if g == 0.0:
-            raise NoSolutionError("Tb1 needs g != 0 (nu0 solves g*nu0 = tau/a_x^2)")
+        if g * ax * ax == 0.0:      # g = 0, or the product underflows
+            raise NoSolutionError(
+                "Tb1 needs g a_x^2 != 0 (nu0 solves g a_x^2 nu0 = tau)")
         tau = _tau(params, ax, bx)
         if tau == 0.0:
             raise PreconditionViolatedError("Tb1 needs tau != 0")
@@ -375,32 +374,20 @@ class MapVerification:
 
 
 def _phi_coefficients(m: TransformMap):
-    """Recover the (q, qd, qdd, qddd, q4) coefficients of phi_1, phi_2 by
-    probing the composed expressions at unit jet vectors.
-
-    The composition is linear in the five off-shell coordinates, so six
-    probes determine the coefficients exactly.
+    """The (q, qd, qdd, qddd, q4) coefficients of phi_1 and phi_2 under the
+    map, in closed form.  x = mu0 q + mu2 qdd has coefficients
+    (mu0, 0, mu2, 0, 0) and xdd the same two orders up, (0, 0, mu0, 0, mu2);
+    y and ydd likewise with nu0 and nu2.  Then phi_1 = a_x xdd + b_x x + g y
+    and phi_2 = a_y ydd + b_y y + g x.  Adding 0.0 writes a zero q4
+    coefficient (a_y = 0 or nu2 = 0) as 0.0, never -0.0.
     """
     mod = m.model
-
-    def phi(j5):
-        q, qd, qdd, qddd, q4 = j5
-        x = m.mu0 * q + m.mu2 * qdd
-        y = m.nu0 * q + m.nu2 * qdd
-        xdd = m.mu0 * qdd + m.mu2 * q4
-        ydd = m.nu0 * qdd + m.nu2 * q4
-        return (mod.a_x * xdd + mod.b_x * x + mod.g * y,
-                mod.a_y * ydd + mod.b_y * y + mod.g * x)
-
-    base = phi((0.0,) * 5)
-    cols = []
-    for k in range(5):
-        probe = [0.0] * 5
-        probe[k] = 1.0
-        v = phi(tuple(probe))
-        cols.append((v[0] - base[0], v[1] - base[1]))
-    c1 = tuple(c[0] for c in cols)
-    c2 = tuple(c[1] for c in cols)
+    c1 = (mod.b_x * m.mu0 + mod.g * m.nu0, 0.0,
+          mod.a_x * m.mu0 + mod.b_x * m.mu2 + mod.g * m.nu2, 0.0,
+          mod.a_x * m.mu2 + 0.0)
+    c2 = (mod.b_y * m.nu0 + mod.g * m.mu0, 0.0,
+          mod.a_y * m.nu0 + mod.b_y * m.nu2 + mod.g * m.mu2, 0.0,
+          mod.a_y * m.nu2 + 0.0)
     return c1, c2
 
 
@@ -425,7 +412,7 @@ def verify_map(m: TransformMap) -> MapVerification:
     """Off-shell check of a transform map, independent of its construction.
 
     Substitutes the map into both Euler-Lagrange expressions with
-    (q, qd, qdd, qddd, q4) treated as independent, recovers the polynomial
+    (q, qd, qdd, qddd, q4) treated as independent, reads off the polynomial
     coefficients, and classifies each phi_i as proportional to
     q4 + alpha qdd + beta q, identically zero, or neither (with residuals).
     A rank-deficient coordinate block (x proportional to y) is noted.
@@ -711,7 +698,8 @@ def reconciliation_report(params: PUParams, n_draws: int = 10,
                     }
                     if not vt.passes:
                         discrepant += 1
-                except (ComplexBranchError, PreconditionViolatedError) as exc:
+                except (ComplexBranchError, NoSolutionError,
+                        PreconditionViolatedError) as exc:
                     entry["tabulated"] = f"skipped: {exc}"
                 rows.append(entry)
         report["families"][family] = {

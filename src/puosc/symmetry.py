@@ -316,6 +316,9 @@ def invariant_tensor_space(
                 f"need >= 3 sample points with distinct q, got {len(qs)}"
             )
         D = np.array([field.jacobian(z) for z in sample_points])
+        if not np.all(np.isfinite(D)):
+            raise ArithmeticError(
+                "flow Jacobian is not finite at a sample point")
 
     # ravel(D J + J D^T) = (kron(D, I) + kron(I, D)) ravel(J), taken on J's
     # coordinates in the antisymmetric basis and scaled by max(|D|, 1)

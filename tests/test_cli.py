@@ -535,6 +535,26 @@ EXIT_CASES = [
     ("verify-signs-unresolved",
      ["verify", "--omega1", "1e-78", "--omega2", "2e-78",
       "--out", "{tmp}/v.json"], 3),
+    # |a_i|^2 of a mode energy overflows: the line names the mode energy
+    ("modes-mode-energy-power-overflows",
+     ["modes", "--q0", "1e160", "--out", "{tmp}/m.json"], 3),
+    ("modes-mode-energy-power-overflows-qddd0",
+     ["modes", "--qddd0", "1e200", "--out", "{tmp}/m.json"], 3),
+    # W'' = 3 lam q^2 is inf at the sample points: named before the SVD
+    ("verify-jacobian-not-finite",
+     ["verify", "--lambda", "1e308", "--out", "{tmp}/v.json"], 3),
+    # the coupling grid is capped before it is allocated
+    ("scan-grid-points-exceed-cap",
+     ["scan", "--grid-points", "1000000000000", "--t-end", "1",
+      "--out", "{tmp}/s.json"], 2),
+    # a denominator that underflows to 0 is named: the solved Tb1 row's
+    # g a_x^2 fails the call, the tabulated Tb2 row's is reported unavailable
+    ("embed-tb1-denominator-underflows",
+     ["embed", "--family", "tb1", "--ax", "1e-300", "--bx", "1", "--g", "1",
+      "--out", "{tmp}/e.json"], 3),
+    ("embed-tabulated-tb2-denominator-underflows",
+     ["embed", "--family", "tb2", "--ax", "1e-300", "--by", "1e-300",
+      "--g", "1e-300", "--out", "{tmp}/e.json"], 0),
     # correct tensors near the singular blend rays pass the suite
     ("verify-near-singular-blend",
      ["verify", *NEAR_SINGULAR, "--out", "{tmp}/v.json"], 0),
@@ -582,6 +602,25 @@ def test_exit_code_messages(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("io error: ")
     assert exit_code([*TB1[:-2], "--g", "1"]) == 2
     assert capsys.readouterr().err == "error: Tb1 needs free parameter 'b_x'\n"
+    assert exit_code(["scan", "--grid-points", "10000001"]) == 2
+    assert capsys.readouterr().err == (
+        "error: grid_points must not exceed 10000000\n")
+    assert exit_code(["modes", "--q0", "1e160"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: mode energy is not finite")
+    assert exit_code(["verify", "--lambda", "1e308"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: flow Jacobian is not finite at a sample point\n")
+    assert exit_code(["embed", "--family", "tb1", "--ax", "1e-300",
+                      "--bx", "1", "--g", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "error: Tb1 needs g a_x^2 != 0 (nu0 solves g a_x^2 nu0 = tau)\n")
+    out = tmp_path / "e.json"
+    assert exit_code(["embed", "--family", "tb2", "--ax", "1e-300", "--by",
+                      "1e-300", "--g", "1e-300", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["tabulated"] == (
+        "unavailable: Tb2 row underflows: a_x (alpha + rho_0) or "
+        "a_x b_y (alpha + rho_0) is 0")
 
 
 @pytest.mark.parametrize("argv", [

@@ -87,6 +87,14 @@ def test_mode_energy_spot_values():
     assert p.mode_energy(PAR, p.ModeAmplitudes(0j, 0j))["total"] == 0.0
 
 
+def test_mode_energy_overflow_is_named():
+    # the float power |a_i|^2 raises where it overflows; the error names the
+    # mode energy instead of an errno tuple
+    for m in (p.ModeAmplitudes(1e160 + 0j, 0j), p.ModeAmplitudes(0j, 1e200j)):
+        with pytest.raises(OverflowError, match="mode energy is not finite"):
+            p.mode_energy(PAR, m)
+
+
 def test_mode_energy_equals_h1():
     rng = np.random.default_rng(22)
     for _ in range(100):
@@ -371,6 +379,18 @@ def test_threshold_search_needs_two_grid_points(grid_points):
     with pytest.raises(PreconditionViolatedError, match="grid_points"):
         p.threshold_search(PAR, FIG_Z0, 5.0, 1000.0, (1.0, 2.0),
                            grid_points=grid_points)
+
+
+def test_threshold_search_caps_the_grid(monkeypatch):
+    # rejected before the coupling grid is allocated or integrated
+    def never(*args, **kwargs):
+        raise AssertionError("the grid was built")
+
+    monkeypatch.setattr(np, "geomspace", never)
+    monkeypatch.setattr(p.dynamics, "runaway_batch", never)
+    with pytest.raises(PreconditionViolatedError, match=str(MAX_SAMPLES)):
+        p.threshold_search(PAR, FIG_Z0, 5.0, 1000.0, (1.0, 2.0),
+                           grid_points=MAX_SAMPLES + 1)
 
 
 def test_threshold_search_rejects_underflowing_grid():

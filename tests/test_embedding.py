@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import puosc as p
+from puosc import embedding
 from puosc.embedding import (
     BRANCHES,
     FAMILIES,
@@ -20,9 +21,11 @@ from puosc.errors import (
     DegenerateModelError,
     NoSolutionError,
     PreconditionViolatedError,
+    PuoscError,
     SingularCoefficientError,
     SingularMapError,
 )
+from test_cli import STRUCTURE_101
 
 PAR = p.make_params(1.0, 2.0)
 
@@ -157,6 +160,31 @@ def test_overflowing_row_is_no_solution(build):
         build("Ta1", +1, free, PAR)
 
 
+def test_underflowing_denominator_is_no_solution():
+    # g a_x^2 of the Tb1 rows underflows to 0
+    free = {"a_x": 1e-300, "b_x": 1.0, "g": 1.0}
+    with pytest.raises(NoSolutionError, match="g a_x\\^2"):
+        p.solve_family("Tb1", +1, free, PAR)
+    with pytest.raises(PreconditionViolatedError, match="g a_x\\^2"):
+        p.tabulated_family("Tb1", +1, free, PAR)
+    # a_x b_y (alpha + rho_0) of the tabulated Tb2 row underflows to 0
+    free = {"a_x": 1e-300, "b_y": 1e-300, "g": 1e-300}
+    assert p.solve_family("Tb2", +1, free, PAR).family == "Tb2"
+    with pytest.raises(NoSolutionError, match="Tb2 row underflows"):
+        p.tabulated_family("Tb2", +1, free, PAR)
+
+
+def test_reconciliation_skips_an_underflowing_tabulated_row():
+    # alpha + rho_0 = 2 omega1^2 underflows to 0 beside omega2^2 on the "-"
+    # branch; the solved row stands, the tabulated one is skipped
+    par = p.make_params(1e-5, 1e10)
+    rep = p.reconciliation_report(par, n_draws=2, seed=5)
+    rows = [r for r in rep["families"]["Tb2"]["rows"] if r["branch"] == -1]
+    assert rows and all(isinstance(r["solved"], dict) for r in rows)
+    assert all(r["tabulated"].startswith("skipped: Tb2 row underflows")
+               for r in rows)
+
+
 def test_drawn_free_parameters_match_table():
     rng = np.random.default_rng(0)
     for family in FAMILIES:
@@ -202,6 +230,71 @@ def test_verify_map_rank_deficiency_note():
     v = p.verify_map(m)
     assert v.phi1.kind == "neither"
     assert v.rank_deficient
+
+
+def _probe_phi_coefficients(m):
+    # the coefficients read off by probing: phi_1 and phi_2 composed with
+    # the map, evaluated at the zero jet and at the five unit jets
+    mod = m.model
+
+    def phi(j5):
+        q, qd, qdd, qddd, q4 = j5
+        x = m.mu0 * q + m.mu2 * qdd
+        y = m.nu0 * q + m.nu2 * qdd
+        xdd = m.mu0 * qdd + m.mu2 * q4
+        ydd = m.nu0 * qdd + m.nu2 * q4
+        return (mod.a_x * xdd + mod.b_x * x + mod.g * y,
+                mod.a_y * ydd + mod.b_y * y + mod.g * x)
+
+    base = phi((0.0,) * 5)
+    cols = []
+    for k in range(5):
+        probe = [0.0] * 5
+        probe[k] = 1.0
+        v = phi(tuple(probe))
+        cols.append((v[0] - base[0], v[1] - base[1]))
+    return tuple(c[0] for c in cols), tuple(c[1] for c in cols)
+
+
+# the verify pairs of the structure benchmark round at seed 101, then
+# extreme and widely split frequencies
+PHI_FREQUENCIES = [*STRUCTURE_101, (1e-3, 2e-3), (3e2, 1e3), (1e-3, 1e3),
+                   (7e2, 3e-2)]
+
+
+@pytest.mark.parametrize("w1, w2", PHI_FREQUENCIES)
+def test_phi_coefficients_are_the_probe(w1, w2, monkeypatch):
+    # the closed form equals the probe in value, and verify_map gives the
+    # same verdicts with either, for every family, branch and row set
+    par = p.make_params(w1, w2)
+    rng = np.random.default_rng(18)
+    maps, seen = [], set()
+    for family in FAMILIES:
+        for _ in range(10):
+            free = draw_free_params(family, rng, par)
+            for branch in BRANCHES:
+                for build in (p.solve_family, p.tabulated_family):
+                    try:
+                        maps.append(build(family, branch, free, par))
+                    except (PuoscError, OverflowError):
+                        continue
+                    seen.add((family, branch, build.__name__))
+    assert len(seen) == 16
+    closed = [(embedding._phi_coefficients(m), p.verify_map(m))
+              for m in maps]
+    monkeypatch.setattr(embedding, "_phi_coefficients",
+                        _probe_phi_coefficients)
+    kinds = set()
+    for m, (coeffs, v) in zip(maps, closed):
+        assert coeffs == _probe_phi_coefficients(m)
+        w = p.verify_map(m)
+        assert (v.passes, v.contract, v.rank_deficient, v.residual_norm) == (
+            w.passes, w.contract, w.rank_deficient, w.residual_norm)
+        for r, s in ((v.phi1, w.phi1), (v.phi2, w.phi2)):
+            assert (r.kind, r.factor, r.coefficients, r.residual) == (
+                s.kind, s.factor, s.coefficients, s.residual)
+            kinds.add(r.kind)
+    assert kinds == {"proportional", "zero", "neither"}
 
 
 # ---------------------------------------------------------------------------

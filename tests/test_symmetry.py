@@ -338,6 +338,14 @@ def test_interacting_scan_insufficient_samples():
         p.invariant_tensor_space(field, pts)
 
 
+def test_non_finite_jacobian_is_a_numerical_failure():
+    # W'' = 3 lam q^2 is inf at the sample points: named before the SVD
+    field = p.field_for(PAR, p.quartic(1e308))
+    with np.errstate(all="ignore"), pytest.raises(
+            ArithmeticError, match="flow Jacobian is not finite"):
+        p.invariant_tensor_space(field)
+
+
 def test_lie_derivative_residual_free_field():
     field = p.free_vector_field(PAR)
     z = p.JetState(0.7, -1.1, 0.2, 0.9)
