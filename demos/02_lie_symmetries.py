@@ -19,7 +19,7 @@ par = p.make_params(1.0, 2.0)
 A = p.flow_matrix(par)
 
 basis = p.commutant_basis(A)
-print(f"commutant of the flow matrix: dimension {basis.dimension}")
+print(f"commutant of the flow matrix: dimension {len(basis)}")
 print(f"largest pairwise commutator in the computed basis: "
       f"{max_pairwise_commutator(basis):.2e}")
 
@@ -27,8 +27,8 @@ gens = p.known_generators(par)
 names = ("X1 = A (the flow)", "X2 = I/2 (scaling)", "X3 = A^2/2",
          "X4 = A^3 + alpha A")
 print("\nclosed-form generators and their distance from the computed span:")
-for g, name in zip(gens.generators, names):
-    print(f"  {name:24s} residual {projection_residual(basis, g.xi):.2e}")
+for xi, name in zip(gens, names):
+    print(f"  {name:24s} residual {projection_residual(basis, xi):.2e}")
 
 print("\naction on the energy H1:")
 H1 = p.h1(par)

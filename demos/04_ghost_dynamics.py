@@ -16,7 +16,7 @@ import numpy as np
 
 import puosc as p
 from puosc.dynamics import closed_form_states, field_for
-from puosc.symmetry import default_sample_points, tensor_projection_residual
+from puosc.symmetry import default_sample_points, projection_residual
 
 par = p.make_params(1.0, 2.0)
 z0 = p.ostro_to_jet(par, p.OstroState(x1=0.0, x2=0.0, p1=0.5, p2=-0.5))
@@ -40,9 +40,9 @@ field = field_for(par, pot)
 basis = p.invariant_tensor_space(field, default_sample_points(10))
 print(f"constant invariant tensors at lam = 0.1: dimension {len(basis)}")
 print(f"  J1 distance from span: "
-      f"{tensor_projection_residual(basis, p.j1(par)):.1e}")
+      f"{projection_residual(basis, p.j1(par).j):.1e}")
 print(f"  J2 distance from span: "
-      f"{tensor_projection_residual(basis, p.j2(par)):.1e}")
+      f"{projection_residual(basis, p.j2(par).j):.1e}")
 
 print("\n--- bounded interacting run at lam = 5 over t in [0, 200] ---")
 traj5 = p.integrate(par, field_for(par, p.quartic(5.0)), z0, 200.0, tol=1e-10)

@@ -68,8 +68,6 @@ from .embedding import (
     verify_map,
 )
 from .symmetry import (
-    LinearSymmetry,
-    SymmetryBasis,
     apply_symmetry,
     commutant_basis,
     invariant_tensor_space,

@@ -52,9 +52,12 @@ from .errors import (
     StepUnderflowError,
 )
 
-# Largest t_end / sample_rate integrate accepts, and largest grid_points
-# threshold_search accepts; both grids are allocated up front.
+# Largest t_end / sample_rate integrate accepts; the sample grid is
+# allocated up front.
 MAX_SAMPLES = 10 ** 7
+# Largest grid_points threshold_search accepts: each grid coupling is one
+# integration of about 22 ms at the reference settings, so about 4 minutes.
+MAX_GRID_POINTS = 10 ** 4
 
 
 # ---------------------------------------------------------------------------
@@ -566,9 +569,9 @@ def threshold_search(
         )
     if grid_points < 2:
         raise PreconditionViolatedError("grid_points must be at least 2")
-    if grid_points > MAX_SAMPLES:
+    if grid_points > MAX_GRID_POINTS:
         raise PreconditionViolatedError(
-            f"grid_points must not exceed {MAX_SAMPLES}")
+            f"grid_points must not exceed {MAX_GRID_POINTS}")
     if bisect_iters < 0:
         raise PreconditionViolatedError("bisect_iters must be non-negative")
 

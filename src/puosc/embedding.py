@@ -251,7 +251,7 @@ def tabulated_family(family: str, branch: int, free: dict,
         try:    # a float power raises where it overflows
             tau2 = tau ** 2
         except OverflowError:
-            raise OverflowError(
+            raise NoSolutionError(
                 "non-finite value in the tabulated Tb1 row: tau^2 overflows "
                 "(tau = b_x^2 - a_x b_x alpha + a_x^2 beta)") from None
         ay = -ax * g / tau2

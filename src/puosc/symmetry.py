@@ -12,11 +12,13 @@ For an interacting flow the invariance condition for a constant tensor J is
 imposed pointwise: DV(z) J + J DV(z)^T = 0 at every sample z.  Any nonzero
 interaction removes the dq^dqd block from the solution space, which collapses
 from span{J1, J2} to span{J1}.
+
+Every basis is a float stack (d, 4, 4), of generator matrices Xi or of
+tensors J; one projection_residual measures a distance from either span.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,30 +34,6 @@ from .core import (
     VectorField,
 )
 from .errors import ChartMismatchError, InsufficientSamplesError
-
-
-# ---------------------------------------------------------------------------
-# domain types
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LinearSymmetry:
-    """Generator X = (xi @ z) . d of a linear point symmetry."""
-
-    xi: np.ndarray
-
-    def __post_init__(self):
-        M = np.asarray(self.xi, dtype=float)
-        if M.shape != (4, 4):
-            raise ValueError("generator matrix must be 4x4")
-        object.__setattr__(self, "xi", M)
-        M.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class SymmetryBasis:
-    generators: tuple
-    dimension: int
 
 
 # ---------------------------------------------------------------------------
@@ -79,15 +57,12 @@ def _commutant_stack(As: np.ndarray):
     return vt.reshape(-1, 16, 4, 4), dims
 
 
-def commutant_basis(A: np.ndarray) -> SymmetryBasis:
-    """Orthonormal (Frobenius) basis of {Xi : Xi A - A Xi = 0}.
-
+def commutant_basis(A: np.ndarray) -> np.ndarray:
+    """Orthonormal (Frobenius) basis (d, 4, 4) of {Xi : Xi A - A Xi = 0}:
     _commutant_stack on a stack of one.  For the free flow with distinct
-    frequencies the dimension is exactly 4.
-    """
+    frequencies d is exactly 4."""
     V, (dim,) = _commutant_stack(np.asarray(A, dtype=float)[None])
-    gens = tuple(LinearSymmetry(X) for X in V[0, 16 - dim:])
-    return SymmetryBasis(gens, len(gens))
+    return V[0, 16 - dim:]
 
 
 def _known_stack(As: np.ndarray, alpha: np.ndarray) -> np.ndarray:
@@ -102,7 +77,7 @@ def _known_stack(As: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return G
 
 
-def known_generators(params: PUParams) -> SymmetryBasis:
+def known_generators(params: PUParams) -> np.ndarray:
     """The four closed-form symmetries of the free flow:
 
         X1 = A           (the flow itself)
@@ -111,17 +86,20 @@ def known_generators(params: PUParams) -> SymmetryBasis:
         X4 = A^3 + alpha*A,  i.e. (alpha*qd + qddd) dq
                              - beta*(q dqd + qd dqdd + qdd dqddd).
 
-    All four commute pairwise (polynomials in A).  _known_stack on a stack
-    of one.
+    All four commute pairwise (polynomials in A).  A stack (4, 4, 4):
+    _known_stack on a stack of one.
     """
-    G = _known_stack(core.flow_matrix(params)[None],
-                     np.array([params.alpha]))[0]
-    return SymmetryBasis(tuple(LinearSymmetry(X) for X in G), 4)
+    return _known_stack(core.flow_matrix(params)[None],
+                        np.array([params.alpha]))[0]
 
 
-def projection_residual(basis: SymmetryBasis, candidate: np.ndarray) -> float:
-    """Relative distance of a candidate generator from span(basis)."""
-    return _residual_of_one([g.xi for g in basis.generators], candidate)
+def projection_residual(basis, candidate: np.ndarray) -> float:
+    """Relative distance of a candidate matrix from the span of a basis, a
+    stack or sequence of matrices of the candidate's shape: _span_residual
+    on a stack of one, so 1.0 for an empty basis."""
+    x = np.asarray(candidate, dtype=float).reshape(1, 1, -1)
+    G = np.reshape(np.asarray(basis, dtype=float), (1, -1, x.shape[-1]))
+    return float(_span_residual(G, x)[0, 0])
 
 
 def _span_residual(G: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -145,17 +123,9 @@ def _span_residual(G: np.ndarray, X: np.ndarray) -> np.ndarray:
             / np.maximum(core._frobenius(X[..., None, :]), 1.0))
 
 
-def _residual_of_one(mats, candidate) -> float:
-    """_span_residual of one candidate matrix against one list of matrices."""
-    x = np.asarray(candidate, dtype=float).reshape(1, 1, -1)
-    G = np.reshape(np.asarray(mats, dtype=float), (1, -1, x.shape[-1]))
-    return float(_span_residual(G, x)[0, 0])
-
-
-def max_pairwise_commutator(basis: SymmetryBasis) -> float:
-    """Largest Frobenius norm of [X_i, X_j] over normalized generators."""
-    G = np.reshape(np.asarray([g.xi for g in basis.generators], dtype=float),
-                   (1, -1, 4, 4))
+def max_pairwise_commutator(basis) -> float:
+    """Largest |[X_i, X_j]|_F over the normalized stack (d, 4, 4)."""
+    G = np.reshape(np.asarray(basis, dtype=float), (1, -1, 4, 4))
     return float(_max_commutator(G)[0])
 
 
@@ -194,16 +164,15 @@ def _commutant_checks(As: np.ndarray, candidates: np.ndarray):
 # symmetry action and charges
 # ---------------------------------------------------------------------------
 
-def apply_symmetry(
-    x: LinearSymmetry, f: QuadraticObservable
-) -> QuadraticObservable:
+def apply_symmetry(xi: np.ndarray,
+                   f: QuadraticObservable) -> QuadraticObservable:
     """Directional derivative X(F) = (Xi z).grad(F), again quadratic.
 
     Coefficient matrix Xi^T S + S Xi.  For the free energy: X1(H1) = 0,
     X2(H1) = H1, X3(H1) = -beta*H2, X4(H1) = 0.
     """
     S = f.coeffs
-    M = x.xi.T @ S + S @ x.xi
+    M = xi.T @ S + S @ xi
     return QuadraticObservable(0.5 * (M + M.T), chart=f.chart)
 
 
@@ -247,8 +216,8 @@ def symmetry_charges(params: PUParams):
     J1 = core.j1(params)
     s2 = H2.coeffs.ravel()
     out = []
-    for g in known_generators(params).generators:
-        Q = apply_symmetry(g, H1)
+    for xi in known_generators(params):
+        Q = apply_symmetry(xi, H1)
         q = Q.coeffs.ravel()
         c = float(q @ s2) / float(s2 @ s2)
         res = np.linalg.norm(q - c * s2) / max(np.linalg.norm(q), 1.0)
@@ -296,8 +265,9 @@ def lie_derivative_residual(
 def invariant_tensor_space(
     field: VectorField,
     sample_points: Optional[Sequence[JetState]] = None,
-) -> list[PoissonTensor]:
-    """Basis of constant antisymmetric tensors invariant under the flow.
+) -> np.ndarray:
+    """Basis (d, 4, 4) of constant tensors invariant under the flow, each
+    exactly antisymmetric; d = 0 gives shape (0, 4, 4).
 
     Linear field: solves A J + J A^T = 0 (samples are irrelevant and may be
     omitted).  Interacting field: the condition DV(z) J + J DV(z)^T = 0 is
@@ -327,11 +297,4 @@ def invariant_tensor_space(
     M /= np.maximum(core._frobenius(D), 1.0)[:, None, None]
     _, sv, vt = np.linalg.svd(M.reshape(-1, 6), full_matrices=False)
     J = (vt[core._negligible(sv)] @ _ANTISYM.T).reshape(-1, 4, 4)
-    return [PoissonTensor(0.5 * (X - X.T), JET) for X in J]
-
-
-def tensor_projection_residual(
-    basis: Sequence[PoissonTensor], candidate: PoissonTensor
-) -> float:
-    """Relative distance of a tensor from the span of a tensor basis."""
-    return _residual_of_one([t.j for t in basis], candidate.j)
+    return 0.5 * (J - J.swapaxes(1, 2))

@@ -22,6 +22,7 @@ from puosc.dynamics import (
     _E1, _E3, _E4, _E5, _E6, _E7, _MAX_FACTOR, _MIN_FACTOR,
     _PI_ALPHA, _PI_BETA, _SAFETY,
     CSV_HEADER,
+    MAX_GRID_POINTS,
     MAX_SAMPLES,
     GridPoint,
     _bisect,
@@ -382,15 +383,32 @@ def test_threshold_search_needs_two_grid_points(grid_points):
 
 
 def test_threshold_search_caps_the_grid(monkeypatch):
-    # rejected before the coupling grid is allocated or integrated
+    # one grid point past the cap is rejected before the coupling grid is
+    # allocated or integrated; the cap itself reaches the batch, which is
+    # stubbed, so no scan of that size runs
+    class Reached(Exception):
+        pass
+
     def never(*args, **kwargs):
         raise AssertionError("the grid was built")
 
-    monkeypatch.setattr(np, "geomspace", never)
-    monkeypatch.setattr(p.dynamics, "runaway_batch", never)
-    with pytest.raises(PreconditionViolatedError, match=str(MAX_SAMPLES)):
+    def batch(params, lams, *args, **kwargs):
+        sizes.append(len(lams))
+        raise Reached
+
+    sizes = []
+    with monkeypatch.context() as m:
+        m.setattr(np, "geomspace", never)
+        m.setattr(p.dynamics, "runaway_batch", never)
+        with pytest.raises(PreconditionViolatedError,
+                           match=f"must not exceed {MAX_GRID_POINTS}$"):
+            p.threshold_search(PAR, FIG_Z0, 5.0, 1000.0, (1.0, 2.0),
+                               grid_points=MAX_GRID_POINTS + 1)
+    monkeypatch.setattr(p.dynamics, "runaway_batch", batch)
+    with pytest.raises(Reached):
         p.threshold_search(PAR, FIG_Z0, 5.0, 1000.0, (1.0, 2.0),
-                           grid_points=MAX_SAMPLES + 1)
+                           grid_points=MAX_GRID_POINTS)
+    assert sizes == [MAX_GRID_POINTS]
 
 
 def test_threshold_search_rejects_underflowing_grid():

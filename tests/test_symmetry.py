@@ -18,7 +18,6 @@ from puosc.symmetry import (
     invariant_tensor_space,
     max_pairwise_commutator,
     projection_residual,
-    tensor_projection_residual,
 )
 from test_cli import STRUCTURE_101
 from test_core import STACKED_DRAWS
@@ -40,25 +39,25 @@ def random_params(rng):
 
 def test_commutant_dimension_free_flow():
     basis = p.commutant_basis(flow_matrix(PAR))
-    assert basis.dimension == 4
+    assert len(basis) == 4
 
 
 def test_commutant_dimension_zero_matrix():
     basis = p.commutant_basis(np.zeros((4, 4)))
-    assert basis.dimension == 16
+    assert len(basis) == 16
 
 
 def test_commutant_dimension_50_random_draws():
     rng = np.random.default_rng(7)
     for _ in range(50):
         par = random_params(rng)
-        assert p.commutant_basis(flow_matrix(par)).dimension == 4
+        assert len(p.commutant_basis(flow_matrix(par))) == 4
 
 
 def test_known_generators_in_computed_span():
     basis = p.commutant_basis(flow_matrix(PAR))
-    for g in p.known_generators(PAR).generators:
-        assert projection_residual(basis, g.xi) < 1e-12
+    for xi in p.known_generators(PAR):
+        assert projection_residual(basis, xi) < 1e-12
 
 
 def test_generators_commute_pairwise():
@@ -124,10 +123,28 @@ def test_invariant_tensor_space_is_the_basis_loop(w1, w2):
               p.VectorField(P @ flow_matrix(par) @ np.linalg.inv(P))]
     for field in fields:
         got = invariant_tensor_space(field)
-        want = _loop_invariant_tensor_space(field)
-        assert len(got) == len(want)
-        for J, R in zip(got, want):
-            assert J.j.tobytes() == R.tobytes()
+        want = np.reshape(_loop_invariant_tensor_space(field), (-1, 4, 4))
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert np.array_equal(got, -got.swapaxes(1, 2))
+
+
+def test_bases_are_float_stacks():
+    # every basis is a plain (d, 4, 4) float array; a diagonal flow whose
+    # eigenvalues sum to 0 in no pair keeps no invariant tensor
+    none = p.VectorField(np.diag([1.0, 2.0, 3.0, 4.0]))
+    quartic = p.field_for(PAR, p.quartic(0.1))
+    bases = [(p.commutant_basis(flow_matrix(PAR)), 4),
+             (p.commutant_basis(np.zeros((4, 4))), 16),
+             (p.known_generators(PAR), 4),
+             (invariant_tensor_space(p.free_vector_field(PAR)), 2),
+             (invariant_tensor_space(quartic, default_sample_points(10)), 1),
+             (invariant_tensor_space(none), 0)]
+    for basis, d in bases:
+        assert type(basis) is np.ndarray and basis.dtype == np.float64
+        assert basis.shape == (d, 4, 4)
+    # nothing is in the span of an empty basis
+    assert projection_residual(invariant_tensor_space(none), p.j1(PAR).j) == 1.0
 
 
 def test_commutant_operator_is_the_column_loop(monkeypatch):
@@ -159,15 +176,15 @@ def test_commutant_operator_is_the_column_loop(monkeypatch):
 
 def test_generators_orthonormal_frobenius():
     basis = p.commutant_basis(flow_matrix(PAR))
-    G = np.stack([g.xi.ravel() for g in basis.generators])
-    assert np.allclose(G @ G.T, np.eye(basis.dimension), atol=1e-12)
+    G = basis.reshape(len(basis), 16)
+    assert np.allclose(G @ G.T, np.eye(len(basis)), atol=1e-12)
 
 
 def test_x2_is_half_identity_x1_is_flow():
-    gens = p.known_generators(PAR).generators
-    assert np.array_equal(gens[0].xi, flow_matrix(PAR))
-    assert np.array_equal(gens[1].xi, 0.5 * np.eye(4))
-    assert np.array_equal(gens[2].xi, 0.5 * flow_matrix(PAR) @ flow_matrix(PAR))
+    gens = p.known_generators(PAR)
+    assert np.array_equal(gens[0], flow_matrix(PAR))
+    assert np.array_equal(gens[1], 0.5 * np.eye(4))
+    assert np.array_equal(gens[2], 0.5 * flow_matrix(PAR) @ flow_matrix(PAR))
 
 
 @pytest.mark.parametrize("draws", STACKED_DRAWS)
@@ -182,14 +199,15 @@ def test_known_stack_is_known_generators_bit_for_bit(draws):
             # the per-matrix formulas, one 4x4 product at a time
             reference = (A, 0.5 * np.eye(4), 0.5 * (A @ A),
                          A @ A @ A + par.alpha * A)
-            gens = p.known_generators(par).generators
-            for X, g, R in zip(stacked, gens, reference, strict=True):
-                assert X.tobytes() == g.xi.tobytes() == R.tobytes()
+            gens = p.known_generators(par)
+            assert stacked.tobytes() == gens.tobytes()
+            for X, R in zip(stacked, reference, strict=True):
+                assert X.tobytes() == R.tobytes()
 
 
 def test_x4_explicit_entries():
     # (alpha*qd + qddd) dq - beta (q dqd + qd dqdd + qdd dqddd)
-    X4 = p.known_generators(PAR).generators[3].xi
+    X4 = p.known_generators(PAR)[3]
     expected = np.array([
         [0.0, 5.0, 0.0, 1.0],
         [-4.0, 0.0, 0.0, 0.0],
@@ -205,7 +223,7 @@ def test_x4_explicit_entries():
 
 def test_actions_on_h1():
     H1 = p.h1(PAR)
-    g1, g2, g3, g4 = p.known_generators(PAR).generators
+    g1, g2, g3, g4 = p.known_generators(PAR)
     assert np.linalg.norm(p.apply_symmetry(g1, H1).coeffs) < 1e-12
     assert np.allclose(p.apply_symmetry(g2, H1).coeffs, H1.coeffs, atol=0)
     assert np.linalg.norm(p.apply_symmetry(g4, H1).coeffs) < 1e-12
@@ -213,7 +231,7 @@ def test_actions_on_h1():
 
 def test_x3_action_value_and_h2_proportionality():
     H1, H2 = p.h1(PAR), p.h2(PAR)
-    X3 = p.known_generators(PAR).generators[2]
+    X3 = p.known_generators(PAR)[2]
     Q = p.apply_symmetry(X3, H1)
     z = p.JetState(1, 0, -1, 0)
     assert Q.value(z) == pytest.approx(1.5, abs=1e-14)
@@ -223,7 +241,7 @@ def test_x3_action_value_and_h2_proportionality():
 
 def test_x3_charge_explicit_form():
     # beta qd^2/2 - alpha qdd^2/2 - qddd^2/2 - beta q qdd
-    Q = p.apply_symmetry(p.known_generators(PAR).generators[2], p.h1(PAR))
+    Q = p.apply_symmetry(p.known_generators(PAR)[2], p.h1(PAR))
     expected = np.array([
         [0.0, 0.0, -4.0, 0.0],
         [0.0, 4.0, 0.0, 0.0],
@@ -246,7 +264,7 @@ def test_x3_fit_constant_random_draws():
 
 def test_charges_conserved_along_trajectory():
     # the generated charge is constant along an integrated free trajectory
-    Q = p.apply_symmetry(p.known_generators(PAR).generators[2], p.h1(PAR))
+    Q = p.apply_symmetry(p.known_generators(PAR)[2], p.h1(PAR))
     z0 = p.JetState(0.4, -0.3, 0.8, 0.2)
     traj = p.integrate(PAR, p.free_vector_field(PAR), z0, 100.0, tol=1e-10)
     vals = 0.5 * np.einsum("ni,ij,nj->n", traj.states, Q.coeffs, traj.states)
@@ -319,16 +337,16 @@ def test_unresolved_signs_are_a_numerical_failure():
 def test_free_field_invariant_space_dimension_2():
     basis = p.invariant_tensor_space(p.free_vector_field(PAR))
     assert len(basis) == 2
-    assert tensor_projection_residual(basis, p.j1(PAR)) < 1e-10
-    assert tensor_projection_residual(basis, p.j2(PAR)) < 1e-10
+    assert projection_residual(basis, p.j1(PAR).j) < 1e-10
+    assert projection_residual(basis, p.j2(PAR).j) < 1e-10
 
 
 def test_interacting_field_collapses_to_j1():
     field = p.field_for(PAR, p.quartic(0.1))
     basis = p.invariant_tensor_space(field, default_sample_points(10))
     assert len(basis) == 1
-    assert tensor_projection_residual(basis, p.j1(PAR)) < 1e-10
-    assert tensor_projection_residual(basis, p.j2(PAR)) > 1e-3
+    assert projection_residual(basis, p.j1(PAR).j) < 1e-10
+    assert projection_residual(basis, p.j2(PAR).j) > 1e-3
 
 
 def test_interacting_scan_insufficient_samples():
@@ -396,7 +414,7 @@ def test_interacting_collapse_various_couplings():
         field = p.field_for(PAR, p.quartic(lam))
         basis = p.invariant_tensor_space(field, default_sample_points(10))
         assert len(basis) == 1
-        assert tensor_projection_residual(basis, p.j1(PAR)) < 1e-10
+        assert projection_residual(basis, p.j1(PAR).j) < 1e-10
 
 
 def test_lie_derivative_residual_chart_mismatch():
