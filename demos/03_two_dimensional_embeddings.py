@@ -40,13 +40,12 @@ print(J.j)
 print(f"dq^dqd component: {qqdot_component(J):+.3f} "
       "(nonzero: this map cannot preserve J1)")
 
-rep = p.pullback_hamiltonian(solved)
+S, c1, c2, res = p.pullback_hamiltonian(solved)
 print(f"\n2D Hamiltonian pulls back to c1*H1 + c2*H2 with "
-      f"(c1, c2) = ({rep.fitted.c1:+.3f}, {rep.fitted.c2:+.3f}), "
-      f"fit residual {rep.fit_residual:.1e}")
-pos = p.positivity(par, rep.observable)
+      f"(c1, c2) = ({c1:+.3f}, {c2:+.3f}), fit residual {res:.1e}")
+pos = p.positivity(par, S)
 print(f"pulled-back form positive definite: {pos.positive_definite}")
-Jb = p.blend_j(par, rep.fitted.c1, rep.fitted.c2)
+Jb = p.blend_j(par, c1, c2)
 print("blend tensor at the fitted coefficients equals the pushforward:",
       np.allclose(Jb.j, J.j, atol=1e-10))
 
@@ -54,9 +53,9 @@ print("\n=== the obstruction: preserving J1 costs positivity ===")
 m = p.solve_family("Ta2", +1, {"a_x": 1.0, "a_y": -1.0, "g": 0.3}, par)
 Jp = p.pushforward_poisson(m)
 print(f"Ta2 with a_y = -a_x: dq^dqd component = {qqdot_component(Jp):+.1e}")
-r2 = p.pullback_hamiltonian(m)
-eig = np.linalg.eigvalsh(r2.observable.coeffs)
-print(f"  fitted c2 = {r2.fitted.c2:+.1e} (pure H1); "
+S2, _, c2, _ = p.pullback_hamiltonian(m)
+eig = np.linalg.eigvalsh(S2.coeffs)
+print(f"  fitted c2 = {c2:+.1e} (pure H1); "
       f"2D Hessian eigenvalues {np.round(eig, 3)} -> indefinite")
 
 print("\n=== degenerate families are kept and flagged ===")

@@ -52,12 +52,9 @@ from .dynamics import (
     threshold_search,
 )
 from .embedding import (
-    BlendCoefficients,
-    DerivedConstants,
     TransformMap,
     TwoDimModel,
     definiteness_inequality,
-    derived_constants,
     positivity,
     pullback_hamiltonian,
     pushforward_poisson,

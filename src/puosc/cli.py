@@ -40,6 +40,7 @@ from .config import (
 from .core import JetState, OstroState, PUParams
 from .errors import (
     DegenerateFrequenciesError,
+    DegenerateModelError,
     PreconditionViolatedError,
     PuoscError,
     ScanDegenerateError,
@@ -390,19 +391,18 @@ def cmd_embed(args) -> int:
         payload["singular_pushforward"] = True
         payload["pushforward_note"] = str(exc)
 
-    rep = embedding.pullback_hamiltonian(solved)
-    if rep.degenerate:
-        payload["pullback"] = {"degenerate": True, "note": rep.note}
+    try:
+        observable, c1, c2, res = embedding.pullback_hamiltonian(solved)
+    except DegenerateModelError as exc:
+        payload["pullback"] = {"degenerate": True, "note": str(exc)}
     else:
-        pos = embedding.positivity(params, rep.observable)
+        t1, t2 = embedding.tabulated_blend_coefficients(solved)
+        pos = embedding.positivity(params, observable)
         payload["pullback"] = {
             "degenerate": False,
-            "fitted_c1": rep.fitted.c1, "fitted_c2": rep.fitted.c2,
-            "fit_residual": rep.fit_residual,
-            "tabulated_c1": rep.tabulated.c1,
-            "tabulated_c2": rep.tabulated.c2,
-            "delta_c1": rep.fitted.c1 - rep.tabulated.c1,
-            "delta_c2": rep.fitted.c2 - rep.tabulated.c2,
+            "fitted_c1": c1, "fitted_c2": c2, "fit_residual": res,
+            "tabulated_c1": t1, "tabulated_c2": t2,
+            "delta_c1": c1 - t1, "delta_c2": c2 - t2,
             "positive_definite": pos.positive_definite,
             "eigenvalues": list(pos.eigenvalues),
         }

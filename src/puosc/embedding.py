@@ -25,14 +25,16 @@ dependent parameter from the off-shell identity conditions; the two disagree
 on several rows and reconciliation_report records the deltas.  verify_map is
 the independent check: it reads the polynomial coefficients of each phi_i off
 the substitution in closed form and classifies them, never consulting how the
-map was built.
+map was built.  pullback_hamiltonian returns (observable, c1, c2, fit_residual)
+and raises DegenerateModelError when a_y = 0; tabulated_blend_coefficients
+returns the table's (c1, c2).
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -78,22 +80,6 @@ class TwoDimModel:
     @property
     def degenerate(self) -> bool:
         return self.a_y == 0.0
-
-
-@dataclass(frozen=True)
-class DerivedConstants:
-    rho_g_plus: float
-    rho_g_minus: float
-    rho_0_plus: float
-    rho_0_minus: float
-    tau: float
-
-
-@dataclass(frozen=True)
-class BlendCoefficients:
-    c1: float
-    c2: float
-    family: str
 
 
 @dataclass(frozen=True)
@@ -171,22 +157,6 @@ def _rho_g(params: PUParams, a_x: float, a_y: float, g: float,
 
 def _tau(params: PUParams, a_x: float, b_x: float) -> float:
     return b_x * b_x - a_x * b_x * params.alpha + a_x * a_x * params.beta
-
-
-def derived_constants(model: TwoDimModel, params: PUParams) -> DerivedConstants:
-    """rho_g(+/-), rho_0(+/-) and tau for a model.
-
-    Raises DegenerateModelError when a_x a_y = 0 (rho_g undefined) and
-    ComplexBranchError when the rho_g radicand is negative.
-    """
-    rg = _rho_g(params, model.a_x, model.a_y, model.g, +1)
-    return DerivedConstants(
-        rho_g_plus=rg,
-        rho_g_minus=-rg,
-        rho_0_plus=_rho0(params, +1),
-        rho_0_minus=_rho0(params, -1),
-        tau=_tau(params, model.a_x, model.b_x),
-    )
 
 
 def _need(family: str, branch: int, free: dict) -> tuple:
@@ -292,7 +262,8 @@ def solve_family(family: str, branch: int, free: dict,
     symmetric-coupling condition), whose two roots are the branches; with
     u = v it degenerates to the singular Ta1 family.  Family 'b' is linear
     once the phi_2 = 0 alternative (nu2 = 0 vs a_y = 0) is chosen.  Every
-    returned map passes verify_map with zero residual.
+    returned map passes verify_map with zero residual, Tb2 included where
+    g^2 underflows (g^2/b_y is then formed as g (g/b_y)).
     """
     values = _need(family, branch, free)
     al, be = params.alpha, params.beta
@@ -341,7 +312,9 @@ def solve_family(family: str, branch: int, free: dict,
     # effective coefficient bt = b_x - g^2/b_y solves bt^2 - alpha a_x bt
     # + beta a_x^2 = 0
     bt = 0.5 * ax * (al + r)
-    bx = g * g / by + bt
+    gg = g * g
+    bx = (g * (g / by) if g != 0.0 and gg < sys.float_info.min
+          else gg / by) + bt
     mu0 = (al - bt / ax) / ax
     mu2 = 1.0 / ax
     model = TwoDimModel(ax, 0.0, bx, by, g)
@@ -369,7 +342,6 @@ class MapVerification:
     phi2: PhiReport
     contract: str             # "(phi, phi)" for family a, "(phi, 0)" for b
     passes: bool
-    rank_deficient: bool
     residual_norm: float
 
 
@@ -415,7 +387,8 @@ def verify_map(m: TransformMap) -> MapVerification:
     (q, qd, qdd, qddd, q4) treated as independent, reads off the polynomial
     coefficients, and classifies each phi_i as proportional to
     q4 + alpha qdd + beta q, identically zero, or neither (with residuals).
-    A rank-deficient coordinate block (x proportional to y) is noted.
+    A rank-deficient coordinate block (x proportional to y) is left to
+    m.rank_deficient.
     """
     c1, c2 = _phi_coefficients(m)
     scale = max(1.0, *(abs(c) for c in c1 + c2))
@@ -427,7 +400,7 @@ def verify_map(m: TransformMap) -> MapVerification:
     else:
         contract = "(phi, 0)"
         passes = (r1.kind == "proportional" and r2.kind == "zero")
-    return MapVerification(r1, r2, contract, passes, m.rank_deficient,
+    return MapVerification(r1, r2, contract, passes,
                            max(r1.residual, r2.residual))
 
 
@@ -469,7 +442,7 @@ def model_hamiltonian_matrix(model: TwoDimModel) -> np.ndarray:
     """Hessian of H_fo = p_x^2/2a_x + p_y^2/2a_y + b_x x^2/2 + b_y y^2/2
     + g x y in (x, p_x, y, p_y).  Undefined for degenerate models."""
     if model.degenerate:
-        raise DegenerateModelError("H_fo needs a_y != 0")
+        raise DegenerateModelError("a_y = 0: model Hamiltonian undefined")
     return np.array([
         [model.b_x, 0.0, model.g, 0.0],
         [0.0, 1.0 / model.a_x, 0.0, 0.0],
@@ -489,50 +462,37 @@ def fit_blend(params: PUParams, S: np.ndarray):
     return float(coef[0]), float(coef[1]), float(res)
 
 
-def tabulated_blend_coefficients(m: TransformMap) -> BlendCoefficients:
-    """Blend coefficients as quoted in the reference table for each family
-    (kept for comparison; the fitted values from pullback_hamiltonian are the
-    ground truth and generally differ in normalization)."""
+def tabulated_blend_coefficients(m: TransformMap):
+    """Blend coefficients (c1, c2) as quoted in the reference table for each
+    family (kept for comparison; the fitted values from pullback_hamiltonian
+    are the ground truth and generally differ in normalization)."""
     p, mod = m.params, m.model
     w1s, w2s = p.omega1 ** 2, p.omega2 ** 2
     big, small = max(w1s, w2s), min(w1s, w2s)
     M = big if m.branch > 0 else small
     if m.family == "Ta1":
         c2 = -(mod.a_x + mod.a_y) / (mod.a_x * mod.a_y)
-        return BlendCoefficients(c2 * M, c2, m.family)
+        return c2 * M, c2
     if m.family == "Ta2":
         c2 = -(mod.a_x + mod.a_y) / (mod.a_x * mod.a_y)
         rg = _rho_g(p, mod.a_x, mod.a_y, mod.g, m.branch)
         c1 = (4.0 * mod.g - rg) / (2.0 * mod.a_x * mod.a_y) + 0.5 * p.alpha * c2
-        return BlendCoefficients(c1, c2, m.family)
+        return c1, c2
     if m.family == "Tb1":
-        return BlendCoefficients(
-            (mod.b_x / mod.a_x - p.alpha) / mod.a_x, -1.0 / mod.a_x, m.family)
-    return BlendCoefficients(-M / mod.a_x, -1.0 / mod.a_x, m.family)
+        return (mod.b_x / mod.a_x - p.alpha) / mod.a_x, -1.0 / mod.a_x
+    return -M / mod.a_x, -1.0 / mod.a_x
 
 
-@dataclass(frozen=True)
-class PullbackReport:
-    observable: Optional[QuadraticObservable]
-    fitted: Optional[BlendCoefficients]
-    fit_residual: Optional[float]
-    tabulated: Optional[BlendCoefficients]
-    degenerate: bool
-    note: str
-
-
-def pullback_hamiltonian(m: TransformMap) -> PullbackReport:
-    """Compose the model Hamiltonian with the map and fit it in span{H1, H2}.
+def pullback_hamiltonian(m: TransformMap):
+    """Compose the model Hamiltonian with the map and fit it in span{H1, H2};
+    returns (observable, c1, c2, fit_residual).
 
     S_pull = jac^T K_fo jac, fitted by least squares to c1*S1 + c2*S2; the
     residual must be below 1e-10 for a dynamics-preserving map, otherwise
     NotInSpanError is raised (ArithmeticError if it is not finite: its norm
     overflows at large frequencies).  Degenerate models (a_y = 0) have no
-    model Hamiltonian; a report with fitted=None is returned instead.
+    model Hamiltonian and raise DegenerateModelError.
     """
-    if m.model.degenerate:
-        return PullbackReport(None, None, None, None, True,
-                              "a_y = 0: model Hamiltonian undefined")
     K = model_hamiltonian_matrix(m.model)
     S = m.jac.T @ K @ m.jac
     S = 0.5 * (S + S.T)
@@ -541,14 +501,7 @@ def pullback_hamiltonian(m: TransformMap) -> PullbackReport:
         raise ArithmeticError(f"pullback fit residual is not finite: {res}")
     if res > 1e-10:
         raise NotInSpanError(res)
-    return PullbackReport(
-        QuadraticObservable(S),
-        BlendCoefficients(c1, c2, m.family),
-        res,
-        tabulated_blend_coefficients(m),
-        False,
-        "",
-    )
+    return QuadraticObservable(S), c1, c2, res
 
 
 # ---------------------------------------------------------------------------
@@ -656,6 +609,22 @@ def draw_free_params(family: str, rng: np.random.Generator,
     raise NoSolutionError(f"could not draw admissible parameters for {family}")
 
 
+def _record_row(entry: dict, name: str, build, *args):
+    """Record build(*args) and its verify_map verdict in entry under name;
+    a row with no solution is recorded as skipped and gives None."""
+    try:
+        m = build(*args)
+        v = verify_map(m)
+    except (ComplexBranchError, NoSolutionError,
+            PreconditionViolatedError) as exc:
+        entry[name] = f"skipped: {exc}"
+        return None
+    entry[name] = _row_values(m)
+    entry[f"{name}_passes"] = v.passes
+    entry[f"{name}_residual"] = v.residual_norm
+    return v
+
+
 def reconciliation_report(params: PUParams, n_draws: int = 10,
                           seed: int = DEFAULT_SEED) -> dict:
     """Compare tabulated rows against re-derived ones over random draws.
@@ -675,33 +644,17 @@ def reconciliation_report(params: PUParams, n_draws: int = 10,
             free = draw_free_params(family, rng, params)
             for branch in BRANCHES:
                 entry = {"free": free, "branch": branch}
-                try:
-                    solved = solve_family(family, branch, free, params)
-                    vs = verify_map(solved)
-                    entry["solved"] = _row_values(solved)
-                    entry["solved_passes"] = vs.passes
-                    entry["solved_residual"] = vs.residual_norm
-                except (ComplexBranchError, NoSolutionError,
-                        PreconditionViolatedError) as exc:
-                    entry["solved"] = f"skipped: {exc}"
-                    rows.append(entry)
+                rows.append(entry)
+                args = (family, branch, free, params)
+                if _record_row(entry, "solved", solve_family, *args) is None:
                     continue
-                try:
-                    tab = tabulated_family(family, branch, free, params)
-                    vt = verify_map(tab)
-                    entry["tabulated"] = _row_values(tab)
-                    entry["tabulated_passes"] = vt.passes
-                    entry["tabulated_residual"] = vt.residual_norm
+                vt = _record_row(entry, "tabulated", tabulated_family, *args)
+                if vt is not None:
                     entry["delta"] = {
                         k: entry["tabulated"][k] - entry["solved"][k]
                         for k in _FIELDS
                     }
-                    if not vt.passes:
-                        discrepant += 1
-                except (ComplexBranchError, NoSolutionError,
-                        PreconditionViolatedError) as exc:
-                    entry["tabulated"] = f"skipped: {exc}"
-                rows.append(entry)
+                    discrepant += not vt.passes
         report["families"][family] = {
             "rows": rows,
             "discrepant_tabulated_rows": discrepant,

@@ -128,8 +128,8 @@ def test_criterion_5_embedding_contracts():
             continue
         J = p.pushforward_poisson(m)
         assert abs(qqdot_component(J)) < 1e-12
-        rep = p.pullback_hamiltonian(m)
-        assert np.linalg.eigvalsh(rep.observable.coeffs)[0] < 0
+        S, _, _, _ = p.pullback_hamiltonian(m)
+        assert np.linalg.eigvalsh(S.coeffs)[0] < 0
     rec = p.reconciliation_report(PAR, n_draws=5, seed=105)
     assert rec["families"]["Tb1"]["discrepant_tabulated_rows"] > 0
     _report(5, "50 draws/family verify clean; singular families flagged; "

@@ -223,7 +223,8 @@ def test_embed_tb2_degenerate(tmp_path):
                 "--g", "0.5", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
     assert rep["singular_pushforward"] is True
-    assert rep["pullback"]["degenerate"] is True
+    assert rep["pullback"] == {"degenerate": True,
+                               "note": "a_y = 0: model Hamiltonian undefined"}
 
 
 def test_embed_missing_parameter_usage_error():
