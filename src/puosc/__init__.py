@@ -67,10 +67,10 @@ from .embedding import (
 from .symmetry import (
     apply_symmetry,
     commutant_basis,
+    generated_structure,
     invariant_tensor_space,
     known_generators,
     lie_derivative_residual,
-    resolve_structure_signs,
     symmetry_charges,
 )
 

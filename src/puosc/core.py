@@ -10,8 +10,8 @@ symmetric 4x4 matrices S with F(z) = z.S.z/2, Poisson tensors as antisymmetric
 4x4 matrices J with {F, G} = grad(F).J.grad(G), and the flow convention is
 zdot = J.grad(H).
 
-Sign conventions fixed at build time (resolved by requiring J2.grad(H2) to
-reproduce the free flow exactly -- see symmetry.resolve_structure_signs):
+The second structure is the one the symmetry X3 = A^2/2 generates from the
+first (symmetry.generated_structure), which fixes every sign:
 
 * H2 = q*qdd - qd^2/2 + (alpha/2 beta)*qdd^2 + (1/2 beta)*qddd^2
 * J2 = -dq^dqd + beta*dqdd^dqddd
@@ -315,8 +315,8 @@ def h2(params: PUParams) -> QuadraticObservable:
 
         H2 = q*qdd - qd^2/2 + (alpha/2 beta)*qdd^2 + (1/2 beta)*qddd^2.
 
-    The sign of the qdd^2 term is the build-time-resolved one: with it,
-    J2.grad(H2) equals the free flow exactly, and X3(H1) = -beta*H2.
+    H2 = X3(H1) / -beta for X3 = A^2/2 (symmetry.generated_structure), which
+    fixes the sign of the qdd^2 term; J2.grad(H2) equals the free flow.
     """
     S = np.array(_h2_entries(params.alpha, params.beta))
     return QuadraticObservable(S)
@@ -372,8 +372,8 @@ def _j2_entries(a, b):
 def j2(params: PUParams) -> PoissonTensor:
     """Second Poisson tensor, J2 = -dq^dqd + beta*dqdd^dqddd (jet chart).
 
-    The orientation of the dq^dqd block is the build-time-resolved one paired
-    with h2: J2.grad(H2) reproduces the free flow exactly.
+    J2 = X3 J1 + J1 X3^T + alpha J1 for X3 = A^2/2 (generated_structure),
+    which fixes the dq^dqd orientation; J2.grad(H2) reproduces the flow.
     """
     return PoissonTensor(np.array(_j2_entries(params.alpha, params.beta)), JET)
 

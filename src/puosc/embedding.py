@@ -143,11 +143,19 @@ def _rho0(params: PUParams, branch: int) -> float:
     return branch * abs(params.omega1 ** 2 - params.omega2 ** 2)
 
 
+def _radicand(params: PUParams, a_x: float, a_y: float, g: float) -> float:
+    """alpha^2 - 4 beta - 4 g^2/(a_x a_y), the square of rho_g."""
+    try:
+        return params.alpha ** 2 - 4.0 * params.beta - 4.0 * g * g / (a_x * a_y)
+    except OverflowError:  # a float power raises where a product gives inf
+        raise OverflowError("rho_g radicand is not finite: alpha^2 overflows") from None
+
+
 def _rho_g(params: PUParams, a_x: float, a_y: float, g: float,
            branch: int) -> float:
     if a_x * a_y == 0.0:
         raise DegenerateModelError("rho_g needs a_x * a_y != 0")
-    radicand = params.alpha ** 2 - 4.0 * params.beta - 4.0 * g * g / (a_x * a_y)
+    radicand = _radicand(params, a_x, a_y, g)
     if radicand < 0.0:
         raise ComplexBranchError(
             f"radicand {radicand:.6g} < 0: branch is complex"
@@ -593,8 +601,7 @@ def draw_free_params(family: str, rng: np.random.Generator,
             ay = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0)
             g = rng.uniform(-1.0, 1.0)
             if family == "Ta2":
-                rad = params.alpha ** 2 - 4.0 * params.beta - 4.0 * g * g / (ax * ay)
-                if rad < 1e-6:
+                if _radicand(params, ax, ay, g) < 1e-6:
                     continue
             return dict(zip(FREE_PARAMS[family], (ax, ay, g)))
         if family == "Tb1":

@@ -4,9 +4,8 @@ A linear vector field X = (Xi z).d commutes with the flow V = (A z).d exactly
 when the matrices commute, so the symmetry algebra is the commutant of A.
 For distinct nonzero frequencies A has four distinct eigenvalues and the
 commutant is the abelian span of {I, A, A^2, A^3}; acting with its elements
-on H1 produces the conserved charges, and solving J.grad(H) = flow for the
-charge proportional to H2 (core.solve_bihamiltonian) produces the second
-Hamiltonian structure.
+on H1 produces the conserved charges, and X3 = A^2/2 generates the second
+Hamiltonian structure from the first (generated_structure).
 
 For an interacting flow the invariance condition for a constant tensor J is
 imposed pointwise: DV(z) J + J DV(z)^T = 0 at every sample z.  Any nonzero
@@ -24,7 +23,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import core
-from .config import DEFAULT_SEED, EPS_ALGEBRA
+from .config import DEFAULT_SEED
 from .core import (
     JET,
     JetState,
@@ -169,66 +168,37 @@ def apply_symmetry(xi: np.ndarray,
     """Directional derivative X(F) = (Xi z).grad(F), again quadratic.
 
     Coefficient matrix Xi^T S + S Xi.  For the free energy: X1(H1) = 0,
-    X2(H1) = H1, X3(H1) = -beta*H2, X4(H1) = 0.
+    X2(H1) = H1, X3(H1) = -beta*H2, X4(H1) = 0.  Raises ArithmeticError when
+    the matrix is not finite (X4 overflows from about 1e52 on).
     """
     S = f.coeffs
     M = xi.T @ S + S @ xi
+    if not np.isfinite(M).all():
+        raise ArithmeticError(
+            "non-finite value in the symmetry action Xi^T S + S Xi")
     return QuadraticObservable(0.5 * (M + M.T), chart=f.chart)
 
 
-def resolve_structure_signs(params: PUParams) -> tuple[int, int]:
-    """Brute-force the sign pair (sigma, epsilon) in
+def generated_structure(params: PUParams) -> tuple[np.ndarray, np.ndarray]:
+    """The second structure (J2, S2) that X3 = A^2/2 generates from (J1, H1):
 
-        H2(sigma): qdd^2 coefficient = sigma * alpha/(2 beta)
-        J2(epsilon): dq^dqd block    = epsilon
+        J2 = X3 J1 + J1 X3^T + alpha J1,   S2 = X3(H1) / -beta.
 
-    such that J2.grad(H2) equals the free flow exactly, entrywise to a
-    relative EPS_ALGEBRA with no absolute floor (so the order-1 dq^dqd block
-    stays resolved at any beta).  Exactly one of the four combinations works;
-    core.h2/core.j2, which give every other entry, ship it as (+1, -1).
-    ArithmeticError if not exactly one does (as when beta is subnormal).
+    Two float (4, 4) arrays, core.j2 and core.h2 to a relative rounding error
+    per entry (X3 fixes every sign).  X3 is formed alone: X4 overflows first.
     """
-    A = core.flow_matrix(params)
-    S2, J2 = np.array(core.h2(params).coeffs), np.array(core.j2(params).j)
-    hits = []
-    for sigma in (+1, -1):
-        S2[2, 2] = sigma * params.alpha / params.beta
-        for eps in (+1, -1):
-            J2[0, 1], J2[1, 0] = eps, -eps
-            if np.allclose(J2 @ S2, A, rtol=EPS_ALGEBRA, atol=0.0):
-                hits.append((sigma, eps))
-    if len(hits) != 1:
-        raise ArithmeticError(
-            "signs (sigma, epsilon) of H2 and J2 not resolved: "
-            f"{len(hits)} of 4 pairs reproduce the flow")
-    return hits[0]
+    A, J1 = core.flow_matrix(params), core.j1(params).j
+    x3 = 0.5 * (A @ A)
+    J = x3 @ J1 + J1 @ x3.T + params.alpha * J1
+    return J, apply_symmetry(x3, core.h1(params)).coeffs / -params.beta
 
 
-def symmetry_charges(params: PUParams):
-    """Charges X(H1) for each known generator, raw and normalized against H2.
-
-    Returns a list of dicts with the charge matrix, the fitted constant c in
-    X(H1) ~ c*H2 with its relative residual, and the norm of {X(H1), H1}
-    under J1 (zero for genuine conserved charges).
-    """
+def symmetry_charges(params: PUParams) -> np.ndarray:
+    """Hessians X_k(H1) of the charges of the known generators, a stack
+    (4, 4, 4) in known_generators' order."""
     H1 = core.h1(params)
-    H2 = core.h2(params)
-    J1 = core.j1(params)
-    s2 = H2.coeffs.ravel()
-    out = []
-    for xi in known_generators(params):
-        Q = apply_symmetry(xi, H1)
-        q = Q.coeffs.ravel()
-        c = float(q @ s2) / float(s2 @ s2)
-        res = np.linalg.norm(q - c * s2) / max(np.linalg.norm(q), 1.0)
-        br = core.poisson_bracket(params, Q, H1, J1)
-        out.append({
-            "charge": Q,
-            "h2_coefficient": c,
-            "h2_fit_residual": float(res),
-            "bracket_with_h1": float(np.linalg.norm(br.coeffs)),
-        })
-    return out
+    return np.array([apply_symmetry(xi, H1).coeffs
+                     for xi in known_generators(params)])
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 
 from puosc import cli, core
+from puosc.config import EPS_ALGEBRA
 from puosc.embedding import FREE_PARAMS
 
 FIG_FLAGS = ["--chart", "ostro", "--p1", "0.5", "--p2", "-0.5"]
@@ -528,15 +529,24 @@ EXIT_CASES = [
     ("embed-tau-power-overflows",
      ["embed", "--family", "tb1", "--omega1", "1e40", "--omega2", "2e40",
       "--ax", "1", "--bx", "2", "--g", "1", "--out", "{tmp}/e.json"], 3),
-    # small frequencies resolve the structure signs, and the suite gives its
+    # small frequencies generate the structure, and the suite gives its
     # verdict (blend_grid keeps no point)
     ("verify-small-frequencies-resolve-signs",
      ["verify", "--omega1", "1e-8", "--omega2", "2e-8",
       "--out", "{tmp}/v.json"], 1),
-    # a subnormal beta leaves no sign pair that reproduces the flow
-    ("verify-signs-unresolved",
+    # a subnormal beta makes 1/beta infinite in the table and in the derived
+    # H2 alike: the comparison is not finite
+    ("verify-beta-subnormal",
      ["verify", "--omega1", "1e-78", "--omega2", "2e-78",
       "--out", "{tmp}/v.json"], 3),
+    # X4 = A^3 + alpha A overflows: the symmetry action names it
+    ("verify-symmetry-action-overflows",
+     ["verify", "--omega1", "1e60", "--omega2", "2e60",
+      "--out", "{tmp}/v.json"], 3),
+    # alpha^2 overflows a float power in rho_g's radicand: named in the line
+    ("embed-ta2-alpha-square-overflows",
+     ["embed", "--family", "ta2", "--omega1", "1e77", "--omega2", "1.3e77",
+      "--ax", "1", "--ay", "1", "--g", "0.1", "--out", "{tmp}/e.json"], 3),
     # |a_i|^2 of a mode energy overflows: the line names the mode energy
     ("modes-mode-energy-power-overflows",
      ["modes", "--q0", "1e160", "--out", "{tmp}/m.json"], 3),
@@ -623,6 +633,20 @@ def test_exit_code_messages(tmp_path, capsys):
     assert json.loads(out.read_text())["tabulated"] == (
         "unavailable: Tb2 row underflows: a_x (alpha + rho_0) or "
         "a_x b_y (alpha + rho_0) is 0")
+    assert exit_code(["verify", "--omega1", "1e-78", "--omega2", "2e-78"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "numerical failure: non-finite value in output at "
+        "checks[0].detail.h2_residual ")
+    assert exit_code(["verify", "--omega1", "1e60", "--omega2", "2e60"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: non-finite value in the symmetry action "
+        "Xi^T S + S Xi\n")
+    assert exit_code(["embed", "--family", "ta2", "--omega1", "1e77",
+                      "--omega2", "1.3e77", "--ax", "1", "--ay", "1",
+                      "--g", "0.1"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: rho_g radicand is not finite: "
+        "alpha^2 overflows\n")
 
 
 @pytest.mark.parametrize("argv", [
@@ -866,8 +890,7 @@ def test_symmetry_actions_rejects_an_inexact_euler_charge(monkeypatch):
 
     def scaled(params):
         out = charges(params)
-        Q = out[1]["charge"]
-        out[1]["charge"] = core.QuadraticObservable((1 + 1e-9) * Q.coeffs)
+        out[1] *= 1 + 1e-9
         return out
 
     params = core.make_params(1.0, 2.0)
@@ -879,15 +902,46 @@ def test_symmetry_actions_rejects_an_inexact_euler_charge(monkeypatch):
 
 
 def test_verify_at_large_frequencies_is_a_verdict(tmp_path, capsys):
-    # the sign resolution's tolerance no longer grows with beta, so the
-    # dq^dqd orientation is still resolved at beta = 4e12
+    # the generated structure is compared with no absolute floor, so the
+    # order-1 dq^dqd block still counts next to beta = 4e12
     out = tmp_path / "v.json"
     assert exit_code(["verify", "--omega1", "1000", "--omega2", "2000",
                       "--out", str(out)]) == 1
     assert capsys.readouterr().err == ""
-    check, = _suite_checks(json.loads(out.read_text()), "sign_resolution")
+    report = json.loads(out.read_text())
+    check = report["checks"][0]
+    assert check["name"] == "symmetry_generated_structure"
     assert check["passed"]
-    assert check["detail"]["sigma_eps"] == [1, -1]
+    assert max(check["detail"].values()) <= EPS_ALGEBRA
+
+
+@pytest.mark.parametrize("name, entries", [
+    pytest.param("j2", [(0, 1), (1, 0)], id="j2-dq-dqd-block"),
+    pytest.param("h2", [(2, 2)], id="h2-qdd-square")])
+@pytest.mark.parametrize("w1, w2", [(1.0, 2.0), (1000.0, 2000.0),
+                                    (1e-8, 2e-8)])
+def test_generated_structure_rejects_a_flipped_sign(name, entries, w1, w2,
+                                                    monkeypatch):
+    # a table whose dq^dqd block or qdd^2 term has the other sign is not
+    # the structure X3 generates, at any beta
+    params = core.make_params(w1, w2)
+    check, = _suite_checks(cli.run_invariant_suite(params),
+                           "symmetry_generated_structure")
+    assert check["passed"]
+    table = getattr(core, name)
+
+    def flipped(par):
+        t = table(par)
+        M = np.array(t.j if name == "j2" else t.coeffs)
+        for ij in entries:
+            M[ij] = -M[ij]
+        return type(t)(M)
+
+    monkeypatch.setattr(core, name, flipped)
+    check, = _suite_checks(cli.run_invariant_suite(params),
+                           "symmetry_generated_structure")
+    assert not check["passed"]
+    assert check["detail"][f"{name}_residual"] == 2.0
 
 
 # ---------------------------------------------------------------------------

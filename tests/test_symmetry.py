@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import puosc as p
+from puosc.config import EPS_ALGEBRA
 from puosc.core import flow_matrix
 from puosc.errors import (
     InsufficientSamplesError,
@@ -252,14 +253,37 @@ def test_x3_charge_explicit_form():
 
 
 def test_x3_fit_constant_random_draws():
+    # X3(H1) = -beta H2 is the derived H2, and every charge commutes with H1
     rng = np.random.default_rng(9)
     for _ in range(20):
         par = random_params(rng)
         charges = p.symmetry_charges(par)
-        fit = charges[2]
-        assert fit["h2_coefficient"] == pytest.approx(-par.beta, rel=1e-10)
-        assert fit["h2_fit_residual"] < 1e-12
-        assert fit["bracket_with_h1"] < 1e-10 * max(1.0, par.beta ** 2)
+        assert charges.shape == (4, 4, 4)
+        _, S2 = p.generated_structure(par)
+        assert np.array_equal(S2, charges[2] / -par.beta)
+        assert np.allclose(S2, p.h2(par).coeffs, rtol=EPS_ALGEBRA, atol=0)
+        for Q in charges:
+            br = p.poisson_bracket(par, p.QuadraticObservable(Q), p.h1(par),
+                                   p.j1(par))
+            assert np.linalg.norm(br.coeffs) < 1e-10 * max(1.0, par.beta ** 2)
+
+
+def test_charges_are_the_symmetry_actions():
+    H1 = p.h1(PAR)
+    charges = p.symmetry_charges(PAR)
+    for Q, xi in zip(charges, p.known_generators(PAR), strict=True):
+        assert Q.tobytes() == p.apply_symmetry(xi, H1).coeffs.tobytes()
+
+
+def test_symmetry_action_overflow_is_a_numerical_failure():
+    # X4 = A^3 + alpha A overflows at (1e60, 2e60): a named ArithmeticError,
+    # not a NaN that QuadraticObservable rejects as asymmetric
+    par = p.make_params(1e60, 2e60)
+    with np.errstate(over="ignore", invalid="ignore"):
+        X4 = p.known_generators(par)[3]
+        with pytest.raises(ArithmeticError,
+                           match="non-finite value in the symmetry action"):
+            p.apply_symmetry(X4, p.h1(par))
 
 
 def test_charges_conserved_along_trajectory():
@@ -305,29 +329,56 @@ def test_solve_bihamiltonian_singular_hessian():
         p.solve_bihamiltonian(PAR, p.QuadraticObservable(S))
 
 
-def test_resolved_signs_are_shipped():
-    assert p.resolve_structure_signs(PAR) == (1, -1)
+def _is_shipped_structure(par):
+    # entrywise relative with no absolute floor: an absolute tolerance
+    # would swallow the order-1 dq^dqd block next to a large beta
+    J, S = p.generated_structure(par)
+    assert J.dtype == S.dtype == float and J.shape == S.shape == (4, 4)
+    return (np.allclose(J, p.j2(par).j, rtol=EPS_ALGEBRA, atol=0)
+            and np.allclose(S, p.h2(par).coeffs, rtol=EPS_ALGEBRA, atol=0))
+
+
+def test_generated_structure_is_shipped():
+    assert _is_shipped_structure(PAR)
     rng = np.random.default_rng(10)
     for _ in range(10):
-        assert p.resolve_structure_signs(random_params(rng)) == (1, -1)
+        assert _is_shipped_structure(random_params(rng))
 
 
-def test_resolved_signs_are_unique_from_small_to_large_frequencies():
-    # the comparison is entrywise relative with no absolute floor: an
-    # absolute tolerance swallowed the order-1 dq^dqd block from beta ~ 1e12
-    # on, and admitted a second sigma once beta fell under about 1e-10
+def test_generated_structure_from_small_to_large_frequencies():
     for w in [*np.geomspace(1e-77, 1e75, 400), 1e-77, 1e75]:
         for ratio in (1.01, 1.2, 1.5, 2.0, 3.0, 5.0):
-            par = p.make_params(w, ratio * w)
-            assert p.resolve_structure_signs(par) == (1, -1)
+            assert _is_shipped_structure(p.make_params(w, ratio * w))
 
 
-def test_unresolved_signs_are_a_numerical_failure():
-    # beta is subnormal at (1e-78, 2e-78): no sign pair reproduces the flow
-    # (J2 @ S2 meets inf * 0 on the way)
-    with np.errstate(invalid="ignore"), pytest.raises(
-            ArithmeticError, match="not resolved: 0 of 4"):
-        p.resolve_structure_signs(p.make_params(1e-78, 2e-78))
+def test_generated_structure_at_subnormal_beta_is_not_finite():
+    # beta is subnormal at (1e-78, 2e-78): 1/beta overflows in the table and
+    # in the derived H2 alike, so no finite comparison is left
+    par = p.make_params(1e-78, 2e-78)
+    with np.errstate(over="ignore"):
+        J, S = p.generated_structure(par)
+    assert np.isfinite(J).all()
+    assert S[3, 3] == p.h2(par).coeffs[3, 3] == np.inf
+
+
+def test_commutant_generates_exactly_span_j1_j2():
+    # X J1 + J1 X^T is 0 for X1 and X4, J1 for X2 and J2 - alpha J1 for X3
+    rng = np.random.default_rng(11)
+    for par in (PAR, *(random_params(rng) for _ in range(10))):
+        J1, J2 = p.j1(par).j, p.j2(par).j
+        X1, X2, X3, X4 = p.known_generators(par)
+        A = p.flow_matrix(par)
+        assert (0.5 * (A @ A)).tobytes() == X3.tobytes()
+        T = [X @ J1 + J1 @ X.T for X in (X1, X2, X3, X4)]
+        scale = np.linalg.norm(X4) * np.linalg.norm(J1)
+        assert np.allclose(T[0], 0.0, rtol=0, atol=EPS_ALGEBRA * scale)
+        assert np.array_equal(T[1], J1)
+        assert np.allclose(T[2], J2 - par.alpha * J1, rtol=EPS_ALGEBRA,
+                           atol=EPS_ALGEBRA * scale)
+        assert np.allclose(T[3], 0.0, rtol=0, atol=EPS_ALGEBRA * scale)
+        span = np.array([J1, J2])
+        assert np.linalg.matrix_rank(np.reshape(T, (4, 16))) == 2
+        assert max(projection_residual(span, t) for t in T) < EPS_ALGEBRA
 
 
 # ---------------------------------------------------------------------------
