@@ -22,10 +22,10 @@ par = p.make_params(1.0, 2.0)
 z0 = p.ostro_to_jet(par, p.OstroState(x1=0.0, x2=0.0, p1=0.5, p2=-0.5))
 print(f"reference initial data (momentum chart p1 = -p2 = 0.5): jet {z0}")
 
-m = p.mode_decompose(par, z0)
+a1, a2 = m = p.mode_decompose(par, z0)
 e = p.mode_energy(par, m)
-print(f"mode content: |a1| = {abs(m.a1):.4f} (energy {e['e1']:+.4f}), "
-      f"|a2| = {abs(m.a2):.4f} (energy {e['e2']:+.4f}), "
+print(f"mode content: |a1| = {abs(a1):.4f} (energy {e['e1']:+.4f}), "
+      f"|a2| = {abs(a2):.4f} (energy {e['e2']:+.4f}), "
       f"total = {e['total']:+.4f}")
 
 print("\n--- free motion: integrator vs closed form over t in [0, 100] ---")

@@ -38,7 +38,6 @@ from .core import (
     transport_tensor,
 )
 from .dynamics import (
-    ModeAmplitudes,
     ThresholdReport,
     Trajectory,
     closed_form_states,
@@ -46,9 +45,7 @@ from .dynamics import (
     integrate,
     mode_decompose,
     mode_energy,
-    mode_reconstruct,
     quartic,
-    runaway_batch,
     threshold_search,
 )
 from .embedding import (

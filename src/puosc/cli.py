@@ -460,12 +460,12 @@ def cmd_scan(args) -> int:
 def cmd_modes(args) -> int:
     params = core.make_params(args.omega1, args.omega2)
     z0 = _initial_state(args, params)
-    m = dynamics.mode_decompose(params, z0)
+    a1, a2 = m = dynamics.mode_decompose(params, z0)
     e = dynamics.mode_energy(params, m)
     payload = {
         "config": _config(args), "version": __version__,
-        "a1": {"re": m.a1.real, "im": m.a1.imag, "abs": abs(m.a1)},
-        "a2": {"re": m.a2.real, "im": m.a2.imag, "abs": abs(m.a2)},
+        "a1": {"re": a1.real, "im": a1.imag, "abs": abs(a1)},
+        "a2": {"re": a2.real, "im": a2.imag, "abs": abs(a2)},
         "e1": e["e1"], "e2": e["e2"], "total": e["total"],
         "h1": core.h1(params).value(z0),
         "h2": core.h2(params).value(z0),

@@ -430,12 +430,13 @@ def blend_h(params: PUParams, c1: float, c2: float) -> QuadraticObservable:
 
 def _solve_stack(A: np.ndarray, S: np.ndarray):
     """J = A S^-1 for a stack S of Hessians; returns (J, valid, singular,
-    sym_norm).  singular: _negligible(sigma_min(S)).
+    sym_norm).  singular: _negligible(sigma_min(S)), or a singular value
+    that is not finite (a Hessian entry that overflows).
     valid: not singular and |sym(J)| = sym_norm <= EPS_ALGEBRA max(1, |J|).
     J is antisymmetrised, and it and sym_norm are 0 where singular.
     """
     sv = np.linalg.svd(S, compute_uv=False)
-    singular = _negligible(sv)[:, -1]
+    singular = _negligible(sv)[:, -1] | ~np.isfinite(sv).all(axis=1)
     J = np.zeros_like(S)
     J[~singular] = A @ np.linalg.inv(S[~singular])
     J_T = J.swapaxes(1, 2)

@@ -7,9 +7,9 @@ Free motion is the superposition of two harmonic modes,
 
 which gives a closed-form oracle for the integrator and an exact mode
 decomposition of any jet state.  Every run is an integrate call, a sampled
-trajectory or one coupling of a scan (runaway_batch, with t_end as its only
-sample): one Dormand-Prince 5(4) run with PI step-size control, written on
-Python floats because numpy call overhead outweighs the arithmetic on a
+trajectory or one coupling of a scan (threshold_search, with t_end as its
+only sample): one Dormand-Prince 5(4) run with PI step-size control, written
+on Python floats because numpy call overhead outweighs the arithmetic on a
 4-vector.  For the same reason its step loop calls no max, min or abs: on
 four floats a builtin call costs more than the arithmetic it guards, so each
 is written as the conditional expression that returns what the builtin
@@ -17,7 +17,7 @@ returns.  The run is written for the jet-chart field, z' = (qd, qdd, qddd,
 a30 q + a32 qdd - W'(q)), the only one integrate accepts: a stage is four
 state components and one force row, with no right-hand-side call, and the
 tableau is bound to locals.  States move between charts through
-ostro_jacobian.  The lane shortens a step only to land on a stop, one of
+ostro_jacobian.  The run shortens a step only to land on a stop, one of
 integrate's equidistant sample times.  Stepping is deterministic, so
 repeated runs with the same settings reproduce output bit for bit on one
 platform.
@@ -64,17 +64,10 @@ MAX_GRID_POINTS = 10 ** 4
 # normal modes
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ModeAmplitudes:
-    """Complex amplitudes of the two harmonic components."""
-
-    a1: complex
-    a2: complex
-
-
-def mode_decompose(params: PUParams, z: JetState) -> ModeAmplitudes:
-    """Solve the two 2x2 systems that match (q, qdd) to the real parts and
-    (qd, qddd) to the imaginary parts of (a1, a2) at t = 0."""
+def mode_decompose(params: PUParams, z: JetState) -> tuple:
+    """The complex mode amplitudes (a1, a2) of z: two 2x2 systems match
+    (q, qdd) to their real parts and (qd, qddd) to their imaginary parts at
+    t = 0."""
     w1, w2 = params.omega1, params.omega2
     w1s, w2s = w1 * w1, w2 * w2
     d = w2s - w1s
@@ -82,20 +75,14 @@ def mode_decompose(params: PUParams, z: JetState) -> ModeAmplitudes:
     re2 = -(w1s * z.q + z.qdd) / (2.0 * d)
     im1 = (w2s * z.qd + z.qddd) / (2.0 * w1 * d)
     im2 = -(w1s * z.qd + z.qddd) / (2.0 * w2 * d)
-    return ModeAmplitudes(complex(re1, im1), complex(re2, im2))
+    return complex(re1, im1), complex(re2, im2)
 
 
-def mode_reconstruct(params: PUParams, m: ModeAmplitudes,
-                     t: float = 0.0) -> JetState:
-    """Jet state of the two-mode solution at time t."""
-    return JetState.from_array(closed_form_states(params, m, np.array([t]))[0])
-
-
-def closed_form_states(params: PUParams, m: ModeAmplitudes,
+def closed_form_states(params: PUParams, m: tuple,
                        times: np.ndarray) -> np.ndarray:
-    """Exact free trajectory (N x 4) from the mode amplitudes."""
+    """Exact free trajectory (N x 4) from the mode amplitudes m = (a1, a2)."""
     out = np.empty((len(times), 4))
-    for k, (w, a) in enumerate(((params.omega1, m.a1), (params.omega2, m.a2))):
+    for k, (w, a) in enumerate(zip((params.omega1, params.omega2), m)):
         phase = np.exp(-1j * w * np.asarray(times, dtype=float))
         for n in range(4):
             col = 2.0 * np.real(a * (-1j * w) ** n * phase)
@@ -106,9 +93,10 @@ def closed_form_states(params: PUParams, m: ModeAmplitudes,
     return out
 
 
-def mode_energy(params: PUParams, m: ModeAmplitudes) -> dict:
-    """Per-mode energies e1 = 2 R1 |a1|^2, e2 = -2 R2 |a2|^2 with
-    R_i = w_i^2 (w1^2 - w2^2); total equals H1 on the reconstructed state.
+def mode_energy(params: PUParams, m: tuple) -> dict:
+    """Per-mode energies e1 = 2 R1 |a1|^2, e2 = -2 R2 |a2|^2 of m = (a1, a2)
+    with R_i = w_i^2 (w1^2 - w2^2); total equals H1 on the reconstructed
+    state.
 
     For w1 < w2 the first mode carries negative energy: it is the ghost
     sector of the model.
@@ -116,9 +104,10 @@ def mode_energy(params: PUParams, m: ModeAmplitudes) -> dict:
     w1s, w2s = params.omega1 ** 2, params.omega2 ** 2
     r1 = w1s * (w1s - w2s)
     r2 = w2s * (w1s - w2s)
+    a1, a2 = m
     try:        # a float power raises where it overflows
-        e1 = 2.0 * r1 * abs(m.a1) ** 2
-        e2 = -2.0 * r2 * abs(m.a2) ** 2
+        e1 = 2.0 * r1 * abs(a1) ** 2
+        e2 = -2.0 * r2 * abs(a2) ** 2
     except OverflowError:
         raise OverflowError(
             "mode energy is not finite: |a_i|^2 in e_i = +-2 R_i |a_i|^2 "
@@ -483,35 +472,6 @@ class GridPoint:
     n_rejected: int         # and its rejected ones
 
 
-def runaway_batch(
-    params: PUParams,
-    lams: Sequence[float],
-    z0: JetState,
-    t_end: float,
-    escape_radius: float,
-    tol: float = DEFAULT_TOL,
-) -> tuple:
-    """Classify each quartic coupling in lams as bounded or escaping up to
-    t_end, one integrate run per coupling.
-
-    Each run is integrate(params, field_for(params, quartic(lam)), z0, t_end,
-    tol, sample_rate=t_end, escape_radius=escape_radius): t_end is its only
-    sample, so it caps only its last step and the verdict is a function of
-    (t_end, escape_radius, tol) alone.  Each GridPoint takes escape_time,
-    n_steps and n_rejected from its run's meta.  integrate checks the
-    settings, so an empty lams returns () unchecked.
-    """
-    points = []
-    for lam in map(float, lams):
-        meta = integrate(params, field_for(params, quartic(lam)), z0, t_end,
-                         tol, sample_rate=t_end,
-                         escape_radius=escape_radius).meta
-        t = meta["escape_time"]
-        points.append(GridPoint(lam, t is None, t, meta["n_steps"],
-                                meta["n_rejected"]))
-    return tuple(points)
-
-
 def analyze_grid_flags(flags: Sequence[bool]):
     """Monotonicity and first bounded-to-escaping transition of a grid.
 
@@ -552,21 +512,24 @@ def threshold_search(
     """Locate the quartic-coupling threshold between bounded and escaping
     behavior for fixed initial data and horizon.
 
-    A coarse geometric grid over the coupling range is classified first by
-    runaway_batch, then bisect_iters bisection halvings refine the first
-    bounded-to-escaping transition, one coupling at a time (see _bisect),
-    stopping early once the bracket no longer splits.  The reported
-    threshold is a function of (t_end, escape_radius, tol): longer horizons
-    can only lower it.  A caveat flag is set when the grid classification is
-    not monotone in the coupling.  Raises ScanDegenerateError when every
-    grid point is bounded or every one escapes.  The report's refine entry
-    sums the bisection's runs: their count, n_steps and n_rejected.
+    Each coupling is one run, integrate(params, field_for(params,
+    quartic(lam)), z0, t_end, tol, sample_rate=t_end, escape_radius=
+    escape_radius), whose only sample is t_end; its GridPoint takes
+    escape_time, n_steps and n_rejected from the run's meta.  A coarse
+    geometric grid over the coupling range is classified first, then
+    bisect_iters bisection halvings refine the first bounded-to-escaping
+    transition (see _bisect), stopping early once the bracket no longer
+    splits.  The reported threshold is a function of (t_end, escape_radius,
+    tol): longer horizons can only lower it.  A caveat flag is set when the
+    grid classification is not monotone in the coupling.  Raises
+    ScanDegenerateError when every grid point is bounded or every one
+    escapes.  The report's refine entry sums the bisection's runs: their
+    count, n_steps and n_rejected.
     """
     lam_lo, lam_hi = float(lambda_range[0]), float(lambda_range[1])
     if lam_lo < 0.0 or lam_hi < lam_lo:
         raise PreconditionViolatedError(
-            "lambda range must satisfy 0 <= lo <= hi"
-        )
+            "lambda range must satisfy 0 <= lo <= hi")
     if grid_points < 2:
         raise PreconditionViolatedError("grid_points must be at least 2")
     if grid_points > MAX_GRID_POINTS:
@@ -575,8 +538,13 @@ def threshold_search(
     if bisect_iters < 0:
         raise PreconditionViolatedError("bisect_iters must be non-negative")
 
-    def classify(lams) -> tuple:
-        return runaway_batch(params, lams, z0, t_end, escape_radius, tol=tol)
+    def classify(lam: float) -> GridPoint:
+        meta = integrate(params, field_for(params, quartic(lam)), z0, t_end,
+                         tol, sample_rate=t_end,
+                         escape_radius=escape_radius).meta
+        t = meta["escape_time"]
+        return GridPoint(lam, t is None, t, meta["n_steps"],
+                         meta["n_rejected"])
 
     if lam_hi == lam_lo:
         grid_vals = np.array([lam_lo])
@@ -589,7 +557,7 @@ def threshold_search(
     else:
         grid_vals = np.geomspace(lam_lo, lam_hi, grid_points)
 
-    grid = classify(grid_vals)
+    grid = tuple(classify(lam) for lam in map(float, grid_vals))
 
     flags = [p.bounded for p in grid]
     if all(flags):
@@ -606,7 +574,7 @@ def threshold_search(
     runs = []
 
     def bounded(lam) -> bool:
-        runs.extend(classify([lam]))
+        runs.append(classify(lam))
         return runs[-1].bounded
 
     lambda_star = None

@@ -54,6 +54,9 @@ from .errors import (
 # The free parameters that fix each family; all else is dependent.
 FREE_PARAMS = {"Ta1": ("a_x", "a_y", "g"), "Ta2": ("a_x", "a_y", "g"),
                "Tb1": ("a_x", "b_x", "g"), "Tb2": ("a_x", "b_y", "g")}
+# The free parameters each family divides by: an exact zero is a usage error.
+_DIVISORS = {"Ta1": ("a_x", "a_y"), "Ta2": ("a_x", "a_y"),
+             "Tb1": ("a_x", "g"), "Tb2": ("a_x", "b_y")}
 FAMILIES = tuple(FREE_PARAMS)
 BRANCHES = (+1, -1)
 
@@ -169,8 +172,9 @@ def _tau(params: PUParams, a_x: float, b_x: float) -> float:
 
 def _need(family: str, branch: int, free: dict) -> tuple:
     """The family's free parameters as floats, in FREE_PARAMS order; an
-    unknown family or branch, or a missing or extra key, is a precondition
-    violation that names the offending value."""
+    unknown family or branch, a missing or extra key, or an exact zero in a
+    parameter the family divides by, is a precondition violation that names
+    the offending value."""
     if family not in FREE_PARAMS:
         raise PreconditionViolatedError(f"unknown family {family!r}")
     if branch not in BRANCHES:
@@ -181,7 +185,11 @@ def _need(family: str, branch: int, free: dict) -> tuple:
             verb = "needs" if key in keys else "does not take"
             raise PreconditionViolatedError(
                 f"{family} {verb} free parameter {key!r}")
-    return tuple(float(free[k]) for k in keys)
+    values = tuple(float(free[k]) for k in keys)
+    for key, value in zip(keys, values):
+        if value == 0.0 and key in _DIVISORS[family]:
+            raise PreconditionViolatedError(f"{family} needs {key} != 0")
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -200,8 +208,6 @@ def tabulated_family(family: str, branch: int, free: dict,
     al = params.alpha
     if family in ("Ta1", "Ta2"):
         ax, ay, g = values
-        if ax == 0.0 or ay == 0.0:
-            raise PreconditionViolatedError("Ta rows need a_x, a_y nonzero")
         if family == "Ta1":
             r = _rho0(params, branch)
             bx = 0.5 * ax * (al - 2.0 * g / ay + r)
@@ -219,8 +225,9 @@ def tabulated_family(family: str, branch: int, free: dict,
                           nu0, 1.0 / (2.0 * ay), model, params)
     if family == "Tb1":
         ax, bx, g = values
-        if g * ax * ax == 0.0:      # nu0 divides by it
-            raise PreconditionViolatedError("Tb1 needs g a_x^2 nonzero")
+        if g * ax * ax == 0.0:      # nu0 divides by it: the product underflows
+            raise NoSolutionError(
+                "Tb1 needs g a_x^2 != 0 (nu0 solves g a_x^2 nu0 = tau)")
         tau = _tau(params, ax, bx)
         if tau == 0.0:
             raise PreconditionViolatedError(
@@ -239,8 +246,6 @@ def tabulated_family(family: str, branch: int, free: dict,
                           tau / (g * ax * ax), 0.0, model, params)
     # Tb2
     ax, by, g = values
-    if ax == 0.0 or by == 0.0:
-        raise PreconditionViolatedError("Tb2 needs a_x, b_y nonzero")
     r = _rho0(params, branch)
     bx = g * g / by + 0.5 * ax * (al + r)
     den_mu, den_nu = ax * (al + r), ax * by * (al + r)
@@ -277,8 +282,6 @@ def solve_family(family: str, branch: int, free: dict,
     al, be = params.alpha, params.beta
     if family in ("Ta1", "Ta2"):
         ax, ay, g = values
-        if ax == 0.0 or ay == 0.0:
-            raise NoSolutionError("family a needs a_x, a_y nonzero")
         if family == "Ta1":
             # u = v: alpha*u - 2u^2 = beta/2, g drops out
             u = v = (al + _rho0(params, branch)) / 4.0
@@ -295,9 +298,7 @@ def solve_family(family: str, branch: int, free: dict,
                           nu0, 1.0 / (2.0 * ay), model, params)
     if family == "Tb1":
         ax, bx, g = values
-        if ax == 0.0:
-            raise NoSolutionError("a_x must be nonzero")
-        if g * ax * ax == 0.0:      # g = 0, or the product underflows
+        if g * ax * ax == 0.0:      # the product underflows
             raise NoSolutionError(
                 "Tb1 needs g a_x^2 != 0 (nu0 solves g a_x^2 nu0 = tau)")
         tau = _tau(params, ax, bx)
@@ -312,10 +313,6 @@ def solve_family(family: str, branch: int, free: dict,
                           model, params)
     # Tb2: a_y = 0, y = -(g/b_y) x identically
     ax, by, g = values
-    if ax == 0.0:
-        raise NoSolutionError("a_x must be nonzero")
-    if by == 0.0:
-        raise NoSolutionError("Tb2 needs b_y != 0")
     r = _rho0(params, branch)
     # effective coefficient bt = b_x - g^2/b_y solves bt^2 - alpha a_x bt
     # + beta a_x^2 = 0

@@ -196,8 +196,9 @@ def test_criterion_7_free_dynamics():
 def test_criterion_8_figure_experiment():
     t0 = time.time()
     # free run with the reference initial data is bounded
-    (v0,) = p.runaway_batch(PAR, [0.0], FIG_Z0, 200.0, 1000.0, tol=1e-8)
-    assert v0.bounded
+    v0 = p.integrate(PAR, field_for(PAR, p.quartic(0.0)), FIG_Z0, 200.0,
+                     1e-8, sample_rate=200.0, escape_radius=1000.0)
+    assert not v0.escaped
     # threshold scan over [0, 10]: bounded below, escaping above
     rep = p.threshold_search(PAR, FIG_Z0, 200.0, 1000.0, (0.0, 10.0), tol=1e-8)
     assert rep.lambda_star is not None

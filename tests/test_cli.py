@@ -539,6 +539,11 @@ EXIT_CASES = [
     ("verify-beta-subnormal",
      ["verify", "--omega1", "1e-78", "--omega2", "2e-78",
       "--out", "{tmp}/v.json"], 3),
+    # beta is finite, but the grid's c2 = 2 blend Hessian holds 2/beta = inf:
+    # that point counts as singular, and the suite gives its verdict
+    ("verify-blend-hessian-not-finite",
+     ["verify", "--omega1", "1e-77", "--omega2", "1.01e-77",
+      "--out", "{tmp}/v.json"], 1),
     # X4 = A^3 + alpha A overflows: the symmetry action names it
     ("verify-symmetry-action-overflows",
      ["verify", "--omega1", "1e60", "--omega2", "2e60",
@@ -567,6 +572,10 @@ EXIT_CASES = [
     ("embed-tabulated-tb2-denominator-underflows",
      ["embed", "--family", "tb2", "--ax", "1e-300", "--by", "1e-300",
       "--g", "1e-300", "--out", "{tmp}/e.json"], 0),
+    # a free parameter the family divides by is zero: a usage error
+    ("embed-zero-free-parameter",
+     ["embed", "--family", "ta2", "--ax", "0", "--ay", "1", "--g", "0.1",
+      "--out", "{tmp}/e.json"], 2),
     # correct tensors near the singular blend rays pass the suite
     ("verify-near-singular-blend",
      ["verify", *NEAR_SINGULAR, "--out", "{tmp}/v.json"], 0),
@@ -627,6 +636,9 @@ def test_exit_code_messages(tmp_path, capsys):
                       "--bx", "1", "--g", "1"]) == 3
     assert capsys.readouterr().err == (
         "error: Tb1 needs g a_x^2 != 0 (nu0 solves g a_x^2 nu0 = tau)\n")
+    assert exit_code(["embed", "--family", "ta2", "--ax", "0", "--ay", "1",
+                      "--g", "0.1"]) == 2
+    assert capsys.readouterr().err == "error: Ta2 needs a_x != 0\n"
     out = tmp_path / "e.json"
     assert exit_code(["embed", "--family", "tb2", "--ax", "1e-300", "--by",
                       "1e-300", "--g", "1e-300", "--out", str(out)]) == 0

@@ -260,6 +260,14 @@ def test_blend_j_singular_rays():
         p.blend_j(PAR, 1.0, -4.0)
 
 
+def test_blend_j_with_a_non_finite_hessian_is_singular():
+    # beta = 1.02e-308 is finite, but 2 H2 holds 2/beta = inf: its singular
+    # values are NaN, so the blend counts as singular rather than solved
+    par = p.make_params(1e-77, 1.01e-77)
+    with np.errstate(over="ignore"), pytest.raises(SingularBlendError):
+        p.blend_j(par, 0.0, 2.0)
+
+
 def test_blend_j_grid_identity():
     # J'(c1, c2) (c1 S1 + c2 S2) = A on every nonsingular grid point
     A = flow_matrix(PAR)

@@ -8,11 +8,10 @@ import signal
 import tracemalloc
 import warnings
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import puosc as p
 from puosc.core import flow_matrix, ostro_jacobian, ostro_jacobian_inv
@@ -33,7 +32,6 @@ from puosc.dynamics import (
     closed_form_states,
     default_escape_radius,
     field_for,
-    runaway_batch,
     trajectory_csv_rows,
 )
 from puosc.errors import (
@@ -45,6 +43,22 @@ from puosc.errors import (
 
 PAR = p.make_params(1.0, 2.0)
 FIG_Z0 = p.ostro_to_jet(PAR, p.OstroState(0.0, 0.0, 0.5, -0.5))
+
+
+def scan_run(lam, t_end=200.0, radius=1000.0, tol=1e-10, z0=FIG_Z0):
+    """One coupling of threshold_search: an integrate run whose only sample
+    is t_end."""
+    return p.integrate(PAR, field_for(PAR, p.quartic(lam)), z0, t_end, tol,
+                       sample_rate=t_end, escape_radius=radius)
+
+
+def scan_point(lam, t_end=200.0, radius=1000.0, tol=1e-10):
+    """threshold_search's GridPoint for lam, from a one-point grid: the scan
+    is degenerate and its error carries the grid."""
+    with pytest.raises(ScanDegenerateError) as exc:
+        p.threshold_search(PAR, FIG_Z0, t_end, radius, (lam, lam), tol=tol)
+    (point,) = exc.value.grid
+    return point
 
 
 def random_params(rng):
@@ -59,14 +73,15 @@ def random_params(rng):
 # ---------------------------------------------------------------------------
 
 def test_mode_decompose_pure_modes():
-    m1 = p.mode_decompose(PAR, p.JetState(1, 0, -1, 0))
-    assert m1.a1 == pytest.approx(0.5 + 0j, abs=1e-14)
-    assert m1.a2 == pytest.approx(0.0 + 0j, abs=1e-14)
-    m2 = p.mode_decompose(PAR, p.JetState(1, 0, -4, 0))
-    assert m2.a1 == pytest.approx(0.0 + 0j, abs=1e-14)
-    assert m2.a2 == pytest.approx(0.5 + 0j, abs=1e-14)
-    m0 = p.mode_decompose(PAR, p.JetState(0, 0, 0, 0))
-    assert m0.a1 == 0 and m0.a2 == 0
+    a1, a2 = p.mode_decompose(PAR, p.JetState(1, 0, -1, 0))
+    assert a1 == pytest.approx(0.5 + 0j, abs=1e-14)
+    assert a2 == pytest.approx(0.0 + 0j, abs=1e-14)
+    a1, a2 = p.mode_decompose(PAR, p.JetState(1, 0, -4, 0))
+    assert a1 == pytest.approx(0.0 + 0j, abs=1e-14)
+    assert a2 == pytest.approx(0.5 + 0j, abs=1e-14)
+    a1, a2 = p.mode_decompose(PAR, p.JetState(0, 0, 0, 0))
+    assert a1 == 0 and a2 == 0
+    assert all(type(a) is complex for a in (a1, a2))
 
 
 def test_mode_round_trip_1000_states():
@@ -74,24 +89,24 @@ def test_mode_round_trip_1000_states():
     for _ in range(1000):
         z = p.JetState.from_array(rng.uniform(-3, 3, 4))
         m = p.mode_decompose(PAR, z)
-        back = p.mode_reconstruct(PAR, m, 0.0)
-        assert np.allclose(back.as_array(), z.as_array(), rtol=0, atol=1e-12)
+        back = closed_form_states(PAR, m, [0.0])[0]
+        assert np.allclose(back, z.as_array(), rtol=0, atol=1e-12)
 
 
 def test_mode_energy_spot_values():
-    e = p.mode_energy(PAR, p.ModeAmplitudes(0.5 + 0j, 0j))
+    e = p.mode_energy(PAR, (0.5 + 0j, 0j))
     assert e["e1"] == pytest.approx(-1.5, abs=1e-14)
     assert e["total"] == pytest.approx(-1.5, abs=1e-14)
-    e = p.mode_energy(PAR, p.ModeAmplitudes(0j, 0.5 + 0j))
+    e = p.mode_energy(PAR, (0j, 0.5 + 0j))
     assert e["e2"] == pytest.approx(6.0, abs=1e-14)
     assert e["total"] == pytest.approx(6.0, abs=1e-14)
-    assert p.mode_energy(PAR, p.ModeAmplitudes(0j, 0j))["total"] == 0.0
+    assert p.mode_energy(PAR, (0j, 0j))["total"] == 0.0
 
 
 def test_mode_energy_overflow_is_named():
     # the float power |a_i|^2 raises where it overflows; the error names the
     # mode energy instead of an errno tuple
-    for m in (p.ModeAmplitudes(1e160 + 0j, 0j), p.ModeAmplitudes(0j, 1e200j)):
+    for m in ((1e160 + 0j, 0j), (0j, 1e200j)):
         with pytest.raises(OverflowError, match="mode energy is not finite"):
             p.mode_energy(PAR, m)
 
@@ -112,10 +127,10 @@ def test_hamiltonians_are_mode_diagonal():
     for _ in range(50):
         a1 = complex(*rng.uniform(-2, 2, 2))
         a2 = complex(*rng.uniform(-2, 2, 2))
+        states = [closed_form_states(PAR, m, [0.0])[0]
+                  for m in ((a1, a2), (a1, 0j), (0j, a2))]
         for H in (p.h1(PAR), p.h2(PAR)):
-            full = H.value(p.mode_reconstruct(PAR, p.ModeAmplitudes(a1, a2)))
-            only1 = H.value(p.mode_reconstruct(PAR, p.ModeAmplitudes(a1, 0j)))
-            only2 = H.value(p.mode_reconstruct(PAR, p.ModeAmplitudes(0j, a2)))
+            full, only1, only2 = map(H.value, states)
             assert full == pytest.approx(only1 + only2, rel=1e-12, abs=1e-12)
 
 
@@ -223,7 +238,7 @@ def test_non_finite_slope_underflows_at_once(lam, t_end):
         p.integrate(PAR, field_for(PAR, p.quartic(lam)), z0, t_end)
     assert exc.value.last_time == 0.0
     with _within(10), pytest.raises(StepUnderflowError) as exc:
-        runaway_batch(PAR, [lam], z0, t_end, 1e106)
+        scan_run(lam, t_end, 1e106, z0=z0)
     assert exc.value.last_time == 0.0
 
 
@@ -239,8 +254,11 @@ def test_short_run_with_non_finite_slope_exits_3(argv):
 @pytest.mark.parametrize("t_end", SHORT_HORIZONS)
 def test_short_horizon_batch_classifies(t_end):
     # one step, capped to land on t_end
-    assert runaway_batch(PAR, [0.0, 100.0], FIG_Z0, t_end, 1000.0) == (
-        GridPoint(0.0, True, None, 1, 0), GridPoint(100.0, True, None, 1, 0))
+    for lam in (0.0, 100.0):
+        meta = scan_run(lam, t_end).meta
+        assert (meta["escape_time"], meta["n_steps"], meta["n_rejected"]) == (
+            None, 1, 0)
+        assert scan_point(lam, t_end) == GridPoint(lam, True, None, 1, 0)
 
 
 @pytest.mark.parametrize("lam, tol, radius", [
@@ -312,24 +330,24 @@ def test_quartic_label_and_values():
 # ---------------------------------------------------------------------------
 
 def test_runaway_free_is_bounded():
-    (v,) = runaway_batch(PAR, [0.0], FIG_Z0, 200.0, 1000.0)
-    assert v.bounded and v.escape_time is None
+    v = scan_run(0.0)
+    assert not v.escaped and v.meta["escape_time"] is None
 
 
 def test_runaway_large_coupling_escapes():
-    (v,) = runaway_batch(PAR, [10.0], FIG_Z0, 200.0, 1000.0)
-    assert not v.bounded
-    assert v.escape_time is not None and v.escape_time < 200.0
+    v = scan_run(10.0)
+    assert v.escaped
+    assert v.meta["escape_time"] < 200.0
 
 
 def test_runaway_very_large_coupling_escapes():
-    (v,) = runaway_batch(PAR, [100.0], FIG_Z0, 200.0, 1000.0)
-    assert not v.bounded and v.escape_time < 30.0
+    v = scan_run(100.0)
+    assert v.escaped and v.meta["escape_time"] < 30.0
 
 
 def test_runaway_precondition():
     with pytest.raises(PreconditionViolatedError):
-        runaway_batch(PAR, [0.0], FIG_Z0, 10.0, escape_radius=0.1)
+        scan_run(0.0, 10.0, radius=0.1)
 
 
 def test_default_escape_radius():
@@ -350,14 +368,15 @@ def test_state_norm_overflow_is_a_numerical_failure():
             p.integrate(PAR, p.free_vector_field(PAR), huge, 0.5,
                         escape_radius=1e300)
         with pytest.raises(OverflowError):
-            runaway_batch(PAR, [1.0], huge, 0.5, 1e300)
+            scan_run(1.0, 0.5, 1e300, z0=huge)
     assert default_escape_radius(p.JetState(1e154, 0, 0, 0)) == 1e157
 
 
 def test_verdict_invariant():
-    for v in runaway_batch(PAR, [0.0, 10.0], FIG_Z0, 200.0, 1000.0):
-        assert (not v.bounded) == (v.escape_time is not None
-                                   and 0.0 < v.escape_time <= 200.0)
+    for lam in (0.0, 10.0):
+        t = scan_run(lam).meta["escape_time"]
+        assert scan_point(lam).bounded == (t is None)
+        assert t is None or 0.0 < t <= 200.0
 
 
 # ---------------------------------------------------------------------------
@@ -384,31 +403,29 @@ def test_threshold_search_needs_two_grid_points(grid_points):
 
 def test_threshold_search_caps_the_grid(monkeypatch):
     # one grid point past the cap is rejected before the coupling grid is
-    # allocated or integrated; the cap itself reaches the batch, which is
-    # stubbed, so no scan of that size runs
-    class Reached(Exception):
-        pass
-
+    # allocated or integrated; the cap itself reaches integrate, which is
+    # stubbed with a bounded run, so no scan of that size runs
     def never(*args, **kwargs):
         raise AssertionError("the grid was built")
 
-    def batch(params, lams, *args, **kwargs):
-        sizes.append(len(lams))
-        raise Reached
+    def bounded_run(*args, **kwargs):
+        calls.append(args[1].potential.label)
+        return SimpleNamespace(meta={"escape_time": None, "n_steps": 0,
+                                     "n_rejected": 0})
 
-    sizes = []
+    calls = []
     with monkeypatch.context() as m:
         m.setattr(np, "geomspace", never)
-        m.setattr(p.dynamics, "runaway_batch", never)
+        m.setattr(p.dynamics, "integrate", never)
         with pytest.raises(PreconditionViolatedError,
                            match=f"must not exceed {MAX_GRID_POINTS}$"):
             p.threshold_search(PAR, FIG_Z0, 5.0, 1000.0, (1.0, 2.0),
                                grid_points=MAX_GRID_POINTS + 1)
-    monkeypatch.setattr(p.dynamics, "runaway_batch", batch)
-    with pytest.raises(Reached):
+    monkeypatch.setattr(p.dynamics, "integrate", bounded_run)
+    with pytest.raises(ScanDegenerateError) as exc:
         p.threshold_search(PAR, FIG_Z0, 5.0, 1000.0, (1.0, 2.0),
                            grid_points=MAX_GRID_POINTS)
-    assert sizes == [MAX_GRID_POINTS]
+    assert len(calls) == len(exc.value.grid) == MAX_GRID_POINTS
 
 
 def test_threshold_search_rejects_underflowing_grid():
@@ -427,26 +444,28 @@ def test_threshold_search_all_unbounded():
 def test_threshold_search_small(monkeypatch):
     # coarse scan over a bracketing range; full-range scan lives in acceptance
     from puosc import dynamics
-    batches = []
+    metas = []
 
-    def spy(*args, batch=dynamics.runaway_batch, **kwargs):
-        batches.append(batch(*args, **kwargs))
-        return batches[-1]
+    def spy(*args, run=dynamics.integrate, **kwargs):
+        traj = run(*args, **kwargs)
+        metas.append(traj.meta)
+        return traj
 
-    monkeypatch.setattr(dynamics, "runaway_batch", spy)
+    monkeypatch.setattr(dynamics, "integrate", spy)
     rep = p.threshold_search(PAR, FIG_Z0, 120.0, 1000.0, (5.0, 12.0),
                              grid_points=6, bisect_iters=12, tol=1e-8)
     assert rep.lambda_star is not None
     assert 5.0 < rep.lambda_star < 12.0
     flags = [g.bounded for g in rep.grid]
     assert flags[0] and not flags[-1]
-    # refine sums the bisection's runs, one coupling per batch after the grid
-    grid, *runs = batches
-    assert grid == rep.grid
-    runs = [run for run, in runs]
+    # the grid reads its runs' meta; refine sums the bisection's runs, one
+    # integrate call per coupling after the grid
+    grid, runs = metas[:6], metas[6:]
+    assert [(g.escape_time, g.n_steps, g.n_rejected) for g in rep.grid] == [
+        (m["escape_time"], m["n_steps"], m["n_rejected"]) for m in grid]
     assert rep.refine == {"runs": 12,
-                          "n_steps": sum(r.n_steps for r in runs),
-                          "n_rejected": sum(r.n_rejected for r in runs)}
+                          "n_steps": sum(m["n_steps"] for m in runs),
+                          "n_rejected": sum(m["n_rejected"] for m in runs)}
 
 
 # ---------------------------------------------------------------------------
@@ -506,37 +525,14 @@ def test_analyze_grid_flags():
 
 
 # ---------------------------------------------------------------------------
-# one lane per coupling, and the bisection
+# one integrate run per coupling, and the bisection
 # ---------------------------------------------------------------------------
-
-@settings(derandomize=True, deadline=None, database=None, max_examples=100)
-@given(lams=st.lists(st.floats(0.0, 300.0), min_size=1, max_size=6),
-       pick=st.integers(0, 5),
-       tol=st.floats(1e-10, 1e-6),
-       t_end=st.floats(0.2, 5.0),
-       radius=st.floats(2.0, 1000.0))
-def test_batch_lane_equals_batch_of_one(lams, pick, tol, t_end, radius):
-    k = pick % len(lams)
-    batch = runaway_batch(PAR, lams, FIG_Z0, t_end, radius, tol=tol)
-    alone = runaway_batch(PAR, [lams[k]], FIG_Z0, t_end, radius, tol=tol)
-    assert len(batch) == len(lams)
-    assert batch[k] == alone[0]     # float fields compared bitwise
-
-
-def test_batch_spans_several_kernel_runs():
-    lams = np.linspace(0.0, 400.0, 35)
-    batch = runaway_batch(PAR, lams, FIG_Z0, 5.0, 20.0, tol=1e-8)
-    assert [g.lam for g in batch] == [float(x) for x in lams]
-    assert batch[-1] == runaway_batch(PAR, lams[-1:], FIG_Z0, 5.0, 20.0,
-                                      tol=1e-8)[0]
-    assert batch[0].bounded and not batch[-1].bounded
-
 
 @pytest.mark.parametrize("lam", [0.0, 5.0, 8.78, 10.0, 100.0])
 def test_batch_escape_time_is_integrate_with_one_sample(lam):
-    # a scan lane is integrate's lane with t_end as its only stop, so the
+    # a scan coupling is integrate's run with t_end as its only stop, so the
     # two take the same steps and agree bit for bit
-    (point,) = runaway_batch(PAR, [lam], FIG_Z0, 200.0, 1000.0, tol=1e-8)
+    point = scan_point(lam, tol=1e-8)
     traj = p.integrate(PAR, field_for(PAR, p.quartic(lam)), FIG_Z0, 200.0,
                        tol=1e-8, sample_rate=200.0, escape_radius=1000.0)
     assert point.escape_time == traj.meta["escape_time"]
@@ -546,11 +542,17 @@ def test_batch_escape_time_is_integrate_with_one_sample(lam):
 
 
 def test_batch_verdicts_match_integrate():
-    # the 16-point criterion-8 grid threshold_search builds over [0, 10];
-    # integrate steps on the 0.1 sample grid, the batch on its own steps
+    # a 16-point grid over criterion 8's range [0, 10]: each entry is its
+    # own one-sample run bit for bit, and its verdict is that of a run
+    # stepping on the 0.1 sample grid
+    rep = p.threshold_search(PAR, FIG_Z0, 200.0, 1000.0, (0.0, 10.0),
+                             grid_points=16, bisect_iters=0, tol=1e-8)
     lams = np.concatenate([[0.0], np.geomspace(1e-2, 10.0, 15)])
-    batch = runaway_batch(PAR, lams, FIG_Z0, 200.0, 1000.0, tol=1e-8)
-    for lam, point in zip(lams, batch):
+    assert [g.lam for g in rep.grid] == lams.tolist()
+    for lam, point in zip(lams.tolist(), rep.grid):
+        meta = scan_run(lam, tol=1e-8).meta
+        assert (point.escape_time, point.n_steps, point.n_rejected) == (
+            meta["escape_time"], meta["n_steps"], meta["n_rejected"]), lam
         pot = p.quartic(lam) if lam > 0 else None
         traj = p.integrate(PAR, field_for(PAR, pot), FIG_Z0, 200.0, tol=1e-8,
                            escape_radius=1000.0)
@@ -558,31 +560,27 @@ def test_batch_verdicts_match_integrate():
         if traj.escaped:
             gap = abs(point.escape_time - traj.meta["escape_time"])
             assert gap <= 1e-2, lam
-    assert any(g.bounded for g in batch) and not all(g.bounded for g in batch)
+    assert any(g.bounded for g in rep.grid)
+    assert not all(g.bounded for g in rep.grid)
 
 
 def test_batch_preconditions():
     with pytest.raises(PreconditionViolatedError, match="escape_radius"):
-        runaway_batch(PAR, [1.0], FIG_Z0, 10.0, 0.1)
+        scan_run(1.0, 10.0, 0.1)
     with pytest.raises(PreconditionViolatedError, match="tol"):
-        runaway_batch(PAR, [1.0], FIG_Z0, 10.0, 1000.0, tol=1.0)
-    assert runaway_batch(PAR, [], FIG_Z0, 10.0, 1000.0) == ()
+        scan_run(1.0, 10.0, 1000.0, tol=1.0)
 
 
 def test_numpy_scalar_inputs_give_float_fields():
-    # numpy scalars are converted at the boundary, so the lane runs on
-    # Python floats and returns them
-    grid = runaway_batch(PAR, np.array([0.0, 100.0]), FIG_Z0, np.float64(50.0),
-                         np.float64(1000.0), tol=np.float64(1e-8))
-    assert not grid[1].bounded
-    for g in grid:
-        assert type(g.lam) is float
-    assert type(grid[1].escape_time) is float
+    # numpy scalars are converted at the boundary, so each run steps on
+    # Python floats and the report holds them
     rep = p.threshold_search(PAR, FIG_Z0, np.float64(120.0), np.float64(1000.0),
                              np.array([5.0, 12.0]), grid_points=4,
                              bisect_iters=3, tol=np.float64(1e-8))
     assert type(rep.lambda_star) is float
     assert all(type(g.lam) is float for g in rep.grid)
+    assert not rep.grid[-1].bounded
+    assert all(type(g.escape_time) is float for g in rep.grid if not g.bounded)
 
 
 def _sequential_bisection(lo, hi, iters, bounded):
@@ -894,8 +892,8 @@ def test_integrate_runs_the_lane_on_its_params_field(pot):
 
 
 def test_batch_counts_rejections_as_integrate_does():
-    # the rejecting run of test_step_counters, as one scan lane
-    (point,) = runaway_batch(PAR, [100.0], FIG_Z0, 50.0, 1e6, tol=1e-4)
+    # the rejecting run of test_step_counters, as one scan coupling
+    point = scan_point(100.0, 50.0, 1e6, tol=1e-4)
     traj = p.integrate(PAR, field_for(PAR, p.quartic(100.0)), FIG_Z0, 50.0,
                        tol=1e-4, sample_rate=50.0, escape_radius=1e6)
     assert point.n_rejected == traj.meta["n_rejected"] > 0
@@ -911,20 +909,14 @@ def test_each_scan_coupling_is_one_integrate_run(monkeypatch):
         return run(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "integrate", spy)
-    lams = [0.0, 5.0, 100.0]
-    runaway_batch(PAR, lams, FIG_Z0, 50.0, 1000.0, tol=1e-8)
-    assert len(calls) == len(lams)
-    for lam, (args, kwargs) in zip(lams, calls):
-        assert args[1].potential.label == f"quartic(lam={lam!r})"
-        assert kwargs["sample_rate"] == args[3] == 50.0     # t_end
-    # no coupling, no run: the settings are integrate's to check
-    calls.clear()
-    assert runaway_batch(PAR, [], FIG_Z0, 10.0, 0.1, tol=1.0) == ()
-    assert calls == []
     rep = p.threshold_search(PAR, FIG_Z0, 120.0, 1000.0, (5.0, 12.0),
                              grid_points=6, bisect_iters=4, tol=1e-8)
     assert rep.refine["runs"] > 0
     assert len(calls) == 6 + rep.refine["runs"]
+    for lam, (args, kwargs) in zip([g.lam for g in rep.grid], calls):
+        assert args[1].potential.label == f"quartic(lam={lam!r})"
+        assert args[3] == 120.0 and args[4] == 1e-8   # t_end and tol
+        assert kwargs == {"sample_rate": 120.0, "escape_radius": 1000.0}
 
 
 def test_only_integrate_calls_the_lane():

@@ -134,9 +134,12 @@ def test_solve_tb1_example():
 
 
 def test_solve_family_bad_inputs():
-    with pytest.raises(NoSolutionError):
+    # a zero divisor is a usage error, named by the parameter
+    with pytest.raises(PreconditionViolatedError,
+                       match="^Ta2 needs a_x != 0$"):
         p.solve_family("Ta2", +1, {"a_x": 0.0, "a_y": 1.0, "g": 0.0}, PAR)
-    with pytest.raises(NoSolutionError):
+    with pytest.raises(PreconditionViolatedError,
+                       match="^Tb2 needs b_y != 0$"):
         p.solve_family("Tb2", +1, {"a_x": 1.0, "b_y": 0.0, "g": 1.0}, PAR)
     with pytest.raises(ComplexBranchError):
         p.solve_family("Ta2", +1, {"a_x": 1.0, "a_y": 1.0, "g": 2.0}, PAR)
@@ -154,6 +157,23 @@ def test_free_parameters_must_match_family_exactly(build, free, key):
         build("Tb1", +1, free, PAR)
 
 
+DIVISORS = [("Ta1", "a_x"), ("Ta1", "a_y"), ("Ta2", "a_x"), ("Ta2", "a_y"),
+            ("Tb1", "a_x"), ("Tb1", "g"), ("Tb2", "a_x"), ("Tb2", "b_y")]
+
+
+@pytest.mark.parametrize("build", [p.solve_family, p.tabulated_family])
+@pytest.mark.parametrize("family, key", DIVISORS)
+@pytest.mark.parametrize("zero", [0.0, -0.0])
+def test_zero_divisor_is_a_usage_error(build, family, key, zero):
+    # both builders reject an exact zero in a parameter the family divides
+    # by, with the same line; every other parameter is 1
+    free = dict.fromkeys(embedding.FREE_PARAMS[family], 1.0)
+    free[key] = zero
+    with pytest.raises(PreconditionViolatedError,
+                       match=f"^{family} needs {key} != 0$"):
+        build(family, +1, free, PAR)
+
+
 @pytest.mark.parametrize("build", [p.solve_family, p.tabulated_family])
 def test_overflowing_row_is_no_solution(build):
     # a subnormal a_y puts 1/(2 a_y) beyond the float range
@@ -167,7 +187,7 @@ def test_underflowing_denominator_is_no_solution():
     free = {"a_x": 1e-300, "b_x": 1.0, "g": 1.0}
     with pytest.raises(NoSolutionError, match="g a_x\\^2"):
         p.solve_family("Tb1", +1, free, PAR)
-    with pytest.raises(PreconditionViolatedError, match="g a_x\\^2"):
+    with pytest.raises(NoSolutionError, match="g a_x\\^2"):
         p.tabulated_family("Tb1", +1, free, PAR)
     # a_x b_y (alpha + rho_0) of the tabulated Tb2 row underflows to 0
     free = {"a_x": 1e-300, "b_y": 1e-300, "g": 1e-300}
