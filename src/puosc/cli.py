@@ -130,11 +130,16 @@ def _emit_json(payload: dict, out: Optional[str]) -> None:
 # verify
 # ---------------------------------------------------------------------------
 
-def _random_params(rng) -> PUParams:
-    while True:
-        w1, w2 = rng.uniform(0.1, 10.0, 2)
-        if abs(w1 - w2) > 0.05:
-            return core.make_params(w1, w2)
+def _random_params(rng, n: int) -> list:
+    """n frequency pairs from (0.1, 10) with separation > 0.05.  Each pass
+    draws the pairs still missing as one (k, 2) array, which is the stream
+    of k draws of one pair each, so no pair is drawn beyond the n-th kept."""
+    draws = []
+    while len(draws) < n:
+        pairs = rng.uniform(0.1, 10.0, (n - len(draws), 2)).tolist()
+        draws += [core.make_params(w1, w2) for w1, w2 in pairs
+                  if abs(w1 - w2) > 0.05]
+    return draws
 
 
 def _check_suite_args(lam: float, seed: int) -> None:
@@ -179,7 +184,7 @@ def run_invariant_suite(params: PUParams, lam: float = SUITE_LAMBDA,
     # the draws' matrices as stacks, from one builder call each;
     # core._frobenius sums each matrix as np.linalg.norm does, so every
     # residual is the per-draw one bit for bit
-    draws = [_random_params(rng) for _ in range(SUITE_DRAWS)]
+    draws = _random_params(rng, SUITE_DRAWS)
     alpha = np.array([par.alpha for par in draws])
     As, S1, S2, J1, J2 = core._structure_stack(
         alpha, [par.beta for par in draws])

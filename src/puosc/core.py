@@ -26,6 +26,7 @@ conserved interacting energy is H1 - W(q).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -78,14 +79,14 @@ def make_params(omega1: float, omega2: float) -> PUParams:
     ArithmeticError when beta underflows to 0 (the structure divides by it).
     """
     w1, w2 = float(omega1), float(omega2)
-    if not (np.isfinite(w1) and np.isfinite(w2)):
+    if not (math.isfinite(w1) and math.isfinite(w2)):
         raise DegenerateFrequenciesError("frequencies must be finite")
     if w1 <= 0.0 or w2 <= 0.0:
         raise DegenerateFrequenciesError("frequencies must be positive")
     if w1 == w2:
         raise DegenerateFrequenciesError("frequencies must be distinct")
     alpha = w1 * w1 + w2 * w2
-    if not np.isfinite(alpha):
+    if not math.isfinite(alpha):
         raise OverflowError("alpha = omega1^2 + omega2^2 is not finite")
     try:        # w1 w2 <= alpha / 2 is finite; a float power raises
         beta = (w1 * w2) ** 2
@@ -151,7 +152,7 @@ class QuadraticObservable:
         S = np.asarray(self.coeffs, dtype=float)
         if S.shape != (4, 4):
             raise ValueError("coefficient matrix must be 4x4")
-        if not np.array_equal(S, S.T):
+        if not (S == S.T).all():
             raise ValueError("coefficient matrix must be exactly symmetric")
         object.__setattr__(self, "coeffs", S)
         S.setflags(write=False)
@@ -181,7 +182,7 @@ class PoissonTensor:
         J = np.asarray(self.j, dtype=float)
         if J.shape != (4, 4):
             raise ValueError("tensor must be 4x4")
-        if not np.array_equal(J, -J.T):
+        if not (J == -J.T).all():
             raise ValueError("tensor must be exactly antisymmetric")
         object.__setattr__(self, "j", J)
         J.setflags(write=False)
@@ -418,9 +419,14 @@ def free_vector_field(params: PUParams) -> VectorField:
 # ---------------------------------------------------------------------------
 
 def _blend_hessians(params: PUParams, c1, c2) -> np.ndarray:
-    """Stack of blend Hessians c1*S1 + c2*S2 over 1-D arrays c1, c2."""
+    """Stack of blend Hessians c1*S1 + c2*S2 over 1-D arrays c1, c2.
+
+    An entry that overflows is infinite, without a warning: H2 holds 1/beta,
+    and _solve_stack counts a Hessian with an infinite entry as singular.
+    """
     c1, c2 = (np.asarray(c, dtype=float)[:, None, None] for c in (c1, c2))
-    return _sym_exact(c1 * h1(params).coeffs + c2 * h2(params).coeffs)
+    with np.errstate(over="ignore"):
+        return _sym_exact(c1 * h1(params).coeffs + c2 * h2(params).coeffs)
 
 
 def blend_h(params: PUParams, c1: float, c2: float) -> QuadraticObservable:

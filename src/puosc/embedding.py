@@ -131,7 +131,7 @@ def _build_map(family, branch, mu0, mu2, nu0, nu2, model, params):
         [nu0, 0.0, nu2, 0.0],
         [0.0, ay * nu0, 0.0, ay * nu2],
     ])
-    if not np.all(np.isfinite([*jac.flat, *vars(model).values()])):
+    if not all(map(math.isfinite, (*jac.flat, *vars(model).values()))):
         raise NoSolutionError(f"{family} row overflows for these parameters")
     return TransformMap(family, branch, float(mu0), float(mu2), float(nu0),
                         float(nu2), model, params, jac)
@@ -371,8 +371,9 @@ def _phi_coefficients(m: TransformMap):
 def _classify_phi(coeffs, params: PUParams, scale: float) -> PhiReport:
     cq, cqd, cqdd, cqddd, cq4 = coeffs
     tol = EPS_ALGEBRA * scale
-    if max(abs(c) for c in coeffs) <= tol:
-        return PhiReport("zero", 0.0, coeffs, max(abs(c) for c in coeffs))
+    peak = max(map(abs, coeffs))
+    if peak <= tol:
+        return PhiReport("zero", 0.0, coeffs, peak)
     k = cq4
     mismatch = max(
         abs(cq - k * params.beta),
@@ -396,7 +397,7 @@ def verify_map(m: TransformMap) -> MapVerification:
     m.rank_deficient.
     """
     c1, c2 = _phi_coefficients(m)
-    scale = max(1.0, *(abs(c) for c in c1 + c2))
+    scale = max(1.0, *map(abs, c1 + c2))
     r1 = _classify_phi(c1, m.params, scale)
     r2 = _classify_phi(c2, m.params, scale)
     if m.family.startswith("Ta"):
@@ -593,9 +594,9 @@ def draw_free_params(family: str, rng: np.random.Generator,
     """Random admissible free parameters for a family (rejection sampling on
     the real-branch and tau != 0 conditions), keyed by FREE_PARAMS."""
     for _ in range(200):
-        ax = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0)
+        ax = (-1.0, 1.0)[rng.integers(2)] * rng.uniform(0.3, 2.0)
         if family in ("Ta1", "Ta2"):
-            ay = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0)
+            ay = (-1.0, 1.0)[rng.integers(2)] * rng.uniform(0.3, 2.0)
             g = rng.uniform(-1.0, 1.0)
             if family == "Ta2":
                 if _radicand(params, ax, ay, g) < 1e-6:
@@ -603,11 +604,11 @@ def draw_free_params(family: str, rng: np.random.Generator,
             return dict(zip(FREE_PARAMS[family], (ax, ay, g)))
         if family == "Tb1":
             bx = rng.uniform(-3.0, 3.0)
-            g = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.5)
+            g = (-1.0, 1.0)[rng.integers(2)] * rng.uniform(0.2, 1.5)
             if abs(_tau(params, ax, bx)) < 1e-3:
                 continue
             return dict(zip(FREE_PARAMS[family], (ax, bx, g)))
-        by = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0)
+        by = (-1.0, 1.0)[rng.integers(2)] * rng.uniform(0.3, 2.0)
         g = rng.uniform(-1.0, 1.0)
         return dict(zip(FREE_PARAMS[family], (ax, by, g)))
     raise NoSolutionError(f"could not draw admissible parameters for {family}")

@@ -121,7 +121,7 @@ def test_verify_commutant_checks_reject_a_wrong_basis(monkeypatch):
             symmetry.projection_residual(bent(c), xi)
             for xi in symmetry.known_generators(par)),
     }
-    monkeypatch.setattr(cli, "_random_params", lambda rng: par)
+    monkeypatch.setattr(cli, "_random_params", lambda rng, n: [par] * n)
     for name, residual in residuals.items():
         per_bend = residual(1e-9) / 1e-9     # linear in c at these sizes
         for factor in (0.5, 2.0):
@@ -844,7 +844,7 @@ def test_stacked_commutant_section_is_pointwise():
     # and the suite's report is the loop's over the suite's 50 draws
     params = core.make_params(1.0, 2.0)
     rng = np.random.default_rng(cli.DEFAULT_SEED)
-    draws = [cli._random_params(rng) for _ in range(100)][:50]
+    draws = cli._random_params(rng, 100)[:50]
     dims, comm, proj = set(), 0.0, 0.0
     for par in draws:
         A = core.flow_matrix(par)
@@ -860,6 +860,35 @@ def test_stacked_commutant_section_is_pointwise():
     assert dim["detail"]["dimensions"] == sorted(dims) == [4]
     assert abelian["detail"]["max_commutator"] == comm
     assert abs(projection["detail"]["max_residual"] - proj) <= SPAN_ATOL
+
+
+def _random_pair_at_a_time(rng):
+    # reference: one pair per uniform call, redrawn until it is separated
+    while True:
+        w1, w2 = rng.uniform(0.1, 10.0, 2)
+        if abs(w1 - w2) > 0.05:
+            return core.make_params(w1, w2)
+
+
+@pytest.mark.parametrize("seed", [cli.DEFAULT_SEED, 3, 349503])
+@pytest.mark.parametrize("n", [1, 37, cli.SUITE_DRAWS])
+def test_random_params_is_the_pair_at_a_time_stream(seed, n):
+    # seed 3's stream rejects its 37th and a later pair, so n = 37 needs a
+    # second pass; equal params and an equal next draw mean equal streams
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    got = cli._random_params(rng, n)
+    ref = [_random_pair_at_a_time(ref_rng) for _ in range(n)]
+    assert got == ref
+    assert all(type(f) is float for par in got for f in vars(par).values())
+    assert rng.uniform() == ref_rng.uniform()
+
+
+def test_random_params_stream_has_rejections():
+    # the seed above whose stream holds rejected pairs, counted
+    rng = np.random.default_rng(3)
+    pairs = rng.uniform(0.1, 10.0, (cli.SUITE_DRAWS + 2, 2))
+    rejected = np.flatnonzero(np.abs(pairs[:, 0] - pairs[:, 1]) <= 0.05)
+    assert rejected.tolist()[0] == 36 and len(rejected) == 2
 
 
 def test_invariant_suite_calls_no_pointwise_commutant(monkeypatch):

@@ -262,9 +262,12 @@ def test_blend_j_singular_rays():
 
 def test_blend_j_with_a_non_finite_hessian_is_singular():
     # beta = 1.02e-308 is finite, but 2 H2 holds 2/beta = inf: its singular
-    # values are NaN, so the blend counts as singular rather than solved
+    # values are NaN, so the blend counts as singular rather than solved.
+    # The overflow warns nowhere, which the RuntimeWarning filter checks
     par = p.make_params(1e-77, 1.01e-77)
-    with np.errstate(over="ignore"), pytest.raises(SingularBlendError):
+    S = p.blend_h(par, 0.0, 2.0).coeffs
+    assert S[3, 3] == np.inf and np.isfinite(np.delete(S.ravel(), 15)).all()
+    with pytest.raises(SingularBlendError):
         p.blend_j(par, 0.0, 2.0)
 
 
@@ -375,7 +378,7 @@ def suite_draws(seed):
     from puosc import cli
     from puosc.config import SUITE_DRAWS
     rng = np.random.default_rng(seed)
-    return [cli._random_params(rng) for _ in range(SUITE_DRAWS)]
+    return cli._random_params(rng, SUITE_DRAWS)
 
 
 STACKED_DRAWS = [pytest.param(suite_draws(seed), id=f"suite-seed-{seed}")

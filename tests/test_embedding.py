@@ -1,6 +1,9 @@
 """Family classification, off-shell verification, tensor pushforward,
 Hamiltonian pullback, sum-of-squares positivity."""
 
+import ast
+import inspect
+import itertools
 import json
 
 import numpy as np
@@ -8,6 +11,7 @@ import pytest
 
 import puosc as p
 from puosc import embedding
+from puosc.config import DEFAULT_SEED
 from puosc.embedding import (
     BRANCHES,
     FAMILIES,
@@ -224,6 +228,63 @@ def test_drawn_free_parameters_match_table():
     for family in FAMILIES:
         free = draw_free_params(family, rng, PAR)
         assert tuple(free) == FREE_PARAMS[family]
+
+
+def _draw_free_params_by_choice(family, rng, params, tries):
+    # reference: draw_free_params with its signs from rng.choice; tries
+    # counts the passes, so a rejecting stream can be told apart
+    for _ in range(200):
+        tries.append(family)
+        ax = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0)
+        if family in ("Ta1", "Ta2"):
+            ay = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0)
+            g = rng.uniform(-1.0, 1.0)
+            if family == "Ta2":
+                if embedding._radicand(params, ax, ay, g) < 1e-6:
+                    continue
+            return dict(zip(FREE_PARAMS[family], (ax, ay, g)))
+        if family == "Tb1":
+            bx = rng.uniform(-3.0, 3.0)
+            g = rng.choice([-1.0, 1.0]) * rng.uniform(0.2, 1.5)
+            if abs(embedding._tau(params, ax, bx)) < 1e-3:
+                continue
+            return dict(zip(FREE_PARAMS[family], (ax, bx, g)))
+        by = rng.choice([-1.0, 1.0]) * rng.uniform(0.3, 2.0)
+        g = rng.uniform(-1.0, 1.0)
+        return dict(zip(FREE_PARAMS[family], (ax, by, g)))
+    raise NoSolutionError(f"could not draw admissible parameters for {family}")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_draw_free_params_is_the_choice_stream(family):
+    # (1, 1.02) makes Ta2 reject most draws; equal values and an equal next
+    # draw mean the integer sign index consumes what rng.choice consumed
+    tries = []
+    for seed, par in itertools.product((0, 5, DEFAULT_SEED),
+                                       (PAR, p.make_params(1.0, 1.02))):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(200):
+            free = draw_free_params(family, rng, par)
+            ref = _draw_free_params_by_choice(family, ref_rng, par, tries)
+            assert free == ref
+            assert json.dumps(free) == json.dumps(ref)
+        assert rng.uniform() == ref_rng.uniform()
+    if family == "Ta2":     # the rejection branch ran
+        assert len(tries) > 1200
+
+
+def test_scalar_paths_call_numpy_only_for_the_jacobian():
+    # a numpy call on one Python float costs 1 to 14 us, math or a builtin
+    # well under 1 us; _build_map's one np.array is the jacobian it returns
+    def numpy_calls(fn):
+        return [ast.unparse(n.func) for n in ast.walk(
+                    ast.parse(inspect.getsource(fn)))
+                if isinstance(n, ast.Call)
+                and ast.unparse(n.func).startswith(("np.", "numpy."))]
+    for fn in (p.make_params, embedding._build_map, draw_free_params,
+               embedding._classify_phi, p.verify_map):
+        expected = ["np.array"] if fn is embedding._build_map else []
+        assert numpy_calls(fn) == expected, fn.__name__
 
 
 def test_solved_rows_pass_50_draws_per_family():
