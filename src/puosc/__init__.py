@@ -22,7 +22,6 @@ from .core import (
     blend_j,
     blend_j_closed_form,
     blend_j_tabulated,
-    blend_report,
     flow_matrix,
     free_vector_field,
     h1,

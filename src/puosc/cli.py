@@ -17,7 +17,6 @@ platform; every output embeds its config and the library version.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import math
 import re
@@ -66,23 +65,30 @@ def _config(args) -> dict:
             if k != "command"}
 
 
+# the initial-state flags of each --chart value, in the state's field order
+_STATE_FLAGS = {"jet": ("q0", "qd0", "qdd0", "qddd0"),
+                "ostro": ("x1", "x2", "p1", "p2")}
+
+
 def _initial_state(args, params: PUParams) -> JetState:
+    """The state the --chart flags give; a nonzero flag of the other chart
+    is a usage error, as the run would echo a value it never read."""
+    other = "ostro" if args.chart == "jet" else "jet"
+    for name in _STATE_FLAGS[other]:
+        if getattr(args, name) != 0.0:
+            raise PreconditionViolatedError(
+                f"--{name} belongs to --chart {other}, but --chart is "
+                f"{args.chart}")
+    values = [getattr(args, name) for name in _STATE_FLAGS[args.chart]]
     if args.chart == "jet":
-        return JetState(args.q0, args.qd0, args.qdd0, args.qddd0)
-    return core.ostro_to_jet(
-        params, OstroState(args.x1, args.x2, args.p1, args.p2))
+        return JetState(*values)
+    return core.ostro_to_jet(params, OstroState(*values))
 
 
 def _escape_radius(args, z0: JetState) -> float:
     if args.escape_radius is not None:
         return args.escape_radius
     return dynamics.default_escape_radius(z0)
-
-
-def _fields(obj) -> dict:
-    """A dataclass's fields as a shallow dict.  json.dumps writes it as it
-    writes dataclasses.asdict's deep copy, which copies every float."""
-    return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
 
 
 def _non_finite_path(value, path: str = "") -> Optional[str]:
@@ -152,7 +158,8 @@ def _check_suite_args(lam: float, seed: int) -> None:
 
 def _entrywise_residual(M: np.ndarray, T: np.ndarray) -> float:
     """Largest |M - T| / max(|M|, |T|) over the entries where M - T != 0."""
-    d = np.abs(M - T)
+    with np.errstate(invalid="ignore"):    # inf - inf is a NaN residual
+        d = np.abs(M - T)
     return float(np.divide(d, np.maximum(np.abs(M), np.abs(T)),
                            out=np.zeros_like(d), where=d != 0).max())
 
@@ -236,10 +243,11 @@ def run_invariant_suite(params: PUParams, lam: float = SUITE_LAMBDA,
 
     charges = symmetry.symmetry_charges(params)
     S1 = core.h1(params).coeffs
-    H1n = float(np.linalg.norm(S1))
-    a_ok = (np.linalg.norm(charges[0]) < 1e-12 * H1n
-            and np.linalg.norm(charges[1] - S1) <= 1e-13 * H1n
-            and np.linalg.norm(charges[3]) < 1e-10 * H1n)
+    with np.errstate(over="ignore"):   # |H1| is inf from about omega 1e39
+        H1n = float(np.linalg.norm(S1))
+        a_ok = (np.linalg.norm(charges[0]) < 1e-12 * H1n
+                and np.linalg.norm(charges[1] - S1) <= 1e-13 * H1n
+                and np.linalg.norm(charges[3]) < 1e-10 * H1n)
     record("symmetry_actions", a_ok, {})
 
     free_basis = symmetry.invariant_tensor_space(core.free_vector_field(params))
@@ -359,13 +367,13 @@ def _map_payload(m: embedding.TransformMap) -> dict:
     v = embedding.verify_map(m)
     return {
         "mu0": m.mu0, "mu2": m.mu2, "nu0": m.nu0, "nu2": m.nu2,
-        "model": _fields(m.model),
+        "model": vars(m.model),
         "singular": m.singular,
         "verify": {
             "passes": v.passes,
             "contract": v.contract,
-            "phi1": _fields(v.phi1),
-            "phi2": _fields(v.phi2),
+            "phi1": vars(v.phi1),
+            "phi2": vars(v.phi2),
         },
     }
 
@@ -440,7 +448,7 @@ def cmd_scan(args) -> int:
         payload = {
             "config": _config(args), "version": __version__,
             "degenerate": exc.kind,
-            "grid": [_fields(gp) for gp in (exc.grid or [])],
+            "grid": [vars(gp) for gp in exc.grid],
         }
         _emit_json(payload, args.out)
         return EXIT_SCAN_DEGENERATE
@@ -451,7 +459,7 @@ def cmd_scan(args) -> int:
         "monotone": report.monotone,
         "caveat": report.caveat,
         "settings": report.settings,
-        "grid": [_fields(gp) for gp in report.grid],
+        "grid": [vars(gp) for gp in report.grid],
         "refine": report.refine,
     }
     _emit_json(payload, args.out)
@@ -518,9 +526,9 @@ def _add_coupling(sp: argparse.ArgumentParser, default: float) -> None:
 
 
 def _add_state(sp: argparse.ArgumentParser) -> None:
-    for name in ("q0", "qd0", "qdd0", "qddd0", "x1", "x2", "p1", "p2"):
+    for name in (*_STATE_FLAGS["jet"], *_STATE_FLAGS["ostro"]):
         sp.add_argument(f"--{name}", type=_finite_float, default=0.0)
-    sp.add_argument("--chart", choices=("jet", "ostro"), default="jet",
+    sp.add_argument("--chart", choices=tuple(_STATE_FLAGS), default="jet",
                     help="which set of initial-state flags to read")
 
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
@@ -101,6 +101,7 @@ def make_params(omega1: float, omega2: float) -> PUParams:
 class JetState:
     """Point of the jet chart (q, qd, qdd, qddd)."""
 
+    chart: ClassVar[str] = JET
     q: float
     qd: float
     qdd: float
@@ -123,6 +124,7 @@ class JetState:
 class OstroState:
     """Point of the momentum chart (x1, x2, p1, p2)."""
 
+    chart: ClassVar[str] = OSTRO
     x1: float
     x2: float
     p1: float
@@ -135,15 +137,13 @@ class OstroState:
     def as_array(self) -> np.ndarray:
         return np.array([self.x1, self.x2, self.p1, self.p2], dtype=float)
 
-    @classmethod
-    def from_array(cls, s) -> "OstroState":
-        x1, x2, p1, p2 = np.asarray(s, dtype=float)
-        return cls(x1, x2, p1, p2)
-
 
 @dataclass(frozen=True)
 class QuadraticObservable:
-    """Quadratic phase-space function F(z) = z.S.z/2 with S symmetric."""
+    """Quadratic phase-space function F(z) = z.S.z/2 with S symmetric.
+
+    value and gradient take an array, or a state of the observable's chart.
+    """
 
     coeffs: np.ndarray
     chart: str = JET
@@ -158,14 +158,11 @@ class QuadraticObservable:
         S.setflags(write=False)
 
     def value(self, z) -> float:
-        v = _coerce(z)
+        v = _coerce(z, self.chart)
         return 0.5 * float(v @ self.coeffs @ v)
 
     def gradient(self, z) -> np.ndarray:
-        return self.coeffs @ _coerce(z)
-
-    def hessian(self) -> np.ndarray:
-        return self.coeffs
+        return self.coeffs @ _coerce(z, self.chart)
 
 
 @dataclass(frozen=True)
@@ -203,7 +200,8 @@ class VectorField:
     """Flow z -> linear @ z, plus an optional interaction potential W.
 
     The interaction contributes -W'(q) to the qddd component and -W''(q) to
-    entry (3, 0) of the flow Jacobian; H1 - W(q) is conserved.
+    entry (3, 0) of the flow Jacobian; H1 - W(q) is conserved.  The field is
+    jet-chart: flow and jacobian take an array or a JetState.
     """
 
     linear: np.ndarray
@@ -217,7 +215,7 @@ class VectorField:
         A.setflags(write=False)
 
     def flow(self, z) -> np.ndarray:
-        v = _coerce(z)
+        v = _coerce(z, JET)
         dz = self.linear @ v
         if self.potential is not None:
             dz[3] -= self.potential.w_prime(v[0])
@@ -225,14 +223,20 @@ class VectorField:
 
     def jacobian(self, z) -> np.ndarray:
         """d(flow)/dz at z; the interaction only enters entry (3, 0)."""
+        v = _coerce(z, JET)
         D = np.array(self.linear)
         if self.potential is not None:
-            D[3, 0] -= self.potential.w_second(_coerce(z)[0])
+            D[3, 0] -= self.potential.w_second(v[0])
         return D
 
 
-def _coerce(z) -> np.ndarray:
+def _coerce(z, chart: str) -> np.ndarray:
+    """z as an array; a JetState or OstroState must be a state of chart."""
     if isinstance(z, (JetState, OstroState)):
+        if z.chart != chart:
+            raise ChartMismatchError(
+                f"state of chart {z.chart!r} given where chart {chart!r} "
+                "is needed")
         return z.as_array()
     return np.asarray(z, dtype=float)
 
@@ -475,9 +479,8 @@ def blend_j(params: PUParams, c1: float, c2: float) -> PoissonTensor:
 
     solve_bihamiltonian applied to blend_h.  The blend Hessian is singular
     exactly on the rays c2 = -c1*w_i^2; there, and if the solution is not
-    antisymmetric, a SingularBlendError is raised.  A quoted closed form for
-    this tensor is available as blend_j_tabulated for comparison; see
-    blend_report.
+    antisymmetric, a SingularBlendError is raised.  blend_j_closed_form is
+    its exact closed form, and blend_j_tabulated a quoted one that differs.
     """
     try:
         return solve_bihamiltonian(params, blend_h(params, c1, c2))
@@ -514,8 +517,8 @@ def blend_j_tabulated(params: PUParams, c1: float, c2: float) -> PoissonTensor:
 
         J' = (c1*J1 + beta*c2*J2) / ((c1 - c2*w1^2)(c1 - c2*w2^2)).
 
-    It agrees with blend_j on the axes c1 = 0 and c2 = 0 but not in between;
-    blend_report records the discrepancy instead of silently accepting either.
+    It agrees with blend_j on the axes c1 = 0 and c2 = 0 but not in between,
+    and its denominator vanishes on c1 = c2*w_i^2, where blend_j is regular.
     """
     w1s, w2s = params.omega1 ** 2, params.omega2 ** 2
     den = (c1 - c2 * w1s) * (c1 - c2 * w2s)
@@ -524,32 +527,6 @@ def blend_j_tabulated(params: PUParams, c1: float, c2: float) -> PoissonTensor:
         raise SingularBlendError("tabulated denominator vanishes")
     J = (c1 * j1(params).j + params.beta * c2 * j2(params).j) / den
     return PoissonTensor(0.5 * (J - J.T), JET)
-
-
-def blend_report(params: PUParams, c1: float, c2: float) -> dict:
-    """Compare the constructive blend tensor against both closed forms.
-
-    Returns a dict with the three tensors (or the error that prevented each),
-    and max-entry deltas against the constructive one.
-    """
-    out: dict = {"c1": c1, "c2": c2}
-    variants = {"constructive": blend_j, "closed_form": blend_j_closed_form,
-                "tabulated": blend_j_tabulated}
-    tensors = {}
-    for name, build in variants.items():
-        try:
-            tensors[name] = build(params, c1, c2)
-            out[name] = tensors[name].j.tolist()
-        except SingularBlendError as exc:
-            out[name] = f"singular: {exc}"
-    if "constructive" in tensors:
-        ref = tensors["constructive"].j
-        for name in ("closed_form", "tabulated"):
-            if name in tensors:
-                out[f"delta_{name}"] = float(
-                    np.max(np.abs(tensors[name].j - ref))
-                )
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +549,8 @@ def poisson_bracket(
         raise ChartMismatchError(
             f"charts differ: F={f.chart}, G={g.chart}, J={j.chart}"
         )
-    M = f.coeffs @ j.j @ g.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = f.coeffs @ j.j @ g.coeffs
     if not np.isfinite(M).all():
         raise ArithmeticError(
             "non-finite value in the Poisson bracket S_F J S_G")
@@ -589,10 +567,12 @@ def _frobenius(X: np.ndarray) -> np.ndarray:
 
     Each entry is summed as np.linalg.norm sums one matrix (a dot product of
     its ravel with itself), so it equals the per-matrix norm bit for bit;
-    np.linalg.norm(X, axis=(-2, -1)) sums in another order.
+    np.linalg.norm(X, axis=(-2, -1)) sums in another order.  A norm that
+    overflows is infinite, without a warning.
     """
     f = X.reshape(*X.shape[:-2], 1, X.shape[-2] * X.shape[-1])
-    return np.sqrt(f @ f.swapaxes(-1, -2))[..., 0, 0]
+    with np.errstate(over="ignore"):
+        return np.sqrt(f @ f.swapaxes(-1, -2))[..., 0, 0]
 
 
 def _negligible(sv: np.ndarray) -> np.ndarray:

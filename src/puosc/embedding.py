@@ -464,7 +464,9 @@ def fit_blend(params: PUParams, S: np.ndarray):
     B = np.stack([s1, s2], axis=1)
     target = np.asarray(S, dtype=float).ravel()
     coef, *_ = np.linalg.lstsq(B, target, rcond=None)
-    res = np.linalg.norm(target - B @ coef) / max(np.linalg.norm(target), 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf is NaN
+        res = (np.linalg.norm(target - B @ coef)
+               / max(np.linalg.norm(target), 1.0))
     return float(coef[0]), float(coef[1]), float(res)
 
 

@@ -84,7 +84,7 @@ class ScanDegenerateError(PuoscError):
     """Threshold scan found no transition: every grid point was bounded, or
     every grid point escaped."""
 
-    def __init__(self, kind: str, grid=None):
+    def __init__(self, kind: str, grid):
         assert kind in ("all-bounded", "all-unbounded")
         self.kind = kind
         self.grid = grid

@@ -66,13 +66,16 @@ def commutant_basis(A: np.ndarray) -> np.ndarray:
 
 def _known_stack(As: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """The known generators of each flow matrix of a stack As (n, 4, 4) with
-    its alpha (n,), as a stack (n, 4, 4, 4) in known_generators' order."""
+    its alpha (n,), as a stack (n, 4, 4, 4) in known_generators' order.
+    An entry of X4 that overflows is infinite, without a warning;
+    apply_symmetry raises on it."""
     A2 = As @ As
     G = np.empty((len(As), 4, 4, 4))
     G[:, 0] = As
     G[:, 1] = 0.5 * np.eye(4)
     G[:, 2] = 0.5 * A2
-    G[:, 3] = A2 @ As + alpha[:, None, None] * As
+    with np.errstate(over="ignore", invalid="ignore"):
+        G[:, 3] = A2 @ As + alpha[:, None, None] * As
     return G
 
 
@@ -104,7 +107,8 @@ def projection_residual(basis, candidate: np.ndarray) -> float:
 def _span_residual(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Least-squares distance of each row of X[i] from the span of the rows
     of G[i], relative to max(|x|, 1), for stacks G (n, k, m) and X (n, t, m);
-    shape (n, t), and 1.0 when k = 0.
+    shape (n, t), and 1.0 when k = 0.  NaN, without a warning, where both
+    norms overflow.
 
     The least-squares coefficients come from the SVD of G[i]^T, under
     lstsq's rank rule: singular values at most eps * max(k, m) times the
@@ -118,8 +122,9 @@ def _span_residual(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
     coef = (X @ U) * inv[:, None, :] @ Vt
     R = X - coef @ G
-    return (core._frobenius(R[..., None, :])
-            / np.maximum(core._frobenius(X[..., None, :]), 1.0))
+    with np.errstate(invalid="ignore"):
+        return (core._frobenius(R[..., None, :])
+                / np.maximum(core._frobenius(X[..., None, :]), 1.0))
 
 
 def max_pairwise_commutator(basis) -> float:
@@ -172,7 +177,8 @@ def apply_symmetry(xi: np.ndarray,
     the matrix is not finite (X4 overflows from about 1e52 on).
     """
     S = f.coeffs
-    M = xi.T @ S + S @ xi
+    with np.errstate(over="ignore", invalid="ignore"):
+        M = xi.T @ S + S @ xi
     if not np.isfinite(M).all():
         raise ArithmeticError(
             "non-finite value in the symmetry action Xi^T S + S Xi")
@@ -190,7 +196,9 @@ def generated_structure(params: PUParams) -> tuple[np.ndarray, np.ndarray]:
     A, J1 = core.flow_matrix(params), core.j1(params).j
     x3 = 0.5 * (A @ A)
     J = x3 @ J1 + J1 @ x3.T + params.alpha * J1
-    return J, apply_symmetry(x3, core.h1(params)).coeffs / -params.beta
+    S = apply_symmetry(x3, core.h1(params)).coeffs
+    with np.errstate(over="ignore"):   # 1/beta is inf for a subnormal beta
+        return J, S / -params.beta
 
 
 def symmetry_charges(params: PUParams) -> np.ndarray:

@@ -572,6 +572,17 @@ EXIT_CASES = [
     ("embed-tabulated-tb2-denominator-underflows",
      ["embed", "--family", "tb2", "--ax", "1e-300", "--by", "1e-300",
       "--g", "1e-300", "--out", "{tmp}/e.json"], 0),
+    # a nonzero state flag of the chart --chart does not read: the run would
+    # echo a value it never used
+    ("simulate-off-chart-flag",
+     ["simulate", "--chart", "jet", "--q0", "1", "--p1", "0.5", "--t-end",
+      "1", "--out", "{tmp}/t.csv"], 2),
+    ("scan-off-chart-flag",
+     ["scan", "--chart", "ostro", "--x1", "1", "--qd0", "0.5", "--t-end",
+      "1", "--out", "{tmp}/s.json"], 2),
+    ("modes-off-chart-flag",
+     ["modes", "--chart", "ostro", "--q0", "3", "--p1", "0.5",
+      "--out", "{tmp}/m.json"], 2),
     # a free parameter the family divides by is zero: a usage error
     ("embed-zero-free-parameter",
      ["embed", "--family", "ta2", "--ax", "0", "--ay", "1", "--g", "0.1",
@@ -623,6 +634,10 @@ def test_exit_code_messages(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("io error: ")
     assert exit_code([*TB1[:-2], "--g", "1"]) == 2
     assert capsys.readouterr().err == "error: Tb1 needs free parameter 'b_x'\n"
+    assert exit_code(["simulate", "--chart", "jet", "--q0", "1", "--p1", "0.5",
+                      "--t-end", "1", "--out", str(tmp_path / "t.csv")]) == 2
+    assert capsys.readouterr().err == (
+        "error: --p1 belongs to --chart ostro, but --chart is jet\n")
     assert exit_code(["scan", "--grid-points", "10001"]) == 2
     assert capsys.readouterr().err == (
         "error: grid_points must not exceed 10000\n")
@@ -942,6 +957,25 @@ def test_symmetry_actions_rejects_an_inexact_euler_charge(monkeypatch):
     assert not check["passed"]
 
 
+@pytest.mark.parametrize("w1, w2", [(1e40, 2e40), (1e44, 2e44),
+                                    (1e-78, 2e-78)])
+def test_invariant_suite_at_extreme_frequencies_warns_nothing(w1, w2):
+    # under the error::RuntimeWarning filter the suite returns the report of
+    # main's errstate(all="ignore") path, not a bare numpy warning
+    params = core.make_params(w1, w2)
+    report = cli.run_invariant_suite(params)
+    with np.errstate(all="ignore"):
+        expected = cli.run_invariant_suite(params)
+    assert json.dumps(report) == json.dumps(expected)
+    assert report["passed"] is False
+
+
+def test_invariant_suite_names_the_symmetry_action_overflow():
+    with pytest.raises(ArithmeticError,
+                       match="non-finite value in the symmetry action"):
+        cli.run_invariant_suite(core.make_params(1e60, 2e60))
+
+
 def test_verify_at_large_frequencies_is_a_verdict(tmp_path, capsys):
     # the generated structure is compared with no absolute floor, so the
     # order-1 dq^dqd block still counts next to beta = 4e12
@@ -1108,8 +1142,14 @@ def test_main_exit_code_property(argv, out_dir):
     if code == 0:
         # no silent substitution: the output echoes every value it was given
         echoed = _echoed_config(out)
-        for name, value in _drawn_config(argv).items():
+        drawn = _drawn_config(argv)
+        for name, value in drawn.items():
             assert echoed[name] == type(echoed[name])(value), name
+        # and it read every state flag it echoes: another chart's is 0
+        if "chart" in drawn:
+            jet = drawn["chart"] == "jet"
+            other = STATE_FLAGS[4:] if jet else STATE_FLAGS[:4]
+            assert all(float(drawn[k]) == 0.0 for k in other if k in drawn)
 
 
 def test_scan_transition_draws_exit_zero(out_dir):

@@ -135,7 +135,67 @@ def test_observable_gradient_and_hessian():
     H1 = p.h1(PAR)
     z = np.array([0.5, -1.0, 2.0, 0.25])
     assert np.allclose(H1.gradient(z), H1.coeffs @ z, atol=0)
-    assert np.array_equal(H1.hessian(), H1.hessian().T)
+    assert np.array_equal(H1.coeffs, H1.coeffs.T)
+
+
+def test_a_state_is_evaluated_only_in_its_own_chart():
+    z = p.JetState(1, 0.5, -1, 0.2)
+    s = p.jet_to_ostro(PAR, z)
+    H1, H1o = p.h1(PAR), p.transport_observable(PAR, p.h1(PAR), "ostro")
+    assert H1.value(z) == pytest.approx(-2.225, abs=1e-14)
+    assert H1o.value(s) == pytest.approx(-2.225, abs=1e-14)
+    free = p.free_vector_field(PAR)
+    interacting = p.field_for(PAR, p.quartic(1.0))
+    for call, state in ((H1.value, s), (H1.gradient, s), (H1o.value, z),
+                        (H1o.gradient, z), (free.flow, s),
+                        (free.jacobian, s), (interacting.flow, s),
+                        (interacting.jacobian, s)):
+        with pytest.raises(ChartMismatchError, match="state of chart"):
+            call(state)
+    # an array is read in the observable's or the field's own chart
+    assert H1.value(z.as_array()) == H1.value(z)
+    assert H1o.value(s.as_array()) == H1o.value(s)
+    assert np.array_equal(free.flow(z.as_array()), free.flow(z))
+    assert np.array_equal(interacting.jacobian(z.as_array()),
+                          interacting.jacobian(z))
+
+
+# each guard's own error; deleting the guard lets the input through or
+# fails it with another error
+CORE_GUARDS = [
+    ("make-params-nan", lambda: p.make_params(float("nan"), 2.0),
+     DegenerateFrequenciesError, "frequencies must be finite"),
+    ("make-params-inf", lambda: p.make_params(1.0, float("inf")),
+     DegenerateFrequenciesError, "frequencies must be finite"),
+    ("observable-shape", lambda: p.QuadraticObservable(np.eye(3)),
+     ValueError, "must be 4x4"),
+    ("observable-asymmetric",
+     lambda: p.QuadraticObservable(np.triu(np.ones((4, 4)))),
+     ValueError, "exactly symmetric"),
+    ("tensor-shape", lambda: p.PoissonTensor(np.zeros((3, 3))),
+     ValueError, "must be 4x4"),
+    ("tensor-not-antisymmetric", lambda: p.PoissonTensor(np.eye(4)),
+     ValueError, "exactly antisymmetric"),
+    ("field-shape", lambda: p.VectorField(np.eye(3)),
+     ValueError, "must be 4x4"),
+    # c2 = -c1 w1^2 at (1, 2)
+    ("closed-form-denominator", lambda: p.blend_j_closed_form(PAR, 1.0, -1.0),
+     SingularBlendError, "closed-form denominator vanishes"),
+    # S_F J S_G overflows: named, not a numpy overflow warning
+    ("bracket-overflow",
+     lambda: p.poisson_bracket(PAR, p.QuadraticObservable(1e200 * np.eye(4)),
+                               p.QuadraticObservable(1e200 * np.eye(4)),
+                               p.j1(PAR)),
+     ArithmeticError, "non-finite value in the Poisson bracket"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(call, error, message, id=name)
+    for name, call, error, message in CORE_GUARDS])
+def test_core_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 # ---------------------------------------------------------------------------
@@ -307,16 +367,17 @@ def test_blend_j_tabulated_agrees_only_on_axes():
                        p.blend_j(PAR, 2.0, 0.0).j, atol=1e-13)
     assert np.allclose(p.blend_j_tabulated(PAR, 0.0, 3.0).j,
                        p.blend_j(PAR, 0.0, 3.0).j, atol=1e-13)
-    rep = p.blend_report(PAR, 1.0, 2.0)
-    assert rep["delta_closed_form"] < 1e-12
-    assert rep["delta_tabulated"] > 1e-3
+    J = p.blend_j(PAR, 1.0, 2.0).j
+    assert np.max(np.abs(p.blend_j_closed_form(PAR, 1.0, 2.0).j - J)) < 1e-12
+    assert np.max(np.abs(p.blend_j_tabulated(PAR, 1.0, 2.0).j - J)) > 1e-3
 
 
-def test_blend_report_on_tabulated_singularity():
+def test_blend_j_regular_on_tabulated_singularity():
     # (1, 1) is regular constructively; the quoted denominator vanishes there
-    rep = p.blend_report(PAR, 1.0, 1.0)
-    assert isinstance(rep["constructive"], list)
-    assert isinstance(rep["tabulated"], str) and "singular" in rep["tabulated"]
+    assert isinstance(p.blend_j(PAR, 1.0, 1.0), p.PoissonTensor)
+    with pytest.raises(SingularBlendError,
+                       match="tabulated denominator vanishes"):
+        p.blend_j_tabulated(PAR, 1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

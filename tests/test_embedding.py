@@ -26,6 +26,7 @@ from puosc.errors import (
     ComplexBranchError,
     DegenerateModelError,
     NoSolutionError,
+    NotInSpanError,
     PreconditionViolatedError,
     PuoscError,
     SingularCoefficientError,
@@ -499,10 +500,55 @@ def test_pullback_non_finite_residual_is_a_numerical_failure():
     m = p.solve_family("Tb1", +1, {"a_x": 1.0, "b_x": 2.0, "g": 1.0}, par)
     with np.errstate(all="ignore"):
         S = m.jac.T @ p.embedding.model_hamiltonian_matrix(m.model) @ m.jac
-        c1, c2, res = fit_blend(par, 0.5 * (S + S.T))
-        assert np.isfinite([c1, c2]).all() and np.isnan(res)
-        with pytest.raises(ArithmeticError, match="fit residual"):
-            p.pullback_hamiltonian(m)
+        S = 0.5 * (S + S.T)
+    c1, c2, res = fit_blend(par, S)
+    assert np.isfinite([c1, c2]).all() and np.isnan(res)
+    with pytest.raises(ArithmeticError, match="fit residual is not finite"):
+        p.pullback_hamiltonian(m)
+
+
+class _StuckRng:
+    """Every Tb1 draw is a_x = b_x = 1, where tau = 0 at (1, 2)."""
+
+    def integers(self, n):
+        return 1
+
+    def uniform(self, low, high):
+        return 1.0
+
+
+# a pullback outside span{H1, H2}: the identity jacobian pulls the model
+# Hamiltonian back to itself, whose (1, 3) entry is 0 and (0, 2) entry is g
+_IDENTITY_MAP = embedding.TransformMap(
+    "Ta2", +1, 1.0, 0.0, 0.0, 1.0,
+    embedding.TwoDimModel(1.0, 1.0, 1.0, 1.0, 0.5), PAR, np.eye(4))
+
+# each guard's own error; deleting the guard lets the input through or
+# fails it with another error
+EMBEDDING_GUARDS = [
+    ("model-a-x-zero", lambda: embedding.TwoDimModel(0.0, 1.0, 1.0, 1.0, 1.0),
+     DegenerateModelError, "a_x must be nonzero"),
+    ("need-bad-branch",
+     lambda: p.solve_family("Ta1", 0, {"a_x": 1.0, "a_y": 1.0, "g": 0.1}, PAR),
+     PreconditionViolatedError, "branch must be"),
+    # tau = b_x^2 - a_x b_x alpha + a_x^2 beta = 16 - 20 + 4
+    ("tabulated-tb1-tau-zero",
+     lambda: p.tabulated_family("Tb1", +1,
+                                {"a_x": 1.0, "b_x": 4.0, "g": 0.5}, PAR),
+     PreconditionViolatedError, "tau != 0"),
+    ("pullback-not-in-span", lambda: p.pullback_hamiltonian(_IDENTITY_MAP),
+     NotInSpanError, "above tolerance"),
+    ("draw-exhausted", lambda: draw_free_params("Tb1", _StuckRng(), PAR),
+     NoSolutionError, "could not draw admissible parameters for Tb1"),
+]
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(call, error, message, id=name)
+    for name, call, error, message in EMBEDDING_GUARDS])
+def test_embedding_guards(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_pullback_degenerate_tb2():

@@ -192,18 +192,19 @@ def test_x2_is_half_identity_x1_is_flow():
 def test_known_stack_is_known_generators_bit_for_bit(draws):
     alpha = np.array([par.alpha for par in draws])
     As = p.core._structure_stack(alpha, [par.beta for par in draws])[0]
-    with np.errstate(all="ignore"):     # A^3 overflows at the edge pairs
-        G = _known_stack(As, alpha)
-        assert G.shape == (len(draws), 4, 4, 4)
-        for stacked, par in zip(G, draws):
-            A = flow_matrix(par)
-            # the per-matrix formulas, one 4x4 product at a time
+    G = _known_stack(As, alpha)
+    assert G.shape == (len(draws), 4, 4, 4)
+    for stacked, par in zip(G, draws):
+        A = flow_matrix(par)
+        # the per-matrix formulas, one 4x4 product at a time; A^3 overflows
+        # at the edge pairs
+        with np.errstate(all="ignore"):
             reference = (A, 0.5 * np.eye(4), 0.5 * (A @ A),
                          A @ A @ A + par.alpha * A)
-            gens = p.known_generators(par)
-            assert stacked.tobytes() == gens.tobytes()
-            for X, R in zip(stacked, reference, strict=True):
-                assert X.tobytes() == R.tobytes()
+        gens = p.known_generators(par)
+        assert stacked.tobytes() == gens.tobytes()
+        for X, R in zip(stacked, reference, strict=True):
+            assert X.tobytes() == R.tobytes()
 
 
 def test_x4_explicit_entries():
@@ -279,11 +280,14 @@ def test_symmetry_action_overflow_is_a_numerical_failure():
     # X4 = A^3 + alpha A overflows at (1e60, 2e60): a named ArithmeticError,
     # not a NaN that QuadraticObservable rejects as asymmetric
     par = p.make_params(1e60, 2e60)
-    with np.errstate(over="ignore", invalid="ignore"):
-        X4 = p.known_generators(par)[3]
-        with pytest.raises(ArithmeticError,
-                           match="non-finite value in the symmetry action"):
-            p.apply_symmetry(X4, p.h1(par))
+    X4 = p.known_generators(par)[3]
+    assert not np.isfinite(X4).all()
+    with pytest.raises(ArithmeticError,
+                       match="non-finite value in the symmetry action"):
+        p.apply_symmetry(X4, p.h1(par))
+    with pytest.raises(ArithmeticError,
+                       match="non-finite value in the symmetry action"):
+        p.symmetry_charges(par)
 
 
 def test_charges_conserved_along_trajectory():
@@ -355,8 +359,7 @@ def test_generated_structure_at_subnormal_beta_is_not_finite():
     # beta is subnormal at (1e-78, 2e-78): 1/beta overflows in the table and
     # in the derived H2 alike, so no finite comparison is left
     par = p.make_params(1e-78, 2e-78)
-    with np.errstate(over="ignore"):
-        J, S = p.generated_structure(par)
+    J, S = p.generated_structure(par)
     assert np.isfinite(J).all()
     assert S[3, 3] == p.h2(par).coeffs[3, 3] == np.inf
 
@@ -410,8 +413,7 @@ def test_interacting_scan_insufficient_samples():
 def test_non_finite_jacobian_is_a_numerical_failure():
     # W'' = 3 lam q^2 is inf at the sample points: named before the SVD
     field = p.field_for(PAR, p.quartic(1e308))
-    with np.errstate(all="ignore"), pytest.raises(
-            ArithmeticError, match="flow Jacobian is not finite"):
+    with pytest.raises(ArithmeticError, match="flow Jacobian is not finite"):
         p.invariant_tensor_space(field)
 
 
