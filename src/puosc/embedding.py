@@ -170,6 +170,17 @@ def _tau(params: PUParams, a_x: float, b_x: float) -> float:
     return b_x * b_x - a_x * b_x * params.alpha + a_x * a_x * params.beta
 
 
+def _tb1_tau(params: PUParams, a_x: float, b_x: float, g: float) -> float:
+    """tau of both Tb1 rows, checked: their nu0 solves g a_x^2 nu0 = tau."""
+    if g * a_x * a_x == 0.0:    # the product underflows
+        raise NoSolutionError(
+            "Tb1 needs g a_x^2 != 0 (nu0 solves g a_x^2 nu0 = tau)")
+    tau = _tau(params, a_x, b_x)
+    if tau == 0.0:
+        raise PreconditionViolatedError("Tb1 needs tau != 0")
+    return tau
+
+
 def _need(family: str, branch: int, free: dict) -> tuple:
     """The family's free parameters as floats, in FREE_PARAMS order; an
     unknown family or branch, a missing or extra key, or an exact zero in a
@@ -225,14 +236,7 @@ def tabulated_family(family: str, branch: int, free: dict,
                           nu0, 1.0 / (2.0 * ay), model, params)
     if family == "Tb1":
         ax, bx, g = values
-        if g * ax * ax == 0.0:      # nu0 divides by it: the product underflows
-            raise NoSolutionError(
-                "Tb1 needs g a_x^2 != 0 (nu0 solves g a_x^2 nu0 = tau)")
-        tau = _tau(params, ax, bx)
-        if tau == 0.0:
-            raise PreconditionViolatedError(
-                "Tb1 needs b_x != a_x*(alpha + rho_0)/2, i.e. tau != 0"
-            )
+        tau = _tb1_tau(params, ax, bx, g)
         try:    # a float power raises where it overflows
             tau2 = tau ** 2
         except OverflowError:
@@ -298,12 +302,7 @@ def solve_family(family: str, branch: int, free: dict,
                           nu0, 1.0 / (2.0 * ay), model, params)
     if family == "Tb1":
         ax, bx, g = values
-        if g * ax * ax == 0.0:      # the product underflows
-            raise NoSolutionError(
-                "Tb1 needs g a_x^2 != 0 (nu0 solves g a_x^2 nu0 = tau)")
-        tau = _tau(params, ax, bx)
-        if tau == 0.0:
-            raise PreconditionViolatedError("Tb1 needs tau != 0")
+        tau = _tb1_tau(params, ax, bx, g)
         mu0 = (al - bx / ax) / ax
         nu0 = tau / (g * ax * ax)
         ay = -ax * g * g / tau
@@ -464,10 +463,8 @@ def fit_blend(params: PUParams, S: np.ndarray):
     B = np.stack([s1, s2], axis=1)
     target = np.asarray(S, dtype=float).ravel()
     coef, *_ = np.linalg.lstsq(B, target, rcond=None)
-    with np.errstate(over="ignore", invalid="ignore"):  # inf / inf is NaN
-        res = (np.linalg.norm(target - B @ coef)
-               / max(np.linalg.norm(target), 1.0))
-    return float(coef[0]), float(coef[1]), float(res)
+    r, t = core._frobenius(np.stack([target - B @ coef, target])[:, None])
+    return float(coef[0]), float(coef[1]), float(r / max(t, 1.0))
 
 
 def tabulated_blend_coefficients(m: TransformMap):
@@ -497,13 +494,16 @@ def pullback_hamiltonian(m: TransformMap):
 
     S_pull = jac^T K_fo jac, fitted by least squares to c1*S1 + c2*S2; the
     residual must be below 1e-10 for a dynamics-preserving map, otherwise
-    NotInSpanError is raised (ArithmeticError if it is not finite: its norm
-    overflows at large frequencies).  Degenerate models (a_y = 0) have no
-    model Hamiltonian and raise DegenerateModelError.
+    NotInSpanError is raised (ArithmeticError where S_pull, which overflows
+    from about omega 1e51, or the residual is not finite).  Degenerate
+    models (a_y = 0) have no model Hamiltonian and raise DegenerateModelError.
     """
     K = model_hamiltonian_matrix(m.model)
-    S = m.jac.T @ K @ m.jac
-    S = 0.5 * (S + S.T)
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = core._sym_exact(m.jac.T @ K @ m.jac)
+    if not np.isfinite(S).all():
+        raise ArithmeticError(
+            "non-finite value in the pullback Hessian jac^T K jac")
     c1, c2, res = fit_blend(m.params, S)
     if not math.isfinite(res):
         raise ArithmeticError(f"pullback fit residual is not finite: {res}")
@@ -538,7 +538,8 @@ def sum_of_squares(params: PUParams, ct1: float, ct2: float) -> QuadraticObserva
         weight = w[i] / (2.0 * den)
         v1 = np.array([0.0, w[jj], 0.0, 1.0])      # qddd + w_j^2 qd
         v2 = np.array([w[jj], 0.0, 1.0, 0.0])      # qdd + w_j^2 q
-        S += 2.0 * weight * (np.outer(v1, v1) + w[i] * np.outer(v2, v2))
+        with np.errstate(over="ignore", invalid="ignore"):  # as core.h2
+            S += 2.0 * weight * (np.outer(v1, v1) + w[i] * np.outer(v2, v2))
     return QuadraticObservable(0.5 * (S + S.T))
 
 

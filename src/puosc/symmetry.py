@@ -107,8 +107,7 @@ def projection_residual(basis, candidate: np.ndarray) -> float:
 def _span_residual(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Least-squares distance of each row of X[i] from the span of the rows
     of G[i], relative to max(|x|, 1), for stacks G (n, k, m) and X (n, t, m);
-    shape (n, t), and 1.0 when k = 0.  NaN, without a warning, where both
-    norms overflow.
+    shape (n, t), and 1.0 when k = 0.
 
     The least-squares coefficients come from the SVD of G[i]^T, under
     lstsq's rank rule: singular values at most eps * max(k, m) times the
@@ -121,10 +120,8 @@ def _span_residual(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     keep = sv > np.finfo(float).eps * max(k, m) * sv[:, :1]
     inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
     coef = (X @ U) * inv[:, None, :] @ Vt
-    R = X - coef @ G
-    with np.errstate(invalid="ignore"):
-        return (core._frobenius(R[..., None, :])
-                / np.maximum(core._frobenius(X[..., None, :]), 1.0))
+    r, x = core._frobenius(np.stack([X - coef @ G, X])[..., None, :])
+    return r / np.maximum(x, 1.0)
 
 
 def max_pairwise_commutator(basis) -> float:

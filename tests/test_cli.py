@@ -525,10 +525,10 @@ EXIT_CASES = [
      ["verify", "--omega1", "1e-100", "--omega2", "2e-100",
       "--out", "{tmp}/v.json"], 3),
     # the tabulated row's tau^2 overflow is reported as unavailable; the
-    # solved map's pullback fit residual then overflows, named in the line
+    # solved map's pullback fit residual is finite, as no norm overflows
     ("embed-tau-power-overflows",
      ["embed", "--family", "tb1", "--omega1", "1e40", "--omega2", "2e40",
-      "--ax", "1", "--bx", "2", "--g", "1", "--out", "{tmp}/e.json"], 3),
+      "--ax", "1", "--bx", "2", "--g", "1", "--out", "{tmp}/e.json"], 0),
     # small frequencies generate the structure, and the suite gives its
     # verdict (blend_grid keeps no point)
     ("verify-small-frequencies-resolve-signs",
@@ -674,13 +674,26 @@ def test_exit_code_messages(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "numerical failure: rho_g radicand is not finite: "
         "alpha^2 overflows\n")
+    tb1 = ["embed", "--family", "tb1", "--ax", "1", "--bx", "2", "--g", "1"]
+    out = tmp_path / "tb1.json"
+    assert exit_code([*tb1, "--omega1", "1e40", "--omega2", "2e40",
+                      "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["tabulated"].startswith(
+        "unavailable: non-finite value in the tabulated Tb1 row: "
+        "tau^2 overflows")
+    assert 0.0 <= report["pullback"]["fit_residual"] < 1e-10
+    assert exit_code([*tb1, "--omega1", "1e60", "--omega2", "2e60"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: non-finite value in the pullback Hessian "
+        "jac^T K jac\n")
 
 
 @pytest.mark.parametrize("argv", [
     ["modes", "--omega1=1.5", "--q0=4.4692693099808655e+153"],
     ["simulate", "--q0", "1e152", "--omega1", "1e4", "--t-end", "1e-20"],
     ["verify", "--omega1", "1e75", "--omega2", "2e75"],
-    ["verify", "--omega1", "1e45", "--omega2", "2e45"],
+    ["verify", "--omega1", "1e-78", "--omega2", "2e-78"],
 ])
 def test_non_finite_output_writes_nothing(argv, tmp_path, capsys):
     out = tmp_path / "out"
@@ -958,7 +971,7 @@ def test_symmetry_actions_rejects_an_inexact_euler_charge(monkeypatch):
 
 
 @pytest.mark.parametrize("w1, w2", [(1e40, 2e40), (1e44, 2e44),
-                                    (1e-78, 2e-78)])
+                                    (1e45, 2e45), (1e-78, 2e-78)])
 def test_invariant_suite_at_extreme_frequencies_warns_nothing(w1, w2):
     # under the error::RuntimeWarning filter the suite returns the report of
     # main's errstate(all="ignore") path, not a bare numpy warning
@@ -968,6 +981,25 @@ def test_invariant_suite_at_extreme_frequencies_warns_nothing(w1, w2):
         expected = cli.run_invariant_suite(params)
     assert json.dumps(report) == json.dumps(expected)
     assert report["passed"] is False
+
+
+@pytest.mark.parametrize("w1, w2", [(1e44, 2e44), (1e45, 2e45)])
+def test_verify_where_squares_overflow_is_a_verdict(w1, w2, tmp_path,
+                                                    capsys):
+    # every residual's norm is scaled before it squares, so the report is
+    # finite where |J2|^2 overflows (4e180 is J2's largest entry at 1e45)
+    out = tmp_path / "v.json"
+    assert exit_code(["verify", "--omega1", str(w1), "--omega2", str(w2),
+                      "--out", str(out)]) == 1
+    assert capsys.readouterr().err == ""
+    report = json.loads(out.read_text(), parse_constant=pytest.fail)
+    assert report["first_failure"] == "blend_grid"
+    check, = _suite_checks(report, "invariant_tensors_free")
+    assert check["detail"]["dimension"] == 4
+    assert max(check["detail"]["j1_residual"],
+               check["detail"]["j2_residual"]) < 1e-10
+    check, = _suite_checks(report, "symmetry_actions")
+    assert check["passed"]
 
 
 def test_invariant_suite_names_the_symmetry_action_overflow():

@@ -380,6 +380,53 @@ def test_blend_j_regular_on_tabulated_singularity():
         p.blend_j_tabulated(PAR, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("blend, w", [(p.blend_j_closed_form, 1e60),
+                                      (p.blend_j_tabulated, 1e40)])
+def test_blend_closed_forms_overflow_warns_nothing(blend, w):
+    # under the error::RuntimeWarning filter, the non-finite tensor of
+    # main's errstate(all="ignore") path, not a bare numpy warning
+    par = p.make_params(w, 2 * w)
+    with np.errstate(all="ignore"):
+        expected = blend(par, -1.0, 2.0).j
+    got = blend(par, -1.0, 2.0).j
+    assert not np.isfinite(got).all()
+    assert got.tobytes() == expected.tobytes()
+
+
+def _grid_stacks(par):
+    # the suite's blend grid: its Hessians and the solved tensors
+    grid = np.linspace(-2, 2, 20)
+    S = p.core._blend_hessians(par, np.repeat(grid, 20), np.tile(grid, 20))
+    J, *_ = p.core._solve_stack(flow_matrix(par), S)
+    return [S, J, J @ S - flow_matrix(par), 0.5 * (J + J.swapaxes(1, 2))]
+
+
+def test_frobenius_is_the_per_matrix_norm_bit_for_bit():
+    rng = np.random.default_rng(25)
+    stacks = [*_grid_stacks(PAR), *_grid_stacks(random_params(rng))]
+    for scale in (1e-150, 1e-5, 1.0, 1e5, 1e150):
+        stacks.append(scale * rng.normal(size=(50, 4, 4)))
+        stacks.append(scale * rng.normal(size=(3, 7, 2, 8)))
+    for X in stacks:
+        want = [np.linalg.norm(x) for x in X.reshape(-1, *X.shape[-2:])]
+        got = p.core._frobenius(X)
+        assert got.tobytes() == np.reshape(want, X.shape[:-2]).tobytes()
+
+
+def test_frobenius_cannot_overflow():
+    # 16 entries of 1e200 have the norm 4e200 exactly; their squares overflow
+    X = np.full((2, 4, 4), 1e200)
+    X[1, 2, 3] = -1e200
+    assert p.core._frobenius(X).tolist() == [4e200, 4e200]
+    X = np.diag([3e300, 4e300, 0.0, 1e-300])
+    assert p.core._frobenius(X) == 5e300
+    assert p.core._frobenius(np.zeros((4, 4))) == 0.0
+    # a norm above the largest float is infinite; inf and NaN propagate
+    assert p.core._frobenius(np.full((4, 4), 1e308)) == np.inf
+    assert p.core._frobenius(np.array([[np.inf, 1e200]])) == np.inf
+    assert np.isnan(p.core._frobenius(np.array([[np.nan, 1e200]])))
+
+
 # ---------------------------------------------------------------------------
 # brackets
 # ---------------------------------------------------------------------------

@@ -493,18 +493,60 @@ def test_pullback_blend_tensor_consistency():
         assert np.allclose(J_blend.j, J_push.j, rtol=0, atol=1e-9 * scale)
 
 
-def test_pullback_non_finite_residual_is_a_numerical_failure():
-    # at (1e40, 2e40) the fit itself is finite, but the residual's norm
-    # overflows: the in-span gate must not let the NaN through
-    par = p.make_params(1e40, 2e40)
-    m = p.solve_family("Tb1", +1, {"a_x": 1.0, "b_x": 2.0, "g": 1.0}, par)
-    with np.errstate(all="ignore"):
-        S = m.jac.T @ p.embedding.model_hamiltonian_matrix(m.model) @ m.jac
-        S = 0.5 * (S + S.T)
-    c1, c2, res = fit_blend(par, S)
-    assert np.isfinite([c1, c2]).all() and np.isnan(res)
+TB1_FREE = {"a_x": 1.0, "b_x": 2.0, "g": 1.0}
+
+
+def test_pullback_non_finite_hessian_is_a_numerical_failure(monkeypatch):
+    # at (1e40, 2e40) the fit and its residual are finite: the residual's
+    # norms are scaled before they square
+    m = p.solve_family("Tb1", +1, TB1_FREE, p.make_params(1e40, 2e40))
+    _, c1, c2, res = p.pullback_hamiltonian(m)
+    assert np.isfinite([c1, c2]).all() and 0.0 <= res < 1e-10
+    # at (1e60, 2e60) jac^T K jac overflows: named before the fit, with no
+    # numpy warning first (the repo's filter makes one an error)
+    for w in (1e60, 1e76):
+        par = p.make_params(w, 2 * w)
+        maps = [p.solve_family("Tb1", +1, TB1_FREE, par)]
+        for family, build in itertools.product(("Ta1", "Ta2"),
+                                               (p.solve_family,
+                                                p.tabulated_family)):
+            maps.append(build(family, +1,
+                              {"a_x": 1.0, "a_y": 1.0, "g": 0.1}, par))
+        for m in maps:
+            with pytest.raises(ArithmeticError, match=(
+                    "non-finite value in the pullback Hessian jac\\^T K jac")):
+                p.pullback_hamiltonian(m)
+    # the in-span gate must not let a residual that is not finite through
+    m = p.solve_family("Tb1", +1, TB1_FREE, PAR)
+    monkeypatch.setattr(embedding, "fit_blend",
+                        lambda params, S: (0.0, 0.0, float("nan")))
     with pytest.raises(ArithmeticError, match="fit residual is not finite"):
         p.pullback_hamiltonian(m)
+
+
+def test_sum_of_squares_overflow_warns_nothing():
+    # under the error::RuntimeWarning filter, the result of main's
+    # errstate(all="ignore") path, not a bare numpy warning
+    par = p.make_params(1e60, 2e60)
+    with np.errstate(all="ignore"), pytest.raises(ValueError) as expected:
+        p.sum_of_squares(par, 1.0, 0.5)
+    with pytest.raises(ValueError) as got:
+        p.sum_of_squares(par, 1.0, 0.5)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("free, error, message", [
+    # tau = b_x^2 - a_x b_x alpha + a_x^2 beta = 16 - 20 + 4
+    ({"a_x": 1.0, "b_x": 4.0, "g": 0.5}, PreconditionViolatedError,
+     "Tb1 needs tau != 0"),
+    ({"a_x": 1e-300, "b_x": 1.0, "g": 1.0}, NoSolutionError,
+     "Tb1 needs g a_x^2 != 0 (nu0 solves g a_x^2 nu0 = tau)"),
+])
+def test_tb1_rows_share_their_preconditions(free, error, message):
+    for build in (p.solve_family, p.tabulated_family):
+        with pytest.raises(error) as err:
+            build("Tb1", +1, free, PAR)
+        assert str(err.value) == message
 
 
 class _StuckRng:
