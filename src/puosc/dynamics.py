@@ -18,7 +18,9 @@ a30 q + a32 qdd - W'(q)), the only one integrate accepts: a stage is four
 state components and one force row, with no right-hand-side call, and the
 tableau is bound to locals.  States move between charts through
 ostro_jacobian.  The run shortens a step only to land on a stop, one of
-integrate's equidistant sample times.  Stepping is deterministic, so
+integrate's equidistant sample times, and a shortened step does not hand its
+small size on: the next step starts from the larger of the controller's
+proposal and the size the stop cut short.  Stepping is deterministic, so
 repeated runs with the same settings reproduce output bit for bit on one
 platform.
 
@@ -222,8 +224,12 @@ def _dp54(a30, a32, w_prime, y0, stops, tol, escape_radius):
     escape_radius as floats (math.inf for no escape test).  A step that
     would reach a stop within 1e-14 max(1, |stop|) is shortened to end on
     it; such a capped step is exempt from the step-underflow check, since
-    its size is the positive gap to the stop.  The run ends at the last stop
-    or at the end of the first accepted step with |z| >= escape_radius.
+    its size is the positive gap to the stop.  After an accepted capped step
+    the next step size is the larger of the controller's proposal from the
+    capped size and the proposal h the cap shortened (Boost.Odeint's
+    integrate_times keeps its step the same way); err_prev is updated as
+    after any accepted step.  The run ends at the last stop or at the end
+    of the first accepted step with |z| >= escape_radius.
 
     The first three slope components of a stage are its state's last three,
     so each stage computes its four state components and one
@@ -342,7 +348,10 @@ def _dp54(a30, a32, w_prime, y0, stops, tol, escape_radius):
             factor = safety * err_b ** neg_alpha * err_prev ** beta
             err_prev = err_b
             factor = factor if factor > min_factor else min_factor
-            h = hs * (factor if factor < max_factor else max_factor)
+            h_next = hs * (factor if factor < max_factor else max_factor)
+            # a capped step hands on the proposal h it was shortened from
+            # when that is the larger
+            h = h_next if not capped or h_next > h else h
             escaped = sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) \
                 >= escape_radius
             if capped or escaped:
@@ -396,6 +405,8 @@ def integrate(
 
     Output is recorded on the equidistant sample grid (steps are capped to
     land exactly on sample times, so samples carry full integrator accuracy).
+    A capped step does not shrink the steps after it: the next step size is
+    the larger of the controller's proposal and the size the cap shortened.
     H1, H2 and the interacting energy H1 - W are recorded per sample.  When
     escape_radius (which must exceed |z0|) is set and |z| reaches it,
     integration terminates early and the escape time is recorded in meta.
@@ -613,12 +624,19 @@ CSV_HEADER = "t,q,qd,qdd,qddd,x1,x2,p1,p2,H1,H2,Hint"
 
 
 def trajectory_csv_rows(params: PUParams, traj: Trajectory) -> list:
-    """CSV rows (no header) with both charts and the three energy series."""
+    """CSV rows (no header) with both charts and the three energy series.
+
+    Each value is its float's repr.  x1 = q, x2 = qd and p2 = qdd repeat
+    jet-chart columns, so q, qd and qdd are formatted once and their strings
+    reused: 9 repr conversions a row, not 12.
+    """
     a = float(params.alpha)
     rows = []
     for t, (q, qd, qdd, qddd), h1, h2, hint in zip(
             traj.times.tolist(), traj.states.tolist(), traj.h1_series.tolist(),
             traj.h2_series.tolist(), traj.hint_series.tolist()):
-        rows.append(",".join(map(repr, (t, q, qd, qdd, qddd, q, qd,
-                                        -a * qd - qddd, qdd, h1, h2, hint))))
+        p1 = -a * qd - qddd
+        q, qd, qdd = repr(q), repr(qd), repr(qdd)
+        rows.append(f"{t!r},{q},{qd},{qdd},{qddd!r},{q},{qd},{p1!r},{qdd},"
+                    f"{h1!r},{h2!r},{hint!r}")
     return rows

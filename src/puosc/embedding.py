@@ -457,14 +457,27 @@ def model_hamiltonian_matrix(model: TwoDimModel) -> np.ndarray:
 
 
 def fit_blend(params: PUParams, S: np.ndarray):
-    """Least-squares fit S ~ c1*S1 + c2*S2; returns (c1, c2, rel residual)."""
-    s1 = core.h1(params).coeffs.ravel()
-    s2 = core.h2(params).coeffs.ravel()
-    B = np.stack([s1, s2], axis=1)
+    """Least-squares fit S ~ c1*S1 + c2*S2; returns (c1, c2, rel residual).
+
+    The norms of S1 and S2 differ by about beta, so each column is divided
+    by its core._frobenius norm before the fit and each coefficient by the
+    same norm after it (on the raw columns lstsq's rank cutoff dropped S2
+    from about omega 1e4).  The fit solves the 2x2 normal equations of the
+    scaled columns: their Gram matrix has condition number below about 3,
+    since S1 alone has a qd qddd entry and S2 alone a q qdd entry, and S2's
+    column, zero on the q^2 entry of order beta^2 |c1|, never meets that
+    entry's rounding, which an orthogonal factorization (lstsq) spreads
+    into c2 (off by 4e-3 at omega 5.6e6).
+    """
+    basis = np.stack([core.h1(params).coeffs, core.h2(params).coeffs])
+    norms = core._frobenius(basis)
+    with np.errstate(invalid="ignore"):     # 1/beta = inf in S2: NaN fit
+        B = (basis / norms[:, None, None]).reshape(2, 16)
     target = np.asarray(S, dtype=float).ravel()
-    coef, *_ = np.linalg.lstsq(B, target, rcond=None)
-    r, t = core._frobenius(np.stack([target - B @ coef, target])[:, None])
-    return float(coef[0]), float(coef[1]), float(r / max(t, 1.0))
+    coef = np.linalg.solve(B @ B.T, B @ target)
+    r, t = core._frobenius(np.stack([target - coef @ B, target])[:, None])
+    c1, c2 = (coef / norms).tolist()
+    return c1, c2, float(r / max(t, 1.0))
 
 
 def tabulated_blend_coefficients(m: TransformMap):
@@ -495,7 +508,8 @@ def pullback_hamiltonian(m: TransformMap):
     S_pull = jac^T K_fo jac, fitted by least squares to c1*S1 + c2*S2; the
     residual must be below 1e-10 for a dynamics-preserving map, otherwise
     NotInSpanError is raised (ArithmeticError where S_pull, which overflows
-    from about omega 1e51, or the residual is not finite).  Degenerate
+    from about omega 1e51, or the residual is not finite, as where the
+    1/beta entry of S2 overflows, below omega about 6e-78).  Degenerate
     models (a_y = 0) have no model Hamiltonian and raise DegenerateModelError.
     """
     K = model_hamiltonian_matrix(m.model)
@@ -525,6 +539,8 @@ def sum_of_squares(params: PUParams, ct1: float, ct2: float) -> QuadraticObserva
     The (ct1, ct2) parametrization is deliberately distinct from the blend
     (c1, c2): direct expansion shows (c1, c2) = beta/D * (ct1, -ct2) with
     D = (ct1 w1^2 - ct2)(ct1 w2^2 - ct2); see blend_coefficients_from_sos.
+    Raises ArithmeticError when an entry is not finite (from about omega
+    1e51 at (ct1, ct2) = (1, 0.5), where w_i^2 (qdd + w_j^2 q)^2 overflows).
     """
     w = (params.omega1 ** 2, params.omega2 ** 2)
     S = np.zeros((4, 4))
@@ -540,6 +556,8 @@ def sum_of_squares(params: PUParams, ct1: float, ct2: float) -> QuadraticObserva
         v2 = np.array([w[jj], 0.0, 1.0, 0.0])      # qdd + w_j^2 q
         with np.errstate(over="ignore", invalid="ignore"):  # as core.h2
             S += 2.0 * weight * (np.outer(v1, v1) + w[i] * np.outer(v2, v2))
+    if not np.isfinite(S).all():
+        raise ArithmeticError("non-finite value in the sum-of-squares form")
     return QuadraticObservable(0.5 * (S + S.T))
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import puosc as p
-from puosc import embedding
+from puosc import cli, embedding
 from puosc.config import DEFAULT_SEED
 from puosc.embedding import (
     BRANCHES,
@@ -524,15 +524,57 @@ def test_pullback_non_finite_hessian_is_a_numerical_failure(monkeypatch):
         p.pullback_hamiltonian(m)
 
 
+def test_pullback_with_infinite_h2_is_a_numerical_failure():
+    # at (1e-78, 2e-78) the 1/beta entry of H2 overflows: the fit is NaN and
+    # the residual check names it, with no numpy warning or LinAlgError
+    par = p.make_params(1e-78, 2e-78)
+    assert p.h2(par).coeffs[3, 3] == np.inf
+    for family, free in (("Tb1", TB1_FREE),
+                         ("Ta1", {"a_x": 1.0, "a_y": 1.0, "g": 0.1})):
+        m = p.solve_family(family, +1, free, par)
+        with pytest.raises(ArithmeticError,
+                           match="^pullback fit residual is not finite: nan$"):
+            p.pullback_hamiltonian(m)
+
+
+@pytest.mark.parametrize("w", [1.0, 1e4, 3e4, 1e5, 5.62e6, 1e10, 1e40])
+def test_embed_fits_c2_at_large_frequencies(w, tmp_path):
+    # on the raw columns lstsq dropped S2 (exit 3 at 1e4 and 3e4, c2 = 0
+    # from 1e5); on norm-scaled columns it spread the q^2 entry's rounding
+    # into c2 (4e-3 off at 5.62e6)
+    out = tmp_path / "tb1.json"
+    assert cli.main(["embed", "--family", "tb1", "--omega1", repr(w),
+                     "--omega2", repr(2 * w), "--ax", "1", "--bx", "2",
+                     "--g", "1", "--out", str(out)]) == 0
+    pull = json.loads(out.read_text())["pullback"]
+    beta = p.make_params(w, 2 * w).beta
+    assert pull["fitted_c2"] == pytest.approx(beta, rel=1e-12)
+    assert pull["fit_residual"] < 1e-15
+
+
+def test_fit_blend_keeps_c2_across_scales():
+    # every quarter decade of omega from 1e-75 to 1e50, the range where the
+    # pullback Hessian of this Tb1 map is finite
+    for e in range(-300, 201):
+        par = p.make_params(10 ** (e / 4), 2 * 10 ** (e / 4))
+        m = p.solve_family("Tb1", +1, TB1_FREE, par)
+        _, _, c2, res = p.pullback_hamiltonian(m)
+        assert c2 == pytest.approx(par.beta, rel=1e-12), e
+        assert res < 1e-15, e
+
+
 def test_sum_of_squares_overflow_warns_nothing():
-    # under the error::RuntimeWarning filter, the result of main's
-    # errstate(all="ignore") path, not a bare numpy warning
+    # an overflowing form (inf + -inf is NaN) is named before the observable
+    # is built, the same under main's errstate(all="ignore") and under the
+    # error::RuntimeWarning filter, with no bare numpy warning first
     par = p.make_params(1e60, 2e60)
-    with np.errstate(all="ignore"), pytest.raises(ValueError) as expected:
+    message = "^non-finite value in the sum-of-squares form$"
+    with np.errstate(all="ignore"), pytest.raises(ArithmeticError,
+                                                  match=message):
         p.sum_of_squares(par, 1.0, 0.5)
-    with pytest.raises(ValueError) as got:
+    with pytest.raises(ArithmeticError, match=message) as got:
         p.sum_of_squares(par, 1.0, 0.5)
-    assert str(got.value) == str(expected.value)
+    assert type(got.value) is ArithmeticError
 
 
 @pytest.mark.parametrize("free, error, message", [
