@@ -7,10 +7,9 @@ commutant is the abelian span of {I, A, A^2, A^3}; acting with its elements
 on H1 produces the conserved charges, and X3 = A^2/2 generates the second
 Hamiltonian structure from the first (generated_structure).
 
-For an interacting flow the invariance condition for a constant tensor J is
-imposed pointwise: DV(z) J + J DV(z)^T = 0 at every sample z.  Any nonzero
-interaction removes the dq^dqd block from the solution space, which collapses
-from span{J1, J2} to span{J1}.
+An interaction W(q) adds -W''(q) E30 (E30 = e3 e0^T) to the flow Jacobian.
+Where W'' varies, invariance also needs E30 J + J E30^T = 0, i.e. J[0, 1] =
+J[0, 2] = 0, which J1 meets and J2 does not: span{J1, J2} becomes span{J1}.
 
 Every basis is a float stack (d, 4, 4), of generator matrices Xi or of
 tensors J; one projection_residual measures a distance from either span.
@@ -244,32 +243,32 @@ def invariant_tensor_space(
     """Basis (d, 4, 4) of constant tensors invariant under the flow, each
     exactly antisymmetric; d = 0 gives shape (0, 4, 4).
 
-    Linear field: solves A J + J A^T = 0 (samples are irrelevant and may be
-    omitted).  Interacting field: the condition DV(z) J + J DV(z)^T = 0 is
-    imposed at every sample point; at least 3 points with distinct q are
-    required, otherwise the system degenerates to the free one and
-    InsufficientSamplesError is raised.
+    Solves A J + J A^T = 0, A = field.linear.  With a potential, W'' is taken
+    at the samples (>= 3 distinct q, else InsufficientSamplesError; finite,
+    else ArithmeticError).  One value k there: solves A - k E30 instead.  Two
+    or more: also imposes E30 J + J E30^T = 0, that is J[0, 1] = J[0, 2] = 0.
     """
-    if field.potential is None:
-        D = field.linear[None]
-    else:
+    D, cols = np.array(field.linear), slice(None)
+    if field.potential is not None:
         if sample_points is None:
             sample_points = default_sample_points()
         qs = {float(z.q) for z in sample_points}
         if len(qs) < 3:
             raise InsufficientSamplesError(
-                f"need >= 3 sample points with distinct q, got {len(qs)}"
-            )
-        D = np.array([field.jacobian(z) for z in sample_points])
-        if not np.all(np.isfinite(D)):
+                f"need >= 3 sample points with distinct q, got {len(qs)}")
+        w = {float(field.potential.w_second(q)) for q in qs}
+        if not np.isfinite([*w, *D.flat]).all():
             raise ArithmeticError(
                 "flow Jacobian is not finite at a sample point")
+        if len(w) == 1:
+            D[3, 0] -= w.pop()
+        else:  # E30 J + J E30^T = e3 r^T - r e3^T (r = J[0]) must vanish:
+            cols = slice(2, None)  # drop the coordinates of J[0, 1], J[0, 2]
 
     # ravel(D J + J D^T) = (kron(D, I) + kron(I, D)) ravel(J), taken on J's
     # coordinates in the antisymmetric basis and scaled by max(|D|, 1)
-    I = np.eye(4)
-    M = (np.kron(D, I) + np.kron(I, D)) @ _ANTISYM
-    M /= np.maximum(core._frobenius(D), 1.0)[:, None, None]
-    _, sv, vt = np.linalg.svd(M.reshape(-1, 6), full_matrices=False)
-    J = (vt[core._negligible(sv)] @ _ANTISYM.T).reshape(-1, 4, 4)
+    B, I = _ANTISYM[:, cols], np.eye(4)
+    M = (np.kron(D, I) + np.kron(I, D)) @ B / max(core._frobenius(D), 1.0)
+    _, sv, vt = np.linalg.svd(M, full_matrices=False)
+    J = (vt[core._negligible(sv)] @ B.T).reshape(-1, 4, 4)
     return 0.5 * (J - J.swapaxes(1, 2))

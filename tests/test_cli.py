@@ -560,6 +560,11 @@ EXIT_CASES = [
     # W'' = 3 lam q^2 is inf at the sample points: named before the SVD
     ("verify-jacobian-not-finite",
      ["verify", "--lambda", "1e308", "--out", "{tmp}/v.json"], 3),
+    # any finite positive coupling collapses the invariant tensors to J1
+    ("verify-tiny-coupling",
+     ["verify", "--lambda", "1e-12", "--out", "{tmp}/v.json"], 0),
+    ("verify-huge-coupling",
+     ["verify", "--lambda", "1e150", "--out", "{tmp}/v.json"], 0),
     # the coupling grid is capped before it is allocated
     ("scan-grid-points-exceed-cap",
      ["scan", "--grid-points", "1000000000000", "--t-end", "1",

@@ -110,23 +110,29 @@ def _loop_invariant_tensor_space(field):
 
 @pytest.mark.parametrize("w1, w2", STRUCTURE_101)
 def test_invariant_tensor_space_is_the_basis_loop(w1, w2):
-    # the stacked kernel returns the per-Jacobian, per-basis-matrix loop's
-    # tensors bit for bit, for the free field, the quartic and a
-    # non-polynomial potential.  The free flow in a dense chart is there
-    # because the flow matrix's norm comes out the same in any summation
-    # order, and a dense matrix's does not: the block scale must be the
-    # loop's np.linalg.norm(D), as core._frobenius sums it
+    # a linear field's kernel returns the per-basis-matrix loop's tensors
+    # bit for bit.  The free flow in a dense chart is there because the flow
+    # matrix's norm comes out the same in any summation order, and a dense
+    # matrix's does not: the scale must be the loop's np.linalg.norm(D), as
+    # core._frobenius sums it.  For the quartic and a non-polynomial
+    # potential the kernel solves the constrained free system, not the
+    # loop's stack of sampled Jacobians: the spans agree, each way
     par = p.make_params(w1, w2)
     P = np.random.default_rng(12).normal(size=(4, 4))
-    fields = [p.free_vector_field(par), p.field_for(par, PENDULUM),
-              *(p.field_for(par, p.quartic(lam))
-                for lam in (0.01, 0.1, 1.0, 1e3)),
+    linear = [p.free_vector_field(par),
               p.VectorField(P @ flow_matrix(par) @ np.linalg.inv(P))]
-    for field in fields:
+    interacting = [p.field_for(par, PENDULUM),
+                   *(p.field_for(par, p.quartic(lam))
+                     for lam in (0.01, 0.1, 1.0, 1e3))]
+    for field in linear + interacting:
         got = invariant_tensor_space(field)
         want = np.reshape(_loop_invariant_tensor_space(field), (-1, 4, 4))
         assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        if field.potential is None:
+            assert got.tobytes() == want.tobytes()
+        else:
+            for a, b in ((got, want), (want, got)):
+                assert max(projection_residual(a, J) for J in b) < 1e-12
         assert np.array_equal(got, -got.swapaxes(1, 2))
 
 
@@ -462,12 +468,41 @@ def test_max_invariance_residual_over_default_samples():
     assert worst(p.j2(PAR)) > 1e-3
 
 
+# every twentieth decade from 1e-300 to 1e300, plus 1e-8 and 1e12, where a
+# scan that weighs W'' against |A| loses J1 at (1, 2)
+COUPLINGS = [0.01, 0.1, 1.0, 1e-8, 1e12,
+             *(10.0 ** e for e in range(-300, 301, 20))]
+
+
 def test_interacting_collapse_various_couplings():
-    for lam in (0.01, 0.1, 1.0):
-        field = p.field_for(PAR, p.quartic(lam))
-        basis = p.invariant_tensor_space(field, default_sample_points(10))
-        assert len(basis) == 1
-        assert projection_residual(basis, p.j1(PAR).j) < 1e-10
+    # W'' enters only through whether it varies over the samples, so the
+    # collapse to span{J1} does not depend on the coupling's size
+    for w1, w2 in ((1.0, 2.0), (8.0, 40.0), (0.3, 0.7), (1e-3, 2e-3)):
+        par = p.make_params(w1, w2)
+        for pot in (*map(p.quartic, COUPLINGS), PENDULUM):
+            basis = p.invariant_tensor_space(p.field_for(par, pot),
+                                             default_sample_points(10))
+            assert len(basis) == 1
+            assert projection_residual(basis, p.j1(par).j) < 1e-10
+            if par == PAR:
+                assert projection_residual(basis, p.j2(par).j) > 1e-3
+
+
+def test_constant_w_second_solves_the_shifted_linear_field():
+    # W = q^2 has W'' = 2 at every sample: the field is the linear one of
+    # A - 2 E30, the flow of alpha 5, beta 6, i.e. omega^2 = 2 and 3
+    harmonic = p.Potential(lambda q: q * q, lambda q: 2.0 * q,
+                           lambda q: 2.0, "harmonic")
+    field = p.VectorField(flow_matrix(PAR), harmonic)
+    basis = p.invariant_tensor_space(field, default_sample_points(10))
+    shifted = p.make_params(np.sqrt(2.0), np.sqrt(3.0))
+    assert len(basis) == 2
+    assert projection_residual(basis, p.j1(shifted).j) < 1e-12
+    assert projection_residual(basis, p.j2(shifted).j) < 1e-12
+    # W'' = 0: the free span, bit for bit
+    free = p.invariant_tensor_space(p.free_vector_field(PAR))
+    lam0 = p.invariant_tensor_space(p.field_for(PAR, p.quartic(0.0)))
+    assert lam0.tobytes() == free.tobytes()
 
 
 def test_lie_derivative_residual_chart_mismatch():
