@@ -288,13 +288,7 @@ def run_invariant_suite(params: PUParams, lam: float = SUITE_LAMBDA,
 
 def cmd_verify(args) -> int:
     _check_suite_args(args.lam, args.seed)   # a bad flag exits 2 first
-    try:
-        params = core.make_params(args.omega1, args.omega2)
-    except DegenerateFrequenciesError as exc:
-        _emit_json({"passed": False, "first_failure": "degenerate-frequencies",
-                    "error": str(exc), "config": _config(args),
-                    "version": __version__}, args.out)
-        return EXIT_INVARIANT
+    params = core.make_params(args.omega1, args.omega2)
     report = run_invariant_suite(params, lam=args.lam, seed=args.seed)
     report["config"] = _config(args)
     report["version"] = __version__
@@ -419,7 +413,8 @@ def cmd_embed(args) -> int:
             "fitted_c1": c1, "fitted_c2": c2, "fit_residual": res,
             "tabulated_c1": t1, "tabulated_c2": t2,
             "delta_c1": c1 - t1, "delta_c2": c2 - t2,
-            "positive_definite": pos.positive_definite,
+            # det S = det(C)^4 det(B) a_x a_y: 0 for a singular map
+            "positive_definite": pos.positive_definite and not solved.singular,
             "eigenvalues": list(pos.eigenvalues),
         }
 

@@ -2,8 +2,8 @@
 
 Two tolerances cover the whole library: identities that are exact in rational
 arithmetic are asserted to EPS_ALGEBRA (relative), and singularity gates use
-EPS_SINGULAR, which is also the cutoff of every rank decision: each one reads
-core._negligible.
+EPS_SINGULAR, which is also the cutoff of every singular-value rank decision:
+each one reads core._negligible.
 """
 
 EPS_ALGEBRA = 1e-12

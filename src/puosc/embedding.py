@@ -9,10 +9,11 @@ is matched to the oscillator through the affine substitution
 
     x = mu0 q + mu2 qdd,    y = nu0 q + nu2 qdd,
 
-treating (q, qd, qdd, qddd, q4) as independent off-shell coordinates.  Family
-'a' maps both phi_i to multiples of phi = q4 + alpha qdd + beta q; family 'b'
-maps phi_1 to a multiple of phi and phi_2 to zero identically.  Four solution
-families exist:
+treating (q, qd, qdd, qddd, q4) as independent off-shell coordinates; in
+phase space it is the block C = [[mu0, mu2], [nu0, nu2]] (see TransformMap).
+Family 'a' maps both phi_i to multiples of phi = q4 + alpha qdd + beta q;
+family 'b' maps phi_1 to a multiple of phi and phi_2 to zero identically.
+Four solution families exist:
 
     Ta1 (singular transform, x and y proportional),
     Ta2 (invertible),
@@ -87,11 +88,10 @@ class TwoDimModel:
 
 @dataclass(frozen=True)
 class TransformMap:
-    """Affine substitution plus the 4x4 phase-space jacobian it induces.
-
-    jac maps (q, qd, qdd, qddd) to (x, p_x, y, p_y) with p_x = a_x xd and
-    p_y = a_y yd (zero row when a_y = 0).
-    """
+    """Affine substitution x = mu0 q + mu2 qdd, y = nu0 q + nu2 qdd: its
+    coordinate block C = [[mu0, mu2], [nu0, nu2]] takes (q, qdd) to (x, y),
+    diag(a_x, a_y) C takes (qd, qddd) to (p_x, p_y) = (a_x xd, a_y yd);
+    pushforward and pullback are congruences by C."""
 
     family: str
     branch: int
@@ -101,10 +101,6 @@ class TransformMap:
     nu2: float
     model: TwoDimModel
     params: PUParams
-    jac: np.ndarray
-
-    def __post_init__(self):
-        self.jac.setflags(write=False)
 
     @property
     def transform_det(self) -> float:
@@ -113,28 +109,22 @@ class TransformMap:
 
     @property
     def rank_deficient(self) -> bool:
-        """The coordinate block is singular (x proportional to y)."""
-        scale = max(1.0, abs(self.mu0), abs(self.mu2),
-                    abs(self.nu0), abs(self.nu2))
-        return abs(self.transform_det) <= EPS_SINGULAR * scale * scale
+        """x proportional to y: det C is negligible against its terms."""
+        return abs(self.transform_det) <= EPS_SINGULAR * (
+            abs(self.mu0 * self.nu2) + abs(self.mu2 * self.nu0))
 
     @property
     def singular(self) -> bool:
+        """The one rule, read by embed and pushforward_poisson alike."""
         return self.model.degenerate or self.rank_deficient
 
 
 def _build_map(family, branch, mu0, mu2, nu0, nu2, model, params):
-    ax, ay = model.a_x, model.a_y
-    jac = np.array([
-        [mu0, 0.0, mu2, 0.0],
-        [0.0, ax * mu0, 0.0, ax * mu2],
-        [nu0, 0.0, nu2, 0.0],
-        [0.0, ay * nu0, 0.0, ay * nu2],
-    ])
-    if not all(map(math.isfinite, (*jac.flat, *vars(model).values()))):
+    if not all(map(math.isfinite, (mu0, mu2, nu0, nu2,
+                                   *vars(model).values()))):
         raise NoSolutionError(f"{family} row overflows for these parameters")
     return TransformMap(family, branch, float(mu0), float(mu2), float(nu0),
-                        float(nu2), model, params, jac)
+                        float(nu2), model, params)
 
 
 # ---------------------------------------------------------------------------
@@ -414,46 +404,30 @@ def verify_map(m: TransformMap) -> MapVerification:
 # ---------------------------------------------------------------------------
 
 def pushforward_poisson(m: TransformMap) -> PoissonTensor:
-    """Carry the canonical (x, p_x, y, p_y) tensor to the jet chart:
-    J_jet = T J_fo T^T with T = jac^-1.
+    """Carry the canonical (x, p_x, y, p_y) tensor to the jet chart: its
+    one nonzero block is {(q, qdd), (qd, qddd)} = C^-1 diag(1/a_x, 1/a_y) C^-T.
 
-    The dq^dqd component of the result is (nu2^2/a_x + mu2^2/a_y)/det^2 with
-    det = mu0 nu2 - mu2 nu0; it vanishes only when a_x and a_y have opposite
-    signs (for real transform entries).  Raises SingularMapError for the
-    singular/degenerate families.
+    The dq^dqd entry, (nu2^2/a_x + mu2^2/a_y)/det(C)^2, vanishes only when
+    a_x and a_y have opposite signs.  Raises SingularMapError exactly when
+    m.singular, ArithmeticError when an entry is not finite.
     """
-    sv = np.linalg.svd(m.jac, compute_uv=False)
-    if core._negligible(sv)[-1]:
+    if m.singular:
         raise SingularMapError(
-            f"{m.family} jacobian is singular (smallest sv {sv[-1]:.3e})"
-        )
-    T = np.linalg.inv(m.jac)
-    J_fo = np.array([
-        [0.0, 1.0, 0.0, 0.0],
-        [-1.0, 0.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, -1.0, 0.0],
-    ])
-    J = T @ J_fo @ T.T
-    return PoissonTensor(0.5 * (J - J.T), JET)
+            f"{m.family} map is singular (det C = {m.transform_det:.3e}, "
+            f"a_y = {m.model.a_y:.3e})")
+    J = np.zeros((4, 4))
+    with np.errstate(over="ignore", invalid="ignore"):
+        Ci = np.array([[m.nu2, -m.mu2], [-m.nu0, m.mu0]]) / m.transform_det
+        J[0::2, 1::2] = Ci / (m.model.a_x, m.model.a_y) @ Ci.T
+    if not np.isfinite(J).all():
+        raise ArithmeticError(
+            "non-finite value in the pushforward C^-1 diag(1/a) C^-T")
+    return PoissonTensor(J - J.T, JET)
 
 
 def qqdot_component(j: PoissonTensor) -> float:
     """Coefficient of dq^dqd in a jet-chart tensor."""
     return float(j.j[0, 1])
-
-
-def model_hamiltonian_matrix(model: TwoDimModel) -> np.ndarray:
-    """Hessian of H_fo = p_x^2/2a_x + p_y^2/2a_y + b_x x^2/2 + b_y y^2/2
-    + g x y in (x, p_x, y, p_y).  Undefined for degenerate models."""
-    if model.degenerate:
-        raise DegenerateModelError("a_y = 0: model Hamiltonian undefined")
-    return np.array([
-        [model.b_x, 0.0, model.g, 0.0],
-        [0.0, 1.0 / model.a_x, 0.0, 0.0],
-        [model.g, 0.0, model.b_y, 0.0],
-        [0.0, 0.0, 0.0, 1.0 / model.a_y],
-    ])
 
 
 def fit_blend(params: PUParams, S: np.ndarray):
@@ -505,19 +479,28 @@ def pullback_hamiltonian(m: TransformMap):
     """Compose the model Hamiltonian with the map and fit it in span{H1, H2};
     returns (observable, c1, c2, fit_residual).
 
-    S_pull = jac^T K_fo jac, fitted by least squares to c1*S1 + c2*S2; the
-    residual must be below 1e-10 for a dynamics-preserving map, otherwise
-    NotInSpanError is raised (ArithmeticError where S_pull, which overflows
-    from about omega 1e51, or the residual is not finite, as where the
-    1/beta entry of S2 overflows, below omega about 6e-78).  Degenerate
-    models (a_y = 0) have no model Hamiltonian and raise DegenerateModelError.
+    H_fo = p_x^2/2a_x + p_y^2/2a_y + b_x x^2/2 + b_y y^2/2 + g x y pulls back
+    to S_pull = C^T B C on (q, qdd), B = [[b_x, g], [g, b_y]], plus
+    C^T diag(a_x, a_y) C on (qd, qddd), fitted by least squares to
+    c1*S1 + c2*S2; the residual must be below 1e-10 for a
+    dynamics-preserving map, otherwise NotInSpanError is raised
+    (ArithmeticError where S_pull, which overflows from about omega 1e51, or
+    the residual is not finite, as where the 1/beta entry of S2 overflows,
+    below omega about 6e-78).  Degenerate models (a_y = 0) have no model
+    Hamiltonian and raise DegenerateModelError.
     """
-    K = model_hamiltonian_matrix(m.model)
+    mod = m.model
+    if mod.degenerate:
+        raise DegenerateModelError("a_y = 0: model Hamiltonian undefined")
+    C = np.array([[m.mu0, m.mu2], [m.nu0, m.nu2]])
+    S = np.zeros((4, 4))
     with np.errstate(over="ignore", invalid="ignore"):
-        S = core._sym_exact(m.jac.T @ K @ m.jac)
+        S[0::2, 0::2] = C.T @ [[mod.b_x, mod.g], [mod.g, mod.b_y]] @ C
+        S[1::2, 1::2] = C.T @ (C * [[mod.a_x], [mod.a_y]])
+        S = core._sym_exact(S)
     if not np.isfinite(S).all():
         raise ArithmeticError(
-            "non-finite value in the pullback Hessian jac^T K jac")
+            "non-finite value in the pullback Hessian C^T B C, C^T diag(a) C")
     c1, c2, res = fit_blend(m.params, S)
     if not math.isfinite(res):
         raise ArithmeticError(f"pullback fit residual is not finite: {res}")

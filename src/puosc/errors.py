@@ -56,7 +56,8 @@ class NoSolutionError(PuoscError):
 
 
 class SingularMapError(PuoscError):
-    """Transform jacobian is singular; tensors cannot be pushed through it."""
+    """The transform map is singular (a_y = 0, or x proportional to y);
+    tensors cannot be pushed through it."""
 
 
 class NotInSpanError(PuoscError):

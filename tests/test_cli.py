@@ -43,13 +43,14 @@ def test_verify_default_passes(tmp_path):
     assert rep["config"]["lam"] == check["detail"]["lambda"] == 0.1
 
 
-def test_verify_degenerate_frequencies(tmp_path):
+def test_verify_degenerate_frequencies(tmp_path, capsys):
+    # equal frequencies are a usage error, not a failed invariant: exit 1
+    # is kept for "an invariant failed"
     out = tmp_path / "verify.json"
     assert run(["verify", "--omega1", "2", "--omega2", "2",
-                "--out", str(out)]) == 1
-    rep = json.loads(out.read_text())
-    assert rep["passed"] is False
-    assert rep["first_failure"] == "degenerate-frequencies"
+                "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: frequencies must be distinct\n"
+    assert not out.exists()
 
 
 def test_verify_interacting_dimension_reported(tmp_path):
@@ -218,12 +219,40 @@ def test_embed_ta1_singular_pushforward(tmp_path):
     assert rep["solved"]["singular"] is True
 
 
+# two extreme regular maps: an absolute rank floor called the first
+# singular, a singular-value gate refused the second's pushforward
+@pytest.mark.parametrize("flags", [
+    ["--family", "ta2", "--ax", "1e5", "--ay", "1e5", "--g", "0.1"],
+    ["--family", "tb1", "--ax", "1", "--bx", "2", "--g", "1e-6"],
+])
+def test_embed_regular_extremes_push_forward(flags, tmp_path):
+    out = tmp_path / "embed.json"
+    assert run(["embed", *flags, "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["solved"]["singular"] is rep["singular_pushforward"] is False
+    assert np.isfinite(rep["pushforward"]).all()
+
+
+def test_embed_singular_pullback_is_not_positive_definite(tmp_path):
+    # a Ta1 pullback Hessian is singular in exact arithmetic; here both
+    # rounded eigenvalues at the bottom are positive (2.8e-17, 5.6e-17)
+    out = tmp_path / "embed.json"
+    assert run(["embed", "--omega1", "1.347643987920152",
+                "--omega2", "0.8109349411813733", "--family", "ta1",
+                "--branch", "+", "--ax", "1.9563413842338238",
+                "--ay", "1.1029923502064853", "--g", "0.17573573132458442",
+                "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["solved"]["singular"] is True
+    assert rep["pullback"]["positive_definite"] is False
+
+
 def test_embed_tb2_degenerate(tmp_path):
     out = tmp_path / "embed.json"
     assert run(["embed", "--family", "tb2", "--ax", "1", "--by", "1",
                 "--g", "0.5", "--out", str(out)]) == 0
     rep = json.loads(out.read_text())
-    assert rep["singular_pushforward"] is True
+    assert rep["solved"]["singular"] is rep["singular_pushforward"] is True
     assert rep["pullback"] == {"degenerate": True,
                                "note": "a_y = 0: model Hamiltonian undefined"}
 
@@ -691,7 +720,7 @@ def test_exit_code_messages(tmp_path, capsys):
     assert exit_code([*tb1, "--omega1", "1e60", "--omega2", "2e60"]) == 3
     assert capsys.readouterr().err == (
         "numerical failure: non-finite value in the pullback Hessian "
-        "jac^T K jac\n")
+        "C^T B C, C^T diag(a) C\n")
 
 
 @pytest.mark.parametrize("argv", [

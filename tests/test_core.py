@@ -563,7 +563,12 @@ def test_every_rank_decision_reads_the_one_rule(monkeypatch):
     assert singular.all() and not valid.any()
     assert len(p.commutant_basis(flow_matrix(PAR))) == 16
     assert len(p.invariant_tensor_space(p.free_vector_field(PAR))) == 6
+    # a map's singularity is not a singular-value decision: the pushforward
+    # follows m.singular, which the patch does not move
     m = p.solve_family("Ta2", +1, {"a_x": 1.0, "a_y": 2.0, "g": 0.5}, PAR)
     assert not m.singular
+    p.pushforward_poisson(m)
+    m = p.solve_family("Ta1", +1, {"a_x": 1.0, "a_y": 2.0, "g": 0.5}, PAR)
+    assert m.singular
     with pytest.raises(SingularMapError):
         p.pushforward_poisson(m)

@@ -5,6 +5,7 @@ import ast
 import inspect
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -274,9 +275,9 @@ def test_draw_free_params_is_the_choice_stream(family):
         assert len(tries) > 1200
 
 
-def test_scalar_paths_call_numpy_only_for_the_jacobian():
+def test_scalar_paths_call_no_numpy():
     # a numpy call on one Python float costs 1 to 14 us, math or a builtin
-    # well under 1 us; _build_map's one np.array is the jacobian it returns
+    # well under 1 us; a map is its four scalars, so _build_map needs none
     def numpy_calls(fn):
         return [ast.unparse(n.func) for n in ast.walk(
                     ast.parse(inspect.getsource(fn)))
@@ -284,8 +285,7 @@ def test_scalar_paths_call_numpy_only_for_the_jacobian():
                 and ast.unparse(n.func).startswith(("np.", "numpy."))]
     for fn in (p.make_params, embedding._build_map, draw_free_params,
                embedding._classify_phi, p.verify_map):
-        expected = ["np.array"] if fn is embedding._build_map else []
-        assert numpy_calls(fn) == expected, fn.__name__
+        assert numpy_calls(fn) == [], fn.__name__
 
 
 def test_solved_rows_pass_50_draws_per_family():
@@ -450,10 +450,70 @@ def test_pushforward_singular_families_raise():
         p.pushforward_poisson(m2)
 
 
+# the two regular maps are extreme: an absolute rank floor called the Ta2
+# map singular, a singular-value gate refused the Tb1 one
+@pytest.mark.parametrize("family, free, singular", [
+    ("Ta2", {"a_x": 1e5, "a_y": 1e5, "g": 0.1}, False),
+    ("Tb1", {"a_x": 1.0, "b_x": 2.0, "g": 1e-6}, False),
+    ("Ta1", {"a_x": 1.0, "a_y": 2.0, "g": 1.0}, True),
+    ("Tb2", {"a_x": 1.0, "b_y": 1.0, "g": 0.5}, True),
+])
+def test_pushforward_raises_exactly_when_singular(family, free, singular):
+    rng = np.random.default_rng(31)
+    draws = [free, *(draw_free_params(family, rng, PAR) for _ in range(10))]
+    for free, branch in itertools.product(draws, BRANCHES):
+        m = p.solve_family(family, branch, free, PAR)
+        assert m.singular is singular, (free, branch)
+        if singular:
+            with pytest.raises(SingularMapError, match=f"^{family} map is "):
+                p.pushforward_poisson(m)
+        else:
+            p.pushforward_poisson(m)
+
+
+def _exact_pushforward_block(m):
+    """C^-1 diag(1/a_x, 1/a_y) C^-T in rational arithmetic on the map's
+    float entries."""
+    mu0, mu2, nu0, nu2, ax, ay = map(Fraction, (
+        m.mu0, m.mu2, m.nu0, m.nu2, m.model.a_x, m.model.a_y))
+    det = mu0 * nu2 - mu2 * nu0
+    inv = ((nu2 / det, -mu2 / det), (-nu0 / det, mu0 / det))
+    return [[inv[i][0] * inv[j][0] / ax + inv[i][1] * inv[j][1] / ay
+             for j in (0, 1)] for i in (0, 1)]
+
+
+def test_pushforward_matches_exact_rationals():
+    # rounding is amplified by cancellation where a_x a_y < 0 (an entry such
+    # as (a_x mu0^2 + a_y nu0^2)/(a_x a_y det^2) nearly vanishes); at these
+    # draws the worst error is below the bound
+    rng = np.random.default_rng(1729)
+    for k in range(50):
+        par = random_params(rng)
+        family = ("Ta2", "Tb1")[k % 2]
+        free = draw_free_params(family, rng, par)
+        m = p.solve_family(family, BRANCHES[k // 2 % 2], free, par)
+        J = p.pushforward_poisson(m).j
+        # the block {(q, qdd), (qd, qddd)} and its negative, zeros elsewhere
+        assert np.array_equal(J, -J.T)
+        assert not J[0::2, 0::2].any() and not J[1::2, 1::2].any()
+        exact = _exact_pushforward_block(m)
+        err = max(abs(Fraction(J[2 * i, 2 * j + 1]) - exact[i][j])
+                  for i in (0, 1) for j in (0, 1))
+        assert err <= 2e-14 * max(abs(x) for row in exact for x in row), k
+
+
 def test_pushforward_round_trip():
     m = p.solve_family("Tb1", +1, {"a_x": 1.0, "b_x": 2.0, "g": 1.0}, PAR)
     J = p.pushforward_poisson(m)
-    J_fo = m.jac @ J.j @ m.jac.T
+    # the 4x4 jacobian of (q, qd, qdd, qddd) -> (x, p_x, y, p_y)
+    ax, ay = m.model.a_x, m.model.a_y
+    jac = np.array([
+        [m.mu0, 0.0, m.mu2, 0.0],
+        [0.0, ax * m.mu0, 0.0, ax * m.mu2],
+        [m.nu0, 0.0, m.nu2, 0.0],
+        [0.0, ay * m.nu0, 0.0, ay * m.nu2],
+    ])
+    J_fo = jac @ J.j @ jac.T
     expected = np.array([
         [0.0, 1.0, 0.0, 0.0],
         [-1.0, 0.0, 0.0, 0.0],
@@ -502,7 +562,7 @@ def test_pullback_non_finite_hessian_is_a_numerical_failure(monkeypatch):
     m = p.solve_family("Tb1", +1, TB1_FREE, p.make_params(1e40, 2e40))
     _, c1, c2, res = p.pullback_hamiltonian(m)
     assert np.isfinite([c1, c2]).all() and 0.0 <= res < 1e-10
-    # at (1e60, 2e60) jac^T K jac overflows: named before the fit, with no
+    # at (1e60, 2e60) C^T B C overflows: named before the fit, with no
     # numpy warning first (the repo's filter makes one an error)
     for w in (1e60, 1e76):
         par = p.make_params(w, 2 * w)
@@ -514,7 +574,8 @@ def test_pullback_non_finite_hessian_is_a_numerical_failure(monkeypatch):
                               {"a_x": 1.0, "a_y": 1.0, "g": 0.1}, par))
         for m in maps:
             with pytest.raises(ArithmeticError, match=(
-                    "non-finite value in the pullback Hessian jac\\^T K jac")):
+                    "non-finite value in the pullback Hessian C\\^T B C, "
+                    "C\\^T diag\\(a\\) C$")):
                 p.pullback_hamiltonian(m)
     # the in-span gate must not let a residual that is not finite through
     m = p.solve_family("Tb1", +1, TB1_FREE, PAR)
@@ -601,11 +662,11 @@ class _StuckRng:
         return 1.0
 
 
-# a pullback outside span{H1, H2}: the identity jacobian pulls the model
-# Hamiltonian back to itself, whose (1, 3) entry is 0 and (0, 2) entry is g
+# a pullback outside span{H1, H2}: C = I pulls the model Hamiltonian back
+# to itself, whose (1, 3) entry is 0 and (0, 2) entry is g
 _IDENTITY_MAP = embedding.TransformMap(
     "Ta2", +1, 1.0, 0.0, 0.0, 1.0,
-    embedding.TwoDimModel(1.0, 1.0, 1.0, 1.0, 0.5), PAR, np.eye(4))
+    embedding.TwoDimModel(1.0, 1.0, 1.0, 1.0, 0.5), PAR)
 
 # each guard's own error; deleting the guard lets the input through or
 # fails it with another error
