@@ -20,7 +20,6 @@ from .core import (
     VectorField,
     blend_h,
     blend_j,
-    blend_j_closed_form,
     blend_j_tabulated,
     flow_matrix,
     free_vector_field,

@@ -1,9 +1,9 @@
 """Global numerical policy.
 
 Two tolerances cover the whole library: identities that are exact in rational
-arithmetic are asserted to EPS_ALGEBRA (relative), and singularity gates use
-EPS_SINGULAR, which is also the cutoff of every singular-value rank decision:
-each one reads core._negligible.
+arithmetic are asserted to EPS_ALGEBRA (relative), and EPS_SINGULAR is both
+the rule of every closed-form singularity gate (core._vanishes, no floor) and
+the cutoff of every singular-value rank decision (core._negligible).
 """
 
 EPS_ALGEBRA = 1e-12

@@ -474,41 +474,27 @@ def solve_bihamiltonian(
 
 
 def blend_j(params: PUParams, c1: float, c2: float) -> PoissonTensor:
-    """The unique constant antisymmetric J with J.grad(c1*H1 + c2*H2) = flow.
+    """The unique constant antisymmetric J with J.grad(c1*H1 + c2*H2) = flow,
+    A (c1*S1 + c2*S2)^-1 (solve_bihamiltonian) in closed form:
 
-    solve_bihamiltonian applied to blend_h.  The blend Hessian is singular
-    exactly on the rays c2 = -c1*w_i^2; there, and if the solution is not
-    antisymmetric, a SingularBlendError is raised.  blend_j_closed_form is
-    its exact closed form, and blend_j_tabulated a quoted one that differs.
+        J' = (beta*c1*J1 + c2*J2) / ((c1*w1^2 + c2)(c1*w2^2 + c2)),
+
+    each entry divided by the factors before beta multiplies it, so none
+    overflows on its way to a finite value.  SingularBlendError where a
+    factor _vanishes (c2 = -c1*w_i^2); ArithmeticError on a non-finite entry.
     """
-    try:
-        return solve_bihamiltonian(params, blend_h(params, c1, c2))
-    except SingularHessianError as exc:
-        raise SingularBlendError(
-            f"blend Hessian singular at (c1, c2) = ({c1}, {c2})"
-        ) from exc
-    except NotAntisymmetricError as exc:
-        raise SingularBlendError(
-            "constructed blend tensor is not antisymmetric "
-            f"(symmetric part norm {exc.symmetric_norm:.3e})"
-        ) from exc
-
-
-def blend_j_closed_form(params: PUParams, c1: float, c2: float) -> PoissonTensor:
-    """Exact closed form of blend_j:
-
-        J' = (beta*c1*J1 + c2*J2) / ((c1*w1^2 + c2)(c1*w2^2 + c2)).
-
-    Agrees with the constructive A (c1*S1 + c2*S2)^-1 to rounding.
-    """
+    c1, c2 = float(c1), float(c2)
     w1s, w2s = params.omega1 ** 2, params.omega2 ** 2
-    den = (c1 * w1s + c2) * (c1 * w2s + c2)
-    if abs(den) <= EPS_SINGULAR * max(1.0, (abs(c1) * w1s + abs(c2)) *
-                                      (abs(c1) * w2s + abs(c2))):
-        raise SingularBlendError("closed-form denominator vanishes")
-    with np.errstate(over="ignore", invalid="ignore"):
-        J = (params.beta * c1 * j1(params).j + c2 * j2(params).j) / den
-    return PoissonTensor(0.5 * (J - J.T), JET)
+    if _vanishes(c1 * w1s, c2) or _vanishes(c1 * w2s, c2):
+        raise SingularBlendError(f"blend Hessian singular at ({c1}, {c2})")
+    d1, d2 = c1 * w1s + c2, c1 * w2s + c2
+    b = params.beta / d2
+    x, y, z = c1 / d1 * b, (c1 * params.alpha + c2) / d1 * b, c2 / d1 / d2
+    J = np.array([[0.0, -z, 0.0, -x], [z, 0.0, x, 0.0],
+                  [0.0, -x, 0.0, y], [x, 0.0, -y, 0.0]]) + 0.0  # no -0.0
+    if not np.isfinite(J).all():
+        raise ArithmeticError("non-finite value in the blend tensor")
+    return PoissonTensor(J, JET)
 
 
 def blend_j_tabulated(params: PUParams, c1: float, c2: float) -> PoissonTensor:
@@ -521,11 +507,10 @@ def blend_j_tabulated(params: PUParams, c1: float, c2: float) -> PoissonTensor:
     and its denominator vanishes on c1 = c2*w_i^2, where blend_j is regular.
     """
     w1s, w2s = params.omega1 ** 2, params.omega2 ** 2
-    den = (c1 - c2 * w1s) * (c1 - c2 * w2s)
-    if abs(den) <= EPS_SINGULAR * max(1.0, (abs(c1) + abs(c2) * w1s) *
-                                      (abs(c1) + abs(c2) * w2s)):
+    if _vanishes(c1, -c2 * w1s) or _vanishes(c1, -c2 * w2s):
         raise SingularBlendError("tabulated denominator vanishes")
-    with np.errstate(over="ignore", invalid="ignore"):
+    den = (c1 - c2 * w1s) * (c1 - c2 * w2s)     # 0 where it underflows
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         J = (c1 * j1(params).j + params.beta * c2 * j2(params).j) / den
     return PoissonTensor(0.5 * (J - J.T), JET)
 
@@ -585,6 +570,12 @@ def _negligible(sv: np.ndarray) -> np.ndarray:
     the singular values at most EPS_SINGULAR * max(sigma_max, 1) count as
     zero.  They are a suffix of the row, all of it if sigma_max = 0."""
     return sv <= EPS_SINGULAR * np.maximum(sv[..., :1], 1.0)
+
+
+def _vanishes(a, b) -> bool:
+    """The rule of every closed-form singularity gate: a + b counts as zero
+    when |a + b| <= EPS_SINGULAR (|a| + |b|), with no absolute floor."""
+    return abs(a + b) <= EPS_SINGULAR * (abs(a) + abs(b))
 
 
 # ---------------------------------------------------------------------------

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import core
-from .config import DEFAULT_SEED, EPS_ALGEBRA, EPS_SINGULAR
+from .config import DEFAULT_SEED, EPS_ALGEBRA
 from .core import JET, PoissonTensor, PUParams, QuadraticObservable
 from .errors import (
     ComplexBranchError,
@@ -107,11 +107,19 @@ class TransformMap:
         """Determinant of the 2x2 coordinate block (mu0 nu2 - mu2 nu0)."""
         return self.mu0 * self.nu2 - self.mu2 * self.nu0
 
+    def _scaled_block(self):
+        """(s, D C as (mu0, mu2, nu0, nu2)), D = diag(2^s), -s_i the frexp
+        exponent of row i's largest |entry|, so that no product overflows."""
+        rows = ((self.mu0, self.mu2), (self.nu0, self.nu2))
+        s = [-math.frexp(max(map(abs, row)))[1] for row in rows]
+        return s, tuple(math.ldexp(x, si) for si, row in zip(s, rows)
+                        for x in row)
+
     @property
     def rank_deficient(self) -> bool:
-        """x proportional to y: det C is negligible against its terms."""
-        return abs(self.transform_det) <= EPS_SINGULAR * (
-            abs(self.mu0 * self.nu2) + abs(self.mu2 * self.nu0))
+        """x proportional to y: det(D C) _vanishes against its terms."""
+        _, (a, b, c, d) = self._scaled_block()
+        return core._vanishes(a * d, -(b * c))
 
     @property
     def singular(self) -> bool:
@@ -228,11 +236,12 @@ def tabulated_family(family: str, branch: int, free: dict,
         ax, bx, g = values
         tau = _tb1_tau(params, ax, bx, g)
         try:    # a float power raises where it overflows
-            tau2 = tau ** 2
+            tau2, fault = tau ** 2, "underflows to 0"
         except OverflowError:
+            tau2, fault = 0.0, "overflows"
+        if tau2 == 0.0:     # a_y = -a_x g / tau^2 is not finite
             raise NoSolutionError(
-                "non-finite value in the tabulated Tb1 row: tau^2 overflows "
-                "(tau = b_x^2 - a_x b_x alpha + a_x^2 beta)") from None
+                f"non-finite value in the tabulated Tb1 row: tau^2 {fault}")
         ay = -ax * g / tau2
         by = (g / tau) * (bx - ax * al)
         model = TwoDimModel(ax, ay, bx, by, g)
@@ -415,9 +424,10 @@ def pushforward_poisson(m: TransformMap) -> PoissonTensor:
         raise SingularMapError(
             f"{m.family} map is singular (det C = {m.transform_det:.3e}, "
             f"a_y = {m.model.a_y:.3e})")
+    s, (a, b, c, d) = m._scaled_block()     # C^-1 = (D C)^-1 D, D = diag(2^s)
     J = np.zeros((4, 4))
     with np.errstate(over="ignore", invalid="ignore"):
-        Ci = np.array([[m.nu2, -m.mu2], [-m.nu0, m.mu0]]) / m.transform_det
+        Ci = np.ldexp(np.divide([[d, -b], [-c, a]], a * d - b * c), s)
         J[0::2, 1::2] = Ci / (m.model.a_x, m.model.a_y) @ Ci.T
     if not np.isfinite(J).all():
         raise ArithmeticError(
@@ -528,13 +538,10 @@ def sum_of_squares(params: PUParams, ct1: float, ct2: float) -> QuadraticObserva
     w = (params.omega1 ** 2, params.omega2 ** 2)
     S = np.zeros((4, 4))
     for i, jj in ((0, 1), (1, 0)):
-        den = (ct1 * w[i] - ct2) * (w[i] - w[jj])
-        gate = max(1.0, abs(ct1) * w[i] + abs(ct2))
-        if abs(ct1 * w[i] - ct2) <= EPS_SINGULAR * gate:
+        if core._vanishes(ct1 * w[i], -ct2):
             raise SingularCoefficientError(
-                f"coefficient denominator ct1*w{i+1}^2 - ct2 vanishes"
-            )
-        weight = w[i] / (2.0 * den)
+                f"coefficient denominator ct1*w{i+1}^2 - ct2 vanishes")
+        weight = w[i] / (2.0 * (ct1 * w[i] - ct2) * (w[i] - w[jj]))
         v1 = np.array([0.0, w[jj], 0.0, 1.0])      # qddd + w_j^2 qd
         v2 = np.array([w[jj], 0.0, 1.0, 0.0])      # qdd + w_j^2 q
         with np.errstate(over="ignore", invalid="ignore"):  # as core.h2
@@ -555,14 +562,17 @@ def definiteness_inequality(params: PUParams, ct1: float, ct2: float) -> bool:
 
 
 def blend_coefficients_from_sos(params: PUParams, ct1: float, ct2: float):
-    """Exact mapping from sum-of-squares parameters to blend coefficients:
+    """Exact mapping from sum-of-squares parameters to blend coefficients,
+    raising sum_of_squares's SingularCoefficientError where D vanishes:
 
         (c1, c2) = beta / D * (ct1, -ct2),
         D = (ct1 w1^2 - ct2)(ct1 w2^2 - ct2).
     """
     w1s, w2s = params.omega1 ** 2, params.omega2 ** 2
-    D = (ct1 * w1s - ct2) * (ct1 * w2s - ct2)
-    return params.beta * ct1 / D, -params.beta * ct2 / D
+    if core._vanishes(ct1 * w1s, -ct2) or core._vanishes(ct1 * w2s, -ct2):
+        raise SingularCoefficientError("a factor ct1*w_i^2 - ct2 vanishes")
+    scale = params.beta / (ct1 * w1s - ct2) / (ct1 * w2s - ct2)
+    return scale * ct1, -scale * ct2
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from puosc.errors import (
     DegenerateFrequenciesError,
     PreconditionViolatedError,
     SingularBlendError,
+    SingularCoefficientError,
     SingularMapError,
 )
 
@@ -178,9 +179,9 @@ CORE_GUARDS = [
      ValueError, "exactly antisymmetric"),
     ("field-shape", lambda: p.VectorField(np.eye(3)),
      ValueError, "must be 4x4"),
-    # c2 = -c1 w1^2 at (1, 2)
-    ("closed-form-denominator", lambda: p.blend_j_closed_form(PAR, 1.0, -1.0),
-     SingularBlendError, "closed-form denominator vanishes"),
+    # c2 = -c1 w1^2 at (1, 2): a factor of the closed form's denominator
+    ("closed-form-denominator", lambda: p.blend_j(PAR, 1.0, -1.0),
+     SingularBlendError, "blend Hessian singular"),
     # S_F J S_G overflows: named, not a numpy overflow warning
     ("bracket-overflow",
      lambda: p.poisson_bracket(PAR, p.QuadraticObservable(1e200 * np.eye(4)),
@@ -320,15 +321,15 @@ def test_blend_j_singular_rays():
         p.blend_j(PAR, 1.0, -4.0)
 
 
-def test_blend_j_with_a_non_finite_hessian_is_singular():
-    # beta = 1.02e-308 is finite, but 2 H2 holds 2/beta = inf: its singular
-    # values are NaN, so the blend counts as singular rather than solved.
-    # The overflow warns nowhere, which the RuntimeWarning filter checks
+def test_blend_j_with_a_non_finite_hessian_is_j2_over_2():
+    # beta = 1.02e-308 is finite, but 2 H2 holds 2/beta = inf; the closed
+    # form never inverts the Hessian and gives J2/2 bit for bit.  The
+    # overflow warns nowhere, which the RuntimeWarning filter checks
     par = p.make_params(1e-77, 1.01e-77)
     S = p.blend_h(par, 0.0, 2.0).coeffs
     assert S[3, 3] == np.inf and np.isfinite(np.delete(S.ravel(), 15)).all()
-    with pytest.raises(SingularBlendError):
-        p.blend_j(par, 0.0, 2.0)
+    J = p.blend_j(par, 0.0, 2.0).j
+    assert J.tobytes() == (p.j2(par).j / 2).tobytes()
 
 
 def test_blend_j_grid_identity():
@@ -354,10 +355,10 @@ def test_blend_j_closed_form_matches_constructive():
         par = random_params(rng)
         c1, c2 = rng.uniform(-3, 3, 2)
         try:
-            J = p.blend_j(par, c1, c2)
+            Jc = p.blend_j(par, c1, c2)
         except SingularBlendError:
             continue
-        Jc = p.blend_j_closed_form(par, c1, c2)
+        J = p.solve_bihamiltonian(par, p.blend_h(par, c1, c2))
         assert np.allclose(J.j, Jc.j, rtol=1e-9, atol=1e-9 * np.linalg.norm(J.j))
 
 
@@ -367,8 +368,8 @@ def test_blend_j_tabulated_agrees_only_on_axes():
                        p.blend_j(PAR, 2.0, 0.0).j, atol=1e-13)
     assert np.allclose(p.blend_j_tabulated(PAR, 0.0, 3.0).j,
                        p.blend_j(PAR, 0.0, 3.0).j, atol=1e-13)
-    J = p.blend_j(PAR, 1.0, 2.0).j
-    assert np.max(np.abs(p.blend_j_closed_form(PAR, 1.0, 2.0).j - J)) < 1e-12
+    J = p.solve_bihamiltonian(PAR, p.blend_h(PAR, 1.0, 2.0)).j
+    assert np.max(np.abs(p.blend_j(PAR, 1.0, 2.0).j - J)) < 1e-12
     assert np.max(np.abs(p.blend_j_tabulated(PAR, 1.0, 2.0).j - J)) > 1e-3
 
 
@@ -380,17 +381,46 @@ def test_blend_j_regular_on_tabulated_singularity():
         p.blend_j_tabulated(PAR, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("blend, w", [(p.blend_j_closed_form, 1e60),
-                                      (p.blend_j_tabulated, 1e40)])
-def test_blend_closed_forms_overflow_warns_nothing(blend, w):
-    # under the error::RuntimeWarning filter, the non-finite tensor of
-    # main's errstate(all="ignore") path, not a bare numpy warning
+@pytest.mark.parametrize("blend, w, finite", [
+    pytest.param(p.blend_j, 1e60, True, id="blend_j-1e+60"),
+    pytest.param(p.blend_j_tabulated, 1e40, False,
+                 id="blend_j_tabulated-1e+40")])
+def test_blend_closed_forms_overflow_warns_nothing(blend, w, finite):
+    # under the error::RuntimeWarning filter, the tensor of main's
+    # errstate(all="ignore") path, not a bare numpy warning: blend_j
+    # divides before beta multiplies and stays finite, the quoted form
+    # overflows
     par = p.make_params(w, 2 * w)
     with np.errstate(all="ignore"):
         expected = blend(par, -1.0, 2.0).j
     got = blend(par, -1.0, 2.0).j
-    assert not np.isfinite(got).all()
+    assert np.isfinite(got).all() == finite
     assert got.tobytes() == expected.tobytes()
+
+
+# every quarter decade of omega1 from 1e-75 to 1e75, at three ratios
+SWEEP = [p.make_params(10.0 ** (k / 4), r * 10.0 ** (k / 4))
+         for k in range(-300, 301) for r in (1.2, 2.0, 5.0)]
+
+
+def test_blend_j_sweep_solves_every_regular_blend_and_no_ray():
+    # the positive blend (-1, alpha/2), the axes, a blend between the rays
+    # and two blends a relative 1e-6 off them each give a finite tensor
+    # with J S = A entrywise to 1e-12 of |J| |S|; each ray raises
+    for par in SWEEP:
+        a, b = par.omega1 ** 2, par.omega2 ** 2
+        A = flow_matrix(par)
+        for c1, c2 in ((-1.0, par.alpha / 2), (1.0, 0.0), (0.0, 1.0),
+                       (2.5, -0.7 * a - 0.3 * b), (1.0, -a * (1 + 1e-6)),
+                       (1.0, -b * (1 - 1e-6))):
+            J = p.blend_j(par, c1, c2).j
+            S = p.blend_h(par, c1, c2).coeffs
+            assert np.isfinite(J).all()
+            assert (np.abs(J @ S - A) <= 1e-12 * (np.abs(J) @ np.abs(S))
+                    ).all(), (par, c1, c2)
+        for c1, c2 in ((1.0, -a), (1.0, -b), (-3.0, 3.0 * b)):
+            with pytest.raises(SingularBlendError):
+                p.blend_j(par, c1, c2)
 
 
 def _grid_stacks(par):
@@ -572,3 +602,35 @@ def test_every_rank_decision_reads_the_one_rule(monkeypatch):
     assert m.singular
     with pytest.raises(SingularMapError):
         p.pushforward_poisson(m)
+
+
+def test_every_closed_form_gate_reads_the_one_rule(monkeypatch):
+    # with every sum counted as zero, each closed-form singularity gate
+    # fires, and with none, none does: they read core._vanishes
+    ta2 = p.solve_family("Ta2", +1, {"a_x": 1.0, "a_y": 2.0, "g": 0.5}, PAR)
+    calls = [(p.blend_j, SingularBlendError),
+             (p.blend_j_tabulated, SingularBlendError),
+             (p.sum_of_squares, SingularCoefficientError),
+             (p.embedding.blend_coefficients_from_sos,
+              SingularCoefficientError)]
+    monkeypatch.setattr(p.core, "_vanishes", lambda a, b: True)
+    for fn, error in calls:
+        with pytest.raises(error):
+            fn(PAR, 1.0, 2.0)
+    assert ta2.rank_deficient and ta2.singular
+    with pytest.raises(SingularMapError):
+        p.pushforward_poisson(ta2)
+    # (1, -1) is on a ray of blend_j, (1, 1) on one of the quoted form and
+    # of the sum of squares, and the Ta1 map has x proportional to y
+    monkeypatch.setattr(p.core, "_vanishes", lambda a, b: False)
+    for fn, _ in calls:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for c1, c2 in ((1.0, -1.0), (1.0, 1.0)):
+                try:
+                    fn(PAR, c1, c2)
+                except (SingularBlendError, SingularCoefficientError):
+                    raise AssertionError(f"{fn.__name__} gated {(c1, c2)}")
+                except (ArithmeticError, ValueError):
+                    pass    # the division the gate guards
+    ta1 = p.solve_family("Ta1", +1, {"a_x": 1.0, "a_y": 2.0, "g": 0.5}, PAR)
+    assert not ta1.rank_deficient

@@ -318,6 +318,35 @@ def test_singularity_flags_per_family():
         assert not p.solve_family("Tb1", +1, f1, par).singular
 
 
+def test_rank_deficient_is_the_exact_verdict_on_extreme_maps():
+    # the rule |det C| <= EPS_SINGULAR (|mu0 nu2| + |mu2 nu0|) in rational
+    # arithmetic on the map's floats, against rank_deficient on maps whose
+    # entries span 1e-300 to 1e300; the row scaling keeps every product
+    # finite, and a Tb1 map whose rows differ by 1e267 keeps its mu2 nu0
+    rng = np.random.default_rng(29)
+    checked = 0
+    for _ in range(1500):
+        family = str(rng.choice(["Ta1", "Ta2", "Tb1", "Tb2"]))
+        w = 10.0 ** rng.uniform(-24, 24)
+        free = {k: float(rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-150, 150))
+                for k in FREE_PARAMS[family]}
+        try:
+            m = p.solve_family(family, int(rng.choice(BRANCHES)), free,
+                               p.make_params(w, 2.0 * w))
+        except (PuoscError, ArithmeticError):
+            continue
+        t1, t2 = Fraction(m.mu0) * Fraction(m.nu2), Fraction(m.mu2) * Fraction(m.nu0)
+        assert m.rank_deficient == (
+            abs(t1 - t2) <= Fraction(1e-10) * (abs(t1) + abs(t2))), m
+        checked += 1
+    assert checked > 1000
+    m = p.solve_family("Tb1", +1, {"a_x": -6.894619401653748e53,
+                                   "b_x": -1.7850733641590704e-65,
+                                   "g": -1.5901892544433946e-142},
+                       p.make_params(6.947325262689798e35, 2 * 6.947325262689798e35))
+    assert m.mu2 * m.nu0 > 1e231 and not m.rank_deficient
+
+
 def test_verify_map_rank_deficiency_note():
     # x proportional to y cannot carry fourth-order dynamics
     model = p.TwoDimModel(1.0, 1.0, 1.0, 1.0, 0.0)
@@ -482,16 +511,25 @@ def _exact_pushforward_block(m):
              for j in (0, 1)] for i in (0, 1)]
 
 
-def test_pushforward_matches_exact_rationals():
-    # rounding is amplified by cancellation where a_x a_y < 0 (an entry such
-    # as (a_x mu0^2 + a_y nu0^2)/(a_x a_y det^2) nearly vanishes); at these
-    # draws the worst error is below the bound
+def _exact_rational_maps():
+    # 50 random Ta2 and Tb1 maps, and a Ta2 map whose det C terms overflow
+    # (mu0 nu2 and mu2 nu0 are inf) while its pushforward is about 1e-155
     rng = np.random.default_rng(1729)
     for k in range(50):
         par = random_params(rng)
         family = ("Ta2", "Tb1")[k % 2]
         free = draw_free_params(family, rng, par)
-        m = p.solve_family(family, BRANCHES[k // 2 % 2], free, par)
+        yield p.solve_family(family, BRANCHES[k // 2 % 2], free, par)
+    yield p.solve_family("Ta2", +1, {"a_x": 1e-155, "a_y": 3e-155, "g": 0.0},
+                         PAR)
+
+
+def test_pushforward_matches_exact_rationals():
+    # rounding is amplified by cancellation where a_x a_y < 0 (an entry such
+    # as (a_x mu0^2 + a_y nu0^2)/(a_x a_y det^2) nearly vanishes); at these
+    # draws the worst error is below the bound
+    for k, m in enumerate(_exact_rational_maps()):
+        assert not m.rank_deficient
         J = p.pushforward_poisson(m).j
         # the block {(q, qdd), (qd, qddd)} and its negative, zeros elsewhere
         assert np.array_equal(J, -J.T)
@@ -741,6 +779,21 @@ def test_sos_reduces_to_h1_at_unit_ct():
 def test_sos_singular_coefficient():
     with pytest.raises(SingularCoefficientError):
         p.sum_of_squares(PAR, 1.0, 1.0)  # ct1 w1^2 - ct2 = 0
+
+
+@pytest.mark.parametrize("w", [1e-3, 1.0, 1e60])
+def test_blend_coefficients_from_sos_singular_on_the_rays(w):
+    # the rays ct2 = ct1 w_i^2 of sum_of_squares, at every scale
+    par = p.make_params(w, 2 * w)
+    for ws in (par.omega1 ** 2, par.omega2 ** 2):
+        for fn in (p.sum_of_squares, blend_coefficients_from_sos):
+            with pytest.raises(SingularCoefficientError):
+                fn(par, 1.0, ws)
+            with pytest.raises(SingularCoefficientError):
+                fn(par, -2.5, -2.5 * ws)
+    # off the rays: beta / D * (ct1, -ct2) with D = (1 - 0.5)(4 - 0.5) at PAR
+    assert blend_coefficients_from_sos(PAR, 1.0, 0.5) == pytest.approx(
+        (4.0 / 1.75, -2.0 / 1.75), rel=1e-15)
 
 
 def test_sos_always_fits_blend_span():
