@@ -319,6 +319,8 @@ def cmd_simulate(args) -> int:
         "drift_h2": traj.drift("h2"),
         "drift_hint": traj.drift("hint"),
         "n_steps": traj.meta["n_steps"],
+        "n_rejected": traj.meta["n_rejected"],
+        "n_rhs": traj.meta["n_rhs"],
         "out": out_path,
         "config": config,
         "version": __version__,
@@ -382,14 +384,20 @@ def cmd_embed(args) -> int:
         "solved": _map_payload(solved),
     }
     try:
-        tab = embedding.tabulated_family(family, branch, free, params)
-        payload["tabulated"] = _map_payload(tab)
-        payload["delta"] = {
-            k: payload["tabulated"][k] - payload["solved"][k]
-            for k in ("mu0", "mu2", "nu0", "nu2")
-        }
+        tab = _map_payload(
+            embedding.tabulated_family(family, branch, free, params))
     except PuoscError as exc:
         payload["tabulated"] = f"unavailable: {exc}"
+    else:
+        # a comparison row whose off-shell check overflows is not written
+        field = _non_finite_path(tab)
+        if field is not None:
+            payload["tabulated"] = ("unavailable: non-finite value in the "
+                                    f"tabulated row at {field}")
+        else:
+            payload["tabulated"] = tab
+            payload["delta"] = {k: tab[k] - payload["solved"][k]
+                                for k in ("mu0", "mu2", "nu0", "nu2")}
 
     try:
         push = embedding.pushforward_poisson(solved)
@@ -406,17 +414,22 @@ def cmd_embed(args) -> int:
     except DegenerateModelError as exc:
         payload["pullback"] = {"degenerate": True, "note": str(exc)}
     else:
-        t1, t2 = embedding.tabulated_blend_coefficients(solved)
         pos = embedding.positivity(params, observable)
         payload["pullback"] = {
             "degenerate": False,
             "fitted_c1": c1, "fitted_c2": c2, "fit_residual": res,
-            "tabulated_c1": t1, "tabulated_c2": t2,
-            "delta_c1": c1 - t1, "delta_c2": c2 - t2,
             # det S = det(C)^4 det(B) a_x a_y: 0 for a singular map
             "positive_definite": pos.positive_definite and not solved.singular,
             "eigenvalues": list(pos.eigenvalues),
         }
+        try:
+            t1, t2 = embedding.tabulated_blend_coefficients(solved)
+        except PuoscError as exc:
+            payload["pullback"]["tabulated"] = f"unavailable: {exc}"
+        else:
+            payload["pullback"].update({
+                "tabulated_c1": t1, "tabulated_c2": t2,
+                "delta_c1": c1 - t1, "delta_c2": c2 - t2})
 
     _emit_json(payload, args.out)
     return EXIT_OK

@@ -14,9 +14,10 @@ on Python floats because numpy call overhead outweighs the arithmetic on a
 four floats a builtin call costs more than the arithmetic it guards, so each
 is written as the conditional expression that returns what the builtin
 returns.  The run is written for the jet-chart field, z' = (qd, qdd, qddd,
-a30 q + a32 qdd - W'(q)), the only one integrate accepts: a stage is four
-state components and one force row, with no right-hand-side call, and the
-tableau is bound to locals.  States move between charts through
+a30 q + a32 qdd - W'(q)), the only one integrate accepts.  Its force reads
+the positions (q, qdd) only, so the run takes the method's Runge-Kutta-Nystrom
+form: a stage is two position sums and one force, with no stage velocities
+and no right-hand-side call.  States move between charts through
 ostro_jacobian.  The run shortens a step only to land on a stop, one of
 integrate's equidistant sample times, and a shortened step does not hand its
 small size on: the next step starts from the larger of the controller's
@@ -58,7 +59,7 @@ from .errors import (
 # allocated up front.
 MAX_SAMPLES = 10 ** 7
 # Largest grid_points threshold_search accepts: each grid coupling is one
-# integration of about 22 ms at the reference settings, so about 4 minutes.
+# integration of about 17 ms at the reference settings, so about 3 minutes.
 MAX_GRID_POINTS = 10 ** 4
 
 
@@ -170,14 +171,18 @@ class Trajectory:
         return self.meta.get("escape_time") is not None
 
 
-# Dormand-Prince 5(4) tableau (FSAL: the last stage is next step's first)
-_A21 = 1 / 5
-_A31, _A32 = 3 / 40, 9 / 40
-_A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
-_A51, _A52, _A53, _A54 = 19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729
-_A61, _A62, _A63, _A64, _A65 = (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176,
-                                -5103 / 18656)
+# Dormand-Prince 5(4) in its induced Runge-Kutta-Nystrom form (Hairer,
+# Norsett and Wanner, Solving ODEs I, II.14): nodes c, position weights
+# Abar = A^2, bbar = b A and ebar = e A, velocity weights b and e.  FSAL:
+# stage 7 is x_new.  abar_{i,i-1} = bbar_2 = bbar_6 = ebar_2 = 0.
+_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9           # c_6 = c_7 = 1
+_AB31, _AB41, _AB42 = 9 / 200, -12 / 25, 4 / 5
+_AB51, _AB52, _AB53 = -12248 / 6561, 7208 / 2187, -6784 / 6561
+_AB61, _AB62, _AB63, _AB64 = -533 / 264, 91 / 22, -56 / 33, 7 / 88
+_BB1, _BB3, _BB4, _BB5 = 35 / 384, 50 / 159, 25 / 192, -243 / 6784
 _B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
+_EB1, _EB3, _EB4, _EB5, _EB6 = (611 / 230400, -514 / 83475, 391 / 38400,
+                                -4617 / 1356800, -11 / 3360)
 _E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
                                 -17253 / 339200, 22 / 525, -1 / 40)
 
@@ -231,13 +236,16 @@ def _dp54(a30, a32, w_prime, y0, stops, tol, escape_radius):
     after any accepted step.  The run ends at the last stop or at the end
     of the first accepted step with |z| >= escape_radius.
 
-    The first three slope components of a stage are its state's last three,
-    so each stage computes its four state components and one
-    a30 u0 + a32 u2 - w_prime(u0), with no right-hand-side call and no
-    tuple.  The FSAL slope is (q1, q2, q3, f3), and the accepted step's
-    |p_i| are the next step's |q_i|.  The tableau and controller constants
-    are locals.  A free field passes w_prime = _no_force: x - 0.0 == x
-    for every float, -0.0, inf and NaN included.
+    The field is second order: its positions x = (q, qdd) have velocities
+    v = (qd, qddd) and a force G(x) = (qdd, a30 q + a32 qdd - w_prime(q)),
+    so the method runs in its Nystrom form and forms no stage velocities.
+    Stage i is X_i = x + c_i h v + h^2 sum_{k <= i-2} abar_ik G_k and one
+    force, with no right-hand-side call; the step is x + h v +
+    h^2 sum bbar_k G_k and v + h sum b_k G_k, and its error
+    h^2 sum ebar_k G_k on x (sum e_k = 0 cancels h v) and h sum e_k G_k on
+    v.  The FSAL force is G_1 = (q2, f3), and the accepted step's |p_i| are
+    the next step's |q_i|.  A free field passes w_prime = _no_force:
+    x - 0.0 == x for every float, -0.0, inf and NaN included.
 
     Returns (times, rows, escape_time, n_steps, n_rhs, n_rejected): the time
     and state after every capped step and after the escaping step, the
@@ -247,10 +255,12 @@ def _dp54(a30, a32, w_prime, y0, stops, tol, escape_radius):
     capped, since the retry would repeat the rejected step exactly.
     """
     sqrt = math.sqrt
-    A21, A31, A32, A41, A42, A43 = _A21, _A31, _A32, _A41, _A42, _A43
-    A51, A52, A53, A54 = _A51, _A52, _A53, _A54
-    A61, A62, A63, A64, A65 = _A61, _A62, _A63, _A64, _A65
+    C2, C3, C4, C5 = _C2, _C3, _C4, _C5
+    AB31, AB41, AB42, AB51, AB52 = _AB31, _AB41, _AB42, _AB51, _AB52
+    AB53, AB61, AB62, AB63, AB64 = _AB53, _AB61, _AB62, _AB63, _AB64
+    BB1, BB3, BB4, BB5 = _BB1, _BB3, _BB4, _BB5
     B1, B3, B4, B5, B6 = _B1, _B3, _B4, _B5, _B6
+    EB1, EB3, EB4, EB5, EB6 = _EB1, _EB3, _EB4, _EB5, _EB6
     E1, E3, E4, E5, E6, E7 = _E1, _E3, _E4, _E5, _E6, _E7
     safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
     neg_alpha, beta = -_PI_ALPHA, _PI_BETA
@@ -284,50 +294,40 @@ def _dp54(a30, a32, w_prime, y0, stops, tol, escape_radius):
                 if hs < 1e-14 * (t if t > 1.0 else 1.0):
                     raise StepUnderflowError(t)
 
-            u0 = q0 + hs * (A21 * q1)
-            b0 = q1 + hs * (A21 * q2)
-            b1 = q2 + hs * (A21 * q3)
-            b2 = q3 + hs * (A21 * f3)
-            b3 = a30 * u0 + a32 * b1 - w_prime(u0)
-            u0 = q0 + hs * (A31 * q1 + A32 * b0)
-            c0 = q1 + hs * (A31 * q2 + A32 * b1)
-            c1 = q2 + hs * (A31 * q3 + A32 * b2)
-            c2 = q3 + hs * (A31 * f3 + A32 * b3)
-            c3 = a30 * u0 + a32 * c1 - w_prime(u0)
-            u0 = q0 + hs * (A41 * q1 + A42 * b0 + A43 * c0)
-            d0 = q1 + hs * (A41 * q2 + A42 * b1 + A43 * c1)
-            d1 = q2 + hs * (A41 * q3 + A42 * b2 + A43 * c2)
-            d2 = q3 + hs * (A41 * f3 + A42 * b3 + A43 * c3)
-            d3 = a30 * u0 + a32 * d1 - w_prime(u0)
-            u0 = q0 + hs * (A51 * q1 + A52 * b0 + A53 * c0 + A54 * d0)
-            e0 = q1 + hs * (A51 * q2 + A52 * b1 + A53 * c1 + A54 * d1)
-            e1 = q2 + hs * (A51 * q3 + A52 * b2 + A53 * c2 + A54 * d2)
-            e2 = q3 + hs * (A51 * f3 + A52 * b3 + A53 * c3 + A54 * d3)
-            e3 = a30 * u0 + a32 * e1 - w_prime(u0)
-            u0 = q0 + hs * (A61 * q1 + A62 * b0 + A63 * c0 + A64 * d0
-                            + A65 * e0)
-            g0 = q1 + hs * (A61 * q2 + A62 * b1 + A63 * c1 + A64 * d1
-                            + A65 * e1)
-            g1 = q2 + hs * (A61 * q3 + A62 * b2 + A63 * c2 + A64 * d2
-                            + A65 * e2)
-            g2 = q3 + hs * (A61 * f3 + A62 * b3 + A63 * c3 + A64 * d3
-                            + A65 * e3)
-            g3 = a30 * u0 + a32 * g1 - w_prime(u0)
-            p0 = q0 + hs * (B1 * q1 + B3 * c0 + B4 * d0 + B5 * e0 + B6 * g0)
-            p1 = q1 + hs * (B1 * q2 + B3 * c1 + B4 * d1 + B5 * e1 + B6 * g1)
-            p2 = q2 + hs * (B1 * q3 + B3 * c2 + B4 * d2 + B5 * e2 + B6 * g2)
+            # stage k: positions (k0, k2), force k3 and G_k = (k2, k3)
+            hv0, hv2, hh = hs * q1, hs * q3, hs * hs
+            b0 = q0 + C2 * hv0
+            b2 = q2 + C2 * hv2
+            b3 = a30 * b0 + a32 * b2 - w_prime(b0)
+            c0 = q0 + C3 * hv0 + hh * (AB31 * q2)
+            c2 = q2 + C3 * hv2 + hh * (AB31 * f3)
+            c3 = a30 * c0 + a32 * c2 - w_prime(c0)
+            d0 = q0 + C4 * hv0 + hh * (AB41 * q2 + AB42 * b2)
+            d2 = q2 + C4 * hv2 + hh * (AB41 * f3 + AB42 * b3)
+            d3 = a30 * d0 + a32 * d2 - w_prime(d0)
+            e0 = q0 + C5 * hv0 + hh * (AB51 * q2 + AB52 * b2 + AB53 * c2)
+            e2 = q2 + C5 * hv2 + hh * (AB51 * f3 + AB52 * b3 + AB53 * c3)
+            e3 = a30 * e0 + a32 * e2 - w_prime(e0)
+            g0 = q0 + hv0 + hh * (AB61 * q2 + AB62 * b2 + AB63 * c2
+                                  + AB64 * d2)
+            g2 = q2 + hv2 + hh * (AB61 * f3 + AB62 * b3 + AB63 * c3
+                                  + AB64 * d3)
+            g3 = a30 * g0 + a32 * g2 - w_prime(g0)
+            p0 = q0 + hv0 + hh * (BB1 * q2 + BB3 * c2 + BB4 * d2 + BB5 * e2)
+            p2 = q2 + hv2 + hh * (BB1 * f3 + BB3 * c3 + BB4 * d3 + BB5 * e3)
+            p1 = q1 + hs * (B1 * q2 + B3 * c2 + B4 * d2 + B5 * e2 + B6 * g2)
             p3 = q3 + hs * (B1 * f3 + B3 * c3 + B4 * d3 + B5 * e3 + B6 * g3)
             s3 = a30 * p0 + a32 * p2 - w_prime(p0)
             n0 = -p0 if p0 < 0.0 else p0
             n1 = -p1 if p1 < 0.0 else p1
             n2 = -p2 if p2 < 0.0 else p2
             n3 = -p3 if p3 < 0.0 else p3
-            r0 = (hs * (E1 * q1 + E3 * c0 + E4 * d0 + E5 * e0 + E6 * g0
-                        + E7 * p1) / (tol * (1.0 + (n0 if n0 > m0 else m0))))
-            r1 = (hs * (E1 * q2 + E3 * c1 + E4 * d1 + E5 * e1 + E6 * g1
+            r0 = (hh * (EB1 * q2 + EB3 * c2 + EB4 * d2 + EB5 * e2 + EB6 * g2)
+                  / (tol * (1.0 + (n0 if n0 > m0 else m0))))
+            r1 = (hs * (E1 * q2 + E3 * c2 + E4 * d2 + E5 * e2 + E6 * g2
                         + E7 * p2) / (tol * (1.0 + (n1 if n1 > m1 else m1))))
-            r2 = (hs * (E1 * q3 + E3 * c2 + E4 * d2 + E5 * e2 + E6 * g2
-                        + E7 * p3) / (tol * (1.0 + (n2 if n2 > m2 else m2))))
+            r2 = (hh * (EB1 * f3 + EB3 * c3 + EB4 * d3 + EB5 * e3 + EB6 * g3)
+                  / (tol * (1.0 + (n2 if n2 > m2 else m2))))
             r3 = (hs * (E1 * f3 + E3 * c3 + E4 * d3 + E5 * e3 + E6 * g3
                         + E7 * s3) / (tol * (1.0 + (n3 if n3 > m3 else m3))))
             err = sqrt(0.25 * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3))

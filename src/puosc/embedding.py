@@ -28,7 +28,8 @@ the independent check: it reads the polynomial coefficients of each phi_i off
 the substitution in closed form and classifies them, never consulting how the
 map was built.  pullback_hamiltonian returns (observable, c1, c2, fit_residual)
 and raises DegenerateModelError when a_y = 0; tabulated_blend_coefficients
-returns the table's (c1, c2).
+returns the table's (c1, c2), or raises NoSolutionError where one is not
+finite.
 """
 
 from __future__ import annotations
@@ -467,22 +468,32 @@ def fit_blend(params: PUParams, S: np.ndarray):
 def tabulated_blend_coefficients(m: TransformMap):
     """Blend coefficients (c1, c2) as quoted in the reference table for each
     family (kept for comparison; the fitted values from pullback_hamiltonian
-    are the ground truth and generally differ in normalization)."""
+    are the ground truth and generally differ in normalization).
+
+    Raises NoSolutionError naming c1 or c2 when it is not finite, as the Ta2
+    c1 = (4 g - rho_g) / (2 a_x a_y) + ... is beyond the largest double at
+    a_x = 1e-155, a_y = 3e-155, g = 0, where the fitted pair is finite.
+    """
     p, mod = m.params, m.model
     w1s, w2s = p.omega1 ** 2, p.omega2 ** 2
     big, small = max(w1s, w2s), min(w1s, w2s)
     M = big if m.branch > 0 else small
     if m.family == "Ta1":
         c2 = -(mod.a_x + mod.a_y) / (mod.a_x * mod.a_y)
-        return c2 * M, c2
-    if m.family == "Ta2":
+        c1 = c2 * M
+    elif m.family == "Ta2":
         c2 = -(mod.a_x + mod.a_y) / (mod.a_x * mod.a_y)
         rg = _rho_g(p, mod.a_x, mod.a_y, mod.g, m.branch)
         c1 = (4.0 * mod.g - rg) / (2.0 * mod.a_x * mod.a_y) + 0.5 * p.alpha * c2
-        return c1, c2
-    if m.family == "Tb1":
-        return (mod.b_x / mod.a_x - p.alpha) / mod.a_x, -1.0 / mod.a_x
-    return -M / mod.a_x, -1.0 / mod.a_x
+    elif m.family == "Tb1":
+        c1, c2 = (mod.b_x / mod.a_x - p.alpha) / mod.a_x, -1.0 / mod.a_x
+    else:
+        c1, c2 = -M / mod.a_x, -1.0 / mod.a_x
+    for name, c in (("c1", c1), ("c2", c2)):
+        if not math.isfinite(c):
+            raise NoSolutionError(f"non-finite value in the tabulated "
+                                  f"{m.family} blend coefficients: {name}")
+    return c1, c2
 
 
 def pullback_hamiltonian(m: TransformMap):

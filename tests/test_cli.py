@@ -163,6 +163,21 @@ def test_simulate_escaping_run(tmp_path, capsys):
     assert summary["escape_time"] < 200.0
 
 
+def test_simulate_summary_counts_the_run(tmp_path, capsys):
+    # a trajectory-workload run: the summary carries the run's accepted and
+    # rejected steps and its right-hand-side evaluations
+    out = tmp_path / "traj.csv"
+    assert run(["simulate", "--omega1", "1", "--omega2", "2",
+                "--chart", "ostro", "--x1", "0", "--x2", "0", "--p1", "0.5",
+                "--p2=-0.5", "--lambda", "5", "--tol", "1e-10",
+                "--t-end", "200", "--sample-rate", "0.1", "--format", "csv",
+                "--out", str(out)]) == 0
+    summary = json.loads(capsys.readouterr().out)
+    n_steps, n_rejected = summary["n_steps"], summary["n_rejected"]
+    assert n_steps > 2000 and n_rejected >= 0
+    assert summary["n_rhs"] == 2 + 6 * (n_steps + n_rejected)
+
+
 def test_simulate_sample_rate_zero_usage_error(tmp_path):
     assert run(["simulate", "--sample-rate", "0",
                 "--out", str(tmp_path / "x.csv")]) == 2
@@ -255,6 +270,27 @@ def test_embed_tb2_degenerate(tmp_path):
     assert rep["solved"]["singular"] is rep["singular_pushforward"] is True
     assert rep["pullback"] == {"degenerate": True,
                                "note": "a_y = 0: model Hamiltonian undefined"}
+
+
+def test_embed_ta2_non_finite_tabulated_pair(tmp_path):
+    # the tabulated c1 = (4 g - rho_g) / (2 a_x a_y) + ... is about -5e309,
+    # and the tabulated row's off-shell check overflows: both are reported
+    # as unavailable, and the solved map keeps its fitted pair
+    out = tmp_path / "embed.json"
+    assert run(["embed", "--family", "ta2", "--ax", "1e-155", "--ay", "3e-155",
+                "--g", "0", "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    pull = rep["pullback"]
+    assert pull["tabulated"] == ("unavailable: non-finite value in the "
+                                 "tabulated Ta2 blend coefficients: c1")
+    assert set(pull) == {"degenerate", "fitted_c1", "fitted_c2",
+                         "fit_residual", "positive_definite", "eigenvalues",
+                         "tabulated"}
+    assert pull["positive_definite"] is True
+    assert rep["tabulated"] == ("unavailable: non-finite value in the "
+                                "tabulated row at verify.phi1.coefficients[0]")
+    assert "delta" not in rep
+    assert rep["solved"]["verify"]["passes"] is True
 
 
 def test_embed_missing_parameter_usage_error():
@@ -563,6 +599,11 @@ EXIT_CASES = [
     ("embed-tau-square-underflows",
      ["embed", "--family", "tb1", "--ax", "1e-103", "--bx", "2e-103",
       "--g", "1", "--out", "{tmp}/e.json"], 0),
+    # the tabulated Ta2 c1 is about -5e309 and the tabulated row's off-shell
+    # check overflows: both are reported as unavailable, the solved map holds
+    ("embed-tabulated-ta2-c1-overflows",
+     ["embed", "--family", "ta2", "--ax", "1e-155", "--ay", "3e-155",
+      "--g", "0", "--out", "{tmp}/e.json"], 0),
     # small frequencies generate the structure, and the suite gives its
     # verdict (blend_grid keeps no point)
     ("verify-small-frequencies-resolve-signs",

@@ -4,9 +4,13 @@ import ast
 import contextlib
 import inspect
 import math
+import operator
+import re
 import signal
 import tracemalloc
 import warnings
+from fractions import Fraction as Fr
+from functools import reduce
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -16,10 +20,7 @@ import pytest
 import puosc as p
 from puosc.core import flow_matrix, ostro_jacobian, ostro_jacobian_inv
 from puosc.dynamics import (
-    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
-    _A61, _A62, _A63, _A64, _A65, _B1, _B3, _B4, _B5, _B6,
-    _E1, _E3, _E4, _E5, _E6, _E7, _MAX_FACTOR, _MIN_FACTOR,
-    _PI_ALPHA, _PI_BETA, _SAFETY,
+    _MAX_FACTOR, _MIN_FACTOR, _PI_ALPHA, _PI_BETA, _SAFETY,
     CSV_HEADER,
     MAX_GRID_POINTS,
     MAX_SAMPLES,
@@ -712,18 +713,119 @@ def test_sample_grid_cap_rejects_before_allocating():
 
 
 # ---------------------------------------------------------------------------
-# the lane against its reference
+# the lane against its references
 # ---------------------------------------------------------------------------
 
-# The lane as it was written with max, min and abs calls in its step loop
-# and a right-hand-side closure per stage, copied verbatim but for one later
-# rule: an accepted capped step hands on max(h, h_next), the proposal the
-# cap shortened or the controller's, not h_next alone.  The lane writes
-# each call as a conditional returning what the builtin returns, and the
-# jet-chart closure into its stage arithmetic, so the two must agree bit for
-# bit.
-def _reference_dp54(rhs, y0, stops, tol, escape_radius):
-    """One adaptive DP5(4) run with PI step control on Python floats.
+# The Dormand-Prince 5(4) tableau: rows of A (row 7 is b: FSAL), b and the
+# error weights e = b - bhat.  The lane runs its induced Runge-Kutta-Nystrom
+# form (Hairer, Norsett and Wanner, Solving ODEs I, II.14): nodes c = A 1,
+# position weights Abar = A^2, bbar = b A and ebar = e A.
+DP_A = [[Fr(0)] * 7 for _ in range(7)]
+for _i, _row in enumerate([
+        [Fr(1, 5)],
+        [Fr(3, 40), Fr(9, 40)],
+        [Fr(44, 45), Fr(-56, 15), Fr(32, 9)],
+        [Fr(19372, 6561), Fr(-25360, 2187), Fr(64448, 6561), Fr(-212, 729)],
+        [Fr(9017, 3168), Fr(-355, 33), Fr(46732, 5247), Fr(49, 176),
+         Fr(-5103, 18656)],
+        [Fr(35, 384), Fr(0), Fr(500, 1113), Fr(125, 192), Fr(-2187, 6784),
+         Fr(11, 84)]], start=1):
+    DP_A[_i][:len(_row)] = _row
+DP_B = DP_A[6]
+DP_E = [Fr(71, 57600), Fr(0), Fr(-71, 16695), Fr(71, 1920),
+        Fr(-17253, 339200), Fr(22, 525), Fr(-1, 40)]
+DP_C = [sum(row) for row in DP_A]
+ABAR = [[sum(DP_A[i][j] * DP_A[j][k] for j in range(7)) for k in range(7)]
+        for i in range(7)]
+BBAR, EBAR = ([sum(w[j] * DP_A[j][k] for j in range(7)) for k in range(7)]
+              for w in (DP_B, DP_E))
+
+
+def test_lane_constants_are_the_nystrom_form_of_the_tableau():
+    from puosc import dynamics
+    # stage i reads c_i for i <= 5 (c_6 = c_7 = 1) and abar_ik for
+    # k <= i - 2; the step reads the nonzero bbar_k, b_k, ebar_k and e_k
+    expected = {f"_C{i + 1}": DP_C[i] for i in range(1, 5)}
+    expected.update({f"_AB{i + 1}{k + 1}": ABAR[i][k]
+                     for i in range(2, 6) for k in range(i - 1)})
+    for name, w in (("BB", BBAR), ("B", DP_B), ("EB", EBAR), ("E", DP_E)):
+        expected.update({f"_{name}{k + 1}": x for k, x in enumerate(w) if x})
+    lane = {name: value for name, value in vars(dynamics).items()
+            if re.fullmatch(r"_(C|AB|BB|B|EB|E)\d+", name)}
+    assert sorted(lane) == sorted(expected)
+    assert all(lane[name] == float(x) for name, x in expected.items())
+    assert all(x != 0 for x in expected.values())   # no product with 0
+    # the zeros the lane leaves out
+    assert DP_C[5] == DP_C[6] == 1 and sum(DP_E) == 0
+    assert all(ABAR[i][i - 1] == 0 for i in range(1, 7))
+    assert ABAR[6] == BBAR and BBAR[1] == BBAR[5] == BBAR[6] == 0
+    assert EBAR[1] == EBAR[6] == 0
+
+
+def _floats(weights):
+    return [float(w) for w in weights]
+
+
+def _lincomb(weights, vectors):
+    # sum_k w_k v_k over the nonzero weights, added left to right from the
+    # first term, as the lane writes its sums (0.0 + -0.0 would drop a
+    # signed zero); [] when every weight is 0
+    terms = [[w * x for x in v] for w, v in zip(weights, vectors) if w]
+    return [reduce(operator.add, col) for col in zip(*terms)]
+
+
+def _textbook_step(rhs):
+    """One DP5(4) step of size hs on the 4-vector z with FSAL slope k1:
+    K_i = rhs(z + hs sum_j a_ij K_j), z_new = z + hs sum_j b_j K_j, and the
+    error numerators hs sum_j e_j K_j."""
+    a, b, e = [_floats(row) for row in DP_A], _floats(DP_B), _floats(DP_E)
+
+    def step(z, k1, hs):
+        ks = [k1]
+        for row in a[1:6]:
+            ks.append(rhs(*(x + hs * s for x, s in zip(z, _lincomb(row, ks)))))
+        z_new = tuple(x + hs * s for x, s in zip(z, _lincomb(b, ks)))
+        ks.append(rhs(*z_new))
+        return z_new, ks[6], [hs * s for s in _lincomb(e, ks)]
+    return step
+
+
+def _nystrom_step(a30, a32, w_prime):
+    """The lane's step, summed in the lane's order from the Fraction-derived
+    weights: positions x = (q, qdd), velocities v = (qd, qddd), forces
+    G_k = (qdd, a30 q + a32 qdd - w_prime(q)) at X_k, and c_i hs v with
+    c_i = 1 written 1.0 * hs v, which is hs v bit for bit."""
+    c, b, bbar, e, ebar = map(_floats, (DP_C, DP_B, BBAR, DP_E, EBAR))
+    abar = [_floats(row) for row in ABAR]
+
+    def step(z, k1, hs):
+        x, hv, hh = (z[0], z[2]), (hs * z[1], hs * z[3]), hs * hs
+        gs = [(k1[1], k1[3])]
+
+        def position(ci, weights):
+            s = _lincomb(weights, gs)
+            return [xj + ci * hvj + hh * sj for xj, hvj, sj in zip(x, hv, s)] \
+                if s else [xj + ci * hvj for xj, hvj in zip(x, hv)]
+
+        def force(xi):
+            return xi[1], a30 * xi[0] + a32 * xi[1] - w_prime(xi[0])
+
+        for i in range(1, 6):
+            gs.append(force(position(c[i], abar[i])))
+        x_new = position(c[6], bbar)
+        v_new = [vj + hs * s for vj, s in zip((z[1], z[3]), _lincomb(b, gs))]
+        gs.append(force(x_new))
+        se, seb = _lincomb(e, gs), _lincomb(ebar, gs)
+        return ((x_new[0], v_new[0], x_new[1], v_new[1]),
+                (v_new[0], x_new[1], v_new[1], gs[6][1]),
+                [hh * seb[0], hs * se[0], hh * seb[1], hs * se[1]])
+    return step
+
+
+def _reference_run(step, rhs, y0, stops, tol, escape_radius):
+    """The lane's run on Python floats around step(z, k1, hs) ->
+    (z_new, k7, error numerators), written with max, min and abs calls where
+    the lane writes conditionals that return what they return.
 
     rhs is a closure (q0, q1, q2, q3) -> 4-tuple of floats, y0 a 4-tuple
     of floats, stops the increasing positive times the run must land on
@@ -736,15 +838,11 @@ def _reference_dp54(rhs, y0, stops, tol, escape_radius):
     The run ends at the last stop or at the end of the first accepted step
     with |z| >= escape_radius.
 
-    Returns (times, rows, escape_time, n_steps, n_rhs, n_rejected): the time
-    and state after every capped step and after the escaping step, the
-    escape time or None, and the step and right-hand-side counts.  Raises
-    StepUnderflowError when an uncapped step falls below 1e-14 max(1, t),
-    or when a capped step is rejected and its shrunk size would still be
-    capped, since the retry would repeat the rejected step exactly.
+    Returns (times, rows, escape_time, n_steps, n_rhs, n_rejected) and
+    raises StepUnderflowError as the lane does.
     """
-    q0, q1, q2, q3 = y0
-    k1 = rhs(q0, q1, q2, q3)
+    z = y0
+    k1 = rhs(*z)
     h = _initial_step(rhs, y0, k1, tol)
     t = 0.0
     err_prev = 1e-4
@@ -762,45 +860,9 @@ def _reference_dp54(rhs, y0, stops, tol, escape_radius):
                 if hs < 1e-14 * max(1.0, t):
                     raise StepUnderflowError(t)
 
-            a0, a1, a2, a3 = k1
-            b0, b1, b2, b3 = rhs(q0 + hs * (_A21 * a0), q1 + hs * (_A21 * a1),
-                                 q2 + hs * (_A21 * a2), q3 + hs * (_A21 * a3))
-            c0, c1, c2, c3 = rhs(q0 + hs * (_A31 * a0 + _A32 * b0),
-                                 q1 + hs * (_A31 * a1 + _A32 * b1),
-                                 q2 + hs * (_A31 * a2 + _A32 * b2),
-                                 q3 + hs * (_A31 * a3 + _A32 * b3))
-            d0, d1, d2, d3 = rhs(
-                q0 + hs * (_A41 * a0 + _A42 * b0 + _A43 * c0),
-                q1 + hs * (_A41 * a1 + _A42 * b1 + _A43 * c1),
-                q2 + hs * (_A41 * a2 + _A42 * b2 + _A43 * c2),
-                q3 + hs * (_A41 * a3 + _A42 * b3 + _A43 * c3))
-            e0, e1, e2, e3 = rhs(
-                q0 + hs * (_A51 * a0 + _A52 * b0 + _A53 * c0 + _A54 * d0),
-                q1 + hs * (_A51 * a1 + _A52 * b1 + _A53 * c1 + _A54 * d1),
-                q2 + hs * (_A51 * a2 + _A52 * b2 + _A53 * c2 + _A54 * d2),
-                q3 + hs * (_A51 * a3 + _A52 * b3 + _A53 * c3 + _A54 * d3))
-            g0, g1, g2, g3 = rhs(
-                q0 + hs * (_A61 * a0 + _A62 * b0 + _A63 * c0 + _A64 * d0
-                           + _A65 * e0),
-                q1 + hs * (_A61 * a1 + _A62 * b1 + _A63 * c1 + _A64 * d1
-                           + _A65 * e1),
-                q2 + hs * (_A61 * a2 + _A62 * b2 + _A63 * c2 + _A64 * d2
-                           + _A65 * e2),
-                q3 + hs * (_A61 * a3 + _A62 * b3 + _A63 * c3 + _A64 * d3
-                           + _A65 * e3))
-            p0 = q0 + hs * (_B1 * a0 + _B3 * c0 + _B4 * d0 + _B5 * e0 + _B6 * g0)
-            p1 = q1 + hs * (_B1 * a1 + _B3 * c1 + _B4 * d1 + _B5 * e1 + _B6 * g1)
-            p2 = q2 + hs * (_B1 * a2 + _B3 * c2 + _B4 * d2 + _B5 * e2 + _B6 * g2)
-            p3 = q3 + hs * (_B1 * a3 + _B3 * c3 + _B4 * d3 + _B5 * e3 + _B6 * g3)
-            k7 = s0, s1, s2, s3 = rhs(p0, p1, p2, p3)
-            r0 = (hs * (_E1 * a0 + _E3 * c0 + _E4 * d0 + _E5 * e0 + _E6 * g0
-                        + _E7 * s0) / (tol * (1.0 + max(abs(q0), abs(p0)))))
-            r1 = (hs * (_E1 * a1 + _E3 * c1 + _E4 * d1 + _E5 * e1 + _E6 * g1
-                        + _E7 * s1) / (tol * (1.0 + max(abs(q1), abs(p1)))))
-            r2 = (hs * (_E1 * a2 + _E3 * c2 + _E4 * d2 + _E5 * e2 + _E6 * g2
-                        + _E7 * s2) / (tol * (1.0 + max(abs(q2), abs(p2)))))
-            r3 = (hs * (_E1 * a3 + _E3 * c3 + _E4 * d3 + _E5 * e3 + _E6 * g3
-                        + _E7 * s3) / (tol * (1.0 + max(abs(q3), abs(p3)))))
+            p_new, k7, num = step(z, k1, hs)
+            r0, r1, r2, r3 = (n / (tol * (1.0 + max(abs(a), abs(b))))
+                              for n, a, b in zip(num, z, p_new))
             err = math.sqrt(0.25 * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3))
 
             if not err <= 1.0:
@@ -811,18 +873,18 @@ def _reference_dp54(rhs, y0, stops, tol, escape_radius):
                 continue
             n_steps += 1
             t = target if capped else t + hs
-            q0, q1, q2, q3 = p0, p1, p2, p3
-            k1 = k7
+            z, k1 = p_new, k7
             err_b = max(err, 1e-10)
             factor = _SAFETY * err_b ** neg_alpha * err_prev ** beta
             err_prev = err_b
             h_next = hs * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
             h = max(h, h_next) if capped else h_next
+            q0, q1, q2, q3 = z
             escaped = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) \
                 >= escape_radius
             if capped or escaped:
                 times.append(t)
-                rows.append((q0, q1, q2, q3))
+                rows.append(z)
             if escaped:
                 return (times, rows, t, n_steps,
                         2 + 6 * (n_steps + n_rejected), n_rejected)
@@ -831,9 +893,14 @@ def _reference_dp54(rhs, y0, stops, tol, escape_radius):
     return times, rows, None, n_steps, 2 + 6 * (n_steps + n_rejected), n_rejected
 
 
+def _reference_dp54(rhs, y0, stops, tol, escape_radius):
+    """The textbook DP5(4) run on the 4-vector, with the lane's control."""
+    return _reference_run(_textbook_step(rhs), rhs, y0, stops, tol,
+                          escape_radius)
+
+
 def _companion_rhs(a30, a32, wp):
-    # the reference closure for the jet-chart field, as the lane evaluated
-    # it before the field was written into its stage arithmetic
+    # the jet-chart field as a closure
     if wp is None:
         def f(q0, q1, q2, q3):
             return q1, q2, q3, a30 * q0 + a32 * q2
@@ -899,15 +966,68 @@ LANE_CASES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(LANE_CASES))
-def test_lane_is_its_reference_bit_for_bit(name):
+def _lane_and_references(name):
     pot, *args = LANE_CASES[name]
     a30, _, a32, _ = flow_matrix(PAR)[3].tolist()
     w_prime = _no_force if pot is None else pot.w_prime
     rhs = _companion_rhs(a30, a32, None if pot is None else pot.w_prime)
+    return (args, lambda *a: _dp54(a30, a32, w_prime, *a),
+            lambda *a: _reference_run(_nystrom_step(a30, a32, w_prime), rhs,
+                                      *a),
+            lambda *a: _reference_dp54(rhs, *a))
+
+
+@pytest.mark.parametrize("name", sorted(LANE_CASES))
+def test_lane_is_its_reference_bit_for_bit(name):
+    args, lane, nystrom, _ = _lane_and_references(name)
     with _within(30):
-        assert (_outcome(lambda *a: _dp54(a30, a32, w_prime, *a), *args)
-                == _outcome(lambda *a: _reference_dp54(rhs, *a), *args))
+        assert _outcome(lane, *args) == _outcome(nystrom, *args)
+
+
+def _outcome_kind(run, args):
+    # (kind, escape or underflow time, (n_steps, n_rejected))
+    try:
+        _, _, escape_time, n_steps, _, n_rejected = run(*args)
+    except StepUnderflowError as exc:
+        return "underflow", exc.last_time, None
+    kind = "ended" if escape_time is None else "escaped"
+    return kind, escape_time, (n_steps, n_rejected)
+
+
+@pytest.mark.parametrize("name", sorted(LANE_CASES))
+def test_lane_has_the_textbook_outcome(name):
+    # the two forms differ by rounding only: the same outcome, the same
+    # underflow time to 1e-10, and the same counts on the runs of one stop
+    # (the sampled runs land on hundreds of stops and may differ by a step)
+    args, lane, _, textbook = _lane_and_references(name)
+    with _within(30):
+        kind, t, counts = _outcome_kind(lane, args)
+        ref_kind, ref_t, ref_counts = _outcome_kind(textbook, args)
+    assert kind == ref_kind
+    if kind == "underflow":
+        assert abs(t - ref_t) <= 1e-10 * ref_t
+    if name.startswith(("scan-", "rejecting", "signed-zeros-", "t-end-")):
+        assert counts == ref_counts
+
+
+def test_lane_step_is_the_textbook_step_to_rounding():
+    # one step of size h below the first trial step, so it is capped to land
+    # on the one stop h and taken once
+    rng = np.random.default_rng(3001)
+    for _ in range(1000):
+        par = random_params(rng)
+        a30, _, a32, _ = flow_matrix(par)[3].tolist()
+        w_prime = p.quartic(rng.uniform(0.0, 100.0)).w_prime
+        rhs = _companion_rhs(a30, a32, w_prime)
+        y0 = tuple((rng.normal(size=4) * 10.0 ** rng.uniform(-2, 1)).tolist())
+        tol = 10.0 ** rng.uniform(-10, -3)
+        h = rng.uniform(0.1, 1.0) * _initial_step(rhs, y0, rhs(*y0), tol)
+        lane = _dp54(a30, a32, w_prime, y0, [h], tol, math.inf)
+        ref = _reference_dp54(rhs, y0, [h], tol, math.inf)
+        assert lane[3:] == ref[3:] == (1, 8, 0)
+        (y,), (y_ref,) = lane[1], ref[1]
+        bound = 1e-14 * max(1.0, math.hypot(*y_ref))
+        assert max(abs(a - b) for a, b in zip(y, y_ref)) <= bound
 
 
 def _damped(A33=0.0, A31=0.0):

@@ -941,6 +941,15 @@ def test_reconciliation_report_is_the_two_block_loop(withhold, monkeypatch):
     assert any(name == "solved" for name, _ in skipped) == withhold
 
 
+def test_tabulated_blend_coefficients_name_a_non_finite_coefficient():
+    # c1 = (4 g - rho_g) / (2 a_x a_y) + ... = -3 / 6e-310 + ... overflows
+    m = p.solve_family("Ta2", +1, {"a_x": 1e-155, "a_y": 3e-155, "g": 0.0},
+                       PAR)
+    with pytest.raises(NoSolutionError,
+                       match="tabulated Ta2 blend coefficients: c1$"):
+        tabulated_blend_coefficients(m)
+
+
 def test_tabulated_blend_coefficients_all_families():
     rng = np.random.default_rng(20)
     for family in FAMILIES:
