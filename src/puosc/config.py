@@ -1,9 +1,9 @@
 """Global numerical policy.
 
-Two tolerances cover the whole library: identities that are exact in rational
-arithmetic are asserted to EPS_ALGEBRA (relative), and EPS_SINGULAR is both
-the rule of every closed-form singularity gate (core._vanishes, no floor) and
-the cutoff of every singular-value rank decision (core._negligible).
+Two tolerances cover the whole library: an identity exact in rational
+arithmetic holds to EPS_ALGEBRA, relative (verify_map's to each coefficient's
+own terms, by core._vanishes); EPS_SINGULAR rules every closed-form gate
+(core._vanishes) and singular-value rank decision (core._negligible).
 """
 
 EPS_ALGEBRA = 1e-12

@@ -572,10 +572,12 @@ def _negligible(sv: np.ndarray) -> np.ndarray:
     return sv <= EPS_SINGULAR * np.maximum(sv[..., :1], 1.0)
 
 
-def _vanishes(a, b) -> bool:
-    """The rule of every closed-form singularity gate: a + b counts as zero
-    when |a + b| <= EPS_SINGULAR (|a| + |b|), with no absolute floor."""
-    return abs(a + b) <= EPS_SINGULAR * (abs(a) + abs(b))
+def _vanishes(*terms, eps=EPS_SINGULAR) -> bool:
+    """The one zero rule, the form of the summation error bound (Higham,
+    Accuracy and Stability, 2nd ed., 4.2): |sum t| <= eps sum |t|, no floor,
+    eps EPS_SINGULAR for a gate, EPS_ALGEBRA for an identity.  inf <= inf
+    holds: a caller whose terms may overflow checks them first."""
+    return abs(sum(terms)) <= eps * sum(map(abs, terms))
 
 
 # ---------------------------------------------------------------------------

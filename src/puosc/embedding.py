@@ -105,8 +105,13 @@ class TransformMap:
 
     @property
     def transform_det(self) -> float:
-        """Determinant of the 2x2 coordinate block (mu0 nu2 - mu2 nu0)."""
-        return self.mu0 * self.nu2 - self.mu2 * self.nu0
+        """det C = det(D C) / det D: no NaN where mu0 nu2 and mu2 nu0
+        overflow, and +-inf where det C does."""
+        s, (a, b, c, d) = self._scaled_block()
+        try:
+            return math.ldexp(a * d - b * c, -s[0] - s[1])
+        except OverflowError:
+            return math.copysign(math.inf, a * d - b * c)
 
     def _scaled_block(self):
         """(s, D C as (mu0, mu2, nu0, nu2)), D = diag(2^s), -s_i the frexp
@@ -350,39 +355,37 @@ class MapVerification:
 
 
 def _phi_coefficients(m: TransformMap):
-    """The (q, qd, qdd, qddd, q4) coefficients of phi_1 and phi_2 under the
-    map, in closed form.  x = mu0 q + mu2 qdd has coefficients
-    (mu0, 0, mu2, 0, 0) and xdd the same two orders up, (0, 0, mu0, 0, mu2);
-    y and ydd likewise with nu0 and nu2.  Then phi_1 = a_x xdd + b_x x + g y
-    and phi_2 = a_y ydd + b_y y + g x.  Adding 0.0 writes a zero q4
-    coefficient (a_y = 0 or nu2 = 0) as 0.0, never -0.0.
-    """
+    """The terms of the q, qdd and q4 coefficients of phi_1 and phi_2 under
+    the map, in closed form; their qd and qddd coefficients are 0.  x = mu0 q
+    + mu2 qdd and xdd = mu0 qdd + mu2 q4, y and ydd likewise with nu0 and nu2,
+    in phi_1 = a_x xdd + b_x x + g y and phi_2 = a_y ydd + b_y y + g x.  Adding
+    0.0 writes a zero q4 term (a_y = 0 or nu2 = 0) as 0.0, never -0.0."""
     mod = m.model
-    c1 = (mod.b_x * m.mu0 + mod.g * m.nu0, 0.0,
-          mod.a_x * m.mu0 + mod.b_x * m.mu2 + mod.g * m.nu2, 0.0,
-          mod.a_x * m.mu2 + 0.0)
-    c2 = (mod.b_y * m.nu0 + mod.g * m.mu0, 0.0,
-          mod.a_y * m.nu0 + mod.b_y * m.nu2 + mod.g * m.mu2, 0.0,
-          mod.a_y * m.nu2 + 0.0)
-    return c1, c2
+    t1 = ((mod.b_x * m.mu0, mod.g * m.nu0),
+          (mod.a_x * m.mu0, mod.b_x * m.mu2, mod.g * m.nu2),
+          (mod.a_x * m.mu2 + 0.0,))
+    t2 = ((mod.b_y * m.nu0, mod.g * m.mu0),
+          (mod.a_y * m.nu0, mod.b_y * m.nu2, mod.g * m.mu2),
+          (mod.a_y * m.nu2 + 0.0,))
+    return t1, t2
 
 
-def _classify_phi(coeffs, params: PUParams, scale: float) -> PhiReport:
-    cq, cqd, cqdd, cqddd, cq4 = coeffs
-    tol = EPS_ALGEBRA * scale
-    peak = max(map(abs, coeffs))
-    if peak <= tol:
-        return PhiReport("zero", 0.0, coeffs, peak)
-    k = cq4
-    mismatch = max(
-        abs(cq - k * params.beta),
-        abs(cqd),
-        abs(cqdd - k * params.alpha),
-        abs(cqddd),
-    )
-    if abs(k) > tol and mismatch <= tol * max(1.0, abs(k)):
-        return PhiReport("proportional", k, coeffs, mismatch)
-    return PhiReport("neither", k, coeffs, mismatch)
+def _classify_phi(terms, params: PUParams) -> PhiReport:
+    """One phi from its (q, qdd, q4) terms, k the q4 coefficient: "zero"
+    (k = 0) or "proportional" when the q terms with -k beta and the qdd terms
+    with -k alpha each _vanish at EPS_ALGEBRA and sum to a finite value, else
+    "neither".  It reports the sums of the terms in the closed form's order."""
+    (q0, q1), (d0, d1, d2), (k,) = terms
+    q, qdd = q0 + q1, d0 + d1 + d2
+    kb, ka = k * params.beta, k * params.alpha
+    dq, dqdd = q - kb, qdd - ka     # not finite if a term is not
+    if (math.isfinite(dq) and math.isfinite(dqdd)
+            and core._vanishes(q0, q1, -kb, eps=EPS_ALGEBRA)
+            and core._vanishes(d0, d1, d2, -ka, eps=EPS_ALGEBRA)):
+        kind = "proportional" if k else "zero"
+    else:
+        kind = "neither"
+    return PhiReport(kind, k, (q, 0.0, qdd, 0.0, k), max(abs(dq), abs(dqdd)))
 
 
 def verify_map(m: TransformMap) -> MapVerification:
@@ -391,20 +394,15 @@ def verify_map(m: TransformMap) -> MapVerification:
     Substitutes the map into both Euler-Lagrange expressions with
     (q, qd, qdd, qddd, q4) treated as independent, reads off the polynomial
     coefficients, and classifies each phi_i as proportional to
-    q4 + alpha qdd + beta q, identically zero, or neither (with residuals).
-    A rank-deficient coordinate block (x proportional to y) is left to
-    m.rank_deficient.
+    q4 + alpha qdd + beta q, identically zero, or neither (with residuals),
+    each coefficient on its own terms (_classify_phi).  A rank-deficient
+    coordinate block (x proportional to y) is left to m.rank_deficient.
     """
-    c1, c2 = _phi_coefficients(m)
-    scale = max(1.0, *map(abs, c1 + c2))
-    r1 = _classify_phi(c1, m.params, scale)
-    r2 = _classify_phi(c2, m.params, scale)
-    if m.family.startswith("Ta"):
-        contract = "(phi, phi)"
-        passes = (r1.kind == "proportional" and r2.kind == "proportional")
-    else:
-        contract = "(phi, 0)"
-        passes = (r1.kind == "proportional" and r2.kind == "zero")
+    t1, t2 = _phi_coefficients(m)
+    r1, r2 = _classify_phi(t1, m.params), _classify_phi(t2, m.params)
+    contract, want = (("(phi, phi)", "proportional")     # phi2's kind
+                      if m.family.startswith("Ta") else ("(phi, 0)", "zero"))
+    passes = r1.kind == "proportional" and r2.kind == want
     return MapVerification(r1, r2, contract, passes,
                            max(r1.residual, r2.residual))
 

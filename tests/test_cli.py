@@ -234,6 +234,20 @@ def test_embed_ta1_singular_pushforward(tmp_path):
     assert rep["solved"]["singular"] is True
 
 
+# mu0 nu2 and mu2 nu0 overflow: the note read det C = nan; det C is formed
+# on the row-scaled block and scaled back
+@pytest.mark.parametrize("flags", [
+    ["--family", "ta1", "--ax", "1e-155", "--ay", "3e-155", "--g", "0"],
+    ["--family", "tb2", "--ax", "1e-155", "--by", "3e-155", "--g", "1e-155"],
+])
+def test_embed_singular_note_reads_a_finite_det(flags, tmp_path):
+    out = tmp_path / "embed.json"
+    assert run(["embed", *flags, "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert rep["solved"]["singular"] is rep["singular_pushforward"] is True
+    assert "(det C = 0.000e+00, a_y = " in rep["pushforward_note"]
+
+
 # two extreme regular maps: an absolute rank floor called the first
 # singular, a singular-value gate refused the second's pushforward
 @pytest.mark.parametrize("flags", [
@@ -1096,6 +1110,12 @@ def test_verify_at_large_frequencies_is_a_verdict(tmp_path, capsys):
     assert check["name"] == "symmetry_generated_structure"
     assert check["passed"]
     assert max(check["detail"].values()) <= EPS_ALGEBRA
+    # every solved map verifies: each phi is judged on its own terms, so a
+    # tolerance shared by both phis no longer fails them from beta = 4e12
+    for report in (report, cli.run_invariant_suite(
+            core.make_params(1e40, 2e40))):
+        check, = _suite_checks(report, "embedding_reconciliation")
+        assert check["passed"]
 
 
 @pytest.mark.parametrize("name, entries", [

@@ -1,10 +1,13 @@
 """Core types, chart maps, Hamiltonians, Poisson tensors and blends."""
 
+import itertools
+import math
+
 import numpy as np
 import pytest
 
 import puosc as p
-from puosc.config import DEFAULT_SEED
+from puosc.config import DEFAULT_SEED, EPS_ALGEBRA, EPS_SINGULAR
 from puosc.core import flow_matrix, h1_ostro_matrix, ostro_jacobian, ostro_jacobian_inv
 from puosc.errors import (
     ChartMismatchError,
@@ -604,25 +607,62 @@ def test_every_rank_decision_reads_the_one_rule(monkeypatch):
         p.pushforward_poisson(m)
 
 
+def test_vanishes_keeps_the_two_term_verdict():
+    # every gate passes two terms; for each pair the n-term rule gives the
+    # verdict of the two-term formula |a + b| <= EPS_SINGULAR (|a| + |b|),
+    # signed zeros, overflow, inf and NaN included
+    rng = np.random.default_rng(43)
+    special = [0.0, -0.0, 1.0, -1.0, 1e308, -1e308, 5e-324, math.inf,
+               -math.inf, math.nan]
+    a = [*special, *(rng.choice([-1.0, 1.0], 400)
+                     * 10.0 ** rng.uniform(-300, 300, 400)).tolist()]
+    near = 10.0 ** rng.uniform(-16, -8, 400)    # pairs that nearly cancel
+    pairs = [*itertools.product(special, special), *zip(a, a[::-1]),
+             *((x, -x * (1.0 + d)) for x, d in zip(a[10:], near))]
+    for x, y in pairs:
+        assert p.core._vanishes(x, y) == (
+            abs(x + y) <= EPS_SINGULAR * (abs(x) + abs(y))), (x, y)
+    # n terms at the identity tolerance: 1 - 1/3 - 1/3 - 1/3 vanishes, a
+    # remainder of 1e-11 of the terms does not
+    assert p.core._vanishes(1.0, -1 / 3, -1 / 3, -1 / 3, eps=EPS_ALGEBRA)
+    assert not p.core._vanishes(1.0, -0.5, -0.5 + 2e-11, eps=EPS_ALGEBRA)
+
+
 def test_every_closed_form_gate_reads_the_one_rule(monkeypatch):
     # with every sum counted as zero, each closed-form singularity gate
-    # fires, and with none, none does: they read core._vanishes
+    # fires and every finite map verifies, and with none, none does: they
+    # read core._vanishes, the gates at its default tolerance and
+    # verify_map at EPS_ALGEBRA
     ta2 = p.solve_family("Ta2", +1, {"a_x": 1.0, "a_y": 2.0, "g": 0.5}, PAR)
+    wrong = p.embedding._build_map("Ta2", +1, 1.0, 1.0, 1.0, 1.0,
+                                   p.TwoDimModel(1.0, 1.0, 1.0, 1.0, 0.0), PAR)
+    assert p.verify_map(ta2).passes and not p.verify_map(wrong).passes
     calls = [(p.blend_j, SingularBlendError),
              (p.blend_j_tabulated, SingularBlendError),
              (p.sum_of_squares, SingularCoefficientError),
              (p.embedding.blend_coefficients_from_sos,
               SingularCoefficientError)]
-    monkeypatch.setattr(p.core, "_vanishes", lambda a, b: True)
+    seen = []
+
+    def always(*terms, **kw):
+        seen.append(kw)
+        return True
+
+    monkeypatch.setattr(p.core, "_vanishes", always)
     for fn, error in calls:
         with pytest.raises(error):
             fn(PAR, 1.0, 2.0)
     assert ta2.rank_deficient and ta2.singular
     with pytest.raises(SingularMapError):
         p.pushforward_poisson(ta2)
+    assert seen and all(kw == {} for kw in seen)
+    seen.clear()
+    v = p.verify_map(wrong)
+    assert v.passes and v.phi1.kind == v.phi2.kind == "proportional"
+    assert seen and all(kw == {"eps": EPS_ALGEBRA} for kw in seen)
     # (1, -1) is on a ray of blend_j, (1, 1) on one of the quoted form and
     # of the sum of squares, and the Ta1 map has x proportional to y
-    monkeypatch.setattr(p.core, "_vanishes", lambda a, b: False)
+    monkeypatch.setattr(p.core, "_vanishes", lambda *terms, **kw: False)
     for fn, _ in calls:
         with np.errstate(divide="ignore", invalid="ignore"):
             for c1, c2 in ((1.0, -1.0), (1.0, 1.0)):
@@ -632,5 +672,7 @@ def test_every_closed_form_gate_reads_the_one_rule(monkeypatch):
                     raise AssertionError(f"{fn.__name__} gated {(c1, c2)}")
                 except (ArithmeticError, ValueError):
                     pass    # the division the gate guards
+    v = p.verify_map(ta2)
+    assert not v.passes and v.phi1.kind == v.phi2.kind == "neither"
     ta1 = p.solve_family("Ta1", +1, {"a_x": 1.0, "a_y": 2.0, "g": 0.5}, PAR)
     assert not ta1.rank_deficient

@@ -2,9 +2,14 @@
 Hamiltonian pullback, sum-of-squares positivity."""
 
 import ast
+import collections
+import functools
 import inspect
 import itertools
 import json
+import math
+import operator
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +17,7 @@ import pytest
 
 import puosc as p
 from puosc import cli, embedding
-from puosc.config import DEFAULT_SEED
+from puosc.config import DEFAULT_SEED, EPS_ALGEBRA
 from puosc.embedding import (
     BRANCHES,
     FAMILIES,
@@ -357,40 +362,50 @@ def test_verify_map_rank_deficiency_note():
     assert m.rank_deficient
 
 
-def _probe_phi_coefficients(m):
-    # the coefficients read off by probing: phi_1 and phi_2 composed with
-    # the map, evaluated at the zero jet and at the five unit jets
+def _probe_phi_terms(m):
+    # the terms read off by probing: each summand of phi_1 = a_x xdd + b_x x
+    # + g y and of phi_2 = a_y ydd + b_y y + g x, composed with the map, at
+    # each unit jet (q, qd, qdd, qddd, q4) less its value at the zero jet
     mod = m.model
 
-    def phi(j5):
+    def summands(j5):
         q, qd, qdd, qddd, q4 = j5
         x = m.mu0 * q + m.mu2 * qdd
         y = m.nu0 * q + m.nu2 * qdd
         xdd = m.mu0 * qdd + m.mu2 * q4
         ydd = m.nu0 * qdd + m.nu2 * q4
-        return (mod.a_x * xdd + mod.b_x * x + mod.g * y,
-                mod.a_y * ydd + mod.b_y * y + mod.g * x)
+        return ((mod.a_x * xdd, mod.b_x * x, mod.g * y),
+                (mod.a_y * ydd, mod.b_y * y, mod.g * x))
 
-    base = phi((0.0,) * 5)
-    cols = []
-    for k in range(5):
-        probe = [0.0] * 5
-        probe[k] = 1.0
-        v = phi(tuple(probe))
-        cols.append((v[0] - base[0], v[1] - base[1]))
-    return tuple(c[0] for c in cols), tuple(c[1] for c in cols)
+    base = summands((0.0,) * 5)
+    cols = [summands(tuple(float(i == k) for i in range(5))) for k in range(5)]
+    return tuple(tuple(tuple(t - b for t, b in zip(col[i], base[i]))
+                       for col in cols) for i in (0, 1))
 
 
 # the verify pairs of the structure benchmark round at seed 101, then
-# extreme and widely split frequencies
+# extreme and widely split frequencies, past the (300, 1000) at which a
+# shared tolerance once stopped proportional verdicts
 PHI_FREQUENCIES = [*STRUCTURE_101, (1e-3, 2e-3), (3e2, 1e3), (1e-3, 1e3),
-                   (7e2, 3e-2)]
+                   (7e2, 3e-2), (1e6, 2e6), (1e10, 3e10), (1e-20, 2e-20)]
+
+
+def _probe_terms_in_closed_form_shape(m):
+    # x and y carry q and qdd, xdd and ydd carry qdd and q4: the q terms
+    # are the x and y summands, the qdd terms all three, the q4 term the
+    # xdd summand; every summand left out probes to exactly 0
+    terms = []
+    for q, _, qdd, _, q4 in _probe_phi_terms(m):
+        assert q[0] == q4[1] == q4[2] == 0.0
+        terms.append((q[1:], qdd, q4[:1]))
+    return tuple(terms)
 
 
 @pytest.mark.parametrize("w1, w2", PHI_FREQUENCIES)
 def test_phi_coefficients_are_the_probe(w1, w2, monkeypatch):
-    # the closed form equals the probe in value, and verify_map gives the
-    # same verdicts with either, for every family, branch and row set
+    # the closed-form terms sum to the probed coefficients, term for term
+    # they are the probed summands, and verify_map gives the same reports on
+    # the probe's terms, for every family, branch and row set
     par = p.make_params(w1, w2)
     rng = np.random.default_rng(18)
     maps, seen = [], set()
@@ -408,10 +423,14 @@ def test_phi_coefficients_are_the_probe(w1, w2, monkeypatch):
     closed = [(embedding._phi_coefficients(m), p.verify_map(m))
               for m in maps]
     monkeypatch.setattr(embedding, "_phi_coefficients",
-                        _probe_phi_coefficients)
+                        _probe_terms_in_closed_form_shape)
     kinds = set()
-    for m, (coeffs, v) in zip(maps, closed):
-        assert coeffs == _probe_phi_coefficients(m)
+    for m, (terms, v) in zip(maps, closed):
+        assert terms == _probe_terms_in_closed_form_shape(m)
+        for phi_probe, r in zip(_probe_phi_terms(m), (v.phi1, v.phi2)):
+            sums = tuple(functools.reduce(operator.add, t) for t in phi_probe)
+            assert sums[1] == sums[3] == 0.0
+            assert r.coefficients == sums
         w = p.verify_map(m)
         assert (v.passes, v.contract, v.residual_norm) == (
             w.passes, w.contract, w.residual_norm)
@@ -420,6 +439,134 @@ def test_phi_coefficients_are_the_probe(w1, w2, monkeypatch):
                 s.kind, s.factor, s.coefficients, s.residual)
             kinds.add(r.kind)
     assert kinds == {"proportional", "zero", "neither"}
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_tb1_map_verifies_at_every_decade(branch):
+    # the map's free parameters are not balanced against the frequencies;
+    # a tolerance shared by both phis failed it from (1000, 2000) on
+    for e in range(-10, 41):
+        par = p.make_params(10.0 ** e, 2 * 10.0 ** e)
+        m = p.solve_family("Tb1", branch, {"a_x": 1.0, "b_x": 2.0, "g": 1.0},
+                           par)
+        v = p.verify_map(m)
+        assert v.passes, (e, v)
+        assert (v.phi1.kind, v.phi2.kind) == ("proportional", "zero")
+
+
+def test_solved_maps_verify_at_every_scale():
+    # frequencies and free parameters from 1e-30 to 1e30.  Each family's
+    # admissible draws are carried by the model's exact scalings (time by
+    # s: b and g take s^2; the Lagrangian by lam), and Ta1, Tb1 and Tb2
+    # also take free parameters drawn one by one.  Ta2 is left out of the
+    # second set: its solved row is itself inexact there (a_x a_y < 0 with
+    # 4 g^2 / |a_x a_y| above alpha^2), as fractions.Fraction confirms.
+    rng = np.random.default_rng(40)
+    checked = dict.fromkeys(FAMILIES, 0)
+    for k in range(4000):
+        family = FAMILIES[k % 4]
+        r1, r2 = rng.uniform(0.1, 10.0, 2)
+        s, lam = 10.0 ** rng.uniform(-30, 30, 2)
+        if k % 8 < 4:
+            base = draw_free_params(family, rng, p.make_params(r1, r2))
+            free = {key: v * lam * (1.0 if key.startswith("a") else s * s)
+                    for key, v in base.items()}
+        elif family == "Ta2":
+            continue
+        else:
+            free = {key: float(rng.choice([-1.0, 1.0])
+                               * 10.0 ** rng.uniform(-30, 30))
+                    for key in FREE_PARAMS[family]}
+        try:
+            m = p.solve_family(family, int(rng.choice(BRANCHES)), free,
+                               p.make_params(r1 * s, r2 * s))
+        except (PuoscError, ArithmeticError):
+            continue
+        assert p.verify_map(m).passes, m
+        checked[family] += 1
+    assert min(checked.values()) > 400, checked
+
+
+def _exact_kind(m):
+    # the rule of _classify_phi in rational arithmetic on the map's floats,
+    # with the smallest distance of a row's |sum t| / sum |t| from
+    # EPS_ALGEBRA, as a factor
+    mu0, mu2, nu0, nu2 = map(Fraction, (m.mu0, m.mu2, m.nu0, m.nu2))
+    ax, ay, bx, by, g = map(Fraction, (m.model.a_x, m.model.a_y,
+                                       m.model.b_x, m.model.b_y, m.model.g))
+    al, be = Fraction(m.params.alpha), Fraction(m.params.beta)
+    kinds, margin = [], math.inf
+    for q, qdd, k in (((bx * mu0, g * nu0), (ax * mu0, bx * mu2, g * nu2),
+                       ax * mu2),
+                      ((by * nu0, g * mu0), (ay * nu0, by * nu2, g * mu2),
+                       ay * nu2)):
+        vanish = True
+        for row in ((*q, -k * be), (*qdd, -k * al)):
+            size = sum(map(abs, row))
+            ratio = abs(sum(row)) / size if size else Fraction(0)
+            vanish &= ratio <= Fraction(EPS_ALGEBRA)
+            if ratio:
+                margin = min(margin,
+                             abs(math.log2(ratio / Fraction(EPS_ALGEBRA))))
+        kinds.append(("proportional" if k else "zero") if vanish
+                     else "neither")
+    return kinds, margin
+
+
+def test_verdicts_are_the_exact_rule_on_the_map():
+    # random solved and tabulated maps of every family, frequencies and free
+    # parameters from 1e-20 to 1e20: each phi's kind is the one the same
+    # rule gives in exact arithmetic, except within a factor 2 of
+    # EPS_ALGEBRA, where rounding may decide
+    rng = np.random.default_rng(41)
+    counts = collections.Counter()
+    for k in range(3000):
+        family = FAMILIES[k % 4]
+        w1 = 10.0 ** rng.uniform(-20, 20)
+        w2 = w1 * 10.0 ** rng.uniform(-1, 1)
+        free = {key: float(rng.choice([-1.0, 1.0])
+                           * 10.0 ** rng.uniform(-20, 20))
+                for key in FREE_PARAMS[family]}
+        build = (p.solve_family, p.tabulated_family)[k % 8 // 4]
+        try:
+            m = build(family, int(rng.choice(BRANCHES)), free,
+                      p.make_params(w1, w2))
+        except (PuoscError, ArithmeticError):
+            continue
+        kinds, margin = _exact_kind(m)
+        if margin < 1.0:
+            counts["skipped"] += 1
+            continue
+        v = p.verify_map(m)
+        assert [v.phi1.kind, v.phi2.kind] == kinds, m
+        counts.update(kinds)
+    assert min(counts[k] for k in ("proportional", "zero", "neither")) > 100
+    assert counts["skipped"] < 60, counts
+
+
+def test_overflowed_phi_is_not_zero():
+    # the tabulated Ta2 row at a_x = 1e-155: b_x mu0 overflows, and a
+    # shared tolerance of inf read both phis as zero
+    m = p.tabulated_family("Ta2", +1, {"a_x": 1e-155, "a_y": 3e-155,
+                                       "g": 0.0}, PAR)
+    v = p.verify_map(m)
+    assert not math.isfinite(v.phi1.coefficients[0])
+    assert (v.phi1.kind, v.phi2.kind) == ("neither", "neither")
+    assert not v.passes
+
+
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_wrong_tabulated_row_at_small_frequencies_fails(branch):
+    # phi_2's q coefficient is all of its terms (1e-14 or 4e-14, exactly
+    # nonzero); a tolerance floored at 1 passed the row
+    par = p.make_params(1e-7, 2e-7)
+    m = p.tabulated_family("Tb2", branch, {"a_x": 1.0, "b_y": 2.0, "g": 0.5},
+                           par)
+    v = p.verify_map(m)
+    assert v.phi2.kind == "neither" and v.phi2.coefficients[0] > 0.0
+    assert not v.passes
+    assert p.verify_map(p.solve_family("Tb2", branch, {
+        "a_x": 1.0, "b_y": 2.0, "g": 0.5}, par)).passes
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +615,33 @@ def test_pushforward_vanishing_only_for_opposite_signs():
     J = p.pushforward_poisson(m)
     assert abs(qqdot_component(J)) < 1e-12
     assert np.sign(m.model.a_x) != np.sign(m.model.a_y)
+
+
+# mu0 nu2 and mu2 nu0 overflow in all three maps: det C was NaN; the first
+# two are singular (det C = 0), the Ta2 map's det C is beyond the largest
+# float
+@pytest.mark.parametrize("family, free", [
+    ("Ta1", {"a_x": 1e-155, "a_y": 3e-155, "g": 0.0}),
+    ("Tb2", {"a_x": 1e-155, "b_y": 3e-155, "g": 1e-155}),
+    ("Ta2", {"a_x": 1e-155, "a_y": 3e-155, "g": 0.0})])
+@pytest.mark.parametrize("branch", BRANCHES)
+def test_transform_det_is_the_scaled_determinant(family, free, branch):
+    m = p.solve_family(family, branch, free, PAR)
+    assert math.isnan(m.mu0 * m.nu2 - m.mu2 * m.nu0)
+    exact = (Fraction(m.mu0) * Fraction(m.nu2)
+             - Fraction(m.mu2) * Fraction(m.nu0))
+    if abs(exact) > Fraction(sys.float_info.max):
+        assert m.transform_det == (math.inf if exact > 0 else -math.inf)
+        assert not m.singular
+    else:
+        assert m.transform_det == exact == 0 and m.singular
+    # where the products are finite, the scaled form is the direct one
+    rng = np.random.default_rng(42)
+    for _ in range(50):
+        par = random_params(rng)
+        m = p.solve_family(family, branch,
+                           draw_free_params(family, rng, par), par)
+        assert m.transform_det == m.mu0 * m.nu2 - m.mu2 * m.nu0
 
 
 def test_pushforward_singular_families_raise():
