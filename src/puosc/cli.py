@@ -12,20 +12,25 @@ Exit codes: 0 success, 1 invariant failure, 2 usage/config error,
 3 numerical failure, 4 degenerate scan (all bounded or all unbounded).
 Identical configs (including the seed) produce byte-identical outputs on one
 platform; every output embeds its config and the library version.
+
+A command imports the modules it uses when it runs.  scan computes on Python
+floats and imports no numpy; the other commands import it and run under
+np.errstate(all="ignore") (see _array_command).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import re
 import sys
 from typing import Optional
 
-import numpy as np
-
-from . import __version__, core, dynamics, embedding, symmetry
+# dynamics is imported here, not in cmd_scan, so that a tracer that wraps
+# its functions once the CLI is imported also wraps the first scan's
+from . import __version__, dynamics
 from .config import (
     DEFAULT_SAMPLE_RATE,
     DEFAULT_SEED,
@@ -37,7 +42,6 @@ from .config import (
     SUITE_DRAWS,
     SUITE_LAMBDA,
 )
-from .core import JetState, OstroState, PUParams
 from .errors import (
     DegenerateFrequenciesError,
     DegenerateModelError,
@@ -46,6 +50,7 @@ from .errors import (
     ScanDegenerateError,
     StepUnderflowError,
 )
+from .model import JetState, OstroState, PUParams, make_params, ostro_to_jet
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -82,7 +87,7 @@ def _initial_state(args, params: PUParams) -> JetState:
     values = [getattr(args, name) for name in _STATE_FLAGS[args.chart]]
     if args.chart == "jet":
         return JetState(*values)
-    return core.ostro_to_jet(params, OstroState(*values))
+    return ostro_to_jet(params, OstroState(*values))
 
 
 def _escape_radius(args, z0: JetState) -> float:
@@ -143,7 +148,7 @@ def _random_params(rng, n: int) -> list:
     draws = []
     while len(draws) < n:
         pairs = rng.uniform(0.1, 10.0, (n - len(draws), 2)).tolist()
-        draws += [core.make_params(w1, w2) for w1, w2 in pairs
+        draws += [make_params(w1, w2) for w1, w2 in pairs
                   if abs(w1 - w2) > 0.05]
     return draws
 
@@ -156,8 +161,9 @@ def _check_suite_args(lam: float, seed: int) -> None:
         raise PreconditionViolatedError("seed must be non-negative")
 
 
-def _entrywise_residual(M: np.ndarray, T: np.ndarray) -> float:
+def _entrywise_residual(M, T) -> float:
     """Largest |M - T| / max(|M|, |T|) over the entries where M - T != 0."""
+    import numpy as np
     with np.errstate(invalid="ignore"):    # inf - inf is a NaN residual
         d = np.abs(M - T)
     return float(np.divide(d, np.maximum(np.abs(M), np.abs(T)),
@@ -173,6 +179,10 @@ def run_invariant_suite(params: PUParams, lam: float = SUITE_LAMBDA,
     at coupling lam.  Raises PreconditionViolatedError unless lam > 0 and
     seed >= 0.
     """
+    import numpy as np
+
+    from . import core, embedding, symmetry
+
     _check_suite_args(lam, seed)
     rng = np.random.default_rng(seed)
     checks = []
@@ -286,9 +296,23 @@ def run_invariant_suite(params: PUParams, lam: float = SUITE_LAMBDA,
     return {"passed": passed, "first_failure": first_failure, "checks": checks}
 
 
+def _array_command(command):
+    """command as a command that computes on numpy arrays: numpy is imported
+    when it runs, and it runs under np.errstate(all="ignore"), so that a
+    non-finite result is reported by the exit table's one line, not also by
+    a numpy warning."""
+    @functools.wraps(command)
+    def run(args) -> int:
+        import numpy as np
+        with np.errstate(all="ignore"):
+            return command(args)
+    return run
+
+
+@_array_command
 def cmd_verify(args) -> int:
     _check_suite_args(args.lam, args.seed)   # a bad flag exits 2 first
-    params = core.make_params(args.omega1, args.omega2)
+    params = make_params(args.omega1, args.omega2)
     report = run_invariant_suite(params, lam=args.lam, seed=args.seed)
     report["config"] = _config(args)
     report["version"] = __version__
@@ -300,8 +324,9 @@ def cmd_verify(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
+@_array_command
 def cmd_simulate(args) -> int:
-    params = core.make_params(args.omega1, args.omega2)
+    params = make_params(args.omega1, args.omega2)
     z0 = _initial_state(args, params)
     # lambda = 0 runs the free field, so meta["interacting"] is False
     potential = dynamics.quartic(args.lam) if args.lam != 0.0 else None
@@ -355,7 +380,9 @@ def cmd_simulate(args) -> int:
 # embed
 # ---------------------------------------------------------------------------
 
-def _map_payload(m: embedding.TransformMap) -> dict:
+def _map_payload(m) -> dict:
+    """The JSON of an embedding.TransformMap and of its verify_map verdict."""
+    from . import embedding
     v = embedding.verify_map(m)
     return {
         "mu0": m.mu0, "mu2": m.mu2, "nu0": m.nu0, "nu2": m.nu2,
@@ -370,13 +397,16 @@ def _map_payload(m: embedding.TransformMap) -> dict:
     }
 
 
+@_array_command
 def cmd_embed(args) -> int:
+    from . import embedding
+
     family = args.family.capitalize()  # ta1 -> Ta1
     branch = +1 if args.branch == "+" else -1
     supplied = {"a_x": args.ax, "a_y": args.ay, "b_x": args.bx,
                 "b_y": args.by, "g": args.g}
     free = {k: v for k, v in supplied.items() if v is not None}
-    params = core.make_params(args.omega1, args.omega2)
+    params = make_params(args.omega1, args.omega2)
     solved = embedding.solve_family(family, branch, free, params)
     payload = {
         "config": _config(args), "version": __version__,
@@ -440,7 +470,7 @@ def cmd_embed(args) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_scan(args) -> int:
-    params = core.make_params(args.omega1, args.omega2)
+    params = make_params(args.omega1, args.omega2)
     z0 = _initial_state(args, params)
     try:
         report = dynamics.threshold_search(
@@ -474,8 +504,11 @@ def cmd_scan(args) -> int:
 # modes
 # ---------------------------------------------------------------------------
 
+@_array_command
 def cmd_modes(args) -> int:
-    params = core.make_params(args.omega1, args.omega2)
+    from . import core
+
+    params = make_params(args.omega1, args.omega2)
     z0 = _initial_state(args, params)
     a1, a2 = m = dynamics.mode_decompose(params, z0)
     e = dynamics.mode_energy(params, m)
@@ -632,10 +665,7 @@ def main(argv=None) -> int:
     # (a tracer's wrapper, a test's spy) is the function that runs
     handler = globals()[f"cmd_{args.command}"]
     try:
-        # a non-finite result is reported by the exit table's one line, not
-        # also by a numpy warning
-        with np.errstate(all="ignore"):
-            return handler(args)
+        return handler(args)
     except Exception as exc:
         for kind, code, line in _EXIT_TABLE:
             if isinstance(exc, kind):

@@ -22,28 +22,40 @@ An interaction W(q) enters the jerk equation as
 
 i.e. the vector field acquires -W'(q) in its qddd component, and the
 conserved interacting energy is H1 - W(q).
+
+The parameters, states, potentials and vector fields are defined on Python
+floats in model, which imports no numpy, and re-exported here.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional
 
 import numpy as np
 
 from .config import EPS_ALGEBRA, EPS_SINGULAR
 from .errors import (
     ChartMismatchError,
-    DegenerateFrequenciesError,
     NotAntisymmetricError,
-    PreconditionViolatedError,
     SingularBlendError,
     SingularHessianError,
 )
+from .model import (  # noqa: F401  (the float types, re-exported)
+    JET,
+    OSTRO,
+    JetState,
+    OstroState,
+    Potential,
+    PUParams,
+    VectorField,
+    _coerce,
+    _flow_entries,
+    free_vector_field,
+    jet_to_ostro,
+    make_params,
+    ostro_to_jet,
+)
 
-JET = "jet"
-OSTRO = "ostrogradsky"
 _CHARTS = {JET: JET, OSTRO: OSTRO, "ostro": OSTRO}
 
 
@@ -58,85 +70,6 @@ def _chart(name: str) -> str:
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class PUParams:
-    """Frequencies (omega1, omega2) with the derived alpha, beta."""
-
-    omega1: float
-    omega2: float
-    alpha: float
-    beta: float
-
-
-def make_params(omega1: float, omega2: float) -> PUParams:
-    """Validate frequencies and derive alpha = w1^2 + w2^2, beta = w1^2 w2^2.
-
-    Raises DegenerateFrequenciesError unless 0 < omega1 != omega2; equal
-    frequencies collapse the two-mode solution and the mode-projection
-    formulas divide by w1^2 - w2^2.  Raises OverflowError, naming the
-    quantity, when alpha or beta is not finite in floating point, and
-    ArithmeticError when beta underflows to 0 (the structure divides by it).
-    """
-    w1, w2 = float(omega1), float(omega2)
-    if not (math.isfinite(w1) and math.isfinite(w2)):
-        raise DegenerateFrequenciesError("frequencies must be finite")
-    if w1 <= 0.0 or w2 <= 0.0:
-        raise DegenerateFrequenciesError("frequencies must be positive")
-    if w1 == w2:
-        raise DegenerateFrequenciesError("frequencies must be distinct")
-    alpha = w1 * w1 + w2 * w2
-    if not math.isfinite(alpha):
-        raise OverflowError("alpha = omega1^2 + omega2^2 is not finite")
-    try:        # w1 w2 <= alpha / 2 is finite; a float power raises
-        beta = (w1 * w2) ** 2
-    except OverflowError:
-        raise OverflowError("beta = (omega1 omega2)^2 is not finite") from None
-    if beta == 0.0:     # also when alpha is 0, as alpha >= 2 sqrt(beta)
-        raise ArithmeticError("beta = (omega1 omega2)^2 underflows to 0")
-    return PUParams(w1, w2, alpha, beta)
-
-
-@dataclass(frozen=True)
-class JetState:
-    """Point of the jet chart (q, qd, qdd, qddd)."""
-
-    chart: ClassVar[str] = JET
-    q: float
-    qd: float
-    qdd: float
-    qddd: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.as_array())):
-            raise PreconditionViolatedError("jet state must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q, self.qd, self.qdd, self.qddd], dtype=float)
-
-    @classmethod
-    def from_array(cls, z) -> "JetState":
-        q, qd, qdd, qddd = np.asarray(z, dtype=float)
-        return cls(q, qd, qdd, qddd)
-
-
-@dataclass(frozen=True)
-class OstroState:
-    """Point of the momentum chart (x1, x2, p1, p2)."""
-
-    chart: ClassVar[str] = OSTRO
-    x1: float
-    x2: float
-    p1: float
-    p2: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.as_array())):
-            raise PreconditionViolatedError("momentum state must be finite")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x1, self.x2, self.p1, self.p2], dtype=float)
-
 
 @dataclass(frozen=True)
 class QuadraticObservable:
@@ -185,62 +118,6 @@ class PoissonTensor:
         J.setflags(write=False)
 
 
-@dataclass(frozen=True)
-class Potential:
-    """Interaction potential W with its first two derivatives."""
-
-    w: Callable[[float], float]
-    w_prime: Callable[[float], float]
-    w_second: Callable[[float], float]
-    label: str
-
-
-@dataclass(frozen=True)
-class VectorField:
-    """Flow z -> linear @ z, plus an optional interaction potential W.
-
-    The interaction contributes -W'(q) to the qddd component and -W''(q) to
-    entry (3, 0) of the flow Jacobian; H1 - W(q) is conserved.  The field is
-    jet-chart: flow and jacobian take an array or a JetState.
-    """
-
-    linear: np.ndarray
-    potential: Optional[Potential] = None
-
-    def __post_init__(self):
-        A = np.asarray(self.linear, dtype=float)
-        if A.shape != (4, 4):
-            raise ValueError("linear part must be 4x4")
-        object.__setattr__(self, "linear", A)
-        A.setflags(write=False)
-
-    def flow(self, z) -> np.ndarray:
-        v = _coerce(z, JET)
-        dz = self.linear @ v
-        if self.potential is not None:
-            dz[3] -= self.potential.w_prime(v[0])
-        return dz
-
-    def jacobian(self, z) -> np.ndarray:
-        """d(flow)/dz at z; the interaction only enters entry (3, 0)."""
-        v = _coerce(z, JET)
-        D = np.array(self.linear)
-        if self.potential is not None:
-            D[3, 0] -= self.potential.w_second(v[0])
-        return D
-
-
-def _coerce(z, chart: str) -> np.ndarray:
-    """z as an array; a JetState or OstroState must be a state of chart."""
-    if isinstance(z, (JetState, OstroState)):
-        if z.chart != chart:
-            raise ChartMismatchError(
-                f"state of chart {z.chart!r} given where chart {chart!r} "
-                "is needed")
-        return z.as_array()
-    return np.asarray(z, dtype=float)
-
-
 # ---------------------------------------------------------------------------
 # chart maps
 # ---------------------------------------------------------------------------
@@ -270,24 +147,15 @@ def ostro_jacobian_inv(params: PUParams) -> np.ndarray:
     ])
 
 
-def jet_to_ostro(params: PUParams, z: JetState) -> OstroState:
-    """x1 = q, x2 = qd, p1 = -alpha*qd - qddd, p2 = qdd."""
-    return OstroState(z.q, z.qd, -params.alpha * z.qd - z.qddd, z.qdd)
-
-
-def ostro_to_jet(params: PUParams, s: OstroState) -> JetState:
-    """Exact inverse of jet_to_ostro."""
-    return JetState(s.x1, s.x2, s.p2, -params.alpha * s.x2 - s.p1)
-
-
 # ---------------------------------------------------------------------------
 # Hamiltonians and Poisson tensors
 # ---------------------------------------------------------------------------
 
 # Each jet-chart structure matrix has its entries written once, as a table
-# in a = alpha and b = beta.  Its single-params builder evaluates the table
-# on the params' floats, and _structure_stack on (n,) arrays; negation and
-# division are correctly rounded in both, so the matrices agree bit for bit.
+# in a = alpha and b = beta (the flow's, _flow_entries, is model's).  Its
+# single-params builder evaluates the table on the params' floats, and
+# _structure_stack on (n,) arrays; negation and division are correctly
+# rounded in both, so the matrices agree bit for bit.
 
 def _h1_entries(a, b):
     return ((-b, 0.0, 0.0, 0.0),
@@ -383,13 +251,6 @@ def j2(params: PUParams) -> PoissonTensor:
     return PoissonTensor(np.array(_j2_entries(params.alpha, params.beta)), JET)
 
 
-def _flow_entries(a, b):
-    return ((0.0, 1.0, 0.0, 0.0),
-            (0.0, 0.0, 1.0, 0.0),
-            (0.0, 0.0, 0.0, 1.0),
-            (-b, 0.0, -a, 0.0))
-
-
 def flow_matrix(params: PUParams) -> np.ndarray:
     """Companion matrix A of the jet-chart flow; A = J1 S1 exactly."""
     return np.array(_flow_entries(params.alpha, params.beta))
@@ -411,11 +272,6 @@ def _structure_stack(alpha, beta) -> tuple:
                 M[:, i, j] = value
         stacks.append(M)
     return tuple(stacks)
-
-
-def free_vector_field(params: PUParams) -> VectorField:
-    """Free flow qdot = qd, ..., qdddot = -beta*q - alpha*qdd."""
-    return VectorField(flow_matrix(params))
 
 
 # ---------------------------------------------------------------------------

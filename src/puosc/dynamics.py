@@ -23,7 +23,9 @@ integrate's equidistant sample times, and a shortened step does not hand its
 small size on: the next step starts from the larger of the controller's
 proposal and the size the stop cut short.  Stepping is deterministic, so
 repeated runs with the same settings reproduce output bit for bit on one
-platform.
+platform.  numpy is imported only where arrays are built: by
+closed_form_states and by a Trajectory's arrays when they are first read,
+so a scan, which reads only its runs' meta, imports none.
 
 An interaction potential W destabilizes the model: the quartic family
 W(q) = lam q^4 / 4 keeps trajectories bounded below a coupling threshold and
@@ -35,11 +37,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence
 
-import numpy as np
-
-from . import core
 from .config import (
     DEFAULT_SAMPLE_RATE,
     DEFAULT_TOL,
@@ -47,12 +47,19 @@ from .config import (
     SCAN_BISECT_ITERS,
     SCAN_GRID_POINTS,
 )
-from .core import JetState, Potential, PUParams, VectorField
 from .errors import (
     ChartMismatchError,
     PreconditionViolatedError,
     ScanDegenerateError,
     StepUnderflowError,
+)
+from .model import (
+    JetState,
+    Potential,
+    PUParams,
+    VectorField,
+    _flow_entries,
+    free_vector_field,
 )
 
 # Largest t_end / sample_rate integrate accepts; the sample grid is
@@ -81,9 +88,9 @@ def mode_decompose(params: PUParams, z: JetState) -> tuple:
     return complex(re1, im1), complex(re2, im2)
 
 
-def closed_form_states(params: PUParams, m: tuple,
-                       times: np.ndarray) -> np.ndarray:
+def closed_form_states(params: PUParams, m: tuple, times):
     """Exact free trajectory (N x 4) from the mode amplitudes m = (a1, a2)."""
+    import numpy as np
     out = np.empty((len(times), 4))
     for k, (w, a) in enumerate(zip((params.omega1, params.omega2), m)):
         phase = np.exp(-1j * w * np.asarray(times, dtype=float))
@@ -144,24 +151,76 @@ def quartic(lam: float) -> Potential:
 def field_for(params: PUParams, potential: Optional[Potential]) -> VectorField:
     """Free or interacting vector field for an optional potential."""
     if potential is None:
-        return core.free_vector_field(params)
-    return VectorField(core.flow_matrix(params), potential)
+        return free_vector_field(params)
+    return VectorField(_flow_entries(params.alpha, params.beta), potential)
 
 
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class Trajectory:
-    times: np.ndarray
-    states: np.ndarray          # N x 4 jet states
-    h1_series: np.ndarray
-    h2_series: np.ndarray
-    hint_series: np.ndarray     # H1 - W(q); equals H1 for free runs
-    meta: dict
+    """Sample times, jet states (N x 4), the energies H1, H2 and H1 - W(q)
+    (hint_series, H1 for a free run) at each sample, and the run's meta.
+
+    Trajectory(times, states, h1_series, h2_series, hint_series, meta) holds
+    the arrays it is given.  integrate's holds its run's floats instead and
+    builds each array when it is first read, so a caller that reads only
+    meta, such as threshold_search, builds none and imports no numpy.
+    Trajectories are immutable.
+    """
+
+    def __init__(self, times, states, h1_series, h2_series, hint_series,
+                 meta: dict):
+        vars(self).update(times=times, states=states, h1_series=h1_series,
+                          h2_series=h2_series, hint_series=hint_series,
+                          meta=meta)
+
+    @classmethod
+    def _of_run(cls, params: PUParams, potential: Optional[Potential],
+                times: list, rows: list, meta: dict) -> "Trajectory":
+        traj = cls.__new__(cls)
+        vars(traj).update(_run=(params, potential, times, rows), meta=meta)
+        return traj
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"Trajectory is immutable: cannot set {name!r}")
+
+    @cached_property
+    def times(self):
+        import numpy as np
+        return np.array(self._run[2])
+
+    @cached_property
+    def states(self):
+        import numpy as np
+        return np.array(self._run[3])
+
+    def _energy(self, observable):
+        import numpy as np
+        S = observable(self._run[0]).coeffs
+        return 0.5 * np.einsum("ni,ij,nj->n", self.states, S, self.states)
+
+    @cached_property
+    def h1_series(self):
+        from .core import h1
+        return self._energy(h1)
+
+    @cached_property
+    def h2_series(self):
+        from .core import h2
+        return self._energy(h2)
+
+    @cached_property
+    def hint_series(self):
+        import numpy as np
+        pot = self._run[1]
+        if pot is None:
+            return self.h1_series.copy()
+        return self.h1_series - np.array([pot.w(q) for q in self.states[:, 0]])
 
     def drift(self, which: str = "h1") -> float:
+        import numpy as np
         series = {"h1": self.h1_series, "h2": self.h2_series,
                   "hint": self.hint_series}[which]
         return float(np.max(np.abs(series - series[0])))
@@ -364,28 +423,34 @@ def _dp54(a30, a32, w_prime, y0, stops, tol, escape_radius):
     return times, rows, None, n_steps, 2 + 6 * (n_steps + n_rejected), n_rejected
 
 
-def _sample_times(t_end: float, sample_rate: float) -> np.ndarray:
+def _sample_times(t_end: float, sample_rate: float) -> list:
     """Sample times 0, sample_rate, 2 sample_rate, ... and t_end last: a grid
-    time within 1e-9 max(1, t_end) below t_end becomes t_end."""
+    time within 1e-9 max(1, t_end) below t_end becomes t_end.  Time k is the
+    float k * sample_rate, which is np.arange(n + 1) * sample_rate's."""
     if not sample_rate > 0.0:
         raise PreconditionViolatedError("sample_rate must be positive")
     if not t_end / sample_rate <= MAX_SAMPLES:
         raise PreconditionViolatedError(
             f"t_end / sample_rate must not exceed {MAX_SAMPLES}")
     n = int(math.floor(t_end / sample_rate + 1e-9))
-    ts = np.arange(n + 1) * sample_rate
+    ts = [k * sample_rate for k in range(n + 1)]
     if n and ts[-1] >= t_end - 1e-9 * max(1.0, t_end):
         ts[-1] = t_end
     else:
-        ts = np.append(ts, t_end)
+        ts.append(t_end)
     return ts
+
+
+def _floats(z: JetState) -> tuple:
+    """z's components as Python floats."""
+    return float(z.q), float(z.qd), float(z.qdd), float(z.qddd)
 
 
 def _state_norm(z0: JetState) -> float:
     """|z0| on Python floats, computed as the lane's escape test computes |z|.
     Raises OverflowError when it is not finite (a state too large to
     square)."""
-    q0, q1, q2, q3 = z0.as_array().tolist()
+    q0, q1, q2, q3 = _floats(z0)
     norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
     if not math.isfinite(norm):
         raise OverflowError("|z0| is not finite in floating point")
@@ -417,8 +482,8 @@ def integrate(
     field_for(params, potential).  Raises ChartMismatchError when its linear
     part is not exactly flow_matrix(params).
     """
-    A = core.flow_matrix(params)
-    if not np.array_equal(field.linear, A):
+    A = _flow_entries(params.alpha, params.beta)
+    if field.entries != A:
         raise ChartMismatchError(
             "the field's linear part is not flow_matrix(params); integrate "
             "runs the jet-chart field of its params (move states between "
@@ -430,24 +495,14 @@ def integrate(
     if escape_radius is not None and not escape_radius > _state_norm(z0):
         raise PreconditionViolatedError("escape_radius must exceed |z0|")
     pot = field.potential
-    y0 = tuple(z0.as_array().tolist())
-    stops = _sample_times(t_end, sample_rate)[1:].tolist()
+    y0 = _floats(z0)
+    stops = _sample_times(t_end, sample_rate)[1:]
     radius = math.inf if escape_radius is None else float(escape_radius)
-    a30, _, a32, _ = A[3].tolist()
+    a30, _, a32, _ = A[3]
     row_times, rows, escape_time, n_steps, n_rhs, n_rejected = _dp54(
         a30, a32, _no_force if pot is None else pot.w_prime, y0, stops,
         float(tol), radius)
 
-    states = np.array([y0, *rows])
-    times = np.array([0.0, *row_times])
-    s1 = core.h1(params).coeffs
-    s2 = core.h2(params).coeffs
-    h1s = 0.5 * np.einsum("ni,ij,nj->n", states, s1, states)
-    h2s = 0.5 * np.einsum("ni,ij,nj->n", states, s2, states)
-    if pot is not None:
-        hint = h1s - np.array([pot.w(q) for q in states[:, 0]])
-    else:
-        hint = h1s.copy()
     meta = {
         "omega1": params.omega1,
         "omega2": params.omega2,
@@ -461,7 +516,8 @@ def integrate(
         "n_rejected": n_rejected,
         "interacting": pot is not None,
     }
-    return Trajectory(times, states, h1s, h2s, hint, meta)
+    return Trajectory._of_run(params, pot, [0.0, *row_times], [y0, *rows],
+                              meta)
 
 
 def default_escape_radius(z0: JetState) -> float:
@@ -527,12 +583,13 @@ def threshold_search(
     quartic(lam)), z0, t_end, tol, sample_rate=t_end, escape_radius=
     escape_radius), whose only sample is t_end; its GridPoint takes
     escape_time, n_steps and n_rejected from the run's meta.  A coarse
-    geometric grid over the coupling range is classified first, then
-    bisect_iters bisection halvings refine the first bounded-to-escaping
-    transition (see _bisect), stopping early once the bracket no longer
-    splits.  The reported threshold is a function of (t_end, escape_radius,
-    tol): longer horizons can only lower it.  A caveat flag is set when the
-    grid classification is not monotone in the coupling.  Raises
+    geometric grid over the coupling range (_coupling_grid) is classified
+    first, then bisect_iters bisection halvings refine the first
+    bounded-to-escaping transition (see _bisect), stopping early once the
+    bracket no longer splits.  The reported threshold is a function of
+    (t_end, escape_radius, tol): longer horizons can only lower it.  A
+    caveat flag is set when the grid classification is not monotone in the
+    coupling.  Raises
     ScanDegenerateError when every grid point is bounded or every one
     escapes.  The report's refine entry sums the bisection's runs: their
     count, n_steps and n_rejected.
@@ -557,18 +614,8 @@ def threshold_search(
         return GridPoint(lam, t is None, t, meta["n_steps"],
                          meta["n_rejected"])
 
-    if lam_hi == lam_lo:
-        grid_vals = np.array([lam_lo])
-    elif lam_lo == 0.0:
-        if lam_hi * 1e-3 == 0.0:
-            raise PreconditionViolatedError("lambda_max underflows the grid")
-        grid_vals = np.concatenate(
-            [[0.0], np.geomspace(lam_hi * 1e-3, lam_hi, grid_points - 1)]
-        )
-    else:
-        grid_vals = np.geomspace(lam_lo, lam_hi, grid_points)
-
-    grid = tuple(classify(lam) for lam in map(float, grid_vals))
+    grid_vals = _coupling_grid(lam_lo, lam_hi, grid_points)
+    grid = tuple(classify(lam) for lam in grid_vals)
 
     flags = [p.bounded for p in grid]
     if all(flags):
@@ -579,7 +626,7 @@ def threshold_search(
     monotone, trans = analyze_grid_flags(flags)
     settings = {
         "t_end": t_end, "escape_radius": escape_radius, "tol": tol,
-        "grid_points": int(len(grid_vals)), "bisect_iters": bisect_iters,
+        "grid_points": len(grid_vals), "bisect_iters": bisect_iters,
         "lambda_range": [lam_lo, lam_hi],
     }
     runs = []
@@ -598,6 +645,39 @@ def threshold_search(
               "n_rejected": sum(p.n_rejected for p in runs)}
     return ThresholdReport(lambda_star, grid, monotone,
                            trans is None or not monotone, settings, refine)
+
+
+def _coupling_grid(lo: float, hi: float, n: int) -> list:
+    """The scan's couplings: lo alone when lo == hi; for lo = 0, 0 and an
+    n - 1 point geometric grid from hi * 1e-3 to hi; else an n point
+    geometric grid from lo to hi (see _geomspace)."""
+    if hi == lo:
+        return [lo]
+    if lo == 0.0:
+        if hi * 1e-3 == 0.0:
+            raise PreconditionViolatedError("lambda_max underflows the grid")
+        return [0.0, *_geomspace(hi * 1e-3, hi, n - 1)]
+    return _geomspace(lo, hi, n)
+
+
+def _geomspace(lo: float, hi: float, n: int) -> list:
+    """n >= 1 floats from 0 < lo < hi to hi in geometric progression, by
+    numpy.geomspace's formula: point k is 10 ** (log10(lo) + k * step), step
+    (log10(hi) - log10(lo)) / (n - 1), and the end points are lo and hi
+    exactly.  One point is hi.  libm's log10 and power can differ from
+    numpy's in the last bit, so an inner point can differ from
+    numpy.geomspace's in the last bits.  Raises OverflowError where a float
+    power overflows, which rounding allows next to the largest float."""
+    if n == 1:
+        return [hi]
+    a = math.log10(lo)
+    step = (math.log10(hi) - a) / (n - 1)
+    try:
+        inner = [10.0 ** (a + k * step) for k in range(1, n - 1)]
+    except OverflowError:
+        raise OverflowError(f"a coupling grid point between {lo!r} and "
+                            f"{hi!r} overflows") from None
+    return [lo, *inner, hi]
 
 
 def _bisect(lo: float, hi: float, iters: int, bounded):

@@ -5,7 +5,10 @@ import contextlib
 import io
 import itertools
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +326,20 @@ def test_scan_degenerate_all_bounded(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["degenerate"] == "all-bounded"
     assert rep["grid"][0]["bounded"] is True
+
+
+def test_scan_two_point_grid_classifies_lambda_max(tmp_path):
+    # the grid is 0 and --lambda-max, so the transition cell is found
+    out = tmp_path / "scan.json"
+    code = run(["scan", *FIG_FLAGS, "--tol", "1e-8", "--t-end", "200",
+                "--escape-radius", "1000", "--lambda-max", "10",
+                "--grid-points", "2", "--bisect-iters", "2",
+                "--out", str(out)])
+    assert code == 0
+    rep = json.loads(out.read_text())
+    assert [(g["lam"], g["bounded"]) for g in rep["grid"]] == [
+        (0.0, True), (10.0, False)]
+    assert 0.0 < rep["lambda_star"] < 10.0
 
 
 def test_scan_inverted_range_usage_error():
@@ -658,6 +675,16 @@ EXIT_CASES = [
     ("scan-grid-points-exceed-cap",
      ["scan", "--grid-points", "1000000000000", "--t-end", "1",
       "--out", "{tmp}/s.json"], 2),
+    # the largest coupling: its grid is finite, and its runs underflow
+    ("scan-lambda-max-largest-float",
+     ["scan", "--q0", "1", "--t-end", "2", "--lambda-max",
+      "1.7976931348623157e308", "--out", "{tmp}/s.json"], 3),
+    # a float power of the grid overflows next to the largest float: named
+    ("scan-grid-power-overflows",
+     ["scan", "--q0", "1", "--t-end", "1",
+      "--lambda-min", "1.797693134862314e+308",
+      "--lambda-max", "1.7976931348623157e308", "--grid-points", "3",
+      "--out", "{tmp}/s.json"], 3),
     # a denominator that underflows to 0 is named: the solved Tb1 row's
     # g a_x^2 fails the call, the tabulated Tb2 row's is reported unavailable
     ("embed-tb1-denominator-underflows",
@@ -1290,3 +1317,118 @@ def test_scan_transition_draws_exit_zero(out_dir):
                                   max_examples=20,
                                   phases=[Phase.generate]))
     assert argv[0] == "scan"
+
+
+# ---------------------------------------------------------------------------
+# start-up: fresh processes
+# ---------------------------------------------------------------------------
+
+SRC = str(Path(cli.__file__).resolve().parents[1])
+SMALL_SCAN = ["scan", "--q0", "1", "--t-end", "2", "--lambda-max", "1e4",
+              "--grid-points", "4", "--bisect-iters", "3"]
+# the names the package exported by importing its modules, by module
+PACKAGE_NAMES = {
+    "config": ("EPS_ALGEBRA", "EPS_SINGULAR"),
+    "core": (
+        "JET", "OSTRO", "JetState", "OstroState", "PoissonTensor",
+        "Potential", "PUParams", "QuadraticObservable", "VectorField",
+        "blend_h", "blend_j", "blend_j_tabulated", "flow_matrix",
+        "free_vector_field", "h1", "h2", "j1", "j2", "jet_to_ostro",
+        "make_params", "ostro_to_jet", "poisson_bracket",
+        "solve_bihamiltonian", "transport_observable", "transport_tensor"),
+    "dynamics": (
+        "ThresholdReport", "Trajectory", "closed_form_states", "field_for",
+        "integrate", "mode_decompose", "mode_energy", "quartic",
+        "threshold_search"),
+    "embedding": (
+        "TransformMap", "TwoDimModel", "definiteness_inequality",
+        "positivity", "pullback_hamiltonian", "pushforward_poisson",
+        "reconciliation_report", "solve_family", "sum_of_squares",
+        "tabulated_family", "verify_map"),
+    "symmetry": (
+        "apply_symmetry", "commutant_basis", "generated_structure",
+        "invariant_tensor_space", "known_generators",
+        "lie_derivative_residual", "symmetry_charges"),
+}
+
+
+def fresh(code: str, *args: str) -> str:
+    """stdout of `code` run by a new interpreter that imports puosc from
+    this tree, with numpy's RuntimeWarnings as errors; it must exit 0."""
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-c", code, *args],
+        capture_output=True, text=True, timeout=300,
+        env={**os.environ, "PYTHONPATH": SRC})
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_loads_no_numpy():
+    assert fresh("import sys, puosc.cli; print('numpy' in sys.modules)") \
+        == "False\n"
+
+
+def test_scan_process_imports_no_numpy(tmp_path):
+    out = tmp_path / "scan.json"
+    argv = json.dumps([*SMALL_SCAN, "--out", str(out)])
+    assert fresh("import json, sys\n"
+                 "from puosc import cli\n"
+                 "code = cli.main(json.loads(sys.argv[1]))\n"
+                 "print(code, 'numpy' in sys.modules)", argv) == "0 False\n"
+    report = json.loads(out.read_text())
+    assert len(report["grid"]) == 4 and report["refine"]["runs"] == 3
+    # the same bytes as a run in this process, which has numpy loaded
+    first = out.read_bytes()
+    assert run(json.loads(argv)) == 0
+    assert out.read_bytes() == first
+
+
+def test_package_names_resolve_lazily():
+    # each name is the object its module binds, and dir() lists it
+    missing = fresh(
+        "import importlib, json, sys, puosc\n"
+        "assert 'numpy' not in sys.modules\n"
+        "names = json.loads(sys.argv[1])\n"
+        "print(json.dumps([[m, n] for m, ns in names.items() for n in ns\n"
+        "    if getattr(puosc, n) is not getattr(\n"
+        "        importlib.import_module('puosc.' + m), n)\n"
+        "    or n not in dir(puosc)]))", json.dumps(PACKAGE_NAMES))
+    assert json.loads(missing) == []
+
+
+def test_package_rejects_unknown_names():
+    import puosc
+    assert not hasattr(puosc, "no_such_name")
+    assert {"core", "dynamics", "__version__"} <= set(dir(puosc))
+
+
+def test_array_commands_warn_nothing_in_a_fresh_process(tmp_path):
+    # numpy is imported by the commands that use it: each of their
+    # exit-code rows still writes one stderr line (none for a verdict) and
+    # no numpy warning, which -W error would turn into an internal error
+    rows = [(name, [a.format(tmp=tmp_path, missing=tmp_path / "missing")
+                    for a in argv], code)
+            for name, argv, code in EXIT_CASES
+            if argv[0] in ("verify", "embed", "simulate")]
+    results = json.loads(fresh(
+        "import contextlib, io, json, sys\n"
+        "from puosc import cli\n"
+        "results = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    err = io.StringIO()\n"
+        "    with contextlib.redirect_stderr(err):\n"
+        "        try:\n"
+        "            code = cli.main(argv)\n"
+        "        except SystemExit as exc:\n"
+        "            code = exc.code\n"
+        "    results.append([code, err.getvalue()])\n"
+        "print(json.dumps(results))",
+        json.dumps([argv for _, argv, _ in rows])))
+    assert len(results) == len(rows) > 30
+    for (name, _, code), (got, err) in zip(rows, results):
+        assert got == code, (name, err)
+        lines = err.splitlines()
+        if lines and lines[0].startswith("usage: "):
+            lines = lines[-1:]
+        assert len(lines) == (code not in (0, 1)), (name, err)
+        assert not err.startswith("internal error"), (name, err)

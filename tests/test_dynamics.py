@@ -26,6 +26,7 @@ from puosc.dynamics import (
     MAX_SAMPLES,
     GridPoint,
     _bisect,
+    _coupling_grid,
     _dp54,
     _initial_step,
     _no_force,
@@ -429,7 +430,7 @@ def test_threshold_search_caps_the_grid(monkeypatch):
 
     calls = []
     with monkeypatch.context() as m:
-        m.setattr(np, "geomspace", never)
+        m.setattr(p.dynamics, "_coupling_grid", never)
         m.setattr(p.dynamics, "integrate", never)
         with pytest.raises(PreconditionViolatedError,
                            match=f"must not exceed {MAX_GRID_POINTS}$"):
@@ -440,6 +441,66 @@ def test_threshold_search_caps_the_grid(monkeypatch):
         p.threshold_search(PAR, FIG_Z0, 5.0, 1000.0, (1.0, 2.0),
                            grid_points=MAX_GRID_POINTS)
     assert len(calls) == len(exc.value.grid) == MAX_GRID_POINTS
+
+
+def _ulps(x, y):
+    return abs(x - y) / math.ulp(max(abs(x), abs(y)))
+
+
+@pytest.mark.parametrize("decades", [6, 300])
+def test_coupling_grid_is_numpy_geomspace(decades):
+    # numpy.geomspace's formula on floats: the end points exactly; an inner
+    # point within an ulp of numpy's where libm's log10 of both ends is
+    # numpy's (the exponents are then numpy's bit for bit, and only the
+    # powers round apart); and within 1e-12 relative everywhere, since a
+    # log10 an ulp apart can move an exponent's rounding by an ulp of a
+    # number up to 691
+    rng = np.random.default_rng(decades)
+    agreed = 0
+    for _ in range(2000):
+        lo, hi = np.sort(10.0 ** rng.uniform(-decades, decades, 2)).tolist()
+        n = int(rng.integers(2, 40))
+        grid = _coupling_grid(lo, hi, n)
+        ref = np.geomspace(lo, hi, n).tolist()
+        assert len(grid) == n and grid[0] == lo and grid[-1] == hi
+        assert all(type(x) is float for x in grid)
+        assert max(abs(x - y) / y for x, y in zip(grid, ref)) <= 1e-12
+        if all(math.log10(x) == np.log10(x) for x in (lo, hi)):
+            agreed += 1
+            assert max(map(_ulps, grid, ref)) <= 1.0, (lo, hi, n)
+    assert agreed > 1500
+
+
+def test_coupling_grid_keeps_the_benchmark_transition_cell():
+    # the reference scan's grid, 0 and 31 points from 1e-2 to 10: every
+    # point within an ulp of numpy's, and the cell [10^0.9, 10] that holds
+    # lambda* bit for bit
+    grid = _coupling_grid(0.0, 10.0, 32)
+    ref = [0.0, *np.geomspace(1e-2, 10.0, 31).tolist()]
+    assert grid[0] == 0.0
+    assert max(map(_ulps, grid[1:], ref[1:])) <= 1.0
+    assert grid[30:] == ref[30:]
+    assert math.isclose(grid[30], 10.0 ** 0.9) and grid[31] == 10.0
+
+
+@pytest.mark.parametrize("lo, hi, n, expected", [
+    (0.0, 10.0, 2, [0.0, 10.0]),
+    (0.0, 10.0, 3, [0.0, 1e-2, 10.0]),
+    (1.0, 4.0, 2, [1.0, 4.0]),
+    (2.0, 2.0, 5, [2.0]),
+])
+def test_coupling_grid_ends_at_lambda_max(lo, hi, n, expected):
+    # a one-point geometric part is lambda_max itself, not its start
+    assert _coupling_grid(lo, hi, n) == expected
+
+
+def test_two_point_scan_classifies_lambda_max():
+    # grid [0, 10]: the escaping end is classified, so the cell is found
+    rep = p.threshold_search(PAR, FIG_Z0, 200.0, 1000.0, (0.0, 10.0),
+                             grid_points=2, bisect_iters=2, tol=1e-8)
+    assert [g.lam for g in rep.grid] == [0.0, 10.0]
+    assert [g.bounded for g in rep.grid] == [True, False]
+    assert 0.0 < rep.lambda_star < 10.0
 
 
 def test_threshold_search_rejects_underflowing_grid():
@@ -923,7 +984,7 @@ PENDULUM = p.Potential(lambda q: 2.0 * (1.0 - math.cos(q)),
                        lambda q: 2.0 * math.sin(q),
                        lambda q: 2.0 * math.cos(q), "pendulum")
 FIG_Y0 = tuple(FIG_Z0.as_array().tolist())
-SAMPLE_STOPS = _sample_times(200.0, 0.1)[1:].tolist()
+SAMPLE_STOPS = _sample_times(200.0, 0.1)[1:]
 # (potential, y0, stops, tol, escape_radius)
 LANE_CASES = {
     # trajectory workload runs: sample-grid stops, tol 1e-10
@@ -932,11 +993,11 @@ LANE_CASES = {
     # stops 0.01 apart, closer than the mean step of the one-stop run
     # (20 / 1097 steps, about 0.018): most steps are capped
     "dense-stops": (p.quartic(5.0), FIG_Y0,
-                    _sample_times(20.0, 0.01)[1:].tolist(), 1e-10, math.inf),
+                    _sample_times(20.0, 0.01)[1:], 1e-10, math.inf),
     # a capped step is rejected at t = 6.73, before the escape at 7.13; its
     # shrunk retry is uncapped
     "capped-rejected": (p.quartic(20.0), FIG_Y0,
-                        _sample_times(20.0, 0.01)[1:].tolist(), 1e-8, 1e6),
+                        _sample_times(20.0, 0.01)[1:], 1e-8, 1e6),
     # scan lanes on both sides of lambda* = 8.78...
     **{f"scan-{lam}": (p.quartic(lam), FIG_Y0, [200.0], 1e-8, 1000.0)
        for lam in (0.0, 6.6, 8.78, 100.0)},
@@ -944,7 +1005,7 @@ LANE_CASES = {
     "rejecting": (p.quartic(100.0), FIG_Y0, [50.0], 1e-4, 1e6),
     # finite-time blow-up with no radius: underflow at t > 1
     "blowup": (p.quartic(100.0), FIG_Y0,
-               _sample_times(50.0, 0.1)[1:].tolist(), 1e-8, math.inf),
+               _sample_times(50.0, 0.1)[1:], 1e-8, math.inf),
     "signed-zeros-free": (None, (0.0, -0.0, 0.0, -0.0), [0.5, 1.0], 1e-8,
                           math.inf),
     "signed-zeros-1": (p.quartic(1.0), (-0.0, 0.0, -0.0, 0.0), [1.0], 1e-8,
@@ -962,7 +1023,7 @@ LANE_CASES = {
        for lam in (0.0, 1.0) for t_end in (1e-15, 1e-300, 1.0)},
     # a force that is not a quartic
     "pendulum": (PENDULUM, (3.0, 0.0, -1.0, 0.5), _sample_times(
-        50.0, 0.5)[1:].tolist(), 1e-9, 1000.0),
+        50.0, 0.5)[1:], 1e-9, 1000.0),
 }
 
 
@@ -1061,7 +1122,7 @@ def test_integrate_runs_the_lane_on_its_params_field(pot):
                        sample_rate=0.5)
     times, rows, _, n_steps, n_rhs, n_rejected = _dp54(
         -PAR.beta, -PAR.alpha, _no_force if pot is None else pot.w_prime,
-        FIG_Y0, _sample_times(20.0, 0.5)[1:].tolist(), 1e-9, math.inf)
+        FIG_Y0, _sample_times(20.0, 0.5)[1:], 1e-9, math.inf)
     assert repr(traj.times.tolist()) == repr([0.0, *times])
     assert repr(traj.states.tolist()) == repr([list(FIG_Y0),
                                                *map(list, rows)])
