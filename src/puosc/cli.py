@@ -14,14 +14,13 @@ Identical configs (including the seed) produce byte-identical outputs on one
 platform; every output embeds its config and the library version.
 
 A command imports the modules it uses when it runs.  scan computes on Python
-floats and imports no numpy; the other commands import it and run under
-np.errstate(all="ignore") (see _array_command).
+floats and imports no numpy; the others import it.  main sets no errstate:
+core._require_finite names a non-finite result, _json_text one in output.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import math
 import re
@@ -161,15 +160,6 @@ def _check_suite_args(lam: float, seed: int) -> None:
         raise PreconditionViolatedError("seed must be non-negative")
 
 
-def _entrywise_residual(M, T) -> float:
-    """Largest |M - T| / max(|M|, |T|) over the entries where M - T != 0."""
-    import numpy as np
-    with np.errstate(invalid="ignore"):    # inf - inf is a NaN residual
-        d = np.abs(M - T)
-    return float(np.divide(d, np.maximum(np.abs(M), np.abs(T)),
-                           out=np.zeros_like(d), where=d != 0).max())
-
-
 def run_invariant_suite(params: PUParams, lam: float = SUITE_LAMBDA,
                         seed: int = DEFAULT_SEED) -> dict:
     """Every structural identity of the library as one pass/fail report.
@@ -193,8 +183,9 @@ def run_invariant_suite(params: PUParams, lam: float = SUITE_LAMBDA,
     # X3 generates the second structure; compared entrywise with no absolute
     # floor, which would hide the order-1 dq^dqd block next to beta
     J2g, S2g = symmetry.generated_structure(params)
-    gen = {"j2_residual": _entrywise_residual(J2g, core.j2(params).j),
-           "h2_residual": _entrywise_residual(S2g, core.h2(params).coeffs)}
+    res = core._entrywise_residual
+    gen = {"j2_residual": res(J2g, core.j2(params).j),
+           "h2_residual": res(S2g, core.h2(params).coeffs)}
     record("symmetry_generated_structure",
            all(r <= EPS_ALGEBRA for r in gen.values()), gen)
 
@@ -296,20 +287,6 @@ def run_invariant_suite(params: PUParams, lam: float = SUITE_LAMBDA,
     return {"passed": passed, "first_failure": first_failure, "checks": checks}
 
 
-def _array_command(command):
-    """command as a command that computes on numpy arrays: numpy is imported
-    when it runs, and it runs under np.errstate(all="ignore"), so that a
-    non-finite result is reported by the exit table's one line, not also by
-    a numpy warning."""
-    @functools.wraps(command)
-    def run(args) -> int:
-        import numpy as np
-        with np.errstate(all="ignore"):
-            return command(args)
-    return run
-
-
-@_array_command
 def cmd_verify(args) -> int:
     _check_suite_args(args.lam, args.seed)   # a bad flag exits 2 first
     params = make_params(args.omega1, args.omega2)
@@ -324,7 +301,6 @@ def cmd_verify(args) -> int:
 # simulate
 # ---------------------------------------------------------------------------
 
-@_array_command
 def cmd_simulate(args) -> int:
     params = make_params(args.omega1, args.omega2)
     z0 = _initial_state(args, params)
@@ -397,7 +373,6 @@ def _map_payload(m) -> dict:
     }
 
 
-@_array_command
 def cmd_embed(args) -> int:
     from . import embedding
 
@@ -504,7 +479,6 @@ def cmd_scan(args) -> int:
 # modes
 # ---------------------------------------------------------------------------
 
-@_array_command
 def cmd_modes(args) -> int:
     from . import core
 

@@ -92,7 +92,8 @@ class QuadraticObservable:
 
     def value(self, z) -> float:
         v = _coerce(z, self.chart)
-        return 0.5 * float(v @ self.coeffs @ v)
+        with np.errstate(over="ignore", invalid="ignore"):  # +-inf, NaN
+            return 0.5 * float(v @ self.coeffs @ v)
 
     def gradient(self, z) -> np.ndarray:
         return self.coeffs @ _coerce(z, self.chart)
@@ -335,22 +336,21 @@ def blend_j(params: PUParams, c1: float, c2: float) -> PoissonTensor:
 
         J' = (beta*c1*J1 + c2*J2) / ((c1*w1^2 + c2)(c1*w2^2 + c2)),
 
-    each entry divided by the factors before beta multiplies it, so none
-    overflows on its way to a finite value.  SingularBlendError where a
-    factor _vanishes (c2 = -c1*w_i^2); ArithmeticError on a non-finite entry.
+    each entry divided by the factors before beta multiplies it, so no finite
+    entry overflows.  SingularBlendError where a factor _vanishes (c2 =
+    -c1*w_i^2), ArithmeticError where a factor or an entry is not finite.
     """
     c1, c2 = float(c1), float(c2)
     w1s, w2s = params.omega1 ** 2, params.omega2 ** 2
+    d1, d2 = _require_finite((c1 * w1s + c2, c1 * w2s + c2),
+                             "the blend factors c1*w_i^2 + c2")
     if _vanishes(c1 * w1s, c2) or _vanishes(c1 * w2s, c2):
         raise SingularBlendError(f"blend Hessian singular at ({c1}, {c2})")
-    d1, d2 = c1 * w1s + c2, c1 * w2s + c2
     b = params.beta / d2
     x, y, z = c1 / d1 * b, (c1 * params.alpha + c2) / d1 * b, c2 / d1 / d2
     J = np.array([[0.0, -z, 0.0, -x], [z, 0.0, x, 0.0],
                   [0.0, -x, 0.0, y], [x, 0.0, -y, 0.0]]) + 0.0  # no -0.0
-    if not np.isfinite(J).all():
-        raise ArithmeticError("non-finite value in the blend tensor")
-    return PoissonTensor(J, JET)
+    return PoissonTensor(_require_finite(J, "the blend tensor"), JET)
 
 
 def blend_j_tabulated(params: PUParams, c1: float, c2: float) -> PoissonTensor:
@@ -361,11 +361,14 @@ def blend_j_tabulated(params: PUParams, c1: float, c2: float) -> PoissonTensor:
 
     It agrees with blend_j on the axes c1 = 0 and c2 = 0 but not in between,
     and its denominator vanishes on c1 = c2*w_i^2, where blend_j is regular.
+    ArithmeticError where a factor c1 - c2*w_i^2 is not finite.
     """
     w1s, w2s = params.omega1 ** 2, params.omega2 ** 2
+    f1, f2 = _require_finite((c1 - c2 * w1s, c1 - c2 * w2s),
+                             "the tabulated factors c1 - c2*w_i^2")
     if _vanishes(c1, -c2 * w1s) or _vanishes(c1, -c2 * w2s):
         raise SingularBlendError("tabulated denominator vanishes")
-    den = (c1 - c2 * w1s) * (c1 - c2 * w2s)     # 0 where it underflows
+    den = f1 * f2     # 0 where it underflows
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         J = (c1 * j1(params).j + params.beta * c2 * j2(params).j) / den
     return PoissonTensor(0.5 * (J - J.T), JET)
@@ -392,10 +395,8 @@ def poisson_bracket(
             f"charts differ: F={f.chart}, G={g.chart}, J={j.chart}"
         )
     with np.errstate(over="ignore", invalid="ignore"):
-        M = f.coeffs @ j.j @ g.coeffs
-    if not np.isfinite(M).all():
-        raise ArithmeticError(
-            "non-finite value in the Poisson bracket S_F J S_G")
+        M = _require_finite(f.coeffs @ j.j @ g.coeffs,
+                            "the Poisson bracket S_F J S_G")
     return QuadraticObservable(_sym_exact(M + M.T), chart=f.chart)
 
 
@@ -421,6 +422,14 @@ def _frobenius(X: np.ndarray) -> np.ndarray:
         return np.ldexp(np.sqrt(f @ f.swapaxes(-1, -2)), e)[..., 0, 0]
 
 
+def _entrywise_residual(M: np.ndarray, T: np.ndarray) -> float:
+    """Largest |M - T| / max(|M|, |T|) over the entries where M - T != 0."""
+    with np.errstate(invalid="ignore"):    # inf - inf is a NaN residual
+        d = np.abs(M - T)
+    return float(np.divide(d, np.maximum(np.abs(M), np.abs(T)),
+                           out=np.zeros_like(d), where=d != 0).max())
+
+
 def _negligible(sv: np.ndarray) -> np.ndarray:
     """The rank rule of every rank decision: in each descending row (..., k)
     the singular values at most EPS_SINGULAR * max(sigma_max, 1) count as
@@ -432,8 +441,16 @@ def _vanishes(*terms, eps=EPS_SINGULAR) -> bool:
     """The one zero rule, the form of the summation error bound (Higham,
     Accuracy and Stability, 2nd ed., 4.2): |sum t| <= eps sum |t|, no floor,
     eps EPS_SINGULAR for a gate, EPS_ALGEBRA for an identity.  inf <= inf
-    holds: a caller whose terms may overflow checks them first."""
+    holds: where terms may overflow, check their sum with _require_finite."""
     return abs(sum(terms)) <= eps * sum(map(abs, terms))
+
+
+def _require_finite(x, what: str):
+    """x (a float, floats or an array) if it is finite, else ArithmeticError(
+    "non-finite value in <what>"): the library's one name for an overflow."""
+    if not np.isfinite(x).all():
+        raise ArithmeticError(f"non-finite value in {what}")
+    return x
 
 
 # ---------------------------------------------------------------------------

@@ -221,9 +221,9 @@ class Trajectory:
 
     def drift(self, which: str = "h1") -> float:
         import numpy as np
-        series = {"h1": self.h1_series, "h2": self.h2_series,
-                  "hint": self.hint_series}[which]
-        return float(np.max(np.abs(series - series[0])))
+        with np.errstate(over="ignore", invalid="ignore"):  # inf, NaN
+            series = getattr(self, f"{which}_series")
+            return float(np.max(np.abs(series - series[0])))
 
     @property
     def escaped(self) -> bool:

@@ -294,14 +294,15 @@ def solve_family(family: str, branch: int, free: dict,
         if family == "Ta1":
             # u = v: alpha*u - 2u^2 = beta/2, g drops out
             u = v = (al + _rho0(params, branch)) / 4.0
+            mu0, nu0 = u / ax, v / ay
+            bx = ax * al - 2.0 * ax * ax * mu0 - ax * g / ay
+            by = ay * al - 2.0 * ay * ay * nu0 - ay * g / ax
         else:
-            # u != v: u + v = S pins the sum, the quadratic splits via rho_g
+            # u != v: the quadratic splits via rho_g; b_x, b_y in closed form
             rg = _rho_g(params, ax, ay, g, branch)
-            u = (al - 2.0 * g / ay + rg) / 4.0
-            v = (al - 2.0 * g / ax - rg) / 4.0
-        mu0, nu0 = u / ax, v / ay
-        bx = ax * al - 2.0 * ax * ax * mu0 - ax * g / ay
-        by = ay * al - 2.0 * ay * ay * nu0 - ay * g / ax
+            mu0 = _ta2_root(params, g / ay, ay / ax, rg) / ax
+            nu0 = _ta2_root(params, g / ax, ax / ay, -rg) / ay
+            bx, by = ax * (al - rg) / 2.0, ay * (al + rg) / 2.0
         model = TwoDimModel(ax, ay, bx, by, g)
         return _build_map(family, branch, mu0, 1.0 / (2.0 * ax),
                           nu0, 1.0 / (2.0 * ay), model, params)
@@ -329,6 +330,16 @@ def solve_family(family: str, branch: int, free: dict,
     model = TwoDimModel(ax, 0.0, bx, by, g)
     return _build_map(family, branch, mu0, mu2,
                       -g * mu0 / by, -g * mu2 / by, model, params)
+
+
+def _ta2_root(params: PUParams, t: float, r: float, rg: float) -> float:
+    """The Ta2 root u = (X + rg)/4, X = alpha - 2t, t = g/a_y, r = a_y/a_x (v:
+    g/a_x, a_x/a_y, -rg); where X and rg cancel, the product of the roots over
+    the other one: (beta - alpha t + t^2 (1 + r)) / (X - rg)."""
+    X = params.alpha - 2.0 * t
+    if abs(X + rg) < abs(X - rg):
+        return (params.beta - params.alpha * t + t * t * (1.0 + r)) / (X - rg)
+    return (X + rg) / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -428,9 +439,7 @@ def pushforward_poisson(m: TransformMap) -> PoissonTensor:
     with np.errstate(over="ignore", invalid="ignore"):
         Ci = np.ldexp(np.divide([[d, -b], [-c, a]], a * d - b * c), s)
         J[0::2, 1::2] = Ci / (m.model.a_x, m.model.a_y) @ Ci.T
-    if not np.isfinite(J).all():
-        raise ArithmeticError(
-            "non-finite value in the pushforward C^-1 diag(1/a) C^-T")
+    core._require_finite(J, "the pushforward C^-1 diag(1/a) C^-T")
     return PoissonTensor(J - J.T, JET)
 
 
@@ -516,10 +525,8 @@ def pullback_hamiltonian(m: TransformMap):
     with np.errstate(over="ignore", invalid="ignore"):
         S[0::2, 0::2] = C.T @ [[mod.b_x, mod.g], [mod.g, mod.b_y]] @ C
         S[1::2, 1::2] = C.T @ (C * [[mod.a_x], [mod.a_y]])
-        S = core._sym_exact(S)
-    if not np.isfinite(S).all():
-        raise ArithmeticError(
-            "non-finite value in the pullback Hessian C^T B C, C^T diag(a) C")
+        S = core._require_finite(core._sym_exact(S), "the pullback Hessian "
+                                 "C^T B C, C^T diag(a) C")
     c1, c2, res = fit_blend(m.params, S)
     if not math.isfinite(res):
         raise ArithmeticError(f"pullback fit residual is not finite: {res}")
@@ -541,22 +548,23 @@ def sum_of_squares(params: PUParams, ct1: float, ct2: float) -> QuadraticObserva
     The (ct1, ct2) parametrization is deliberately distinct from the blend
     (c1, c2): direct expansion shows (c1, c2) = beta/D * (ct1, -ct2) with
     D = (ct1 w1^2 - ct2)(ct1 w2^2 - ct2); see blend_coefficients_from_sos.
-    Raises ArithmeticError when an entry is not finite (from about omega
-    1e51 at (ct1, ct2) = (1, 0.5), where w_i^2 (qdd + w_j^2 q)^2 overflows).
+    Raises ArithmeticError when a factor of D or an entry is not finite (from
+    about omega 1e51 at (ct1, ct2) = (1, 0.5): w_i^2 (qdd + w_j^2 q)^2).
     """
     w = (params.omega1 ** 2, params.omega2 ** 2)
+    d = core._require_finite(tuple(ct1 * wi - ct2 for wi in w),
+                             "the sum-of-squares factors ct1*w_i^2 - ct2")
     S = np.zeros((4, 4))
     for i, jj in ((0, 1), (1, 0)):
         if core._vanishes(ct1 * w[i], -ct2):
             raise SingularCoefficientError(
                 f"coefficient denominator ct1*w{i+1}^2 - ct2 vanishes")
-        weight = w[i] / (2.0 * (ct1 * w[i] - ct2) * (w[i] - w[jj]))
+        weight = w[i] / (2.0 * d[i] * (w[i] - w[jj]))
         v1 = np.array([0.0, w[jj], 0.0, 1.0])      # qddd + w_j^2 qd
         v2 = np.array([w[jj], 0.0, 1.0, 0.0])      # qdd + w_j^2 q
         with np.errstate(over="ignore", invalid="ignore"):  # as core.h2
             S += 2.0 * weight * (np.outer(v1, v1) + w[i] * np.outer(v2, v2))
-    if not np.isfinite(S).all():
-        raise ArithmeticError("non-finite value in the sum-of-squares form")
+    S = core._require_finite(S, "the sum-of-squares form")
     return QuadraticObservable(0.5 * (S + S.T))
 
 
@@ -572,15 +580,17 @@ def definiteness_inequality(params: PUParams, ct1: float, ct2: float) -> bool:
 
 def blend_coefficients_from_sos(params: PUParams, ct1: float, ct2: float):
     """Exact mapping from sum-of-squares parameters to blend coefficients,
-    raising sum_of_squares's SingularCoefficientError where D vanishes:
+    raising sum_of_squares's errors where a factor of D vanishes or overflows:
 
         (c1, c2) = beta / D * (ct1, -ct2),
         D = (ct1 w1^2 - ct2)(ct1 w2^2 - ct2).
     """
     w1s, w2s = params.omega1 ** 2, params.omega2 ** 2
+    d1, d2 = core._require_finite((ct1 * w1s - ct2, ct1 * w2s - ct2),
+                                  "the sum-of-squares factors ct1*w_i^2 - ct2")
     if core._vanishes(ct1 * w1s, -ct2) or core._vanishes(ct1 * w2s, -ct2):
         raise SingularCoefficientError("a factor ct1*w_i^2 - ct2 vanishes")
-    scale = params.beta / (ct1 * w1s - ct2) / (ct1 * w2s - ct2)
+    scale = params.beta / d1 / d2
     return scale * ct1, -scale * ct2
 
 

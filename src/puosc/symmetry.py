@@ -174,10 +174,8 @@ def apply_symmetry(xi: np.ndarray,
     """
     S = f.coeffs
     with np.errstate(over="ignore", invalid="ignore"):
-        M = xi.T @ S + S @ xi
-    if not np.isfinite(M).all():
-        raise ArithmeticError(
-            "non-finite value in the symmetry action Xi^T S + S Xi")
+        M = core._require_finite(xi.T @ S + S @ xi,
+                                 "the symmetry action Xi^T S + S Xi")
     return QuadraticObservable(0.5 * (M + M.T), chart=f.chart)
 
 

@@ -1090,8 +1090,8 @@ def test_symmetry_actions_rejects_an_inexact_euler_charge(monkeypatch):
 @pytest.mark.parametrize("w1, w2", [(1e40, 2e40), (1e44, 2e44),
                                     (1e45, 2e45), (1e-78, 2e-78)])
 def test_invariant_suite_at_extreme_frequencies_warns_nothing(w1, w2):
-    # under the error::RuntimeWarning filter the suite returns the report of
-    # main's errstate(all="ignore") path, not a bare numpy warning
+    # under the error::RuntimeWarning filter the suite returns the report it
+    # gives under errstate(all="ignore"), not a bare numpy warning
     params = core.make_params(w1, w2)
     report = cli.run_invariant_suite(params)
     with np.errstate(all="ignore"):
@@ -1403,13 +1403,14 @@ def test_package_rejects_unknown_names():
 
 
 def test_array_commands_warn_nothing_in_a_fresh_process(tmp_path):
-    # numpy is imported by the commands that use it: each of their
-    # exit-code rows still writes one stderr line (none for a verdict) and
-    # no numpy warning, which -W error would turn into an internal error
+    # main runs the library as any other caller does: every exit-code row
+    # of every command writes one stderr line (none for a verdict) and no
+    # numpy warning, which -W error would turn into an internal error
     rows = [(name, [a.format(tmp=tmp_path, missing=tmp_path / "missing")
                     for a in argv], code)
-            for name, argv, code in EXIT_CASES
-            if argv[0] in ("verify", "embed", "simulate")]
+            for name, argv, code in EXIT_CASES]
+    assert {argv[0] for _, argv, _ in rows} == {
+        "verify", "simulate", "embed", "scan", "modes"}
     results = json.loads(fresh(
         "import contextlib, io, json, sys\n"
         "from puosc import cli\n"
@@ -1424,7 +1425,7 @@ def test_array_commands_warn_nothing_in_a_fresh_process(tmp_path):
         "    results.append([code, err.getvalue()])\n"
         "print(json.dumps(results))",
         json.dumps([argv for _, argv, _ in rows])))
-    assert len(results) == len(rows) > 30
+    assert len(results) == len(rows) > 50
     for (name, _, code), (got, err) in zip(rows, results):
         assert got == code, (name, err)
         lines = err.splitlines()

@@ -135,6 +135,13 @@ def test_h2_spot_values():
     assert H2.value(p.JetState(1, 0, -1, 0)) == pytest.approx(-0.375, abs=1e-14)
 
 
+def test_value_that_overflows_warns_nothing():
+    # under the error::RuntimeWarning filter z.S.z overflows to -inf, the
+    # value a caller's own check names, not a bare numpy warning
+    H1 = p.h1(p.make_params(1.5, 2.0))
+    assert H1.value(p.JetState(4.4692693099808655e+153, 0, 0, 0)) == -math.inf
+
+
 def test_observable_gradient_and_hessian():
     H1 = p.h1(PAR)
     z = np.array([0.5, -1.0, 2.0, 0.25])
@@ -384,13 +391,28 @@ def test_blend_j_regular_on_tabulated_singularity():
         p.blend_j_tabulated(PAR, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("blend, c, what", [
+    pytest.param(p.blend_j, (1e300, 1.0), r"blend factors c1\*w_i\^2 \+ c2",
+                 id="blend_j"),
+    pytest.param(p.blend_j_tabulated, (1.0, 1e300),
+                 r"tabulated factors c1 - c2\*w_i\^2",
+                 id="blend_j_tabulated")])
+def test_blend_factor_overflow_is_not_a_singularity(blend, c, what):
+    # a factor about 1e320 overflows: _vanishes would read inf <= inf as a
+    # zero, so the factors are checked for finiteness first
+    with pytest.raises(ArithmeticError,
+                       match=f"^non-finite value in the {what}$") as got:
+        blend(p.make_params(1e10, 2e10), *c)
+    assert type(got.value) is ArithmeticError
+
+
 @pytest.mark.parametrize("blend, w, finite", [
     pytest.param(p.blend_j, 1e60, True, id="blend_j-1e+60"),
     pytest.param(p.blend_j_tabulated, 1e40, False,
                  id="blend_j_tabulated-1e+40")])
 def test_blend_closed_forms_overflow_warns_nothing(blend, w, finite):
-    # under the error::RuntimeWarning filter, the tensor of main's
-    # errstate(all="ignore") path, not a bare numpy warning: blend_j
+    # under the error::RuntimeWarning filter, the tensor formed under
+    # errstate(all="ignore"), not a bare numpy warning: blend_j
     # divides before beta multiplies and stays finite, the quoted form
     # overflows
     par = p.make_params(w, 2 * w)

@@ -177,6 +177,16 @@ def test_free_conservation_random_draws():
                 assert traj.drift(name) < 1e-8 * scale
 
 
+def test_drift_of_an_overflowed_energy_warns_nothing():
+    # H1(t) is -inf at both samples, so H1(t) - H1(0) is NaN: under the
+    # error::RuntimeWarning filter the drift is that NaN, which the caller
+    # names, not a bare numpy warning
+    par = p.make_params(1e4, 2.0)
+    traj = p.integrate(par, p.field_for(par, None),
+                       p.JetState(1e152, 0, 0, 0), 1e-20)
+    assert math.isnan(traj.drift("h1"))
+
+
 def test_integrate_invalid_settings():
     V = p.free_vector_field(PAR)
     z0 = p.JetState(1, 0, 0, 0)

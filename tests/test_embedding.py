@@ -457,10 +457,10 @@ def test_tb1_map_verifies_at_every_decade(branch):
 def test_solved_maps_verify_at_every_scale():
     # frequencies and free parameters from 1e-30 to 1e30.  Each family's
     # admissible draws are carried by the model's exact scalings (time by
-    # s: b and g take s^2; the Lagrangian by lam), and Ta1, Tb1 and Tb2
-    # also take free parameters drawn one by one.  Ta2 is left out of the
-    # second set: its solved row is itself inexact there (a_x a_y < 0 with
-    # 4 g^2 / |a_x a_y| above alpha^2), as fractions.Fraction confirms.
+    # s: b and g take s^2; the Lagrangian by lam), and every family also
+    # takes free parameters drawn one by one: Ta2's there include
+    # a_x a_y < 0 with 4 g^2 / |a_x a_y| far above alpha^2, where a root
+    # formed as (X + rho_g)/4 cancels
     rng = np.random.default_rng(40)
     checked = dict.fromkeys(FAMILIES, 0)
     for k in range(4000):
@@ -471,8 +471,6 @@ def test_solved_maps_verify_at_every_scale():
             base = draw_free_params(family, rng, p.make_params(r1, r2))
             free = {key: v * lam * (1.0 if key.startswith("a") else s * s)
                     for key, v in base.items()}
-        elif family == "Ta2":
-            continue
         else:
             free = {key: float(rng.choice([-1.0, 1.0])
                                * 10.0 ** rng.uniform(-30, 30))
@@ -485,6 +483,16 @@ def test_solved_maps_verify_at_every_scale():
         assert p.verify_map(m).passes, m
         checked[family] += 1
     assert min(checked.values()) > 400, checked
+
+
+def test_solved_ta2_root_that_cancels_verifies():
+    # a_x a_y < 0 and 4 g^2 / |a_x a_y| far above alpha^2: X = alpha - 2t
+    # and rho_g nearly cancel in one root, which then comes from the
+    # product of the roots; the map passes, in floats and in exact arithmetic
+    m = p.solve_family("Ta2", -1, {"a_x": 1.0, "a_y": -1.0, "g": 1e6}, PAR)
+    v = p.verify_map(m)
+    assert v.passes, v
+    assert _exact_kind(m)[0] == ["proportional", "proportional"]
 
 
 def _exact_kind(m):
@@ -838,7 +846,7 @@ def test_fit_blend_keeps_c2_across_scales():
 
 def test_sum_of_squares_overflow_warns_nothing():
     # an overflowing form (inf + -inf is NaN) is named before the observable
-    # is built, the same under main's errstate(all="ignore") and under the
+    # is built, the same under errstate(all="ignore") and under the
     # error::RuntimeWarning filter, with no bare numpy warning first
     par = p.make_params(1e60, 2e60)
     message = "^non-finite value in the sum-of-squares form$"
@@ -948,6 +956,17 @@ def test_ghost_tradeoff_j1_preserving_maps():
 def test_sos_reduces_to_h1_at_unit_ct():
     S = p.sum_of_squares(PAR, 1.0, 0.0)
     assert np.allclose(S.coeffs, p.h1(PAR).coeffs, atol=1e-13)
+
+
+@pytest.mark.parametrize("fn", [p.sum_of_squares,
+                                blend_coefficients_from_sos])
+def test_sos_factor_overflow_is_not_a_singularity(fn):
+    # ct1 w_i^2 - ct2 is about 1e320: an overflow, not a vanishing factor
+    with pytest.raises(ArithmeticError, match=(
+            r"^non-finite value in the sum-of-squares factors "
+            r"ct1\*w_i\^2 - ct2$")) as got:
+        fn(p.make_params(1e10, 2e10), 1e300, 1.0)
+    assert type(got.value) is ArithmeticError
 
 
 def test_sos_singular_coefficient():
