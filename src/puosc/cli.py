@@ -470,6 +470,7 @@ def cmd_scan(args) -> int:
         "settings": report.settings,
         "grid": [vars(gp) for gp in report.grid],
         "refine": report.refine,
+        "window": report.window,
     }
     _emit_json(payload, args.out)
     return EXIT_OK

@@ -6,26 +6,13 @@ Free motion is the superposition of two harmonic modes,
     q(t) = 2 Re[a1 exp(-i w1 t)] + 2 Re[a2 exp(-i w2 t)],
 
 which gives a closed-form oracle for the integrator and an exact mode
-decomposition of any jet state.  Every run is an integrate call, a sampled
-trajectory or one coupling of a scan (threshold_search, with t_end as its
-only sample): one Dormand-Prince 5(4) run with PI step-size control, written
-on Python floats because numpy call overhead outweighs the arithmetic on a
-4-vector.  For the same reason its step loop calls no max, min or abs: on
-four floats a builtin call costs more than the arithmetic it guards, so each
-is written as the conditional expression that returns what the builtin
-returns.  The run is written for the jet-chart field, z' = (qd, qdd, qddd,
-a30 q + a32 qdd - W'(q)), the only one integrate accepts.  Its force reads
-the positions (q, qdd) only, so the run takes the method's Runge-Kutta-Nystrom
-form: a stage is two position sums and one force, with no stage velocities
-and no right-hand-side call.  States move between charts through
-ostro_jacobian.  The run shortens a step only to land on a stop, one of
-integrate's equidistant sample times, and a shortened step does not hand its
-small size on: the next step starts from the larger of the controller's
-proposal and the size the stop cut short.  Stepping is deterministic, so
-repeated runs with the same settings reproduce output bit for bit on one
-platform.  numpy is imported only where arrays are built: by
-closed_form_states and by a Trajectory's arrays when they are first read,
-so a scan, which reads only its runs' meta, imports none.
+decomposition of any jet state.  Every run (integrate, a sampled trajectory
+or one coupling of threshold_search) is one adaptive run of the Stormer rule
+extrapolated in h^2 (_gbs) on the jet-chart field, whose force reads the
+positions (q, qdd) only.  It is written on Python floats, since numpy call
+overhead outweighs the arithmetic on a 4-vector, and is deterministic, so
+repeated runs reproduce output bit for bit on one platform.  numpy is
+imported only where arrays are built, so a scan imports none.
 
 An interaction potential W destabilizes the model: the quartic family
 W(q) = lam q^4 / 4 keeps trajectories bounded below a coupling threshold and
@@ -66,7 +53,7 @@ from .model import (
 # allocated up front.
 MAX_SAMPLES = 10 ** 7
 # Largest grid_points threshold_search accepts: each grid coupling is one
-# integration of about 17 ms at the reference settings, so about 3 minutes.
+# integration of about 5 ms at the reference settings, so about a minute.
 MAX_GRID_POINTS = 10 ** 4
 
 
@@ -230,26 +217,21 @@ class Trajectory:
         return self.meta.get("escape_time") is not None
 
 
-# Dormand-Prince 5(4) in its induced Runge-Kutta-Nystrom form (Hairer,
-# Norsett and Wanner, Solving ODEs I, II.14): nodes c, position weights
-# Abar = A^2, bbar = b A and ebar = e A, velocity weights b and e.  FSAL:
-# stage 7 is x_new.  abar_{i,i-1} = bbar_2 = bbar_6 = ebar_2 = 0.
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9           # c_6 = c_7 = 1
-_AB31, _AB41, _AB42 = 9 / 200, -12 / 25, 4 / 5
-_AB51, _AB52, _AB53 = -12248 / 6561, 7208 / 2187, -6784 / 6561
-_AB61, _AB62, _AB63, _AB64 = -533 / 264, 91 / 22, -56 / 33, 7 / 88
-_BB1, _BB3, _BB4, _BB5 = 35 / 384, 50 / 159, 25 / 192, -243 / 6784
-_B1, _B3, _B4, _B5, _B6 = 35 / 384, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84
-_EB1, _EB3, _EB4, _EB5, _EB6 = (611 / 230400, -514 / 83475, 391 / 38400,
-                                -4617 / 1356800, -11 / 3360)
-_E1, _E3, _E4, _E5, _E6, _E7 = (71 / 57600, -71 / 16695, 71 / 1920,
-                                -17253 / 339200, 22 / 525, -1 / 40)
-
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 5.0
-_PI_ALPHA = 0.7 / 5.0
-_PI_BETA = 0.4 / 5.0
+# The Stormer rule extrapolated in h^2 (Gragg-Bulirsch-Stoer; Hairer, Norsett
+# and Wanner, Solving ODEs I, II.9 and II.14).  Column j takes n_j substeps
+# and costs n_j forces; Neville's rule, with the coefficients 1 / ((n_j /
+# n_{j-l})^2 - 1) for l = i + 1, gives T_jj, of order 2j + 2.
+_STEPS = (2, 4, 6, 8, 10, 12)
+_NEVILLE = tuple(tuple((i, (j - i) ** 2 / ((j + 1) ** 2 - (j - i) ** 2))
+                       for i in range(j)) for j in range(len(_STEPS)))
+# the step factor after column j is _SAFETY err^(-1 / (2j + 1)), clipped
+_SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.94, 0.2, 4.0
+# column j: n_j, its inner substeps, its Neville pairs, j, -1 / (2j + 1),
+# whether a capped step may stop there, whether it is the last, and the
+# forces of columns 0..j
+_COLUMNS = tuple((n, range(1, n), _NEVILLE[j], j, -1.0 / (2 * j + 1), j >= 2,
+                  j == len(_STEPS) - 1, sum(_STEPS[:j + 1]))
+                 for j, n in enumerate(_STEPS))
 
 
 def _no_force(q):
@@ -257,20 +239,19 @@ def _no_force(q):
     return 0.0
 
 
-def _rms(v, scale) -> float:
-    return math.sqrt(sum((x / s) * (x / s) for x, s in zip(v, scale)) / 4.0)
-
-
 def _initial_step(f, y, f0, tol) -> float:
     """First trial step from y and its slope f0 = f(y) (Hairer, Norsett and
     Wanner, Solving ODEs I, II.4)."""
     scale = [tol + tol * abs(x) for x in y]
-    d0, d1 = _rms(y, scale), _rms(f0, scale)
+
+    def rms(v):
+        return math.sqrt(sum((x / s) * (x / s) for x, s in zip(v, scale)) / 4)
+    d0, d1 = rms(y), rms(f0)
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     if not h0 > 0.0:
         return 0.0      # an infinite or NaN slope: the first step underflows
     f1 = f(*(x + h0 * k for x, k in zip(y, f0)))
-    d2 = _rms([b - a for a, b in zip(f0, f1)], scale) / h0
+    d2 = rms([b - a for a, b in zip(f0, f1)]) / h0
     if max(d1, d2) <= 1e-15:
         h1 = max(1e-6, h0 * 1e-3)
     else:
@@ -278,66 +259,44 @@ def _initial_step(f, y, f0, tol) -> float:
     return min(100.0 * h0, h1)
 
 
-def _dp54(a30, a32, w_prime, y0, stops, tol, escape_radius):
-    """One adaptive DP5(4) run with PI step control on Python floats, for
-    the jet-chart field z' = (qd, qdd, qddd, a30 q + a32 qdd - w_prime(q)).
+def _gbs(a30, a32, w_prime, y0, stops, tol, escape_radius):
+    """One adaptive extrapolated Stormer run on Python floats, for the
+    jet-chart field z' = (qd, qdd, qddd, a30 q + a32 qdd - w_prime(q)), from
+    the 4-tuple y0 through the increasing positive stops (the last ends it).
 
-    integrate, the one caller, reduces its field to (a30, a32, w_prime) and
-    passes y0 as a 4-tuple of floats, stops as the increasing positive
-    sample times the run must land on (the last ends it), tol and
-    escape_radius as floats (math.inf for no escape test).  A step that
-    would reach a stop within 1e-14 max(1, |stop|) is shortened to end on
-    it; such a capped step is exempt from the step-underflow check, since
-    its size is the positive gap to the stop.  After an accepted capped step
-    the next step size is the larger of the controller's proposal from the
-    capped size and the proposal h the cap shortened (Boost.Odeint's
-    integrate_times keeps its step the same way); err_prev is updated as
-    after any accepted step.  The run ends at the last stop or at the end
-    of the first accepted step with |z| >= escape_radius.
-
-    The field is second order: its positions x = (q, qdd) have velocities
-    v = (qd, qddd) and a force G(x) = (qdd, a30 q + a32 qdd - w_prime(q)),
-    so the method runs in its Nystrom form and forms no stage velocities.
-    Stage i is X_i = x + c_i h v + h^2 sum_{k <= i-2} abar_ik G_k and one
-    force, with no right-hand-side call; the step is x + h v +
-    h^2 sum bbar_k G_k and v + h sum b_k G_k, and its error
-    h^2 sum ebar_k G_k on x (sum e_k = 0 cancels h v) and h sum e_k G_k on
-    v.  The FSAL force is G_1 = (q2, f3), and the accepted step's |p_i| are
-    the next step's |q_i|.  A free field passes w_prime = _no_force:
-    x - 0.0 == x for every float, -0.0, inf and NaN included.
+    A step that would reach a stop within 1e-14 max(1, |stop|) is capped to
+    end on it, exempt from the underflow check, and hands on the larger of
+    its own and the capped proposal.  Positions x = (q, qdd) have velocities
+    v = (qd, qddd) and the force G(x) = (qdd, a30 q + a32 qdd - w_prime(q)).
+    Column j of a step H is n_j Stormer substeps h = H / n_j in summed form:
+    D_0 = h (v + h/2 G(x)), x_{i+1} = x_i + D_i, D_i = D_{i-1} + h^2 G(x_i),
+    and the end velocity v + h (G_0/2 + G_1 + ... + G_n/2) = D_{n-1} / h +
+    h/2 G_n, which divides by no h that may underflow to 0.  The error is
+    the scaled RMS of T_jj - T_j,j-1.  An uncapped step runs all columns, a
+    capped one stops at the first column j >= 2 that passes (err <= 1).
 
     Returns (times, rows, escape_time, n_steps, n_rhs, n_rejected): the time
-    and state after every capped step and after the escaping step, the
-    escape time or None, and the step and right-hand-side counts.  Raises
-    StepUnderflowError when an uncapped step falls below 1e-14 max(1, t),
-    or when a capped step is rejected and its shrunk size would still be
-    capped, since the retry would repeat the rejected step exactly.
+    and state after every capped step and at the escape (the first accepted
+    step with |z| >= escape_radius, located by _crossing), and the counts;
+    n_rhs counts forces.  Raises StepUnderflowError when an uncapped step
+    falls below 1e-14 max(1, t), or when a rejected capped step's retry
+    would still be capped, since it would repeat the rejected step exactly.
     """
     sqrt = math.sqrt
-    C2, C3, C4, C5 = _C2, _C3, _C4, _C5
-    AB31, AB41, AB42, AB51, AB52 = _AB31, _AB41, _AB42, _AB51, _AB52
-    AB53, AB61, AB62, AB63, AB64 = _AB53, _AB61, _AB62, _AB63, _AB64
-    BB1, BB3, BB4, BB5 = _BB1, _BB3, _BB4, _BB5
-    B1, B3, B4, B5, B6 = _B1, _B3, _B4, _B5, _B6
-    EB1, EB3, EB4, EB5, EB6 = _EB1, _EB3, _EB4, _EB5, _EB6
-    E1, E3, E4, E5, E6, E7 = _E1, _E3, _E4, _E5, _E6, _E7
+    columns = _COLUMNS
     safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
-    neg_alpha, beta = -_PI_ALPHA, _PI_BETA
+    r0, r1, r2, r3 = ([0.0] * len(_STEPS) for _ in range(4))  # tableau rows
 
     def rhs(q0, q1, q2, q3):
         return q1, q2, q3, a30 * q0 + a32 * q2 - w_prime(q0)
 
     q0, q1, q2, q3 = y0
-    k1 = rhs(q0, q1, q2, q3)
-    f3 = k1[3]
-    h = _initial_step(rhs, y0, k1, tol)
-    m0 = -q0 if q0 < 0.0 else q0
-    m1 = -q1 if q1 < 0.0 else q1
-    m2 = -q2 if q2 < 0.0 else q2
-    m3 = -q3 if q3 < 0.0 else q3
+    f3 = rhs(q0, q1, q2, q3)[3]
+    h = _initial_step(rhs, y0, (q1, q2, q3, f3), tol)
+    m0, m1, m2, m3 = (-q if q < 0.0 else q for q in y0)
     t = 0.0
-    err_prev = 1e-4
     n_steps = n_rejected = 0
+    n_rhs = 2
     times, rows = [], []
     for target in stops:
         reach = target - 1e-14 * max(1.0, abs(target))
@@ -352,60 +311,64 @@ def _dp54(a30, a32, w_prime, y0, stops, tol, escape_radius):
                 hs = h
                 if hs < 1e-14 * (t if t > 1.0 else 1.0):
                     raise StepUnderflowError(t)
-
-            # stage k: positions (k0, k2), force k3 and G_k = (k2, k3)
-            hv0, hv2, hh = hs * q1, hs * q3, hs * hs
-            b0 = q0 + C2 * hv0
-            b2 = q2 + C2 * hv2
-            b3 = a30 * b0 + a32 * b2 - w_prime(b0)
-            c0 = q0 + C3 * hv0 + hh * (AB31 * q2)
-            c2 = q2 + C3 * hv2 + hh * (AB31 * f3)
-            c3 = a30 * c0 + a32 * c2 - w_prime(c0)
-            d0 = q0 + C4 * hv0 + hh * (AB41 * q2 + AB42 * b2)
-            d2 = q2 + C4 * hv2 + hh * (AB41 * f3 + AB42 * b3)
-            d3 = a30 * d0 + a32 * d2 - w_prime(d0)
-            e0 = q0 + C5 * hv0 + hh * (AB51 * q2 + AB52 * b2 + AB53 * c2)
-            e2 = q2 + C5 * hv2 + hh * (AB51 * f3 + AB52 * b3 + AB53 * c3)
-            e3 = a30 * e0 + a32 * e2 - w_prime(e0)
-            g0 = q0 + hv0 + hh * (AB61 * q2 + AB62 * b2 + AB63 * c2
-                                  + AB64 * d2)
-            g2 = q2 + hv2 + hh * (AB61 * f3 + AB62 * b3 + AB63 * c3
-                                  + AB64 * d3)
-            g3 = a30 * g0 + a32 * g2 - w_prime(g0)
-            p0 = q0 + hv0 + hh * (BB1 * q2 + BB3 * c2 + BB4 * d2 + BB5 * e2)
-            p2 = q2 + hv2 + hh * (BB1 * f3 + BB3 * c3 + BB4 * d3 + BB5 * e3)
-            p1 = q1 + hs * (B1 * q2 + B3 * c2 + B4 * d2 + B5 * e2 + B6 * g2)
-            p3 = q3 + hs * (B1 * f3 + B3 * c3 + B4 * d3 + B5 * e3 + B6 * g3)
-            s3 = a30 * p0 + a32 * p2 - w_prime(p0)
-            n0 = -p0 if p0 < 0.0 else p0
-            n1 = -p1 if p1 < 0.0 else p1
-            n2 = -p2 if p2 < 0.0 else p2
-            n3 = -p3 if p3 < 0.0 else p3
-            r0 = (hh * (EB1 * q2 + EB3 * c2 + EB4 * d2 + EB5 * e2 + EB6 * g2)
-                  / (tol * (1.0 + (n0 if n0 > m0 else m0))))
-            r1 = (hs * (E1 * q2 + E3 * c2 + E4 * d2 + E5 * e2 + E6 * g2
-                        + E7 * p2) / (tol * (1.0 + (n1 if n1 > m1 else m1))))
-            r2 = (hh * (EB1 * f3 + EB3 * c3 + EB4 * d3 + EB5 * e3 + EB6 * g3)
-                  / (tol * (1.0 + (n2 if n2 > m2 else m2))))
-            r3 = (hs * (E1 * f3 + E3 * c3 + E4 * d3 + E5 * e3 + E6 * g3
-                        + E7 * s3) / (tol * (1.0 + (n3 if n3 > m3 else m3))))
-            err = sqrt(0.25 * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3))
+            g0, g2 = 0.5 * q2, 0.5 * f3
+            for n, inner, neville, k, expo, may_stop, last, cost in columns:
+                hn = hs / n
+                hh = hn * hn
+                d0 = hn * (q1 + hn * g0)
+                d2 = hn * (q3 + hn * g2)
+                x0, x2, s0, s2 = q0 + d0, q2 + d2, g0, g2
+                for _ in inner:
+                    f = a30 * x0 + a32 * x2 - w_prime(x0)
+                    s0 += x2
+                    s2 += f
+                    d0 += hh * x2
+                    d2 += hh * f
+                    x0 += d0
+                    x2 += d2
+                f = a30 * x0 + a32 * x2 - w_prime(x0)
+                p0, p2 = x0, x2
+                p1 = q1 + hn * (s0 + 0.5 * x2)
+                p3 = q3 + hn * (s2 + 0.5 * f)
+                # Neville in place: r holds T_{j-1,0..j-1} and becomes
+                # T_{j,0..j}, p becomes T_jj, and r[i] is T_j,j-1 at the end
+                for i, c in neville:
+                    e0, e1, e2, e3 = r0[i], r1[i], r2[i], r3[i]
+                    r0[i], r1[i], r2[i], r3[i] = p0, p1, p2, p3
+                    p0 += (p0 - e0) * c
+                    p1 += (p1 - e1) * c
+                    p2 += (p2 - e2) * c
+                    p3 += (p3 - e3) * c
+                r0[k], r1[k], r2[k], r3[k] = p0, p1, p2, p3
+                if may_stop and (capped or last):
+                    n0 = -p0 if p0 < 0.0 else p0
+                    n1 = -p1 if p1 < 0.0 else p1
+                    n2 = -p2 if p2 < 0.0 else p2
+                    n3 = -p3 if p3 < 0.0 else p3
+                    e0 = (p0 - r0[i]) / (tol * (1.0 + (n0 if n0 > m0 else m0)))
+                    e1 = (p1 - r1[i]) / (tol * (1.0 + (n1 if n1 > m1 else m1)))
+                    e2 = (p2 - r2[i]) / (tol * (1.0 + (n2 if n2 > m2 else m2)))
+                    e3 = (p3 - r3[i]) / (tol * (1.0 + (n3 if n3 > m3 else m3)))
+                    err = sqrt(0.25 * (e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3))
+                    if err <= 1.0:
+                        break
+            n_rhs += cost
 
             if not err <= 1.0:
                 n_rejected += 1
-                shrink = safety * err ** neg_alpha
+                shrink = safety * err ** expo
                 shrink = shrink if shrink > min_factor else min_factor
                 h = hs * (shrink if shrink < 1.0 else 1.0)
                 if capped and t + h >= reach:
                     raise StepUnderflowError(t)
                 continue
             n_steps += 1
+            n_rhs += 1
+            t_prev, z_prev = t, (q0, q1, q2, q3)
             t = target if capped else t + hs
-            q0, q1, q2, q3, f3 = p0, p1, p2, p3, s3
-            m0, m1, m2, m3 = n0, n1, n2, n3
-            err_b = 1e-10 if 1e-10 > err else err
-            factor = safety * err_b ** neg_alpha * err_prev ** beta
-            err_prev = err_b
+            q0, q1, q2, q3, m0, m1, m2, m3 = p0, p1, p2, p3, n0, n1, n2, n3
+            f3 = a30 * q0 + a32 * q2 - w_prime(q0)
+            factor = safety * (err if err > 1e-10 else 1e-10) ** expo
             factor = factor if factor > min_factor else min_factor
             h_next = hs * (factor if factor < max_factor else max_factor)
             # a capped step hands on the proposal h it was shortened from
@@ -415,12 +378,44 @@ def _dp54(a30, a32, w_prime, y0, stops, tol, escape_radius):
                 >= escape_radius
             if capped or escaped:
                 break
+        if escaped:
+            counts = [(n_steps, n_rhs, n_rejected)]
+
+            def run(z, d):
+                _, (z_end,), _, *c = _gbs(a30, a32, w_prime, z, [d], tol,
+                                          math.inf)
+                counts.append(c)
+                return z_end
+
+            t, row = _crossing(run, t_prev, z_prev, t, (q0, q1, q2, q3), tol,
+                               escape_radius)
+            return ([*times, t], [*rows, row], t, *map(sum, zip(*counts)))
         times.append(t)
         rows.append((q0, q1, q2, q3))
-        if escaped:
-            return (times, rows, t, n_steps,
-                    2 + 6 * (n_steps + n_rejected), n_rejected)
-    return times, rows, None, n_steps, 2 + 6 * (n_steps + n_rejected), n_rejected
+    return times, rows, None, n_steps, n_rhs, n_rejected
+
+
+def _norm(q0, q1, q2, q3) -> float:
+    """|z| as the lane's escape test computes it."""
+    return math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+
+
+def _crossing(run, t0, z0, t1, z1, tol, radius):
+    """The escape inside the step from (t0, z0), |z0| < radius, to (t1, z1),
+    |z1| >= radius: _bisect halves it to tol max(1, t1), classifying each
+    midpoint t by the lane's run(z_lo, t - t_lo) -> z from the bounded end,
+    and the escaping end (t, z) is returned."""
+    ends = {True: (t0, z0), False: (t1, z1)}
+
+    def bounded(t):
+        t_lo, z_lo = ends[True]
+        z = run(z_lo, t - t_lo)
+        ends[_norm(*z) < radius] = (t, z)
+        return _norm(*z) < radius
+
+    halvings = math.log2((t1 - t0) / (tol * max(1.0, t1)))
+    _bisect(t0, t1, max(0, math.ceil(halvings)), bounded)
+    return ends[False]
 
 
 def _sample_times(t_end: float, sample_rate: float) -> list:
@@ -450,8 +445,7 @@ def _state_norm(z0: JetState) -> float:
     """|z0| on Python floats, computed as the lane's escape test computes |z|.
     Raises OverflowError when it is not finite (a state too large to
     square)."""
-    q0, q1, q2, q3 = _floats(z0)
-    norm = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+    norm = _norm(*_floats(z0))
     if not math.isfinite(norm):
         raise OverflowError("|z0| is not finite in floating point")
     return norm
@@ -466,17 +460,16 @@ def integrate(
     sample_rate: float = DEFAULT_SAMPLE_RATE,
     escape_radius: Optional[float] = None,
 ) -> Trajectory:
-    """Adaptive embedded RK5(4) integration with PI step control.
+    """Adaptive extrapolated Stormer integration (see _gbs).
 
     Output is recorded on the equidistant sample grid (steps are capped to
     land exactly on sample times, so samples carry full integrator accuracy).
-    A capped step does not shrink the steps after it: the next step size is
-    the larger of the controller's proposal and the size the cap shortened.
     H1, H2 and the interacting energy H1 - W are recorded per sample.  When
     escape_radius (which must exceed |z0|) is set and |z| reaches it,
-    integration terminates early and the escape time is recorded in meta.
-    meta also counts accepted steps (n_steps), rejected steps (n_rejected)
-    and right-hand-side evaluations, n_rhs = 2 + 6 (n_steps + n_rejected).
+    integration terminates at the located crossing, the end of an accepted
+    step at most tol max(1, t) after a time with |z| below it, and the
+    escape time is recorded in meta.  meta also counts accepted steps
+    (n_steps), rejected steps (n_rejected) and force evaluations (n_rhs).
 
     field is the jet-chart field of params, free_vector_field(params) or
     field_for(params, potential).  Raises ChartMismatchError when its linear
@@ -499,7 +492,7 @@ def integrate(
     stops = _sample_times(t_end, sample_rate)[1:]
     radius = math.inf if escape_radius is None else float(escape_radius)
     a30, _, a32, _ = A[3]
-    row_times, rows, escape_time, n_steps, n_rhs, n_rejected = _dp54(
+    row_times, rows, escape_time, n_steps, n_rhs, n_rejected = _gbs(
         a30, a32, _no_force if pot is None else pot.w_prime, y0, stops,
         float(tol), radius)
 
@@ -564,6 +557,7 @@ class ThresholdReport:
     caveat: bool
     settings: dict
     refine: dict            # the bisection's runs, n_steps and n_rejected
+    window: tuple           # (highest bounded, lowest escaping) coupling
 
 
 def threshold_search(
@@ -589,10 +583,12 @@ def threshold_search(
     bracket no longer splits.  The reported threshold is a function of
     (t_end, escape_radius, tol): longer horizons can only lower it.  A
     caveat flag is set when the grid classification is not monotone in the
-    coupling.  Raises
-    ScanDegenerateError when every grid point is bounded or every one
-    escapes.  The report's refine entry sums the bisection's runs: their
-    count, n_steps and n_rejected.
+    coupling.  Raises ScanDegenerateError when every grid point is bounded
+    or every one escapes.  The report's refine entry sums the bisection's
+    runs: their count, n_steps and n_rejected.  Its window is the highest
+    bounded and the lowest escaping coupling among all runs: on a monotone
+    scan it brackets lambda_star, and a first entry above the second shows
+    interleaved verdicts.
     """
     lam_lo, lam_hi = float(lambda_range[0]), float(lambda_range[1])
     if lam_lo < 0.0 or lam_hi < lam_lo:
@@ -643,8 +639,12 @@ def threshold_search(
     refine = {"runs": len(runs),
               "n_steps": sum(p.n_steps for p in runs),
               "n_rejected": sum(p.n_rejected for p in runs)}
+    every = grid + tuple(runs)
+    window = (max(p.lam for p in every if p.bounded),
+              min(p.lam for p in every if not p.bounded))
     return ThresholdReport(lambda_star, grid, monotone,
-                           trans is None or not monotone, settings, refine)
+                           trans is None or not monotone, settings, refine,
+                           window)
 
 
 def _coupling_grid(lo: float, hi: float, n: int) -> list:

@@ -166,9 +166,21 @@ def test_simulate_escaping_run(tmp_path, capsys):
     assert summary["escape_time"] < 200.0
 
 
-def test_simulate_summary_counts_the_run(tmp_path, capsys):
+def test_simulate_summary_counts_the_run(tmp_path, capsys, monkeypatch):
     # a trajectory-workload run: the summary carries the run's accepted and
-    # rejected steps and its right-hand-side evaluations
+    # rejected steps and its force evaluations, each one call of W'
+    from puosc import dynamics
+    calls = []
+
+    def counting_quartic(lam, quartic=dynamics.quartic):
+        pot = quartic(lam)
+
+        def w_prime(q):
+            calls.append(q)
+            return pot.w_prime(q)
+        return core.Potential(pot.w, w_prime, pot.w_second, pot.label)
+
+    monkeypatch.setattr(dynamics, "quartic", counting_quartic)
     out = tmp_path / "traj.csv"
     assert run(["simulate", "--omega1", "1", "--omega2", "2",
                 "--chart", "ostro", "--x1", "0", "--x2", "0", "--p1", "0.5",
@@ -178,7 +190,11 @@ def test_simulate_summary_counts_the_run(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out)
     n_steps, n_rejected = summary["n_steps"], summary["n_rejected"]
     assert n_steps > 2000 and n_rejected >= 0
-    assert summary["n_rhs"] == 2 + 6 * (n_steps + n_rejected)
+    assert summary["n_rhs"] == len(calls)
+    # 2 for the first step, 12, 20, 30 or 42 for each attempt's columns and
+    # one at each accepted step's end
+    assert 2 + 13 * n_steps + 12 * n_rejected <= summary["n_rhs"] \
+        <= 2 + 43 * n_steps + 42 * n_rejected
 
 
 def test_simulate_sample_rate_zero_usage_error(tmp_path):
@@ -360,6 +376,8 @@ def test_scan_finds_threshold_small(tmp_path):
     assert flags[0] is True and flags[-1] is False
     assert rep["refine"]["runs"] == 8
     assert rep["refine"]["n_steps"] > 0
+    lo, hi = rep["window"]
+    assert lo <= rep["lambda_star"] <= hi
     assert set(rep["refine"]) == {"runs", "n_steps", "n_rejected"}
 
 

@@ -4,13 +4,10 @@ import ast
 import contextlib
 import inspect
 import math
-import operator
-import re
 import signal
 import tracemalloc
 import warnings
 from fractions import Fraction as Fr
-from functools import reduce
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -20,14 +17,14 @@ import pytest
 import puosc as p
 from puosc.core import flow_matrix, ostro_jacobian, ostro_jacobian_inv
 from puosc.dynamics import (
-    _MAX_FACTOR, _MIN_FACTOR, _PI_ALPHA, _PI_BETA, _SAFETY,
+    _COLUMNS, _MAX_FACTOR, _MIN_FACTOR, _NEVILLE, _SAFETY, _STEPS,
     CSV_HEADER,
     MAX_GRID_POINTS,
     MAX_SAMPLES,
     GridPoint,
     _bisect,
     _coupling_grid,
-    _dp54,
+    _gbs,
     _initial_step,
     _no_force,
     _sample_times,
@@ -273,29 +270,47 @@ def test_short_horizon_batch_classifies(t_end):
         assert scan_point(lam, t_end) == GridPoint(lam, True, None, 1, 0)
 
 
+def _counting(pot):
+    """pot with a W' that records its calls, and the record."""
+    calls = []
+
+    def w_prime(q):
+        calls.append(q)
+        return pot.w_prime(q)
+    return p.Potential(pot.w, w_prime, pot.w_second, pot.label), calls
+
+
 @pytest.mark.parametrize("lam, tol, radius", [
     (0.0, 1e-10, 1e3), (5.0, 1e-8, 1e3), (10.0, 1e-6, 1e3),
     # steps are rejected as a runaway blows up towards a far escape radius
     (100.0, 1e-4, 1e6)])
 def test_step_counters(lam, tol, radius):
-    traj = p.integrate(PAR, field_for(PAR, p.quartic(lam)), FIG_Z0, 50.0,
-                       tol=tol, sample_rate=50.0, escape_radius=radius)
-    meta = traj.meta
-    assert meta["n_rhs"] == 2 + 6 * (meta["n_steps"] + meta["n_rejected"])
-    assert meta["n_rejected"] > 0 or radius == 1e3
+    # n_rhs counts the force evaluations, each one call of W': 2 for the
+    # first step, 12, 20, 30 or 42 for each attempt's columns and one at
+    # each accepted step's end, in the runs that locate an escape too
+    pot, calls = _counting(p.quartic(lam))
+    traj = p.integrate(PAR, field_for(PAR, pot), FIG_Z0, 50.0, tol=tol,
+                       sample_rate=50.0, escape_radius=radius)
+    n_steps, n_rhs, n_rejected = (traj.meta[k] for k in (
+        "n_steps", "n_rhs", "n_rejected"))
+    assert n_rhs == len(calls)
+    assert 2 + 13 * n_steps + 12 * n_rejected <= n_rhs
+    assert traj.escaped or n_rhs <= 2 + 43 * n_steps + 42 * n_rejected
+    assert n_rejected > 0 or radius == 1e3
 
 
 @pytest.mark.parametrize("lam", [0.0, 5.0])
 def test_sample_stops_keep_the_step_size(lam):
     # a step capped to land on a sample time hands on the larger of its own
-    # proposal and the step it was shortened from, so sampling every 0.1
-    # costs at most 30% more accepted steps than t_end alone (43% and 42%
-    # when each capped step handed on only its own proposal)
+    # proposal and the step it was shortened from.  The one-stop run's
+    # steps are about 0.9 long, so sampling every 0.1 needs a step per stop;
+    # it costs at most 30% more accepted steps than the larger of the 2000
+    # stops and the one-stop run's steps
     field = field_for(PAR, None if lam == 0.0 else p.quartic(lam))
     sampled, alone = (p.integrate(PAR, field, FIG_Z0, 200.0, tol=1e-10,
                                   sample_rate=rate).meta["n_steps"]
                       for rate in (0.1, 200.0))
-    assert sampled <= 1.3 * alone
+    assert sampled <= 1.3 * max(2000, alone)
 
 
 def test_trajectory_times_strictly_increasing():
@@ -553,6 +568,35 @@ def test_threshold_search_small(monkeypatch):
                           "n_rejected": sum(m["n_rejected"] for m in runs)}
 
 
+def test_window_comes_from_the_runs_and_brackets_lambda_star(monkeypatch):
+    # the highest bounded and the lowest escaping coupling among all the
+    # scan's runs, grid and bisection alike
+    from puosc import dynamics
+    lams, escaped = [], []
+
+    def quartic(lam, make=dynamics.quartic):
+        lams.append(lam)
+        return make(lam)
+
+    def spy(*args, run=dynamics.integrate, **kwargs):
+        traj = run(*args, **kwargs)
+        escaped.append(traj.escaped)
+        return traj
+
+    monkeypatch.setattr(dynamics, "quartic", quartic)
+    monkeypatch.setattr(dynamics, "integrate", spy)
+    rep = p.threshold_search(PAR, FIG_Z0, 120.0, 1000.0, (5.0, 12.0),
+                             grid_points=6, bisect_iters=12, tol=1e-8)
+    assert len(lams) == len(escaped) == 6 + rep.refine["runs"]
+    bounded = [lam for lam, e in zip(lams, escaped) if not e]
+    escaping = [lam for lam, e in zip(lams, escaped) if e]
+    assert rep.window == (max(bounded), min(escaping))
+    # the verdicts are monotone in the coupling, so the window is the
+    # bisection's last bracket, whose midpoint is lambda_star
+    assert rep.monotone and max(bounded) < min(escaping)
+    assert rep.lambda_star == 0.5 * (rep.window[0] + rep.window[1])
+
+
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
@@ -681,6 +725,22 @@ def test_batch_verdicts_match_integrate():
     assert not all(g.bounded for g in rep.grid)
 
 
+@pytest.mark.parametrize("lam, crossing", [(10.0, 10.20715),
+                                           (100.0, 3.94834)])
+def test_escape_time_is_the_crossing(lam, crossing):
+    # the escaping step's crossing of |z| = R is located, so escape_time does
+    # not depend on how long the steps are: at criterion 8's tol 1e-8 it is
+    # within 1e-2 of the escape time of a Dormand-Prince 5(4) run at tol
+    # 1e-13, whose steps were short, and within 1e-6 of the crossing located
+    # at tol 1e-12
+    traj = scan_run(lam, tol=1e-8)
+    t = traj.meta["escape_time"]
+    assert abs(t - crossing) <= 1e-2
+    assert abs(t - scan_run(lam, tol=1e-12).meta["escape_time"]) <= 1e-6
+    # the escape is the end of an accepted step with |z| >= R, the last row
+    assert traj.times[-1] == t and _norm(traj.states[-1].tolist()) >= 1000.0
+
+
 def test_batch_preconditions():
     with pytest.raises(PreconditionViolatedError, match="escape_radius"):
         scan_run(1.0, 10.0, 0.1)
@@ -787,139 +847,159 @@ def test_sample_grid_cap_rejects_before_allocating():
 # the lane against its references
 # ---------------------------------------------------------------------------
 
-# The Dormand-Prince 5(4) tableau: rows of A (row 7 is b: FSAL), b and the
-# error weights e = b - bhat.  The lane runs its induced Runge-Kutta-Nystrom
-# form (Hairer, Norsett and Wanner, Solving ODEs I, II.14): nodes c = A 1,
-# position weights Abar = A^2, bbar = b A and ebar = e A.
-DP_A = [[Fr(0)] * 7 for _ in range(7)]
-for _i, _row in enumerate([
-        [Fr(1, 5)],
-        [Fr(3, 40), Fr(9, 40)],
-        [Fr(44, 45), Fr(-56, 15), Fr(32, 9)],
-        [Fr(19372, 6561), Fr(-25360, 2187), Fr(64448, 6561), Fr(-212, 729)],
-        [Fr(9017, 3168), Fr(-355, 33), Fr(46732, 5247), Fr(49, 176),
-         Fr(-5103, 18656)],
-        [Fr(35, 384), Fr(0), Fr(500, 1113), Fr(125, 192), Fr(-2187, 6784),
-         Fr(11, 84)]], start=1):
-    DP_A[_i][:len(_row)] = _row
-DP_B = DP_A[6]
-DP_E = [Fr(71, 57600), Fr(0), Fr(-71, 16695), Fr(71, 1920),
-        Fr(-17253, 339200), Fr(22, 525), Fr(-1, 40)]
-DP_C = [sum(row) for row in DP_A]
-ABAR = [[sum(DP_A[i][j] * DP_A[j][k] for j in range(7)) for k in range(7)]
-        for i in range(7)]
-BBAR, EBAR = ([sum(w[j] * DP_A[j][k] for j in range(7)) for k in range(7)]
-              for w in (DP_B, DP_E))
+# The extrapolated Stormer rule (Gragg-Bulirsch-Stoer; Hairer, Norsett and
+# Wanner, Solving ODEs I, II.9 and II.14): column j takes n_j = 2 (j + 1)
+# substeps of h = H / n_j, and Neville's rule extrapolates the columns in
+# h^2, T_{j,l} = T_{j,l-1} + (T_{j,l-1} - T_{j-1,l-1}) / ((n_j / n_{j-l})^2
+# - 1).
+GBS_STEPS = [2, 4, 6, 8, 10, 12]
+NEVILLE = [[1 / (Fr(GBS_STEPS[j], GBS_STEPS[j - l]) ** 2 - 1)
+            for l in range(1, j + 1)] for j in range(len(GBS_STEPS))]
 
 
-def test_lane_constants_are_the_nystrom_form_of_the_tableau():
-    from puosc import dynamics
-    # stage i reads c_i for i <= 5 (c_6 = c_7 = 1) and abar_ik for
-    # k <= i - 2; the step reads the nonzero bbar_k, b_k, ebar_k and e_k
-    expected = {f"_C{i + 1}": DP_C[i] for i in range(1, 5)}
-    expected.update({f"_AB{i + 1}{k + 1}": ABAR[i][k]
-                     for i in range(2, 6) for k in range(i - 1)})
-    for name, w in (("BB", BBAR), ("B", DP_B), ("EB", EBAR), ("E", DP_E)):
-        expected.update({f"_{name}{k + 1}": x for k, x in enumerate(w) if x})
-    lane = {name: value for name, value in vars(dynamics).items()
-            if re.fullmatch(r"_(C|AB|BB|B|EB|E)\d+", name)}
-    assert sorted(lane) == sorted(expected)
-    assert all(lane[name] == float(x) for name, x in expected.items())
-    assert all(x != 0 for x in expected.values())   # no product with 0
-    # the zeros the lane leaves out
-    assert DP_C[5] == DP_C[6] == 1 and sum(DP_E) == 0
-    assert all(ABAR[i][i - 1] == 0 for i in range(1, 7))
-    assert ABAR[6] == BBAR and BBAR[1] == BBAR[5] == BBAR[6] == 0
-    assert EBAR[1] == EBAR[6] == 0
+def _neville(bases, coefficients):
+    """The diagonal row T_{j,0..j} of the tableau over the column values
+    bases = [T_{0,0}, ..., T_{j,0}] (4-vectors)."""
+    row = [bases[0]]
+    for j in range(1, len(bases)):
+        prev, row = row, [bases[j]]
+        for l in range(1, j + 1):
+            a, b, c = row[l - 1], prev[l - 1], coefficients[j][l - 1]
+            row.append([x + (x - y) * c for x, y in zip(a, b)])
+    return row
 
 
-def _floats(weights):
-    return [float(w) for w in weights]
+def test_lane_constants_are_the_extrapolation_coefficients():
+    assert _STEPS == tuple(GBS_STEPS)
+    assert _NEVILLE == tuple(tuple((l, float(c)) for l, c in enumerate(row))
+                             for row in NEVILLE)
+    for j, column in enumerate(_COLUMNS):
+        n, inner, neville, k, expo, may_stop, last, cost = column
+        assert (n, list(inner), neville, k) == (
+            GBS_STEPS[j], list(range(1, n)), _NEVILLE[j], j)
+        assert expo == -1.0 / (2 * j + 1)       # T_j,j-1 has order 2j
+        assert (may_stop, last) == (j >= 2, j == len(GBS_STEPS) - 1)
+        assert cost == sum(GBS_STEPS[:j + 1]) == (j + 1) * (j + 2)
+    assert (_SAFETY, _MIN_FACTOR, _MAX_FACTOR) == (0.94, 0.2, 4.0)
+    # T_jj is exact on every polynomial of degree <= j in h^2 = 1 / n_j^2
+    # and not on (h^2)^(j+1): column j gains two orders
+    for j in range(len(GBS_STEPS)):
+        for degree in range(j + 2):
+            bases = [[Fr(1, n * n) ** degree] for n in GBS_STEPS[:j + 1]]
+            (t_jj,) = _neville(bases, NEVILLE)[j]
+            assert (t_jj == (degree == 0)) == (degree <= j)
 
 
-def _lincomb(weights, vectors):
-    # sum_k w_k v_k over the nonzero weights, added left to right from the
-    # first term, as the lane writes its sums (0.0 + -0.0 would drop a
-    # signed zero); [] when every weight is 0
-    terms = [[w * x for x in v] for w, v in zip(weights, vectors) if w]
-    return [reduce(operator.add, col) for col in zip(*terms)]
+def _force(a30, a32, w_prime):
+    """G(x) = (qdd, a30 q + a32 qdd - w_prime(q)) at the positions x = (q,
+    qdd)."""
+    def force(x):
+        return x[1], a30 * x[0] + a32 * x[1] - w_prime(x[0])
+    return force
 
 
-def _textbook_step(rhs):
-    """One DP5(4) step of size hs on the 4-vector z with FSAL slope k1:
-    K_i = rhs(z + hs sum_j a_ij K_j), z_new = z + hs sum_j b_j K_j, and the
-    error numerators hs sum_j e_j K_j."""
-    a, b, e = [_floats(row) for row in DP_A], _floats(DP_B), _floats(DP_E)
-
-    def step(z, k1, hs):
-        ks = [k1]
-        for row in a[1:6]:
-            ks.append(rhs(*(x + hs * s for x, s in zip(z, _lincomb(row, ks)))))
-        z_new = tuple(x + hs * s for x, s in zip(z, _lincomb(b, ks)))
-        ks.append(rhs(*z_new))
-        return z_new, ks[6], [hs * s for s in _lincomb(e, ks)]
-    return step
-
-
-def _nystrom_step(a30, a32, w_prime):
-    """The lane's step, summed in the lane's order from the Fraction-derived
-    weights: positions x = (q, qdd), velocities v = (qd, qddd), forces
-    G_k = (qdd, a30 q + a32 qdd - w_prime(q)) at X_k, and c_i hs v with
-    c_i = 1 written 1.0 * hs v, which is hs v bit for bit."""
-    c, b, bbar, e, ebar = map(_floats, (DP_C, DP_B, BBAR, DP_E, EBAR))
-    abar = [_floats(row) for row in ABAR]
-
-    def step(z, k1, hs):
-        x, hv, hh = (z[0], z[2]), (hs * z[1], hs * z[3]), hs * hs
-        gs = [(k1[1], k1[3])]
-
-        def position(ci, weights):
-            s = _lincomb(weights, gs)
-            return [xj + ci * hvj + hh * sj for xj, hvj, sj in zip(x, hv, s)] \
-                if s else [xj + ci * hvj for xj, hvj in zip(x, hv)]
-
-        def force(xi):
-            return xi[1], a30 * xi[0] + a32 * xi[1] - w_prime(xi[0])
-
-        for i in range(1, 6):
-            gs.append(force(position(c[i], abar[i])))
-        x_new = position(c[6], bbar)
-        v_new = [vj + hs * s for vj, s in zip((z[1], z[3]), _lincomb(b, gs))]
-        gs.append(force(x_new))
-        se, seb = _lincomb(e, gs), _lincomb(ebar, gs)
-        return ((x_new[0], v_new[0], x_new[1], v_new[1]),
-                (v_new[0], x_new[1], v_new[1], gs[6][1]),
-                [hh * seb[0], hs * se[0], hh * seb[1], hs * se[1]])
-    return step
+def _summed_column(force):
+    """T_{j,0}: n Stormer substeps of h = hs / n from z, with G = force(z),
+    in the lane's summed form and order: D_0 = h (v + h G_0 / 2), x_{i+1} =
+    x_i + D_i, D_i = D_{i-1} + h^2 G_i, and the end velocity v + h (G_0 / 2
+    + G_1 + ... + G_{n-1} + G_n / 2)."""
+    def column(z, g, hs, n):
+        h = hs / n
+        hh = h * h
+        x, v, s = [z[0], z[2]], [z[1], z[3]], [0.5 * c for c in g]
+        d = [h * (a + h * b) for a, b in zip(v, s)]
+        x = [a + b for a, b in zip(x, d)]
+        for _ in range(n - 1):
+            gi = force(x)
+            s = [a + b for a, b in zip(s, gi)]
+            d = [a + hh * b for a, b in zip(d, gi)]
+            x = [a + b for a, b in zip(x, d)]
+        v = [a + h * (b + 0.5 * c) for a, b, c in zip(v, s, force(x))]
+        return [x[0], v[0], x[1], v[1]]
+    return column
 
 
-def _reference_run(step, rhs, y0, stops, tol, escape_radius):
-    """The lane's run on Python floats around step(z, k1, hs) ->
-    (z_new, k7, error numerators), written with max, min and abs calls where
-    the lane writes conditionals that return what they return.
+def _textbook_column(force):
+    """T_{j,0} by Stormer's two-step rule: x_1 = x_0 + h v_0 + h^2/2 G_0,
+    x_{i+1} = 2 x_i - x_{i-1} + h^2 G_i, and the trapezoidal end velocity
+    v_0 + h (G_0 / 2 + G_1 + ... + G_{n-1} + G_n / 2), which equals
+    (x_n - x_{n-1}) / h + h/2 G_n but divides by no h (h = 0 when hs is
+    the least subnormal)."""
+    def column(z, g, hs, n):
+        h = hs / n
+        x0, v = [z[0], z[2]], [z[1], z[3]]
+        x = [a + h * b + h * h / 2 * c for a, b, c in zip(x0, v, g)]
+        s = [c / 2 for c in g]
+        for _ in range(n - 1):
+            gi = force(x)
+            s = [a + b for a, b in zip(s, gi)]
+            x, x0 = [2 * a - b + h * h * c for a, b, c in zip(x, x0, gi)], x
+        v = [a + h * (b + c / 2) for a, b, c in zip(v, s, force(x))]
+        return [x[0], v[0], x[1], v[1]]
+    return column
 
-    rhs is a closure (q0, q1, q2, q3) -> 4-tuple of floats, y0 a 4-tuple
-    of floats, stops the increasing positive times the run must land on
-    (the last ends it), tol and escape_radius floats (math.inf for no escape
-    test).  A step that would reach a stop within 1e-14 max(1, |stop|) is
-    shortened to end on it; such a capped step is exempt from the
-    step-underflow check, since its size is the positive gap to the stop.
-    The step after an accepted capped step takes the larger of the proposal
-    the cap shortened and the controller's proposal from the capped size.
-    The run ends at the last stop or at the end of the first accepted step
-    with |z| >= escape_radius.
 
-    Returns (times, rows, escape_time, n_steps, n_rhs, n_rejected) and
-    raises StepUnderflowError as the lane does.
+def _norm(z):
+    q0, q1, q2, q3 = z
+    return math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3)
+
+
+def _reference_crossing(run, t0, z0, t1, z1, tol, radius):
+    """The lane's escape location, plainly: halve the step [t0, t1] at its
+    midpoint ceil(log2(w)) times, w = (t1 - t0) / (tol max(1, t1)) > 1, or
+    until the midpoint no longer splits it, classifying the midpoint by
+    run(z_lo, d) -> z from the bracket's bounded end."""
+    (ta, za), (tb, zb) = (t0, z0), (t1, z1)
+    width = (t1 - t0) / (tol * max(1.0, t1))
+    for _ in range(math.ceil(math.log2(width)) if width > 1.0 else 0):
+        mid = 0.5 * (ta + tb)
+        if mid <= ta or mid >= tb:
+            break
+        z = run(za, mid - ta)
+        if _norm(z) < radius:
+            ta, za = mid, z
+        else:
+            tb, zb = mid, z
+    return tb, zb
+
+
+def _reference_run(make_column, force, y0, stops, tol, escape_radius):
+    """The lane's run on Python lists around make_column(force) -> column(z,
+    G(z), hs, n) -> T_{j,0}, with max, min and abs calls where the lane
+    writes conditionals that return what they return.
+
+    A step that would reach a stop within 1e-14 max(1, |stop|) is shortened
+    to end on it; such a capped step is exempt from the step-underflow
+    check.  An uncapped step runs all six columns, a capped step stops at
+    the first column j >= 2 whose error, the scaled RMS of T_jj -
+    T_j,j-1, is at most 1.  A rejected step shrinks by 0.94 err^(-1 / (2j +
+    1)) clipped to [0.2, 1]; an accepted one proposes that factor clipped to
+    [0.2, 4], and after a capped step the larger of it and the proposal the
+    cap shortened.  The run ends at the last stop or at the first accepted
+    step with |z| >= escape_radius, whose crossing _reference_crossing
+    locates by runs of this reference.
+
+    Returns (times, rows, escape_time, n_steps, n_rhs, n_rejected), n_rhs
+    the number of force calls, and raises StepUnderflowError as the lane
+    does.
     """
-    z = y0
-    k1 = rhs(*z)
-    h = _initial_step(rhs, y0, k1, tol)
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return force(x)
+
+    def rhs(q0, q1, q2, q3):
+        return q1, q2, q3, counted((q0, q2))[1]
+
+    column = make_column(counted)
+    coefficients = [[float(c) for c in row] for row in NEVILLE]
+    z = list(y0)
+    g = (z[2], rhs(*z)[3])
+    h = _initial_step(rhs, y0, (z[1], z[2], z[3], g[1]), tol)
     t = 0.0
-    err_prev = 1e-4
     n_steps = n_rejected = 0
     times, rows = [], []
-    neg_alpha, beta = -_PI_ALPHA, _PI_BETA
     for target in stops:
         reach = target - 1e-14 * max(1.0, abs(target))
         while True:
@@ -930,55 +1010,51 @@ def _reference_run(step, rhs, y0, stops, tol, escape_radius):
                 hs = h
                 if hs < 1e-14 * max(1.0, t):
                     raise StepUnderflowError(t)
-
-            p_new, k7, num = step(z, k1, hs)
-            r0, r1, r2, r3 = (n / (tol * (1.0 + max(abs(a), abs(b))))
-                              for n, a, b in zip(num, z, p_new))
-            err = math.sqrt(0.25 * (r0 * r0 + r1 * r1 + r2 * r2 + r3 * r3))
-
+            bases = []
+            for j, n in enumerate(GBS_STEPS):
+                bases.append(column(z, g, hs, n))
+                if j >= 2 and (capped or j == len(GBS_STEPS) - 1):
+                    row = _neville(bases, coefficients)
+                    r0, r1, r2, r3 = (
+                        (a - b) / (tol * (1.0 + max(abs(c), abs(a))))
+                        for a, b, c in zip(row[j], row[j - 1], z))
+                    err = math.sqrt(0.25 * (r0 * r0 + r1 * r1 + r2 * r2
+                                            + r3 * r3))
+                    if err <= 1.0:
+                        break
+            expo = -1.0 / (2 * j + 1)
             if not err <= 1.0:
                 n_rejected += 1
-                h = hs * min(1.0, max(_MIN_FACTOR, _SAFETY * err ** neg_alpha))
+                h = hs * min(1.0, max(_MIN_FACTOR, _SAFETY * err ** expo))
                 if capped and t + h >= reach:
                     raise StepUnderflowError(t)
                 continue
             n_steps += 1
+            t_prev, z_prev = t, z
             t = target if capped else t + hs
-            z, k1 = p_new, k7
-            err_b = max(err, 1e-10)
-            factor = _SAFETY * err_b ** neg_alpha * err_prev ** beta
-            err_prev = err_b
+            z = row[j]
+            g = counted((z[0], z[2]))
+            factor = _SAFETY * max(err, 1e-10) ** expo
             h_next = hs * min(_MAX_FACTOR, max(_MIN_FACTOR, factor))
             h = max(h, h_next) if capped else h_next
-            q0, q1, q2, q3 = z
-            escaped = math.sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) \
-                >= escape_radius
-            if capped or escaped:
+            if _norm(z) >= escape_radius:
+                def run(zs, d):
+                    nonlocal n_steps, n_rejected
+                    _, (z_end,), _, steps, _, rejected = _reference_run(
+                        make_column, counted, zs, [d], tol, math.inf)
+                    n_steps, n_rejected = n_steps + steps, n_rejected + rejected
+                    return z_end
+
+                t, z = _reference_crossing(run, t_prev, tuple(z_prev), t,
+                                           tuple(z), tol, escape_radius)
                 times.append(t)
-                rows.append(z)
-            if escaped:
-                return (times, rows, t, n_steps,
-                        2 + 6 * (n_steps + n_rejected), n_rejected)
+                rows.append(tuple(z))
+                return times, rows, t, n_steps, len(calls), n_rejected
             if capped:
+                times.append(t)
+                rows.append(tuple(z))
                 break
-    return times, rows, None, n_steps, 2 + 6 * (n_steps + n_rejected), n_rejected
-
-
-def _reference_dp54(rhs, y0, stops, tol, escape_radius):
-    """The textbook DP5(4) run on the 4-vector, with the lane's control."""
-    return _reference_run(_textbook_step(rhs), rhs, y0, stops, tol,
-                          escape_radius)
-
-
-def _companion_rhs(a30, a32, wp):
-    # the jet-chart field as a closure
-    if wp is None:
-        def f(q0, q1, q2, q3):
-            return q1, q2, q3, a30 * q0 + a32 * q2
-    else:
-        def f(q0, q1, q2, q3):
-            return q1, q2, q3, a30 * q0 + a32 * q2 - wp(q0)
-    return f
+    return times, rows, None, n_steps, len(calls), n_rejected
 
 
 def _outcome(run, y0, stops, tol, radius):
@@ -1000,15 +1076,14 @@ LANE_CASES = {
     # trajectory workload runs: sample-grid stops, tol 1e-10
     "trajectory-free": (None, FIG_Y0, SAMPLE_STOPS, 1e-10, math.inf),
     "trajectory-5": (p.quartic(5.0), FIG_Y0, SAMPLE_STOPS, 1e-10, math.inf),
-    # stops 0.01 apart, closer than the mean step of the one-stop run
-    # (20 / 1097 steps, about 0.018): most steps are capped
+    # stops 0.01 apart, far closer than the one-stop run's steps: every
+    # step is capped
     "dense-stops": (p.quartic(5.0), FIG_Y0,
                     _sample_times(20.0, 0.01)[1:], 1e-10, math.inf),
-    # a capped step is rejected at t = 6.73, before the escape at 7.13; its
-    # shrunk retry is uncapped
+    # capped steps are rejected before the escape at 7.13
     "capped-rejected": (p.quartic(20.0), FIG_Y0,
                         _sample_times(20.0, 0.01)[1:], 1e-8, 1e6),
-    # scan lanes on both sides of lambda* = 8.78...
+    # scan lanes on both sides of lambda* = 8.79...
     **{f"scan-{lam}": (p.quartic(lam), FIG_Y0, [200.0], 1e-8, 1000.0)
        for lam in (0.0, 6.6, 8.78, 100.0)},
     # the rejecting run of test_step_counters
@@ -1021,8 +1096,9 @@ LANE_CASES = {
     "signed-zeros-1": (p.quartic(1.0), (-0.0, 0.0, -0.0, 0.0), [1.0], 1e-8,
                        1000.0),
     "t-end-1e-15": (None, FIG_Y0, [1e-15], 1e-8, 1000.0),
+    # every substep h = 5e-324 / n rounds to 0
     "t-end-5e-324": (None, FIG_Y0, [5e-324], 1e-8, 1000.0),
-    # 0 * q^3 turns NaN once q^3 overflows at a stage: uncapped steps are
+    # 0 * q^3 turns NaN once q^3 overflows at a substep: uncapped steps are
     # rejected on a NaN error until the step underflows
     "nan-error-uncapped": (p.quartic(0.0),
                            (-5e102, -2.5e102, -7e101, -3.5e102), [50.0],
@@ -1041,18 +1117,17 @@ def _lane_and_references(name):
     pot, *args = LANE_CASES[name]
     a30, _, a32, _ = flow_matrix(PAR)[3].tolist()
     w_prime = _no_force if pot is None else pot.w_prime
-    rhs = _companion_rhs(a30, a32, None if pot is None else pot.w_prime)
-    return (args, lambda *a: _dp54(a30, a32, w_prime, *a),
-            lambda *a: _reference_run(_nystrom_step(a30, a32, w_prime), rhs,
-                                      *a),
-            lambda *a: _reference_dp54(rhs, *a))
+    force = _force(a30, a32, w_prime)
+    return (args, lambda *a: _gbs(a30, a32, w_prime, *a),
+            lambda *a: _reference_run(_summed_column, force, *a),
+            lambda *a: _reference_run(_textbook_column, force, *a))
 
 
 @pytest.mark.parametrize("name", sorted(LANE_CASES))
 def test_lane_is_its_reference_bit_for_bit(name):
-    args, lane, nystrom, _ = _lane_and_references(name)
+    args, lane, summed, _ = _lane_and_references(name)
     with _within(30):
-        assert _outcome(lane, *args) == _outcome(nystrom, *args)
+        assert _outcome(lane, *args) == _outcome(summed, *args)
 
 
 def _outcome_kind(run, args):
@@ -1065,16 +1140,27 @@ def _outcome_kind(run, args):
     return kind, escape_time, (n_steps, n_rejected)
 
 
+# how each case ends, unchanged from the Dormand-Prince 5(4) lane this lane
+# replaced
+LANE_OUTCOMES = {
+    **{name: "underflow" for name in LANE_CASES
+       if name.startswith(("nan-", "blowup"))},
+    **{name: "escaped" for name in (
+        "capped-rejected", "rejecting", "scan-100.0")},
+}
+
+
 @pytest.mark.parametrize("name", sorted(LANE_CASES))
 def test_lane_has_the_textbook_outcome(name):
-    # the two forms differ by rounding only: the same outcome, the same
-    # underflow time to 1e-10, and the same counts on the runs of one stop
-    # (the sampled runs land on hundreds of stops and may differ by a step)
+    # the summed and two-step forms differ by rounding only: the same
+    # outcome, the same underflow time to 1e-10, and the same counts on the
+    # runs of one stop (the sampled runs land on hundreds of stops and may
+    # differ by a step)
     args, lane, _, textbook = _lane_and_references(name)
     with _within(30):
         kind, t, counts = _outcome_kind(lane, args)
         ref_kind, ref_t, ref_counts = _outcome_kind(textbook, args)
-    assert kind == ref_kind
+    assert kind == ref_kind == LANE_OUTCOMES.get(name, "ended")
     if kind == "underflow":
         assert abs(t - ref_t) <= 1e-10 * ref_t
     if name.startswith(("scan-", "rejecting", "signed-zeros-", "t-end-")):
@@ -1089,16 +1175,24 @@ def test_lane_step_is_the_textbook_step_to_rounding():
         par = random_params(rng)
         a30, _, a32, _ = flow_matrix(par)[3].tolist()
         w_prime = p.quartic(rng.uniform(0.0, 100.0)).w_prime
-        rhs = _companion_rhs(a30, a32, w_prime)
+        force = _force(a30, a32, w_prime)
         y0 = tuple((rng.normal(size=4) * 10.0 ** rng.uniform(-2, 1)).tolist())
         tol = 10.0 ** rng.uniform(-10, -3)
+        rhs = _companion_rhs(a30, a32, w_prime)
         h = rng.uniform(0.1, 1.0) * _initial_step(rhs, y0, rhs(*y0), tol)
-        lane = _dp54(a30, a32, w_prime, y0, [h], tol, math.inf)
-        ref = _reference_dp54(rhs, y0, [h], tol, math.inf)
-        assert lane[3:] == ref[3:] == (1, 8, 0)
+        lane = _gbs(a30, a32, w_prime, y0, [h], tol, math.inf)
+        ref = _reference_run(_textbook_column, force, y0, [h], tol, math.inf)
+        assert lane[3:] == ref[3:] and (lane[3], lane[5]) == (1, 0)
         (y,), (y_ref,) = lane[1], ref[1]
         bound = 1e-14 * max(1.0, math.hypot(*y_ref))
         assert max(abs(a - b) for a, b in zip(y, y_ref)) <= bound
+
+
+def _companion_rhs(a30, a32, wp):
+    # the jet-chart field as a closure
+    def f(q0, q1, q2, q3):
+        return q1, q2, q3, a30 * q0 + a32 * q2 - wp(q0)
+    return f
 
 
 def _damped(A33=0.0, A31=0.0):
@@ -1130,7 +1224,7 @@ def test_integrate_runs_the_lane_on_its_params_field(pot):
     # and the force from the field's potential
     traj = p.integrate(PAR, field_for(PAR, pot), FIG_Z0, 20.0, tol=1e-9,
                        sample_rate=0.5)
-    times, rows, _, n_steps, n_rhs, n_rejected = _dp54(
+    times, rows, _, n_steps, n_rhs, n_rejected = _gbs(
         -PAR.beta, -PAR.alpha, _no_force if pot is None else pot.w_prime,
         FIG_Y0, _sample_times(20.0, 0.5)[1:], 1e-9, math.inf)
     assert repr(traj.times.tolist()) == repr([0.0, *times])
@@ -1169,6 +1263,8 @@ def test_each_scan_coupling_is_one_integrate_run(monkeypatch):
 
 
 def test_only_integrate_calls_the_lane():
+    # and the lane itself, whose escape location runs it from inside the
+    # escaping step
     from puosc import dynamics
     callers = []
     for path in sorted(Path(dynamics.__file__).parent.glob("*.py")):
@@ -1176,8 +1272,8 @@ def test_only_integrate_calls_the_lane():
         for fn in tree.body:
             callers += [(path.name, getattr(fn, "name", None))
                         for n in ast.walk(fn) if isinstance(n, ast.Call)
-                        and "_dp54" in ast.unparse(n.func)]
-    assert callers == [("dynamics.py", "integrate")]
+                        and "_gbs" in ast.unparse(n.func)]
+    assert callers == [("dynamics.py", "_gbs"), ("dynamics.py", "integrate")]
 
 
 def _called_in_loops(fn) -> set:
@@ -1192,5 +1288,5 @@ def _called_in_loops(fn) -> set:
 def test_lane_step_loop_calls_only_sqrt_and_the_force():
     # no closure, builtin (max, min, abs) or method call per stage: a call
     # costs more than the float arithmetic it stands for
-    assert _called_in_loops(_dp54) == {
+    assert _called_in_loops(_gbs) == {
         "sqrt", "w_prime", "StepUnderflowError"}
