@@ -9,10 +9,13 @@ which gives a closed-form oracle for the integrator and an exact mode
 decomposition of any jet state.  Every run (integrate, a sampled trajectory
 or one coupling of threshold_search) is one adaptive run of the Stormer rule
 extrapolated in h^2 (_gbs) on the jet-chart field, whose force reads the
-positions (q, qdd) only.  It is written on Python floats, since numpy call
-overhead outweighs the arithmetic on a 4-vector, and is deterministic, so
-repeated runs reproduce output bit for bit on one platform.  numpy is
-imported only where arrays are built, so a scan imports none.
+positions (q, qdd) only.  Its steps do not depend on the samples: a sample
+inside a step is read off the step's interpolant of the same order
+(_dense).  The lane is written on Python floats, since numpy call overhead
+outweighs the arithmetic on a 4-vector, and is deterministic, so repeated
+runs reproduce output bit for bit on one platform.  numpy is imported only
+where arrays are built, batches of interpolants included, so a scan, whose
+runs have one sample, imports none.
 
 An interaction potential W destabilizes the model: the quartic family
 W(q) = lam q^4 / 4 keeps trajectories bounded below a coupling threshold and
@@ -23,8 +26,9 @@ Hamiltonian H2 drifts, witnessing the broken second structure.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional, Sequence
 
 from .config import (
@@ -226,12 +230,105 @@ _NEVILLE = tuple(tuple((i, (j - i) ** 2 / ((j + 1) ** 2 - (j - i) ** 2))
                        for i in range(j)) for j in range(len(_STEPS)))
 # the step factor after column j is _SAFETY err^(-1 / (2j + 1)), clipped
 _SAFETY, _MIN_FACTOR, _MAX_FACTOR = 0.94, 0.2, 4.0
-# column j: n_j, its inner substeps, its Neville pairs, j, -1 / (2j + 1),
-# whether a capped step may stop there, whether it is the last, and the
-# forces of columns 0..j
-_COLUMNS = tuple((n, range(1, n), _NEVILLE[j], j, -1.0 / (2 * j + 1), j >= 2,
-                  j == len(_STEPS) - 1, sum(_STEPS[:j + 1]))
-                 for j, n in enumerate(_STEPS))
+# Column j records qdd and the force of its substep i, 0 < i <= n_j, at
+# _OFFSETS[j] + i for the step's interpolant; the step's start is at 0.
+_OFFSETS = tuple(sum(_STEPS[:j]) for j in range(len(_STEPS)))
+# column j: n_j, the records of its inner substeps, its Neville pairs, j,
+# -1 / (2j + 1), whether a capped step may stop there, whether it is the
+# last, and o + n_j, the record of its last substep, which is also the
+# number of forces of columns 0..j
+_COLUMNS = tuple((n, range(o + 1, o + n), _NEVILLE[j], j, -1.0 / (2 * j + 1),
+                  j >= 2, j == len(_STEPS) - 1, o + n)
+                 for j, (n, o) in enumerate(zip(_STEPS, _OFFSETS)))
+
+
+def _extrapolation(columns, j, r):
+    """(numerator, denominator) of n_j^r times column j's weight in the
+    extrapolation to h = 0 over the columns: prod over l != j of n_j^2 /
+    (n_j^2 - n_l^2), the Lagrange weight of h_j^2."""
+    n = _STEPS[j]
+    num, den = n ** r, 1
+    for l in columns:
+        if l != j:
+            num, den = num * n * n, den * (n * n - _STEPS[l] ** 2)
+    return num, den
+
+
+def _difference(r):
+    """The centered difference of order r >= 1 at substep m as (i, numerator,
+    denominator, sign): the sum over i of c_i (G_{m+i} + sign G_{m-i}), sign
+    1 for even r and -1 for odd r, which is (delta^(r-1) G_{m+1} -
+    delta^(r-1) G_{m-1}) / 2.  G_m's coefficient is split over G_m + G_m."""
+    s = r // 2
+    if r % 2 == 0:
+        return [(i, (-1) ** (s + i) * math.comb(2 * s, s + i), 2 if i == 0
+                 else 1, 1) for i in range(s + 1)]
+    return [(i, (-1) ** (s + i + 1) * (math.comb(2 * s, s + i - 1)
+                                       - math.comb(2 * s, s + i + 1)), 2, -1)
+            for i in range(1, s + 2)]
+
+
+@cache
+def _dense_table(k):
+    """The weights of _dense's sums for steps accepted at column k: (i,
+    weights) rows for the qdd records, giving S_0, S_1, S_2, and for the
+    force records, giving S_3, ..., S_{2k+1}, weights an array.  Each weight
+    is an exact ratio rounded once.
+
+    Column j's midpoint substep m = n_j / 2 has x_m = q + m h qd + h^2 (m/2
+    qdd + sum over l < m of (m - l) qdd_l) and the Verlet velocities qd + h
+    (qdd / 2 + qdd_1 + ... + qdd_{m-1} + qdd_m / 2) and qddd + h (G_0 / 2 +
+    G_1 + ... + G_m / 2), G the force, all expanding in h^2 (Hairer and
+    Ostermann, Numer. Math. 58 (1990) 419).  So does n_j^r times the
+    centered difference of order r of its forces at m, an estimate of H^r
+    G^(r).  Extrapolated over columns 0..k with the Lagrange weights in h^2
+    (for r >= 3 over the columns with r + 1 substeps about m), they give
+    the midpoint jet: q = q0 + H/2 qd0 + H^2 S_0, qd = qd0 + H S_1, qdd =
+    S_2, qddd = qddd0 + H S_3, and H^r q^(4+r) = S_{4+r} for r = 0, ...,
+    2k - 3."""
+    sums = [{} for _ in range(2 * k + 2)]
+
+    def add(p, j, i, num, den):
+        i = _OFFSETS[j] + i if i else 0
+        a, b = sums[p].get(i, (0, 1))
+        sums[p][i] = a * den + num * b, b * den
+
+    for j in range(k + 1):
+        n = _STEPS[j]
+        m = n // 2
+        num, den = _extrapolation(range(k + 1), j, 0)
+        add(0, j, 0, num * m, den * n * n * 2)
+        for l in range(1, m):
+            add(0, j, l, num * (m - l), den * n * n)
+            add(1, j, l, num, den * n)
+            add(3, j, l, num, den * n)
+        for i in (0, m):
+            add(1, j, i, num, den * n * 2)
+            add(3, j, i, num, den * n * 2)
+        add(2, j, m, num, den)
+        add(4, j, m, num, den)
+    for r in range(1, 2 * k - 2):
+        columns = range((r - 1) // 2, k + 1)
+        for j in columns:
+            num, den = _extrapolation(columns, j, r)
+            m = _STEPS[j] // 2
+            for i, c, d, sign in _difference(r):
+                add(4 + r, j, m + i, num * c, den * d)
+                add(4 + r, j, m - i, sign * num * c, den * d)
+
+    def rows(group):
+        import numpy as np
+        return tuple((i, np.array([num / den for num, den in (
+            sums[p].get(i, (0, 1)) for p in group)]))
+            for i in sorted(set().union(*(sums[p] for p in group))))
+    return rows(range(3)), rows(range(3, 2 * k + 2))
+
+
+# 2^-m / m!, the weight of H^m z^(m) / m! at s = 1/2, and 1 / m!
+_HALF_POWERS = tuple(1 / (2 ** m * math.factorial(m)) for m in range(12))
+_FACTORIALS = tuple(1 / math.factorial(m) for m in range(12))
+# the most steps whose records _Interpolants keeps before it reads them off
+_BATCH = 1024
 
 
 def _no_force(q):
@@ -259,33 +356,147 @@ def _initial_step(f, y, f0, tol) -> float:
     return min(100.0 * h0, h1)
 
 
+def _dense(k, steps, qdd, force, samples, counts):
+    """The states at the samples inside steps accepted at column k, read off
+    each step's interpolant, as row tuples.
+
+    steps has a row (H, t0, z0, f0, z1, f1) per step, f0 and f1 the force
+    a30 q + a32 qdd - w_prime(q) at its start z0 and end z1; qdd and force
+    hold its substep records (see _OFFSETS); counts[i] of the samples fall
+    in step i.  In s = (t - t0) / H - 1/2, each component z_c is a
+    polynomial of degree 2k + 2, the order of the step: its Taylor part at
+    s = 0 to degree 2k - 2 has the midpoint jet H^m z_c^(m) / m! (of
+    _dense_table), and four more terms, in s^(2k-1) to s^(2k+2), match z_c
+    and its slope H z_(c+1) (H times the force for z_3) at both ends.  No
+    coefficient is divided by a power of H, which may underflow.  Every
+    array operation is elementwise, so each step's floats are those of the
+    same operations on Python floats."""
+    import numpy as np
+    hs, t0, q0, q1, q2, q3, f0, e0, e1, e2, e3, f1 = steps.T
+    qdd[:, 0], force[:, 0] = q2, f0
+    sums = []
+    for records, table in zip((qdd, force), _dense_table(k)):
+        total = 0.0
+        for i, weights in table:
+            total = total + records[:, i, None] * weights
+        sums.extend(total.T)
+    h2 = hs * hs
+    powers = (1.0, hs, h2, h2 * hs, h2 * h2)
+    # the midpoint's z^(d) for d < 4 and H^(d-4) z^(d) for d >= 4
+    mid = (q0 + 0.5 * hs * q1 + h2 * sums[0], q1 + hs * sums[1], sums[2],
+           q3 + hs * sums[3], *sums[4:])
+    top = 2 * k - 1
+    step = np.repeat(np.arange(len(hs)), counts)
+    s = (np.array(samples) - t0[step]) / hs[step] - 0.5
+    z = []
+    for c, (v0, v1, g0, g1) in enumerate(zip(
+            (q0, q1, q2, q3), (e0, e1, e2, e3), (q1, q2, q3, f0),
+            (e1, e2, e3, f1))):
+        jet = [powers[m if m < 4 - c else 4 - c] * mid[c + m]
+               for m in range(top)]
+        # the even and odd parts at s = 1/2 of the Taylor part short of its
+        # top even term, and of its slope
+        even = odd = slope_even = slope_odd = 0.0
+        for m in range(0, top - 2, 2):
+            even = even + _HALF_POWERS[m] * jet[m]
+            odd = odd + _HALF_POWERS[m + 1] * jet[m + 1]
+            slope_even = slope_even + _HALF_POWERS[m] * jet[m + 1]
+            slope_odd = slope_odd + _HALF_POWERS[m + 1] * jet[m + 2]
+        r_even = 0.5 * (v1 + v0) - (even + _HALF_POWERS[top - 1] * jet[-1])
+        r_odd = 0.5 * (v1 - v0) - odd
+        s_even = 0.5 * (hs * g1 + hs * g0) - slope_even
+        s_odd = 0.5 * (hs * g1 - hs * g0) - slope_odd
+        # the terms in s^top and s^(top+2) take the odd residual and slope,
+        # those in s^(top+1) and s^(top+3) the even ones; d and f are the
+        # values at s = 1/2 of the terms in s^(top+2) and s^(top+3)
+        d = 0.5 * (0.5 * s_even - top * r_odd)
+        f = 0.5 * (0.5 * s_odd - (top + 1) * r_even)
+        p = (f * 2.0 ** (top + 3))[step]
+        for a in (d * 2.0 ** (top + 2), (r_even - f) * 2.0 ** (top + 1),
+                  (r_odd - d) * 2.0 ** top,
+                  *(jet[m] * _FACTORIALS[m] for m in range(top - 1, -1, -1))):
+            p = p * s + a[step]
+        z.append(p.tolist())
+    return zip(*z)
+
+
+class _Interpolants:
+    """The samples inside accepted steps, read off the steps' interpolants
+    by _dense in batches of at most _BATCH steps accepted at one column k.
+    Until its batch is read, each sample's row holds its time.  Built and
+    read off step by step on Python floats instead, the interpolants made
+    the trajectory benchmark about a third slower."""
+
+    def __init__(self):
+        self.k, self.holes = None, []
+        self.fill(None)         # starts the first batch
+
+    def keep(self, rows, k, step, qdd, force, samples):
+        """Keep a step's (H, t0, z0, f0, z1, f1), records and samples, and a
+        row for each sample."""
+        if k != self.k or len(self.counts) == _BATCH:
+            self.fill(rows)
+            self.k = k
+        size = _COLUMNS[k][-1] + 1
+        self.steps.extend(step)
+        self.qdd.extend(qdd[:size])
+        self.force.extend(force[:size])
+        self.samples += samples
+        self.counts.append(len(samples))
+        self.holes += range(len(rows), len(rows) + len(samples))
+        rows += samples
+
+    def fill(self, rows):
+        """Read off the kept samples into their rows and start a new batch."""
+        if self.holes:
+            import numpy as np
+            size = _COLUMNS[self.k][-1] + 1
+            with np.errstate(over="ignore", invalid="ignore"):  # as floats
+                states = _dense(
+                    self.k, np.frombuffer(self.steps).reshape(-1, 12),
+                    np.frombuffer(self.qdd).reshape(-1, size),
+                    np.frombuffer(self.force).reshape(-1, size),
+                    self.samples, self.counts)
+            for i, row in zip(self.holes, states):
+                rows[i] = row
+        self.steps, self.qdd, self.force = (array("d") for _ in range(3))
+        self.samples, self.counts, self.holes = [], [], []
+
+
 def _gbs(a30, a32, w_prime, y0, stops, tol, escape_radius):
     """One adaptive extrapolated Stormer run on Python floats, for the
     jet-chart field z' = (qd, qdd, qddd, a30 q + a32 qdd - w_prime(q)), from
     the 4-tuple y0 through the increasing positive stops (the last ends it).
 
-    A step that would reach a stop within 1e-14 max(1, |stop|) is capped to
-    end on it, exempt from the underflow check, and hands on the larger of
-    its own and the capped proposal.  Positions x = (q, qdd) have velocities
-    v = (qd, qddd) and the force G(x) = (qdd, a30 q + a32 qdd - w_prime(q)).
-    Column j of a step H is n_j Stormer substeps h = H / n_j in summed form:
-    D_0 = h (v + h/2 G(x)), x_{i+1} = x_i + D_i, D_i = D_{i-1} + h^2 G(x_i),
-    and the end velocity v + h (G_0/2 + G_1 + ... + G_n/2) = D_{n-1} / h +
-    h/2 G_n, which divides by no h that may underflow to 0.  The error is
-    the scaled RMS of T_jj - T_j,j-1.  An uncapped step runs all columns, a
-    capped one stops at the first column j >= 2 that passes (err <= 1).
+    Positions x = (q, qdd) have velocities v = (qd, qddd) and the force G(x)
+    = (qdd, a30 q + a32 qdd - w_prime(q)).  Column j of a step H is n_j
+    Stormer substeps h = H / n_j in summed form: D_0 = h (v + h/2 G(x)),
+    x_{i+1} = x_i + D_i, D_i = D_{i-1} + h^2 G(x_i), and the end velocity v +
+    h (G_0/2 + G_1 + ... + G_n/2) = D_{n-1} / h + h/2 G_n, which divides by
+    no h that may underflow to 0.  The error is the scaled RMS of T_jj -
+    T_j,j-1.  A step runs all columns; one that would reach the last stop
+    within 1e-14 max(1, |stop|) is capped to end on it, is exempt from the
+    underflow check and stops at the first column j >= 2 that passes (err <=
+    1).  The other stops shorten no step: a stop inside an accepted step is
+    read off its interpolant (_Interpolants), built from the qdd and forces
+    that every substep records, and a stop on a step's end takes the step's
+    own state.
 
-    Returns (times, rows, escape_time, n_steps, n_rhs, n_rejected): the time
-    and state after every capped step and at the escape (the first accepted
-    step with |z| >= escape_radius, located by _crossing), and the counts;
-    n_rhs counts forces.  Raises StepUnderflowError when an uncapped step
-    falls below 1e-14 max(1, t), or when a rejected capped step's retry
-    would still be capped, since it would repeat the rejected step exactly.
+    Returns (times, rows, escape_time, n_steps, n_rhs, n_rejected): every
+    stop before the escape (the first accepted step with |z| >=
+    escape_radius, located by _crossing) and the escape, their states, and
+    the counts; n_rhs counts forces.  Raises StepUnderflowError when an
+    uncapped step falls below 1e-14 max(1, t), or when a rejected capped
+    step's retry would still be capped, since it would repeat the rejected
+    step exactly.
     """
     sqrt = math.sqrt
     columns = _COLUMNS
     safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
     r0, r1, r2, r3 = ([0.0] * len(_STEPS) for _ in range(4))  # tableau rows
+    # qdd and the force at every substep of a step
+    qdd, force = [0.0] * (sum(_STEPS) + 1), [0.0] * (sum(_STEPS) + 1)
+    interpolants = _Interpolants() if len(stops) > 1 else None
 
     def rhs(q0, q1, q2, q3):
         return q1, q2, q3, a30 * q0 + a32 * q2 - w_prime(q0)
@@ -297,29 +508,34 @@ def _gbs(a30, a32, w_prime, y0, stops, tol, escape_radius):
     t = 0.0
     n_steps = n_rejected = 0
     n_rhs = 2
+    t_end = stops[-1]
+    reach = t_end - 1e-14 * max(1.0, abs(t_end))
     times, rows = [], []
-    for target in stops:
-        reach = target - 1e-14 * max(1.0, abs(target))
+    for first, target in enumerate(stops):
+        if target <= t:         # on an earlier step
+            continue
         # no call but sqrt, w_prime and StepUnderflowError: a call costs more
         # than the float arithmetic it stands for, so max(a, b) is written
         # (b if b > a else a), min(a, b) is (b if b < a else a)
         while True:
             capped = t + h >= reach
             if capped:
-                hs = target - t
+                hs = t_end - t
             else:
                 hs = h
                 if hs < 1e-14 * (t if t > 1.0 else 1.0):
                     raise StepUnderflowError(t)
             g0, g2 = 0.5 * q2, 0.5 * f3
-            for n, inner, neville, k, expo, may_stop, last, cost in columns:
+            for n, inner, neville, k, expo, may_stop, last, i_end in columns:
                 hn = hs / n
                 hh = hn * hn
                 d0 = hn * (q1 + hn * g0)
                 d2 = hn * (q3 + hn * g2)
                 x0, x2, s0, s2 = q0 + d0, q2 + d2, g0, g2
-                for _ in inner:
+                for i in inner:
                     f = a30 * x0 + a32 * x2 - w_prime(x0)
+                    qdd[i] = x2
+                    force[i] = f
                     s0 += x2
                     s2 += f
                     d0 += hh * x2
@@ -327,6 +543,7 @@ def _gbs(a30, a32, w_prime, y0, stops, tol, escape_radius):
                     x0 += d0
                     x2 += d2
                 f = a30 * x0 + a32 * x2 - w_prime(x0)
+                force[i_end] = f
                 p0, p2 = x0, x2
                 p1 = q1 + hn * (s0 + 0.5 * x2)
                 p3 = q3 + hn * (s2 + 0.5 * f)
@@ -352,7 +569,7 @@ def _gbs(a30, a32, w_prime, y0, stops, tol, escape_radius):
                     err = sqrt(0.25 * (e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3))
                     if err <= 1.0:
                         break
-            n_rhs += cost
+            n_rhs += i_end      # the forces of columns 0..k
 
             if not err <= 1.0:
                 n_rejected += 1
@@ -364,20 +581,19 @@ def _gbs(a30, a32, w_prime, y0, stops, tol, escape_radius):
                 continue
             n_steps += 1
             n_rhs += 1
-            t_prev, z_prev = t, (q0, q1, q2, q3)
-            t = target if capped else t + hs
+            t_prev, z_prev, f_prev = t, (q0, q1, q2, q3), f3
+            t = t_end if capped else t + hs
             q0, q1, q2, q3, m0, m1, m2, m3 = p0, p1, p2, p3, n0, n1, n2, n3
             f3 = a30 * q0 + a32 * q2 - w_prime(q0)
             factor = safety * (err if err > 1e-10 else 1e-10) ** expo
             factor = factor if factor > min_factor else min_factor
-            h_next = hs * (factor if factor < max_factor else max_factor)
-            # a capped step hands on the proposal h it was shortened from
-            # when that is the larger
-            h = h_next if not capped or h_next > h else h
+            h = hs * (factor if factor < max_factor else max_factor)
             escaped = sqrt(q0 * q0 + q1 * q1 + q2 * q2 + q3 * q3) \
                 >= escape_radius
-            if capped or escaped:
+            if escaped or t >= target:
                 break
+        # the accepted step from t_prev to t reaches target or escapes
+        end, z = t, (q0, q1, q2, q3)
         if escaped:
             counts = [(n_steps, n_rhs, n_rejected)]
 
@@ -387,11 +603,24 @@ def _gbs(a30, a32, w_prime, y0, stops, tol, escape_radius):
                 counts.append(c)
                 return z_end
 
-            t, row = _crossing(run, t_prev, z_prev, t, (q0, q1, q2, q3), tol,
-                               escape_radius)
-            return ([*times, t], [*rows, row], t, *map(sum, zip(*counts)))
-        times.append(t)
-        rows.append((q0, q1, q2, q3))
+            end, z = _crossing(run, t_prev, z_prev, t, z, tol, escape_radius)
+        j = first               # stops[first:j] lie inside the step
+        while stops[j] < end:
+            j += 1
+        if j > first:
+            times += stops[first:j]
+            interpolants.keep(rows, k, (hs, t_prev, *z_prev, f_prev, q0, q1, q2,
+                                        q3, f3), qdd, force, stops[first:j])
+        if escaped:
+            if interpolants:
+                interpolants.fill(rows)
+            return ([*times, end], [*rows, z], end,
+                    *map(sum, zip(*counts)))
+        if stops[j] == t:
+            times.append(t)
+            rows.append(z)
+    if interpolants:
+        interpolants.fill(rows)
     return times, rows, None, n_steps, n_rhs, n_rejected
 
 
@@ -462,14 +691,17 @@ def integrate(
 ) -> Trajectory:
     """Adaptive extrapolated Stormer integration (see _gbs).
 
-    Output is recorded on the equidistant sample grid (steps are capped to
-    land exactly on sample times, so samples carry full integrator accuracy).
-    H1, H2 and the interacting energy H1 - W are recorded per sample.  When
-    escape_radius (which must exceed |z0|) is set and |z| reaches it,
-    integration terminates at the located crossing, the end of an accepted
-    step at most tol max(1, t) after a time with |z| below it, and the
-    escape time is recorded in meta.  meta also counts accepted steps
-    (n_steps), rejected steps (n_rejected) and force evaluations (n_rhs).
+    Output is recorded on the equidistant sample grid.  The samples shorten
+    no step: each is read off the interpolant of the step that passes it,
+    of the step's order, or is the step's own state where it falls on the
+    step's end, as t_end does.  So a run takes the steps and forces of the
+    same run with t_end its only sample.  H1, H2 and the interacting energy
+    H1 - W are recorded per sample.  When escape_radius (which must exceed
+    |z0|) is set and |z| reaches it, integration terminates at the located
+    crossing, the end of an accepted step at most tol max(1, t) after a time
+    with |z| below it, and the escape time is recorded in meta.  meta also
+    counts accepted steps (n_steps), rejected steps (n_rejected) and force
+    evaluations (n_rhs).
 
     field is the jet-chart field of params, free_vector_field(params) or
     field_for(params, potential).  Raises ChartMismatchError when its linear

@@ -334,11 +334,19 @@ def solve_family(family: str, branch: int, free: dict,
 
 def _ta2_root(params: PUParams, t: float, r: float, rg: float) -> float:
     """The Ta2 root u = (X + rg)/4, X = alpha - 2t, t = g/a_y, r = a_y/a_x (v:
-    g/a_x, a_x/a_y, -rg); where X and rg cancel, the product of the roots over
-    the other one: (beta - alpha t + t^2 (1 + r)) / (X - rg)."""
-    X = params.alpha - 2.0 * t
-    if abs(X + rg) < abs(X - rg):
-        return (params.beta - params.alpha * t + t * t * (1.0 + r)) / (X - rg)
+    g/a_x, a_x/a_y, -rg), or the product of the roots over the other one,
+    (beta - alpha t + t^2 (1 + r)) / (X - rg), whichever cancels less.  With
+    a, b and c the magnitudes of X + rg, of that numerator and of X - rg over
+    the sums of their terms' magnitudes, the rounding errors go as 1/a and
+    1/b + 1/c, so the product form is taken where a (b + c) < b c."""
+    al, be = params.alpha, params.beta
+    X = al - 2.0 * t
+    size = al + 2.0 * abs(t) + abs(rg)
+    numerator = be - al * t + t * t * (1.0 + r)
+    a, c = abs(X + rg) / size, abs(X - rg) / size
+    b = abs(numerator) / (be + abs(al * t) + t * t * (1.0 + abs(r)))
+    if a * (b + c) < b * c:
+        return numerator / (X - rg)
     return (X + rg) / 4.0
 
 

@@ -168,7 +168,9 @@ def test_simulate_escaping_run(tmp_path, capsys):
 
 def test_simulate_summary_counts_the_run(tmp_path, capsys, monkeypatch):
     # a trajectory-workload run: the summary carries the run's accepted and
-    # rejected steps and its force evaluations, each one call of W'
+    # rejected steps and its force evaluations, each one call of W'; its
+    # samples are read off the steps' interpolants, so it takes the steps
+    # and forces of the same run with t_end its only sample
     from puosc import dynamics
     calls = []
 
@@ -182,18 +184,24 @@ def test_simulate_summary_counts_the_run(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(dynamics, "quartic", counting_quartic)
     out = tmp_path / "traj.csv"
-    assert run(["simulate", "--omega1", "1", "--omega2", "2",
-                "--chart", "ostro", "--x1", "0", "--x2", "0", "--p1", "0.5",
-                "--p2=-0.5", "--lambda", "5", "--tol", "1e-10",
-                "--t-end", "200", "--sample-rate", "0.1", "--format", "csv",
-                "--out", str(out)]) == 0
-    summary = json.loads(capsys.readouterr().out)
-    n_steps, n_rejected = summary["n_steps"], summary["n_rejected"]
-    assert n_steps > 2000 and n_rejected >= 0
-    assert summary["n_rhs"] == len(calls)
+    summaries = []
+    for rate in ("0.1", "200"):
+        calls.clear()
+        assert run(["simulate", "--omega1", "1", "--omega2", "2",
+                    "--chart", "ostro", "--x1", "0", "--x2", "0", "--p1",
+                    "0.5", "--p2=-0.5", "--lambda", "5", "--tol", "1e-10",
+                    "--t-end", "200", "--sample-rate", rate, "--format",
+                    "csv", "--out", str(out)]) == 0
+        summaries.append(json.loads(capsys.readouterr().out))
+        assert summaries[-1]["n_rhs"] == len(calls)
+    sampled, alone = ({k: s[k] for k in ("n_steps", "n_rejected", "n_rhs")}
+                      for s in summaries)
+    assert sampled == alone
+    n_steps, n_rejected = sampled["n_steps"], sampled["n_rejected"]
+    assert n_steps > 100 and n_rejected >= 0
     # 2 for the first step, 12, 20, 30 or 42 for each attempt's columns and
     # one at each accepted step's end
-    assert 2 + 13 * n_steps + 12 * n_rejected <= summary["n_rhs"] \
+    assert 2 + 13 * n_steps + 12 * n_rejected <= sampled["n_rhs"] \
         <= 2 + 43 * n_steps + 42 * n_rejected
 
 

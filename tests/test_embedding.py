@@ -1151,3 +1151,47 @@ def test_tabulated_blend_coefficients_all_families():
         bc = tabulated_blend_coefficients(m)
         assert len(bc) == 2
         assert all(isinstance(c, float) and np.isfinite(c) for c in bc)
+
+
+def _structure_ta2_rows(seeds):
+    """(omega1, omega2, branch, a_x, a_y, g) of every Ta2 embed call in the
+    structure benchmark's rounds for the seeds."""
+    import importlib.util
+    from pathlib import Path
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", Path(__file__).parents[1] / "perfbench/inputs.py")
+    inputs = sys.modules.setdefault(spec.name,
+                                    importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(inputs)
+    for seed in seeds:
+        for call in inputs.make_round("structure", seed):
+            flags = dict(zip(call.argv[1::2], call.argv[2::2]))
+            if flags.get("--family") == "ta2":
+                yield (*(float(flags[k]) for k in ("--omega1", "--omega2")),
+                       1 if flags["--branch"] == "+" else -1,
+                       *(float(flags[k]) for k in ("--ax", "--ay", "--g")))
+
+
+def test_ta2_roots_take_the_form_that_cancels_less():
+    # each Ta2 root is (X + rho_g)/4 or the product form, whichever cancels
+    # less: on the structure benchmark's 200 Ta2 rows (seeds 101-110) mu0
+    # and nu0 are within 6.3e-15 of their 60-digit values (the product form
+    # wherever |X + rho_g| < |X - rho_g| reached 8.9e-15), and every map
+    # passes
+    from decimal import Decimal, localcontext
+    rows = list(_structure_ta2_rows(range(101, 111)))
+    worst = 0.0
+    for w1, w2, branch, ax, ay, g in rows:
+        params = p.make_params(w1, w2)
+        m = p.solve_family("Ta2", branch, {"a_x": ax, "a_y": ay, "g": g},
+                           params)
+        assert p.verify_map(m).passes
+        with localcontext(prec=60):
+            al, be, dx, dy, dg = map(Decimal, (params.alpha, params.beta,
+                                               ax, ay, g))
+            rg = branch * (al * al - 4 * be - 4 * dg * dg / (dx * dy)).sqrt()
+            for got, exact in ((m.mu0, (al - 2 * dg / dy + rg) / (4 * dx)),
+                               (m.nu0, (al - 2 * dg / dx - rg) / (4 * dy))):
+                worst = max(worst, abs(float((Decimal(got) - exact) / exact)))
+    assert len(rows) == 200
+    assert worst <= 6.3e-15, worst
