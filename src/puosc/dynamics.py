@@ -133,10 +133,18 @@ def quartic(lam: float) -> Potential:
         raise PreconditionViolatedError("lambda must be non-negative")
     return Potential(
         lambda q: 0.25 * lam * q ** 4,      # W
-        lambda q: lam * (q * q * q),        # W'
+        _Cubic(lam),                        # W'
         lambda q: 3.0 * lam * q ** 2,       # W''
         f"quartic(lam={lam!r})",
     )
+
+
+@dataclass(frozen=True)
+class _Cubic:
+    """The quartic's W'(q) = lam q^3, holding the lam that _gbs inlines."""
+    lam: float
+    def __call__(self, q):
+        return self.lam * (q * q * q)
 
 
 def field_for(params: PUParams, potential: Optional[Potential]) -> VectorField:
@@ -469,18 +477,18 @@ def _gbs(a30, a32, w_prime, y0, stops, tol, escape_radius):
     the 4-tuple y0 through the increasing positive stops (the last ends it).
 
     Positions x = (q, qdd) have velocities v = (qd, qddd) and the force G(x)
-    = (qdd, a30 q + a32 qdd - w_prime(q)).  Column j of a step H is n_j
-    Stormer substeps h = H / n_j in summed form: D_0 = h (v + h/2 G(x)),
-    x_{i+1} = x_i + D_i, D_i = D_{i-1} + h^2 G(x_i), and the end velocity v +
-    h (G_0/2 + G_1 + ... + G_n/2) = D_{n-1} / h + h/2 G_n, which divides by
-    no h that may underflow to 0.  The error is the scaled RMS of T_jj -
-    T_j,j-1.  A step runs all columns; one that would reach the last stop
-    within 1e-14 max(1, |stop|) is capped to end on it, is exempt from the
-    underflow check and stops at the first column j >= 2 that passes (err <=
-    1).  The other stops shorten no step: a stop inside an accepted step is
-    read off its interpolant (_Interpolants), built from the qdd and forces
-    that every substep records, and a stop on a step's end takes the step's
-    own state.
+    = (qdd, a30 q + a32 qdd - w_prime(q)), inline for the quartic's _Cubic.
+    Column j of a step H is n_j Stormer substeps h = H / n_j in summed form:
+    D_0 = h (v + h/2 G(x)), x_{i+1} = x_i + D_i, D_i = D_{i-1} + h^2 G(x_i),
+    and the end velocity v + h (G_0/2 + G_1 + ... + G_n/2) = D_{n-1} / h +
+    h/2 G_n, which divides by no h that may underflow to 0.  Neville's rule
+    updates the tableau, a list of 4-tuples, in place; the error is the
+    scaled RMS of T_jj - T_j,j-1.  A step runs all columns; one that would
+    reach the last stop within 1e-14 max(1, |stop|) is capped to end on it,
+    is exempt from the underflow check and stops at the first column j >= 2
+    that passes (err <= 1).  The other stops shorten no step: a stop inside
+    an accepted step is read off its interpolant (_Interpolants), built from
+    every substep's qdd and force, and a stop on a step's end takes its state.
 
     Returns (times, rows, escape_time, n_steps, n_rhs, n_rejected): every
     stop before the escape (the first accepted step with |z| >=
@@ -493,7 +501,9 @@ def _gbs(a30, a32, w_prime, y0, stops, tol, escape_radius):
     sqrt = math.sqrt
     columns = _COLUMNS
     safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
-    r0, r1, r2, r3 = ([0.0] * len(_STEPS) for _ in range(4))  # tableau rows
+    r = [(0.0, 0.0, 0.0, 0.0)] * len(_STEPS)
+    cubic = type(w_prime) is _Cubic
+    lam = w_prime.lam if cubic else 0.0
     # qdd and the force at every substep of a step
     qdd, force = [0.0] * (sum(_STEPS) + 1), [0.0] * (sum(_STEPS) + 1)
     interpolants = _Interpolants() if len(stops) > 1 else None
@@ -533,7 +543,8 @@ def _gbs(a30, a32, w_prime, y0, stops, tol, escape_radius):
                 d2 = hn * (q3 + hn * g2)
                 x0, x2, s0, s2 = q0 + d0, q2 + d2, g0, g2
                 for i in inner:
-                    f = a30 * x0 + a32 * x2 - w_prime(x0)
+                    f = a30 * x0 + a32 * x2 - (lam * (x0 * x0 * x0) if cubic
+                                               else w_prime(x0))
                     qdd[i] = x2
                     force[i] = f
                     s0 += x2
@@ -542,7 +553,8 @@ def _gbs(a30, a32, w_prime, y0, stops, tol, escape_radius):
                     d2 += hh * f
                     x0 += d0
                     x2 += d2
-                f = a30 * x0 + a32 * x2 - w_prime(x0)
+                f = a30 * x0 + a32 * x2 - (lam * (x0 * x0 * x0) if cubic
+                                           else w_prime(x0))
                 force[i_end] = f
                 p0, p2 = x0, x2
                 p1 = q1 + hn * (s0 + 0.5 * x2)
@@ -550,22 +562,23 @@ def _gbs(a30, a32, w_prime, y0, stops, tol, escape_radius):
                 # Neville in place: r holds T_{j-1,0..j-1} and becomes
                 # T_{j,0..j}, p becomes T_jj, and r[i] is T_j,j-1 at the end
                 for i, c in neville:
-                    e0, e1, e2, e3 = r0[i], r1[i], r2[i], r3[i]
-                    r0[i], r1[i], r2[i], r3[i] = p0, p1, p2, p3
+                    e0, e1, e2, e3 = r[i]
+                    r[i] = p0, p1, p2, p3
                     p0 += (p0 - e0) * c
                     p1 += (p1 - e1) * c
                     p2 += (p2 - e2) * c
                     p3 += (p3 - e3) * c
-                r0[k], r1[k], r2[k], r3[k] = p0, p1, p2, p3
+                r[k] = p0, p1, p2, p3
                 if may_stop and (capped or last):
                     n0 = -p0 if p0 < 0.0 else p0
                     n1 = -p1 if p1 < 0.0 else p1
                     n2 = -p2 if p2 < 0.0 else p2
                     n3 = -p3 if p3 < 0.0 else p3
-                    e0 = (p0 - r0[i]) / (tol * (1.0 + (n0 if n0 > m0 else m0)))
-                    e1 = (p1 - r1[i]) / (tol * (1.0 + (n1 if n1 > m1 else m1)))
-                    e2 = (p2 - r2[i]) / (tol * (1.0 + (n2 if n2 > m2 else m2)))
-                    e3 = (p3 - r3[i]) / (tol * (1.0 + (n3 if n3 > m3 else m3)))
+                    e0, e1, e2, e3 = r[i]
+                    e0 = (p0 - e0) / (tol * (1.0 + (n0 if n0 > m0 else m0)))
+                    e1 = (p1 - e1) / (tol * (1.0 + (n1 if n1 > m1 else m1)))
+                    e2 = (p2 - e2) / (tol * (1.0 + (n2 if n2 > m2 else m2)))
+                    e3 = (p3 - e3) / (tol * (1.0 + (n3 if n3 > m3 else m3)))
                     err = sqrt(0.25 * (e0 * e0 + e1 * e1 + e2 * e2 + e3 * e3))
                     if err <= 1.0:
                         break
@@ -584,7 +597,8 @@ def _gbs(a30, a32, w_prime, y0, stops, tol, escape_radius):
             t_prev, z_prev, f_prev = t, (q0, q1, q2, q3), f3
             t = t_end if capped else t + hs
             q0, q1, q2, q3, m0, m1, m2, m3 = p0, p1, p2, p3, n0, n1, n2, n3
-            f3 = a30 * q0 + a32 * q2 - w_prime(q0)
+            f3 = a30 * q0 + a32 * q2 - (lam * (q0 * q0 * q0) if cubic
+                                        else w_prime(q0))
             factor = safety * (err if err > 1e-10 else 1e-10) ** expo
             factor = factor if factor > min_factor else min_factor
             h = hs * (factor if factor < max_factor else max_factor)
@@ -639,8 +653,9 @@ def _crossing(run, t0, z0, t1, z1, tol, radius):
     def bounded(t):
         t_lo, z_lo = ends[True]
         z = run(z_lo, t - t_lo)
-        ends[_norm(*z) < radius] = (t, z)
-        return _norm(*z) < radius
+        inside = _norm(*z) < radius
+        ends[inside] = (t, z)
+        return inside
 
     halvings = math.log2((t1 - t0) / (tol * max(1.0, t1)))
     _bisect(t0, t1, max(0, math.ceil(halvings)), bounded)

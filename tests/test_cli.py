@@ -389,6 +389,28 @@ def test_scan_finds_threshold_small(tmp_path):
     assert set(rep["refine"]) == {"runs", "n_steps", "n_rejected"}
 
 
+# the CI's reduced criterion-8 scan
+CI_SCAN = ["scan", *FIG_FLAGS, "--tol", "1e-8", "--t-end", "200",
+           "--escape-radius", "1000", "--lambda-max", "10",
+           "--grid-points", "8", "--bisect-iters", "10"]
+
+
+def test_ci_scan_is_pinned_bit_for_bit(tmp_path):
+    # the lane's floats and counts, pinned on the CI scan independently of
+    # the lane's reference: a kernel change that moves one bit fails here
+    out = tmp_path / "scan.json"
+    assert run([*CI_SCAN, "--out", str(out)]) == 0
+    rep = json.loads(out.read_text())
+    assert repr(rep["lambda_star"]) == "8.747975645782784"
+    assert repr(rep["window"]) == "[8.744636914171538, 8.751314377394031]"
+    assert repr(rep["refine"]) == (
+        "{'n_rejected': 390, 'n_steps': 1307, 'runs': 10}")
+    assert repr([(g["n_steps"], g["n_rejected"], g["escape_time"])
+                 for g in rep["grid"]]) == repr(
+        [(144, 7, None)] * 4 + [(144, 3, None), (147, 31, None),
+                                (153, 30, None), (47, 8, 10.206232441221424)])
+
+
 # ---------------------------------------------------------------------------
 # modes
 # ---------------------------------------------------------------------------

@@ -671,6 +671,34 @@ def test_window_comes_from_the_runs_and_brackets_lambda_star(monkeypatch):
     assert rep.lambda_star == 0.5 * (rep.window[0] + rep.window[1])
 
 
+def test_scan_with_the_force_called_is_the_same_bit_for_bit(monkeypatch):
+    # the lane computes the force of quartic(lam) inline; a scan whose
+    # potentials wrap the same W' in a plain function, which the lane calls,
+    # reports the same floats and counts, escapes and their crossings too
+    from puosc import dynamics
+    calls = []
+
+    def scan():
+        return p.threshold_search(PAR, FIG_Z0, 120.0, 1000.0, (5.0, 12.0),
+                                  grid_points=6, bisect_iters=8, tol=1e-8)
+
+    def quartic(lam, make=dynamics.quartic):
+        pot = make(lam)
+
+        def wrapped(q):
+            calls.append(q)
+            return pot.w_prime(q)
+        return p.Potential(pot.w, wrapped, pot.w_second, pot.label)
+
+    inline = scan()
+    monkeypatch.setattr(dynamics, "quartic", quartic)
+    called = scan()
+    # every force is a call: hundreds a run
+    assert len(calls) > 100 * (6 + called.refine["runs"])
+    assert repr(called) == repr(inline)
+    assert inline.refine["runs"] > 0 and inline.grid[-1].escape_time
+
+
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
@@ -1337,6 +1365,43 @@ def test_lane_is_its_reference_bit_for_bit(name):
         assert _outcome(lane, *args) == _outcome(summed, *args)
 
 
+@pytest.mark.parametrize("name", sorted(
+    name for name, (pot, *_) in LANE_CASES.items()
+    if pot is not None and pot.label.startswith("quartic(")))
+def test_quartic_force_inline_is_the_call_bit_for_bit(name, monkeypatch):
+    # the quartic's W' holds lam, so the lane computes lam (q q q) inline at
+    # every substep and step end and calls W' only for the first step's
+    # slopes, at most twice a run (its own and those locating the escape);
+    # its run is that of the lane calling a plain W', and the reference's
+    from puosc import dynamics
+    pot, *args = LANE_CASES[name]
+    a30, _, a32, _ = flow_matrix(PAR)[3].tolist()
+    lam, cubic = pot.w_prime.lam, type(pot.w_prime)
+    calls, runs = [], []
+
+    def counted(self, q, call=cubic.__call__):
+        calls.append(q)
+        return call(self, q)
+
+    def lane(*a, run=dynamics._gbs):
+        runs.append(a)
+        return run(*a)
+
+    def plain(q):
+        return lam * (q * q * q)
+
+    monkeypatch.setattr(cubic, "__call__", counted)
+    monkeypatch.setattr(dynamics, "_gbs", lane)
+    with _within(30):
+        inline = _outcome(lambda *a: lane(a30, a32, pot.w_prime, *a), *args)
+        assert 0 < len(calls) <= 2 * len(runs)
+        monkeypatch.undo()
+        called = _outcome(lambda *a: _gbs(a30, a32, plain, *a), *args)
+        reference = _outcome(lambda *a: _reference_run(
+            _summed_column, _force(a30, a32, plain), *a), *args)
+    assert inline == called == reference
+
+
 def _outcome_kind(run, args):
     # (kind, escape or underflow time, (n_steps, n_rejected))
     try:
@@ -1493,7 +1558,9 @@ def _called_in_loops(fn) -> set:
 
 
 def test_lane_step_loop_calls_only_sqrt_and_the_force():
-    # no closure, builtin (max, min, abs) or method call per stage: a call
-    # costs more than the float arithmetic it stands for
+    """No closure, builtin (max, min, abs) or method call per stage: a call
+    costs more than the float arithmetic it stands for.  The quartic's force
+    is written inline, so w_prime is called in the loop only for the free
+    field and any other potential."""
     assert _called_in_loops(_gbs) == {
         "sqrt", "w_prime", "StepUnderflowError"}
