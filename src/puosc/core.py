@@ -257,6 +257,15 @@ def flow_matrix(params: PUParams) -> np.ndarray:
     return np.array(_flow_entries(params.alpha, params.beta))
 
 
+def _table_stack(rows, n: int) -> np.ndarray:
+    """(n, 4, 4) stack of a 4x4 table of floats and (n,) arrays."""
+    M = np.empty((n, 4, 4))
+    for i, row in enumerate(rows):
+        for j, value in enumerate(row):
+            M[:, i, j] = value
+    return M
+
+
 def _structure_stack(alpha, beta) -> tuple:
     """flow_matrix, h1, h2, j1 and j2 (jet chart) of n (alpha, beta) pairs:
     five (n, 4, 4) stacks, matrix i of each bit for bit the builder's for
@@ -264,93 +273,77 @@ def _structure_stack(alpha, beta) -> tuple:
     omega1 omega2 can differ from its float power in the last bit.
     """
     a, b = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
-    stacks = []
-    for entries in (_flow_entries, _h1_entries, _h2_entries, _j1_entries,
-                    _j2_entries):
-        M = np.empty((len(a), 4, 4))
-        for i, row in enumerate(entries(a, b)):
-            for j, value in enumerate(row):
-                M[:, i, j] = value
-        stacks.append(M)
-    return tuple(stacks)
+    return tuple(_table_stack(entries(a, b), len(a))
+                 for entries in (_flow_entries, _h1_entries, _h2_entries,
+                                 _j1_entries, _j2_entries))
 
 
 # ---------------------------------------------------------------------------
 # blends
 # ---------------------------------------------------------------------------
 
-def _blend_hessians(params: PUParams, c1, c2) -> np.ndarray:
-    """Stack of blend Hessians c1*S1 + c2*S2 over 1-D arrays c1, c2.
+def _blend_stack(params: PUParams, c1, c2) -> tuple:
+    """The blends c1*H1 + c2*H2 of 1-D arrays c1, c2 (n,) in closed form:
+    (S, J, factors, singular), the Hessians c1*S1 + c2*S2, their tensors
 
-    An entry that overflows is infinite, without a warning: H2 holds 1/beta,
-    and _solve_stack counts a Hessian with an infinite entry as singular.
-    """
-    c1, c2 = (np.asarray(c, dtype=float)[:, None, None] for c in (c1, c2))
-    with np.errstate(over="ignore"):
-        return _sym_exact(c1 * h1(params).coeffs + c2 * h2(params).coeffs)
+        J = A S^-1 = (beta*c1*J1 + c2*J2) / ((c1*w1^2 + c2)(c1*w2^2 + c2))
+
+    (each entry divided by the factors before beta multiplies it, so no
+    finite entry overflows), the factors (n, 2) and where one _vanishes.
+    Nothing is checked or warns: an overflow is infinite (H2 holds 1/beta),
+    and a factor that is not finite reads as singular (inf <= inf)."""
+    c1, c2 = (np.asarray(c, dtype=float) for c in (c1, c2))
+    w1s, w2s = params.omega1 ** 2, params.omega2 ** 2
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        S = (c1[:, None, None] * h1(params).coeffs
+             + c2[:, None, None] * h2(params).coeffs)
+        d1, d2 = c1 * w1s + c2, c1 * w2s + c2
+        singular = _vanishes(c1 * w1s, c2) | _vanishes(c1 * w2s, c2)
+        b = params.beta / d2
+        x, y, z = c1 / d1 * b, (c1 * params.alpha + c2) / d1 * b, c2 / d1 / d2
+        J = _table_stack(((0.0, -z, 0.0, -x), (z, 0.0, x, 0.0),
+                          (0.0, -x, 0.0, y), (x, 0.0, -y, 0.0)),
+                         len(c1)) + 0.0    # no -0.0
+    return S, J, np.stack([d1, d2], axis=1), singular
 
 
 def blend_h(params: PUParams, c1: float, c2: float) -> QuadraticObservable:
-    """Linear combination c1*H1 + c2*H2."""
-    return QuadraticObservable(_blend_hessians(params, [c1], [c2])[0])
+    """Linear combination c1*H1 + c2*H2: _blend_stack on a stack of one."""
+    return QuadraticObservable(_blend_stack(params, [c1], [c2])[0][0])
 
 
-def _solve_stack(A: np.ndarray, S: np.ndarray):
-    """J = A S^-1 for a stack S of Hessians; returns (J, valid, singular,
-    sym_norm).  singular: _negligible(sigma_min(S)), or a singular value
-    that is not finite (a Hessian entry that overflows).
-    valid: not singular and |sym(J)| = sym_norm <= EPS_ALGEBRA max(1, |J|).
-    J is antisymmetrised, and it and sym_norm are 0 where singular.
+def solve_bihamiltonian(params: PUParams,
+                        h_target: QuadraticObservable) -> PoissonTensor:
+    """Solve J.grad(H_target) = flow for a constant tensor J = A S^-1: the
+    one numerical solve, for any target (blend_j is its closed form).
+
+    Raises SingularHessianError if sigma_min(S) is _negligible or not finite,
+    and NotAntisymmetricError(|sym(J)|) if |sym(J)| > EPS_ALGEBRA max(1, |J|)
+    -- then no constant structure pairs with H_target.
     """
+    S = h_target.coeffs
     sv = np.linalg.svd(S, compute_uv=False)
-    singular = _negligible(sv)[:, -1] | ~np.isfinite(sv).all(axis=1)
-    J = np.zeros_like(S)
-    J[~singular] = A @ np.linalg.inv(S[~singular])
-    J_T = J.swapaxes(1, 2)
-    sym_norm, j_norm = _frobenius(np.stack([0.5 * (J + J_T), J]))
-    valid = ~(singular | (sym_norm > EPS_ALGEBRA * np.maximum(1.0, j_norm)))
-    return 0.5 * (J - J_T), valid, singular, sym_norm
-
-
-def solve_bihamiltonian(
-    params: PUParams, h_target: QuadraticObservable
-) -> PoissonTensor:
-    """Solve J.grad(H_target) = flow for a constant tensor J = A S^-1.
-
-    Raises SingularHessianError if the Hessian is singular, and
-    NotAntisymmetricError (with the symmetric part's norm) if the solution is
-    not a Poisson tensor -- then no constant structure pairs with H_target.
-    """
-    J, valid, singular, sym_norm = _solve_stack(flow_matrix(params),
-                                                h_target.coeffs[None])
-    if singular[0]:
+    if _negligible(sv)[-1] or not np.isfinite(sv).all():
         raise SingularHessianError("target Hessian is singular")
-    if not valid[0]:
-        raise NotAntisymmetricError(float(sym_norm[0]))
-    return PoissonTensor(J[0], JET)
+    J = flow_matrix(params) @ np.linalg.inv(S)
+    sym_norm, j_norm = _frobenius(np.stack([0.5 * (J + J.T), J]))
+    if sym_norm > EPS_ALGEBRA * max(1.0, j_norm):
+        raise NotAntisymmetricError(float(sym_norm))
+    return PoissonTensor(0.5 * (J - J.T), JET)
 
 
 def blend_j(params: PUParams, c1: float, c2: float) -> PoissonTensor:
-    """The unique constant antisymmetric J with J.grad(c1*H1 + c2*H2) = flow,
-    A (c1*S1 + c2*S2)^-1 (solve_bihamiltonian) in closed form:
-
-        J' = (beta*c1*J1 + c2*J2) / ((c1*w1^2 + c2)(c1*w2^2 + c2)),
-
-    each entry divided by the factors before beta multiplies it, so no finite
-    entry overflows.  SingularBlendError where a factor _vanishes (c2 =
-    -c1*w_i^2), ArithmeticError where a factor or an entry is not finite.
-    """
+    """The unique constant antisymmetric J with J.grad(c1*H1 + c2*H2) = flow:
+    _blend_stack's closed form of A (c1*S1 + c2*S2)^-1 on a stack of one.
+    ArithmeticError where a factor is not finite, then SingularBlendError
+    where one _vanishes (c2 = -c1*w_i^2), then ArithmeticError where an
+    entry is not finite."""
     c1, c2 = float(c1), float(c2)
-    w1s, w2s = params.omega1 ** 2, params.omega2 ** 2
-    d1, d2 = _require_finite((c1 * w1s + c2, c1 * w2s + c2),
-                             "the blend factors c1*w_i^2 + c2")
-    if _vanishes(c1 * w1s, c2) or _vanishes(c1 * w2s, c2):
+    _, J, factors, singular = _blend_stack(params, [c1], [c2])
+    _require_finite(factors[0], "the blend factors c1*w_i^2 + c2")
+    if singular[0]:
         raise SingularBlendError(f"blend Hessian singular at ({c1}, {c2})")
-    b = params.beta / d2
-    x, y, z = c1 / d1 * b, (c1 * params.alpha + c2) / d1 * b, c2 / d1 / d2
-    J = np.array([[0.0, -z, 0.0, -x], [z, 0.0, x, 0.0],
-                  [0.0, -x, 0.0, y], [x, 0.0, -y, 0.0]]) + 0.0  # no -0.0
-    return PoissonTensor(_require_finite(J, "the blend tensor"), JET)
+    return PoissonTensor(_require_finite(J[0], "the blend tensor"), JET)
 
 
 def blend_j_tabulated(params: PUParams, c1: float, c2: float) -> PoissonTensor:
@@ -378,12 +371,9 @@ def blend_j_tabulated(params: PUParams, c1: float, c2: float) -> PoissonTensor:
 # brackets and symmetry action
 # ---------------------------------------------------------------------------
 
-def poisson_bracket(
-    params: PUParams,
-    f: QuadraticObservable,
-    g: QuadraticObservable,
-    j: PoissonTensor,
-) -> QuadraticObservable:
+def poisson_bracket(params: PUParams, f: QuadraticObservable,
+                    g: QuadraticObservable, j: PoissonTensor
+                    ) -> QuadraticObservable:
     """Bracket {F, G} = grad(F).J.grad(G) of two quadratics, again quadratic.
 
     Coefficient matrix is S_F J S_G + (S_F J S_G)^T.  All three inputs must

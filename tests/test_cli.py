@@ -683,21 +683,21 @@ EXIT_CASES = [
     ("embed-tabulated-ta2-c1-overflows",
      ["embed", "--family", "ta2", "--ax", "1e-155", "--ay", "3e-155",
       "--g", "0", "--out", "{tmp}/e.json"], 0),
-    # small frequencies generate the structure, and the suite gives its
-    # verdict (blend_grid keeps no point)
+    # small frequencies generate the structure, and every check passes:
+    # the blend grid's closed form and entrywise rule hold at every scale
     ("verify-small-frequencies-resolve-signs",
      ["verify", "--omega1", "1e-8", "--omega2", "2e-8",
-      "--out", "{tmp}/v.json"], 1),
+      "--out", "{tmp}/v.json"], 0),
     # a subnormal beta makes 1/beta infinite in the table and in the derived
     # H2 alike: the comparison is not finite
     ("verify-beta-subnormal",
      ["verify", "--omega1", "1e-78", "--omega2", "2e-78",
       "--out", "{tmp}/v.json"], 3),
     # beta is finite, but the grid's c2 = 2 blend Hessian holds 2/beta = inf:
-    # that point counts as singular, and the suite gives its verdict
+    # the grid masks that point, keeps 360, and every check passes
     ("verify-blend-hessian-not-finite",
      ["verify", "--omega1", "1e-77", "--omega2", "1.01e-77",
-      "--out", "{tmp}/v.json"], 1),
+      "--out", "{tmp}/v.json"], 0),
     # X4 = A^3 + alpha A overflows: the symmetry action names it
     ("verify-symmetry-action-overflows",
      ["verify", "--omega1", "1e60", "--omega2", "2e60",
@@ -900,29 +900,67 @@ BLEND_GRID = [(float(c1), float(c2)) for c1 in np.linspace(-2, 2, 20)
               for c2 in np.linspace(-2, 2, 20)]
 
 
-def test_blend_grid_rejects_tabulated_tensors(monkeypatch):
-    # the check must still tell wrong tensors from right ones: the stacked
-    # solve is replaced by the quoted closed form on the same grid
+def _tabulated_stack():
+    # the grid's evaluator with the quoted closed form's tensors: singular
+    # where that form has no tensor
     from puosc.errors import SingularBlendError
-    params = core.make_params(float(NEAR_SINGULAR[1]), float(NEAR_SINGULAR[3]))
+    stack = core._blend_stack
 
-    def tabulated_stack(A, S):
-        assert len(S) == len(BLEND_GRID)
+    def tabulated_stack(params, c1, c2):
+        S, _, factors, _ = stack(params, c1, c2)
         J = np.zeros_like(S)
-        valid = np.zeros(len(S), dtype=bool)
-        for k, (c1, c2) in enumerate(BLEND_GRID):
+        singular = np.ones(len(S), dtype=bool)
+        for k, (a, b) in enumerate(zip(c1, c2)):
             try:
-                J[k] = core.blend_j_tabulated(params, c1, c2).j
-                valid[k] = True
-            except SingularBlendError:
+                J[k] = core.blend_j_tabulated(params, a, b).j
+                singular[k] = False
+            except (SingularBlendError, ArithmeticError):
                 pass
-        return J, valid, ~valid, np.zeros(len(S))
+        return S, J, factors, singular
+    return tabulated_stack
 
-    monkeypatch.setattr(core, "_solve_stack", tabulated_stack)
+
+def test_blend_grid_rejects_tabulated_tensors(monkeypatch):
+    # the check must still tell wrong tensors from right ones: the closed
+    # form is replaced by the quoted one on the same grid
+    params = core.make_params(float(NEAR_SINGULAR[1]), float(NEAR_SINGULAR[3]))
+    monkeypatch.setattr(core, "_blend_stack", _tabulated_stack())
     check = _blend_grid(params)
     assert check["detail"]["points"] > 300
     assert not check["passed"]
     assert check["detail"]["max_residual"] > 1e-3
+
+
+# one pair every 5 decades of omega1 from 1e-75 to 1e50, at three ratios;
+# from about 1e51 on the suite stops where X4 = A^3 + alpha A overflows
+SCALE_SWEEP = [(10.0 ** k, r * 10.0 ** k) for k in range(-75, 51, 5)
+               for r in (1.2, 2.0, 5.0)]
+
+
+def test_blend_grid_holds_at_every_scale(monkeypatch):
+    # the closed form and the entrywise rule have no scale: the grid keeps
+    # more than 300 points and passes at every pair, and rejects the
+    # quoted tensors at every pair
+    for w1, w2 in SCALE_SWEEP:
+        check = _blend_grid(core.make_params(w1, w2))
+        assert check["passed"] and check["detail"]["points"] > 300, (
+            w1, w2, check)
+        assert check["detail"]["max_residual"] < 1e-14, (w1, w2, check)
+    monkeypatch.setattr(core, "_blend_stack", _tabulated_stack())
+    for w1, w2 in SCALE_SWEEP:
+        check = _blend_grid(core.make_params(w1, w2))
+        assert not check["passed"], (w1, w2, check)
+
+
+def test_blend_grid_names_a_bound_that_overflows():
+    # beta = 1.02e308 at (1e77, 1.01e77): |J||S| + |A| overflows, which the
+    # zero rule would read as a pass (inf <= inf), so the grid names it.
+    # errstate: the generated structure overflows there first, with a bare
+    # numpy warning
+    with np.errstate(all="ignore"), pytest.raises(
+            ArithmeticError,
+            match=r"^non-finite value in the blend grid bound"):
+        cli.run_invariant_suite(core.make_params(1e77, 1.01e77))
 
 
 # the verify pairs of the structure benchmark round at seed 101
@@ -940,38 +978,39 @@ STRUCTURE_101 = [
 ]
 
 
-def _pointwise_blend_j(params, c1, c2):
-    # the per-matrix solve of one blend, with the library's gates; None
-    # where there is no Poisson tensor
-    S = c1 * core.h1(params).coeffs + c2 * core.h2(params).coeffs
-    S = 0.5 * (S + S.T)
-    sv = np.linalg.svd(S, compute_uv=False)
-    if sv[-1] <= 1e-10 * max(sv[0], 1.0):
-        return None, S
-    J = core.flow_matrix(params) @ np.linalg.inv(S)
-    if np.linalg.norm(0.5 * (J + J.T)) > 1e-12 * max(1.0, np.linalg.norm(J)):
-        return None, S
-    return 0.5 * (J - J.T), S
+def _entry_ratios(J, S, A):
+    # |J S - A| / (|J| |S| + |A|) of each entry, over its terms J_ik S_kj
+    # and -A_ij summed in order; 0 where every term is 0
+    terms = [J[..., :, k, None] * S[..., None, k, :] for k in range(4)] + [-A]
+    bound = sum(map(np.abs, terms))
+    return np.divide(np.abs(sum(terms)), bound, out=np.zeros_like(bound),
+                     where=bound > 0)
 
 
 @pytest.mark.parametrize("w1, w2", [
     *STRUCTURE_101, (float(NEAR_SINGULAR[1]), float(NEAR_SINGULAR[3])),
-    (1.0, 2.0)])
+    (1.0, 2.0), (1e-77, 1.01e-77)])
 def test_blend_grid_stacked_solve_is_pointwise(w1, w2):
+    # the grid's one call of the closed form is blend_h and blend_j at each
+    # point bit for bit, and the grid keeps exactly the points where
+    # blend_j gives a tensor and the Hessian is finite
+    from puosc.errors import SingularBlendError
     params = core.make_params(w1, w2)
     A = core.flow_matrix(params)
     c1, c2 = np.array(BLEND_GRID).T
-    J, valid, _, _ = core._solve_stack(A, core._blend_hessians(params, c1, c2))
+    S, J, _, _ = core._blend_stack(params, c1, c2)
     worst, points = 0.0, 0
     for k, (c1, c2) in enumerate(BLEND_GRID):
-        ref, S = _pointwise_blend_j(params, c1, c2)
-        assert valid[k] == (ref is not None)
-        if ref is None:
+        H = core.blend_h(params, c1, c2).coeffs
+        assert S[k].tobytes() == H.tobytes()
+        try:
+            ref = core.blend_j(params, c1, c2).j
+        except (SingularBlendError, ArithmeticError):
             continue
-        assert np.array_equal(J[k], ref)
-        scale = max(1.0, float(np.linalg.norm(ref) * np.linalg.norm(S)))
-        worst = max(worst, float(np.linalg.norm(ref @ S - A)) / scale)
-        points += 1
+        assert J[k].tobytes() == ref.tobytes()
+        if np.isfinite(H).all():
+            worst = max(worst, float(_entry_ratios(ref, H, A).max()))
+            points += 1
     assert _blend_grid(params)["detail"] == {"max_residual": worst,
                                              "points": points}
 
@@ -1130,9 +1169,15 @@ def test_symmetry_actions_rejects_an_inexact_euler_charge(monkeypatch):
     params = core.make_params(1.0, 2.0)
     check, = _suite_checks(cli.run_invariant_suite(params), "symmetry_actions")
     assert check["passed"]
+    # the three residuals, each relative to |H1|, under their bounds
+    detail = check["detail"]
+    assert detail["x1_residual"] < 1e-12
+    assert detail["x2_residual"] <= 1e-13
+    assert detail["x4_residual"] < 1e-10
     monkeypatch.setattr(symmetry, "symmetry_charges", scaled)
     check, = _suite_checks(cli.run_invariant_suite(params), "symmetry_actions")
     assert not check["passed"]
+    assert check["detail"]["x2_residual"] == pytest.approx(1e-9, rel=1e-6)
 
 
 @pytest.mark.parametrize("w1, w2", [(1e40, 2e40), (1e44, 2e44),
@@ -1158,7 +1203,7 @@ def test_verify_where_squares_overflow_is_a_verdict(w1, w2, tmp_path,
                       "--out", str(out)]) == 1
     assert capsys.readouterr().err == ""
     report = json.loads(out.read_text(), parse_constant=pytest.fail)
-    assert report["first_failure"] == "blend_grid"
+    assert report["first_failure"] == "invariant_tensors_free"
     check, = _suite_checks(report, "invariant_tensors_free")
     assert check["detail"]["dimension"] == 4
     assert max(check["detail"]["j1_residual"],

@@ -15,8 +15,10 @@ from puosc.errors import (
     PreconditionViolatedError,
     SingularBlendError,
     SingularCoefficientError,
+    SingularHessianError,
     SingularMapError,
 )
+from test_cli import BLEND_GRID, NEAR_SINGULAR, STRUCTURE_101
 
 PAR = p.make_params(1.0, 2.0)
 
@@ -449,11 +451,70 @@ def test_blend_j_sweep_solves_every_regular_blend_and_no_ray():
 
 
 def _grid_stacks(par):
-    # the suite's blend grid: its Hessians and the solved tensors
+    # the suite's blend grid: its Hessians and tensors at its regular points
     grid = np.linspace(-2, 2, 20)
-    S = p.core._blend_hessians(par, np.repeat(grid, 20), np.tile(grid, 20))
-    J, *_ = p.core._solve_stack(flow_matrix(par), S)
+    S, J, _, singular = p.core._blend_stack(par, np.repeat(grid, 20),
+                                            np.tile(grid, 20))
+    S, J = S[~singular], J[~singular]
     return [S, J, J @ S - flow_matrix(par), 0.5 * (J + J.swapaxes(1, 2))]
+
+
+def _blend_h_scalar(S1, S2, c1, c2):
+    # blend_h on one matrix, symmetrised as it used to be: 0.5 (S + S^T) is
+    # S bit for bit unless an entry passes 2^1023, which no pair tested has
+    S = float(c1) * S1 + float(c2) * S2
+    return 0.5 * (S + S.T)
+
+
+def _blend_j_scalar(par, c1, c2):
+    # blend_j on Python floats, its checks in order; None where it raises
+    c1, c2 = float(c1), float(c2)
+    w1s, w2s = par.omega1 ** 2, par.omega2 ** 2
+    d1, d2 = c1 * w1s + c2, c1 * w2s + c2
+    if not (math.isfinite(d1) and math.isfinite(d2)):
+        return None
+    if p.core._vanishes(c1 * w1s, c2) or p.core._vanishes(c1 * w2s, c2):
+        return None
+    b = par.beta / d2
+    x, y, z = c1 / d1 * b, (c1 * par.alpha + c2) / d1 * b, c2 / d1 / d2
+    J = np.array([[0.0, -z, 0.0, -x], [z, 0.0, x, 0.0],
+                  [0.0, -x, 0.0, y], [x, 0.0, -y, 0.0]]) + 0.0
+    return J if np.isfinite(J).all() else None
+
+
+def _blend_rows(par):
+    # (c1, c2, Hessian, tensor or None) of the scalar forms on the grid
+    S1, S2 = p.h1(par).coeffs, p.h2(par).coeffs
+    return [(c1, c2, _blend_h_scalar(S1, S2, c1, c2),
+             _blend_j_scalar(par, c1, c2)) for c1, c2 in BLEND_GRID]
+
+
+@pytest.mark.parametrize("w1, w2", [
+    *STRUCTURE_101, (float(NEAR_SINGULAR[1]), float(NEAR_SINGULAR[3])),
+    (1.0, 2.0)])
+def test_blends_are_their_scalar_forms_bit_for_bit(w1, w2):
+    # blend_h and blend_j, each a stack of one of the closed form, are the
+    # scalar forms bit for bit at every point of the suite's grid
+    par = p.make_params(w1, w2)
+    for c1, c2, S, J in _blend_rows(par):
+        assert p.blend_h(par, c1, c2).coeffs.tobytes() == S.tobytes()
+        if J is None:
+            with pytest.raises((SingularBlendError, ArithmeticError)):
+                p.blend_j(par, c1, c2)
+        else:
+            assert p.blend_j(par, c1, c2).j.tobytes() == J.tobytes()
+
+
+def test_blend_stack_is_the_scalar_forms_on_the_sweep():
+    # the grid's stack is the scalar forms bit for bit at every tenth SWEEP
+    # pair: a pair every 0.83 decades, each ratio every 2.5 (blend_h and
+    # blend_j are its stack of one)
+    c1, c2 = np.array(BLEND_GRID).T
+    for par in SWEEP[::10]:
+        S, J, _, _ = p.core._blend_stack(par, c1, c2)
+        for k, (_, _, S_k, J_k) in enumerate(_blend_rows(par)):
+            assert S[k].tobytes() == S_k.tobytes(), (par, k)
+            assert J_k is None or J[k].tobytes() == J_k.tobytes(), (par, k)
 
 
 def test_frobenius_is_the_per_matrix_norm_bit_for_bit():
@@ -613,9 +674,9 @@ def test_every_rank_decision_reads_the_one_rule(monkeypatch):
     # decision of the library flips: it reads core._negligible
     monkeypatch.setattr(p.core, "_negligible",
                         lambda sv: np.ones(np.shape(sv), dtype=bool))
-    S = np.stack([p.h1(PAR).coeffs, p.h2(PAR).coeffs, np.eye(4)])
-    _, valid, singular, _ = p.core._solve_stack(flow_matrix(PAR), S)
-    assert singular.all() and not valid.any()
+    for S in (p.h1(PAR).coeffs, p.h2(PAR).coeffs, np.eye(4)):
+        with pytest.raises(SingularHessianError):
+            p.solve_bihamiltonian(PAR, p.QuadraticObservable(S))
     assert len(p.commutant_basis(flow_matrix(PAR))) == 16
     assert len(p.invariant_tensor_space(p.free_vector_field(PAR))) == 6
     # a map's singularity is not a singular-value decision: the pushforward
@@ -668,7 +729,7 @@ def test_every_closed_form_gate_reads_the_one_rule(monkeypatch):
 
     def always(*terms, **kw):
         seen.append(kw)
-        return True
+        return np.full(np.broadcast(*terms).shape, True)
 
     monkeypatch.setattr(p.core, "_vanishes", always)
     for fn, error in calls:
@@ -684,7 +745,8 @@ def test_every_closed_form_gate_reads_the_one_rule(monkeypatch):
     assert seen and all(kw == {"eps": EPS_ALGEBRA} for kw in seen)
     # (1, -1) is on a ray of blend_j, (1, 1) on one of the quoted form and
     # of the sum of squares, and the Ta1 map has x proportional to y
-    monkeypatch.setattr(p.core, "_vanishes", lambda *terms, **kw: False)
+    monkeypatch.setattr(p.core, "_vanishes", lambda *terms, **kw: np.full(
+        np.broadcast(*terms).shape, False))
     for fn, _ in calls:
         with np.errstate(divide="ignore", invalid="ignore"):
             for c1, c2 in ((1.0, -1.0), (1.0, 1.0)):
