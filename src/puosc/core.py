@@ -412,14 +412,6 @@ def _frobenius(X: np.ndarray) -> np.ndarray:
         return np.ldexp(np.sqrt(f @ f.swapaxes(-1, -2)), e)[..., 0, 0]
 
 
-def _entrywise_residual(M: np.ndarray, T: np.ndarray) -> float:
-    """Largest |M - T| / max(|M|, |T|) over the entries where M - T != 0."""
-    with np.errstate(invalid="ignore"):    # inf - inf is a NaN residual
-        d = np.abs(M - T)
-    return float(np.divide(d, np.maximum(np.abs(M), np.abs(T)),
-                           out=np.zeros_like(d), where=d != 0).max())
-
-
 def _negligible(sv: np.ndarray) -> np.ndarray:
     """The rank rule of every rank decision: in each descending row (..., k)
     the singular values at most EPS_SINGULAR * max(sigma_max, 1) count as
@@ -433,6 +425,31 @@ def _vanishes(*terms, eps=EPS_SINGULAR) -> bool:
     eps EPS_SINGULAR for a gate, EPS_ALGEBRA for an identity.  inf <= inf
     holds: where terms may overflow, check their sum with _require_finite."""
     return abs(sum(terms)) <= eps * sum(map(abs, terms))
+
+
+def _identity(*terms, what: str) -> tuple:
+    """The verdict (holds, max_ratio) of sum(terms) = 0 on arrays of one
+    (broadcast) shape, entry by entry: _vanishes at EPS_ALGEBRA at every
+    entry, and the largest |sum t| / sum |t| (0 where every term is 0).  Each
+    entry's terms are divided by 2^e, e the frexp exponent of its largest
+    |term| as in _frobenius, so finite terms cannot overflow sum |t|; a term
+    that is not finite is named by _require_finite."""
+    T = np.array(np.broadcast_arrays(*terms))
+    _, e = np.frexp(_require_finite(np.abs(T).max(axis=0), what))  # NaN too
+    T = np.ldexp(T, -e)
+    bound = np.abs(T).sum(axis=0)       # axis 0 is summed in order
+    ratio = np.divide(np.abs(T.sum(axis=0)), bound, out=np.zeros_like(bound),
+                      where=bound > 0)
+    return (bool(np.all(_vanishes(*T, eps=EPS_ALGEBRA))),
+            float(ratio.max(initial=0.0)))
+
+
+def _product_terms(X: np.ndarray, Y: np.ndarray) -> list:
+    """The k terms X_ik Y_kj of each product of stacks X (..., m, k) and
+    Y (..., k, n), for _identity; a product that overflows is infinite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [X[..., :, k, None] * Y[..., None, k, :]
+                for k in range(X.shape[-1])]
 
 
 def _require_finite(x, what: str):

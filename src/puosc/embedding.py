@@ -288,15 +288,17 @@ def solve_family(family: str, branch: int, free: dict,
     g^2 underflows (g^2/b_y is then formed as g (g/b_y)).
     """
     values = _need(family, branch, free)
-    al, be = params.alpha, params.beta
+    al = params.alpha
+    # w_n^2 = (alpha + rho_0)/2 and the other squared frequency w_f^2, read
+    # off the frequencies: alpha -+ rho_0 would cancel at large ratios
+    lo, hi = sorted((params.omega1 ** 2, params.omega2 ** 2))
+    wn, wf = (hi, lo) if branch > 0 else (lo, hi)
     if family in ("Ta1", "Ta2"):
         ax, ay, g = values
         if family == "Ta1":
-            # u = v: alpha*u - 2u^2 = beta/2, g drops out
-            u = v = (al + _rho0(params, branch)) / 4.0
-            mu0, nu0 = u / ax, v / ay
-            bx = ax * al - 2.0 * ax * ax * mu0 - ax * g / ay
-            by = ay * al - 2.0 * ay * ay * nu0 - ay * g / ax
+            # u = v: alpha*u - 2u^2 = beta/2, g drops out; u = w_n^2 / 2
+            mu0, nu0 = wn / 2.0 / ax, wn / 2.0 / ay
+            bx, by = ax * (wf - g / ay), ay * (wf - g / ax)
         else:
             # u != v: the quadratic splits via rho_g; b_x, b_y in closed form
             rg = _rho_g(params, ax, ay, g, branch)
@@ -318,14 +320,13 @@ def solve_family(family: str, branch: int, free: dict,
                           model, params)
     # Tb2: a_y = 0, y = -(g/b_y) x identically
     ax, by, g = values
-    r = _rho0(params, branch)
     # effective coefficient bt = b_x - g^2/b_y solves bt^2 - alpha a_x bt
-    # + beta a_x^2 = 0
-    bt = 0.5 * ax * (al + r)
+    # + beta a_x^2 = 0: bt = a_x w_n^2
+    bt = ax * wn
     gg = g * g
     bx = (g * (g / by) if g != 0.0 and gg < sys.float_info.min
           else gg / by) + bt
-    mu0 = (al - bt / ax) / ax
+    mu0 = wf / ax
     mu2 = 1.0 / ax
     model = TwoDimModel(ax, 0.0, bx, by, g)
     return _build_map(family, branch, mu0, mu2,

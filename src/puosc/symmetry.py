@@ -63,19 +63,18 @@ def commutant_basis(A: np.ndarray) -> np.ndarray:
     return V[0, 16 - dim:]
 
 
-def _known_stack(As: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """The known generators of each flow matrix of a stack As (n, 4, 4) with
-    its alpha (n,), as a stack (n, 4, 4, 4) in known_generators' order.
-    An entry of X4 that overflows is infinite, without a warning;
-    apply_symmetry raises on it."""
-    A2 = As @ As
-    G = np.empty((len(As), 4, 4, 4))
-    G[:, 0] = As
-    G[:, 1] = 0.5 * np.eye(4)
-    G[:, 2] = 0.5 * A2
-    with np.errstate(over="ignore", invalid="ignore"):
-        G[:, 3] = A2 @ As + alpha[:, None, None] * As
-    return G
+def _known_stack(alpha, beta) -> np.ndarray:
+    """The known generators of n (alpha, beta) pairs, a stack (n, 4, 4, 4)
+    in known_generators' order, from tables in (alpha, beta) as every
+    structure matrix of core is: no entry is a rounded sum and none
+    overflows.  X1 and X3 are A and 0.5 (A @ A) bit for bit."""
+    a, b = np.asarray(alpha, dtype=float), np.asarray(beta, dtype=float)
+    x3 = ((0.0, 0.0, 0.5, 0.0), (0.0, 0.0, 0.0, 0.5),
+          (-0.5 * b, 0.0, -0.5 * a, 0.0), (0.0, -0.5 * b, 0.0, -0.5 * a))
+    x4 = ((0.0, a, 0.0, 1.0), (-b, 0.0, 0.0, 0.0),
+          (0.0, -b, 0.0, 0.0), (0.0, 0.0, -b, 0.0))
+    return np.stack([core._table_stack(table, len(a)) for table in (
+        core._flow_entries(a, b), 0.5 * np.eye(4), x3, x4)], axis=1)
 
 
 def known_generators(params: PUParams) -> np.ndarray:
@@ -87,11 +86,10 @@ def known_generators(params: PUParams) -> np.ndarray:
         X4 = A^3 + alpha*A,  i.e. (alpha*qd + qddd) dq
                              - beta*(q dqd + qd dqdd + qdd dqddd).
 
-    All four commute pairwise (polynomials in A).  A stack (4, 4, 4):
-    _known_stack on a stack of one.
+    All four commute pairwise (polynomials in A).  A stack (4, 4, 4) of
+    exact tables: _known_stack on a stack of one.
     """
-    return _known_stack(core.flow_matrix(params)[None],
-                        np.array([params.alpha]))[0]
+    return _known_stack([params.alpha], [params.beta])[0]
 
 
 def projection_residual(basis, candidate: np.ndarray) -> float:
@@ -168,15 +166,17 @@ def apply_symmetry(xi: np.ndarray,
                    f: QuadraticObservable) -> QuadraticObservable:
     """Directional derivative X(F) = (Xi z).grad(F), again quadratic.
 
-    Coefficient matrix Xi^T S + S Xi.  For the free energy: X1(H1) = 0,
-    X2(H1) = H1, X3(H1) = -beta*H2, X4(H1) = 0.  Raises ArithmeticError when
-    the matrix is not finite (X4 overflows from about 1e52 on).
+    Coefficient matrix Xi^T S + S Xi, symmetrised.  For the free energy:
+    X1(H1) = 0, X2(H1) = H1, X3(H1) = -beta*H2, X4(H1) = 0.  Raises
+    ArithmeticError when the matrix is not finite (X4(H1) from frequencies
+    of about 1e51 on, X3(H1) from beta of about 1e308).
     """
     S = f.coeffs
     with np.errstate(over="ignore", invalid="ignore"):
-        M = core._require_finite(xi.T @ S + S @ xi,
+        M = xi.T @ S + S @ xi
+        M = core._require_finite(0.5 * (M + M.T),
                                  "the symmetry action Xi^T S + S Xi")
-    return QuadraticObservable(0.5 * (M + M.T), chart=f.chart)
+    return QuadraticObservable(M, chart=f.chart)
 
 
 def generated_structure(params: PUParams) -> tuple[np.ndarray, np.ndarray]:
@@ -184,15 +184,16 @@ def generated_structure(params: PUParams) -> tuple[np.ndarray, np.ndarray]:
 
         J2 = X3 J1 + J1 X3^T + alpha J1,   S2 = X3(H1) / -beta.
 
-    Two float (4, 4) arrays, core.j2 and core.h2 to a relative rounding error
-    per entry (X3 fixes every sign).  X3 is formed alone: X4 overflows first.
+    Two float (4, 4) arrays.  J2 is Y J1 + J1 Y^T, Y = X3 + alpha X2 from
+    known_generators' tables, whose diagonal alpha/2 - alpha/2 is exactly 0:
+    core.j2, with no alpha^2 term to cancel.  S2 is core.h2 to a rounding
+    error per entry (X3 fixes every sign), and inf, unwarned, where 1/beta is.
     """
-    A, J1 = core.flow_matrix(params), core.j1(params).j
-    x3 = 0.5 * (A @ A)
-    J = x3 @ J1 + J1 @ x3.T + params.alpha * J1
+    _, x2, x3, _ = known_generators(params)
+    y, J1 = x3 + params.alpha * x2, core.j1(params).j
     S = apply_symmetry(x3, core.h1(params)).coeffs
-    with np.errstate(over="ignore"):   # 1/beta is inf for a subnormal beta
-        return J, S / -params.beta
+    with np.errstate(over="ignore"):
+        return y @ J1 + J1 @ y.T, S / -params.beta
 
 
 def symmetry_charges(params: PUParams) -> np.ndarray:

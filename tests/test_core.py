@@ -711,6 +711,28 @@ def test_vanishes_keeps_the_two_term_verdict():
     assert not p.core._vanishes(1.0, -0.5, -0.5 + 2e-11, eps=EPS_ALGEBRA)
 
 
+def test_identity_is_the_zero_rule_at_eps_algebra():
+    # the verify suite's verdict: _vanishes at EPS_ALGEBRA at each entry,
+    # with the largest ratio |sum t| / sum |t|
+    identity = p.core._identity
+    holds, ratio = identity(np.array([1.0, 2.0]),
+                            np.array([-1.0 + 1e-12, -2.0]), what="x")
+    assert holds and ratio == pytest.approx(5e-13, rel=1e-3)
+    holds, ratio = identity(np.array([1.0, 2.0]),
+                            np.array([-1.0 + 3e-12, -2.0]), what="x")
+    assert not holds and ratio == pytest.approx(1.5e-12, rel=1e-3)
+    # all-zero entries read 0; a flipped sign reads 1
+    assert identity(np.zeros(3), np.zeros(3), what="x") == (True, 0.0)
+    assert identity(np.ones(2), np.ones(2), what="x") == (False, 1.0)
+    # scalars and a broadcast term; terms whose sum |t| would overflow
+    assert identity(1.0, 2.0, -3.0, what="x") == (True, 0.0)
+    assert identity(np.ones((2, 2)), -np.ones(2), what="x") == (True, 0.0)
+    big = np.full(3, 1.5e308)
+    assert identity(big, big, -big, -big, what="x") == (True, 0.0)
+    with pytest.raises(ArithmeticError, match="^non-finite value in x$"):
+        identity(big, np.array([0.0, np.nan, 0.0]), what="x")
+
+
 def test_every_closed_form_gate_reads_the_one_rule(monkeypatch):
     # with every sum counted as zero, each closed-form singularity gate
     # fires and every finite map verifies, and with none, none does: they

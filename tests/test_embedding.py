@@ -309,6 +309,22 @@ def test_solved_rows_pass_50_draws_per_family():
             count += 1
 
 
+@pytest.mark.parametrize("w1, w2", [(1.0, 300.0), (1.0, 1e4), (1e-3, 1e3),
+                                    (1.0, 1e7)])
+def test_ta1_and_tb2_rows_verify_at_large_frequency_ratios(w1, w2):
+    # Ta1 and Tb2 read w_n^2 = (alpha + rho_0)/2 and the other squared
+    # frequency off the frequencies: formed as alpha -+ rho_0, they cancel,
+    # and about half the rows failed verify_map from a ratio of 300 on
+    par = p.make_params(w1, w2)
+    rng = np.random.default_rng(14)
+    for family in ("Ta1", "Tb2"):
+        for _ in range(25):
+            free = draw_free_params(family, rng, par)
+            for branch in BRANCHES:
+                m = p.solve_family(family, branch, free, par)
+                assert p.verify_map(m).passes, (family, branch, free)
+
+
 def test_singularity_flags_per_family():
     rng = np.random.default_rng(13)
     for _ in range(10):

@@ -197,16 +197,16 @@ def test_x2_is_half_identity_x1_is_flow():
 @pytest.mark.parametrize("draws", STACKED_DRAWS)
 def test_known_stack_is_known_generators_bit_for_bit(draws):
     alpha = np.array([par.alpha for par in draws])
-    As = p.core._structure_stack(alpha, [par.beta for par in draws])[0]
-    G = _known_stack(As, alpha)
+    G = _known_stack(alpha, [par.beta for par in draws])
     assert G.shape == (len(draws), 4, 4, 4)
     for stacked, par in zip(G, draws):
         A = flow_matrix(par)
-        # the per-matrix formulas, one 4x4 product at a time; A^3 overflows
-        # at the edge pairs
-        with np.errstate(all="ignore"):
-            reference = (A, 0.5 * np.eye(4), 0.5 * (A @ A),
-                         A @ A @ A + par.alpha * A)
+        a, b = par.alpha, par.beta
+        # X1-X3 are the per-matrix products bit for bit; X4 = A^3 + alpha A
+        # is its exact table, which the computed product is not
+        reference = (A, 0.5 * np.eye(4), 0.5 * (A @ A),
+                     np.array([[0.0, a, 0.0, 1.0], [-b, 0.0, 0.0, 0.0],
+                               [0.0, -b, 0.0, 0.0], [0.0, 0.0, -b, 0.0]]))
         gens = p.known_generators(par)
         assert stacked.tobytes() == gens.tobytes()
         for X, R in zip(stacked, reference, strict=True):
@@ -283,11 +283,12 @@ def test_charges_are_the_symmetry_actions():
 
 
 def test_symmetry_action_overflow_is_a_numerical_failure():
-    # X4 = A^3 + alpha A overflows at (1e60, 2e60): a named ArithmeticError,
-    # not a NaN that QuadraticObservable rejects as asymmetric
+    # X4 is a finite table at (1e60, 2e60), but X4(H1) overflows: a named
+    # ArithmeticError, not a NaN that QuadraticObservable rejects as
+    # asymmetric
     par = p.make_params(1e60, 2e60)
     X4 = p.known_generators(par)[3]
-    assert not np.isfinite(X4).all()
+    assert np.isfinite(X4).all()
     with pytest.raises(ArithmeticError,
                        match="non-finite value in the symmetry action"):
         p.apply_symmetry(X4, p.h1(par))
