@@ -231,7 +231,7 @@ def run_invariant_suite(params: PUParams, lam: float = SUITE_LAMBDA,
     # generators, |g|), so they measure the basis's own error; the basis
     # is a numerical null space of X -> AX - XA, whose rounding error
     # grows with |A|, and that growth is divided out
-    scale = np.maximum(1.0, core._frobenius(As[:50]))
+    scale = core._frobenius(As[:50])
     worst_comm = float((comm / scale).max(initial=0.0))
     worst_proj = float((proj / scale).max(initial=0.0))
     record("commutant_dimension", bool((dims == 4).all()),

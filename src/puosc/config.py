@@ -1,9 +1,9 @@
 """Global numerical policy.
 
-Two tolerances cover the whole library: an identity exact in rational
-arithmetic holds to EPS_ALGEBRA relative to its own terms (core._vanishes,
-read by verify_map and core._identity); EPS_SINGULAR rules every closed-form
-gate (core._vanishes) and singular-value rank decision (core._negligible).
+Two tolerances cover the library, each relative with no floor: an identity
+exact in rational arithmetic holds to EPS_ALGEBRA of its own terms
+(core._vanishes, read by verify_map and core._identity); EPS_SINGULAR rules
+every closed-form gate and, times sigma_max, every rank (core._negligible).
 """
 
 EPS_ALGEBRA = 1e-12

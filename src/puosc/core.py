@@ -318,8 +318,8 @@ def solve_bihamiltonian(params: PUParams,
     one numerical solve, for any target (blend_j is its closed form).
 
     Raises SingularHessianError if sigma_min(S) is _negligible or not finite,
-    and NotAntisymmetricError(|sym(J)|) if |sym(J)| > EPS_ALGEBRA max(1, |J|)
-    -- then no constant structure pairs with H_target.
+    and NotAntisymmetricError(|sym(J)|) if |sym(J)| > EPS_ALGEBRA |J| -- then
+    no constant structure pairs with H_target; s * h_target gives J / s.
     """
     S = h_target.coeffs
     sv = np.linalg.svd(S, compute_uv=False)
@@ -327,7 +327,7 @@ def solve_bihamiltonian(params: PUParams,
         raise SingularHessianError("target Hessian is singular")
     J = flow_matrix(params) @ np.linalg.inv(S)
     sym_norm, j_norm = _frobenius(np.stack([0.5 * (J + J.T), J]))
-    if sym_norm > EPS_ALGEBRA * max(1.0, j_norm):
+    if sym_norm > EPS_ALGEBRA * j_norm:
         raise NotAntisymmetricError(float(sym_norm))
     return PoissonTensor(0.5 * (J - J.T), JET)
 
@@ -414,9 +414,9 @@ def _frobenius(X: np.ndarray) -> np.ndarray:
 
 def _negligible(sv: np.ndarray) -> np.ndarray:
     """The rank rule of every rank decision: in each descending row (..., k)
-    the singular values at most EPS_SINGULAR * max(sigma_max, 1) count as
-    zero.  They are a suffix of the row, all of it if sigma_max = 0."""
-    return sv <= EPS_SINGULAR * np.maximum(sv[..., :1], 1.0)
+    the singular values at most EPS_SINGULAR * sigma_max, with no floor
+    (Golub & Van Loan, 5.4.1), count as zero: a suffix, all of a zero row."""
+    return sv <= EPS_SINGULAR * sv[..., :1]
 
 
 def _vanishes(*terms, eps=EPS_SINGULAR) -> bool:

@@ -300,11 +300,14 @@ def solve_family(family: str, branch: int, free: dict,
             mu0, nu0 = wn / 2.0 / ax, wn / 2.0 / ay
             bx, by = ax * (wf - g / ay), ay * (wf - g / ax)
         else:
-            # u != v: the quadratic splits via rho_g; b_x, b_y in closed form
+            # u != v: the quadratic splits via rho_g.  b_x/a_x, b_y/a_y are
+            # (alpha -+ rho_g)/2: the larger root z1, and the product over it
             rg = _rho_g(params, ax, ay, g, branch)
             mu0 = _ta2_root(params, g / ay, ay / ax, rg) / ax
             nu0 = _ta2_root(params, g / ax, ax / ay, -rg) / ay
-            bx, by = ax * (al - rg) / 2.0, ay * (al + rg) / 2.0
+            z1 = (al + abs(rg)) / 2.0
+            z2 = (params.beta + g * g / (ax * ay)) / z1
+            bx, by = (ax * z2, ay * z1) if rg > 0 else (ax * z1, ay * z2)
         model = TwoDimModel(ax, ay, bx, by, g)
         return _build_map(family, branch, mu0, 1.0 / (2.0 * ax),
                           nu0, 1.0 / (2.0 * ay), model, params)
@@ -458,7 +461,7 @@ def qqdot_component(j: PoissonTensor) -> float:
 
 
 def fit_blend(params: PUParams, S: np.ndarray):
-    """Least-squares fit S ~ c1*S1 + c2*S2; returns (c1, c2, rel residual).
+    """Least-squares fit S ~ c1*S1 + c2*S2; returns (c1, c2, residual / |S|).
 
     The norms of S1 and S2 differ by about beta, so each column is divided
     by its core._frobenius norm before the fit and each coefficient by the
@@ -478,7 +481,7 @@ def fit_blend(params: PUParams, S: np.ndarray):
     coef = np.linalg.solve(B @ B.T, B @ target)
     r, t = core._frobenius(np.stack([target - coef @ B, target])[:, None])
     c1, c2 = (coef / norms).tolist()
-    return c1, c2, float(r / max(t, 1.0))
+    return c1, c2, float(r / t if t != 0 else r)     # r: 0 or NaN
 
 
 def tabulated_blend_coefficients(m: TransformMap):
@@ -518,25 +521,27 @@ def pullback_hamiltonian(m: TransformMap):
 
     H_fo = p_x^2/2a_x + p_y^2/2a_y + b_x x^2/2 + b_y y^2/2 + g x y pulls back
     to S_pull = C^T B C on (q, qdd), B = [[b_x, g], [g, b_y]], plus
-    C^T diag(a_x, a_y) C on (qd, qddd), fitted by least squares to
-    c1*S1 + c2*S2; the residual must be below 1e-10 for a
-    dynamics-preserving map, otherwise NotInSpanError is raised
-    (ArithmeticError where S_pull, which overflows from about omega 1e51, or
-    the residual is not finite, as where the 1/beta entry of S2 overflows,
-    below omega about 6e-78).  Degenerate models (a_y = 0) have no model
-    Hamiltonian and raise DegenerateModelError.
+    C^T diag(a_x, a_y) C on (qd, qddd), fitted to c1*S1 + c2*S2.  The fit's
+    residual is over the norm of S_pull's terms (the products in absolute
+    value), so it is rounding noise even where they cancel (Ta1 with a_y
+    near -a_x); above 1e-10 NotInSpanError is raised.  ArithmeticError where
+    S_pull (from about omega 1e51) or the residual (below omega about 6e-78,
+    1/beta = inf in S2) is not finite; DegenerateModelError where a_y = 0.
     """
     mod = m.model
     if mod.degenerate:
         raise DegenerateModelError("a_y = 0: model Hamiltonian undefined")
     C = np.array([[m.mu0, m.mu2], [m.nu0, m.nu2]])
-    S = np.zeros((4, 4))
+    S, T = np.zeros((2, 4, 4))      # S_pull and its terms' magnitudes
     with np.errstate(over="ignore", invalid="ignore"):
-        S[0::2, 0::2] = C.T @ [[mod.b_x, mod.g], [mod.g, mod.b_y]] @ C
-        S[1::2, 1::2] = C.T @ (C * [[mod.a_x], [mod.a_y]])
+        for H, f in ((S, np.asarray), (T, np.abs)):
+            c = f(C)
+            H[0::2, 0::2] = c.T @ f([[mod.b_x, mod.g], [mod.g, mod.b_y]]) @ c
+            H[1::2, 1::2] = c.T @ (c * f([[mod.a_x], [mod.a_y]]))
         S = core._require_finite(core._sym_exact(S), "the pullback Hessian "
                                  "C^T B C, C^T diag(a) C")
     c1, c2, res = fit_blend(m.params, S)
+    res = float(res * core._frobenius(S) / core._frobenius(T))
     if not math.isfinite(res):
         raise ArithmeticError(f"pullback fit residual is not finite: {res}")
     if res > 1e-10:
@@ -625,10 +630,8 @@ _FIELDS = ("mu0", "mu2", "nu0", "nu2", "b_x", "b_y", "a_y")
 
 
 def _row_values(m: TransformMap) -> dict:
-    return {
-        "mu0": m.mu0, "mu2": m.mu2, "nu0": m.nu0, "nu2": m.nu2,
-        "b_x": m.model.b_x, "b_y": m.model.b_y, "a_y": m.model.a_y,
-    }
+    values = {**vars(m), **vars(m.model)}
+    return {k: values[k] for k in _FIELDS}
 
 
 def draw_free_params(family: str, rng: np.random.Generator,

@@ -103,22 +103,19 @@ def projection_residual(basis, candidate: np.ndarray) -> float:
 
 def _span_residual(G: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Least-squares distance of each row of X[i] from the span of the rows
-    of G[i], relative to max(|x|, 1), for stacks G (n, k, m) and X (n, t, m);
-    shape (n, t), and 1.0 when k = 0.
-
-    The least-squares coefficients come from the SVD of G[i]^T, under
-    lstsq's rank rule: singular values at most eps * max(k, m) times the
-    largest count as zero.
+    of G[i], relative to |x| (0 for x = 0), for stacks G (n, k, m) and
+    X (n, t, m); shape (n, t), and 1.0 when k = 0.  The coefficients come
+    from the SVD of G[i]^T under the one rank rule, core._negligible, so
+    the residual of s X from the span of s G is that of X from that of G.
     """
-    n, k, m = G.shape
-    if k == 0:
+    if G.shape[1] == 0:
         return np.ones(X.shape[:2])
     U, sv, Vt = np.linalg.svd(G.swapaxes(1, 2), full_matrices=False)
-    keep = sv > np.finfo(float).eps * max(k, m) * sv[:, :1]
+    keep = ~core._negligible(sv)
     inv = np.divide(1.0, sv, out=np.zeros_like(sv), where=keep)
     coef = (X @ U) * inv[:, None, :] @ Vt
     r, x = core._frobenius(np.stack([X - coef @ G, X])[..., None, :])
-    return r / np.maximum(x, 1.0)
+    return np.divide(r, x, out=r.copy(), where=x != 0)  # r: 0 or NaN
 
 
 def max_pairwise_commutator(basis) -> float:
@@ -265,9 +262,9 @@ def invariant_tensor_space(
             cols = slice(2, None)  # drop the coordinates of J[0, 1], J[0, 2]
 
     # ravel(D J + J D^T) = (kron(D, I) + kron(I, D)) ravel(J), taken on J's
-    # coordinates in the antisymmetric basis and scaled by max(|D|, 1)
-    B, I = _ANTISYM[:, cols], np.eye(4)
-    M = (np.kron(D, I) + np.kron(I, D)) @ B / max(core._frobenius(D), 1.0)
+    # coordinates in the antisymmetric basis and divided by |D| unless 0
+    B, I, d = _ANTISYM[:, cols], np.eye(4), core._frobenius(D)
+    M = (np.kron(D, I) + np.kron(I, D)) @ B / (d if d > 0 else 1.0)
     _, sv, vt = np.linalg.svd(M, full_matrices=False)
     J = (vt[core._negligible(sv)] @ B.T).reshape(-1, 4, 4)
     return 0.5 * (J - J.swapaxes(1, 2))

@@ -1126,7 +1126,7 @@ def _pointwise_commutant(A, candidates):
     # unit generators and one lstsq projection per candidate
     K = np.kron(np.eye(4), A.T) - np.kron(A, np.eye(4))
     _, sv, vt = np.linalg.svd(K)
-    rows = vt[sv <= 1e-10 * max(sv[0], 1.0)] if sv[0] > 0 else vt
+    rows = vt[sv <= 1e-10 * sv[0]]
     gens = [row.reshape(4, 4) for row in rows]
     unit = [g / np.linalg.norm(g) if np.linalg.norm(g) > 0 else g
             for g in gens]
@@ -1138,7 +1138,7 @@ def _pointwise_commutant(A, candidates):
     for x in candidates:
         coef, *_ = np.linalg.lstsq(B, x.ravel(), rcond=None)
         proj = max(proj, float(np.linalg.norm(x.ravel() - B @ coef)
-                               / max(np.linalg.norm(x), 1.0)))
+                               / np.linalg.norm(x)))
     return gens, comm, proj
 
 
@@ -1177,7 +1177,7 @@ def test_stacked_commutant_section_is_pointwise():
         A = core.flow_matrix(par)
         gens, c, r = _pointwise_commutant(
             A, symmetry.known_generators(par))
-        scale = max(1.0, float(np.linalg.norm(A)))
+        scale = float(np.linalg.norm(A))
         dims.add(len(gens))
         comm, proj = max(comm, c / scale), max(proj, r / scale)
     report = cli.run_invariant_suite(params)

@@ -679,6 +679,9 @@ def test_every_rank_decision_reads_the_one_rule(monkeypatch):
             p.solve_bihamiltonian(PAR, p.QuadraticObservable(S))
     assert len(p.commutant_basis(flow_matrix(PAR))) == 16
     assert len(p.invariant_tensor_space(p.free_vector_field(PAR))) == 6
+    # with no coefficient kept, a candidate is its own residual
+    assert p.symmetry.projection_residual(p.known_generators(PAR),
+                                          flow_matrix(PAR)) == 1.0
     # a map's singularity is not a singular-value decision: the pushforward
     # follows m.singular, which the patch does not move
     m = p.solve_family("Ta2", +1, {"a_x": 1.0, "a_y": 2.0, "g": 0.5}, PAR)

@@ -823,11 +823,14 @@ def test_pullback_non_finite_hessian_is_a_numerical_failure(monkeypatch):
 
 def test_pullback_with_infinite_h2_is_a_numerical_failure():
     # at (1e-78, 2e-78) the 1/beta entry of H2 overflows: the fit is NaN and
-    # the residual check names it, with no numpy warning or LinAlgError
+    # the residual check names it, with no numpy warning or LinAlgError.
+    # The Ta1 map with a_y = -a_x pulls back to S_pull = 0 there, whose
+    # NaN fit must not read as a residual of 0
     par = p.make_params(1e-78, 2e-78)
     assert p.h2(par).coeffs[3, 3] == np.inf
     for family, free in (("Tb1", TB1_FREE),
-                         ("Ta1", {"a_x": 1.0, "a_y": 1.0, "g": 0.1})):
+                         ("Ta1", {"a_x": 1.0, "a_y": 1.0, "g": 0.1}),
+                         ("Ta1", {"a_x": -1.0, "a_y": 1.0, "g": 0.67})):
         m = p.solve_family(family, +1, free, par)
         with pytest.raises(ArithmeticError,
                            match="^pullback fit residual is not finite: nan$"):
@@ -945,6 +948,22 @@ def test_pullback_ta1_fits_despite_singular_transform():
     assert res < 1e-12
     assert c1 == pytest.approx(-1.5, abs=1e-12)
     assert c2 == pytest.approx(1.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("eps", [0.0, 1e-13, 1e-9, 1e-7, 1e-5])
+def test_pullback_ta1_fits_where_its_hessian_cancels(eps):
+    # with a_y = -a_x (1 + eps) the Ta1 pullback Hessian is eps of its
+    # terms (0 at eps = 0): over its own norm the fit residual reads 0.59 to
+    # 6e-12, rounding of the terms, which the gate at 1e-10 of |S_pull|
+    # refused from eps = 1e-7 on.  Over the terms it is at most 3e-17, and
+    # the blend is eps times a fixed pair
+    par = p.make_params(1.1137278500593453, 1.5969508142278117)
+    m = p.solve_family("Ta1", -1, {"a_x": -1.0, "a_y": 1.0 + eps, "g": 0.67},
+                       par)
+    _, c1, c2, res = p.pullback_hamiltonian(m)
+    assert 0.0 <= res <= 3e-17
+    assert c1 == pytest.approx(0.31010 * eps, rel=1e-4, abs=1e-16)
+    assert c2 == pytest.approx(-0.79082 * eps, rel=1e-4, abs=1e-16)
 
 
 def test_ghost_tradeoff_j1_preserving_maps():
@@ -1188,26 +1207,56 @@ def _structure_ta2_rows(seeds):
                        *(float(flags[k]) for k in ("--ax", "--ay", "--g")))
 
 
+def _ta2_errors(m, params, branch, ax, ay, g):
+    """Relative errors of the solved Ta2 row's (mu0, nu0) and (b_x, b_y)
+    against their 60-digit values."""
+    from decimal import Decimal, localcontext
+    with localcontext(prec=60):
+        al, be, dx, dy, dg = map(Decimal, (params.alpha, params.beta,
+                                           ax, ay, g))
+        rg = branch * (al * al - 4 * be - 4 * dg * dg / (dx * dy)).sqrt()
+        return [max(abs(float((Decimal(got) - exact) / exact))
+                    for got, exact in pairs) for pairs in (
+            ((m.mu0, (al - 2 * dg / dy + rg) / (4 * dx)),
+             (m.nu0, (al - 2 * dg / dx - rg) / (4 * dy))),
+            ((m.model.b_x, dx * (al - rg) / 2),
+             (m.model.b_y, dy * (al + rg) / 2)))]
+
+
 def test_ta2_roots_take_the_form_that_cancels_less():
     # each Ta2 root is (X + rho_g)/4 or the product form, whichever cancels
     # less: on the structure benchmark's 200 Ta2 rows (seeds 101-110) mu0
     # and nu0 are within 6.3e-15 of their 60-digit values (the product form
     # wherever |X + rho_g| < |X - rho_g| reached 8.9e-15), and every map
-    # passes
-    from decimal import Decimal, localcontext
+    # passes.  b_x and b_y are within 2.8e-15 (5.1e-15 when the smaller
+    # root was formed as alpha -+ rho_g)
     rows = list(_structure_ta2_rows(range(101, 111)))
-    worst = 0.0
+    worst = [0.0, 0.0]
     for w1, w2, branch, ax, ay, g in rows:
         params = p.make_params(w1, w2)
         m = p.solve_family("Ta2", branch, {"a_x": ax, "a_y": ay, "g": g},
                            params)
         assert p.verify_map(m).passes
-        with localcontext(prec=60):
-            al, be, dx, dy, dg = map(Decimal, (params.alpha, params.beta,
-                                               ax, ay, g))
-            rg = branch * (al * al - 4 * be - 4 * dg * dg / (dx * dy)).sqrt()
-            for got, exact in ((m.mu0, (al - 2 * dg / dy + rg) / (4 * dx)),
-                               (m.nu0, (al - 2 * dg / dx - rg) / (4 * dy))):
-                worst = max(worst, abs(float((Decimal(got) - exact) / exact)))
+        worst = np.maximum(worst, _ta2_errors(m, params, branch, ax, ay, g))
     assert len(rows) == 200
-    assert worst <= 6.3e-15, worst
+    assert worst[0] <= 6.3e-15 and worst[1] <= 2.8e-15, worst
+
+
+@pytest.mark.parametrize("w1, w2", [(1, 300), (1, 1e3), (1, 1e4),
+                                    (1e-3, 1e3), (1, 1e5)])
+def test_ta2_rows_verify_at_large_frequency_ratios(w1, w2):
+    # b_x/a_x and b_y/a_y are the roots (alpha -+ rho_g)/2: the larger is
+    # formed with no cancellation and the other as the product of the roots
+    # over it.  Formed as alpha -+ rho_g, the smaller cancelled, and 195 to
+    # all 400 of these rows failed verify_map (b_x off by 2.5e-3 at
+    # (1e-3, 1e3))
+    par = p.make_params(w1, w2)
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for i in range(400):
+        free = draw_free_params("Ta2", rng, par)
+        branch = BRANCHES[i % 2]
+        m = p.solve_family("Ta2", branch, free, par)
+        assert p.verify_map(m).passes, (free, branch)
+        worst = max(worst, _ta2_errors(m, par, branch, *free.values())[1])
+    assert worst <= 1.5e-14, worst

@@ -7,6 +7,7 @@ import pytest
 import puosc as p
 from puosc.config import EPS_ALGEBRA
 from puosc.core import flow_matrix
+from puosc.embedding import fit_blend
 from puosc.errors import (
     InsufficientSamplesError,
     NotAntisymmetricError,
@@ -97,12 +98,12 @@ def _loop_invariant_tensor_space(field):
         jacobians = [field.jacobian(z) for z in default_sample_points()]
     blocks = []
     for D in jacobians:
-        scale = max(np.linalg.norm(D), 1.0)
+        scale = np.linalg.norm(D)
         cols = [((D @ B + B @ D.T) / scale).ravel() for B in basis]
         blocks.append(np.stack(cols, axis=1))
     _, sv, vt = np.linalg.svd(np.vstack(blocks))
     out = []
-    for coeffs in vt[sv <= 1e-10 * max(sv[0], 1.0)]:
+    for coeffs in vt[sv <= 1e-10 * sv[0]]:
         J = sum(c * B for c, B in zip(coeffs, basis))
         out.append(0.5 * (J - J.T))
     return out
@@ -389,6 +390,29 @@ def test_commutant_generates_exactly_span_j1_j2():
         span = np.array([J1, J2])
         assert np.linalg.matrix_rank(np.reshape(T, (4, 16))) == 2
         assert max(projection_residual(span, t) for t in T) < EPS_ALGEBRA
+
+
+@pytest.mark.parametrize("s", [10.0 ** k for k in range(-30, 31, 5)])
+def test_rank_and_residual_decisions_are_scale_covariant(s):
+    # every rank cut and residual is relative to its own operand, with no
+    # floor, so s times an input gives the unscaled answer.  A floor of
+    # max(1, .) gave 16 commutant elements, 6 invariant tensors and a
+    # singular Hessian below s of about 1e-10, and residuals of 0.80 s and
+    # 0.12 s below s = 1
+    A, X = flow_matrix(PAR), np.diag([1.0, 0.0, 0.0, 0.0])
+    assert len(p.commutant_basis(s * A)) == 4
+    assert len(invariant_tensor_space(p.VectorField(s * A))) == 2
+    J = p.solve_bihamiltonian(PAR, p.blend_h(PAR, s, 0.0)).j
+    assert np.abs(J * s - p.j1(PAR).j).max() <= 1e-15
+    B = p.commutant_basis(A)
+    r = projection_residual(B, X)
+    assert 0.80 < r < 0.81
+    assert abs(projection_residual(s * B, s * X) - r) <= 1e-15
+    S = p.h1(PAR).coeffs + X    # X is not in span{S1, S2}
+    c1, c2, r = fit_blend(PAR, S)
+    assert 0.12 < r < 0.13
+    got = fit_blend(PAR, s * S)
+    assert got == pytest.approx((s * c1, s * c2, r), rel=1e-14, abs=0)
 
 
 # ---------------------------------------------------------------------------
