@@ -307,12 +307,10 @@ def cmd_verify(args) -> int:
 def cmd_simulate(args) -> int:
     params = make_params(args.omega1, args.omega2)
     z0 = _initial_state(args, params)
-    # lambda = 0 runs the free field, so meta["interacting"] is False
-    potential = dynamics.quartic(args.lam) if args.lam != 0.0 else None
-    traj = dynamics.integrate(params, dynamics.field_for(params, potential),
-                              z0, args.t_end, args.tol,
-                              sample_rate=args.sample_rate,
-                              escape_radius=_escape_radius(args, z0))
+    traj = dynamics.integrate(
+        params, dynamics.field_for(params, dynamics.quartic(args.lam)), z0,
+        args.t_end, args.tol, sample_rate=args.sample_rate,
+        escape_radius=_escape_radius(args, z0))
 
     config = _config(args)
     out_path = args.out or "pu_trajectory.csv"
@@ -335,7 +333,7 @@ def cmd_simulate(args) -> int:
         "# config: " + json.dumps(config, sort_keys=True),
     ]
     if args.fmt == "csv":
-        rows = dynamics.trajectory_csv_rows(params, traj)
+        rows = dynamics.trajectory_csv_rows(traj)
         with open(out_path, "w") as fh:
             fh.write("\n".join(header) + "\n")
             fh.write(dynamics.CSV_HEADER + "\n")

@@ -120,8 +120,9 @@ def mode_energy(params: PUParams, m: tuple) -> dict:
 # interaction potentials
 # ---------------------------------------------------------------------------
 
-def quartic(lam: float) -> Potential:
-    """Quartic coupling W(q) = lam q^4 / 4.
+def quartic(lam: float) -> Optional[Potential]:
+    """Quartic coupling W(q) = lam q^4 / 4, and None, the free field, at
+    lam = 0: a zero coupling runs as the free field wherever it is given.
 
     With the library's sign convention the interacting jerk equation is
     q'''' + alpha q'' + beta q + lam q^3 = 0; lam > 0 is the destabilizing
@@ -131,6 +132,8 @@ def quartic(lam: float) -> Potential:
     lam = float(lam)
     if not lam >= 0.0:
         raise PreconditionViolatedError("lambda must be non-negative")
+    if lam == 0.0:
+        return None
     return Potential(
         lambda q: 0.25 * lam * q ** 4,      # W
         _Cubic(lam),                        # W'
@@ -159,28 +162,19 @@ def field_for(params: PUParams, potential: Optional[Potential]) -> VectorField:
 # ---------------------------------------------------------------------------
 
 class Trajectory:
-    """Sample times, jet states (N x 4), the energies H1, H2 and H1 - W(q)
-    (hint_series, H1 for a free run) at each sample, and the run's meta.
+    """One run: its params, its potential (None for a free run), its sample
+    times and jet states as Python floats, and its meta.
 
-    Trajectory(times, states, h1_series, h2_series, hint_series, meta) holds
-    the arrays it is given.  integrate's holds its run's floats instead and
-    builds each array when it is first read, so a caller that reads only
-    meta, such as threshold_search, builds none and imports no numpy.
-    Trajectories are immutable.
+    The arrays times, states (N x 4) and the energies H1, H2 and H1 - W(q)
+    (hint_series, H1 for a free run) at each sample are built when first
+    read, so a caller that reads only meta, such as threshold_search, builds
+    none and imports no numpy.  Trajectories are immutable.
     """
 
-    def __init__(self, times, states, h1_series, h2_series, hint_series,
-                 meta: dict):
-        vars(self).update(times=times, states=states, h1_series=h1_series,
-                          h2_series=h2_series, hint_series=hint_series,
-                          meta=meta)
-
-    @classmethod
-    def _of_run(cls, params: PUParams, potential: Optional[Potential],
-                times: list, rows: list, meta: dict) -> "Trajectory":
-        traj = cls.__new__(cls)
-        vars(traj).update(_run=(params, potential, times, rows), meta=meta)
-        return traj
+    def __init__(self, params: PUParams, potential: Optional[Potential],
+                 times: list, rows: list, meta: dict):
+        vars(self).update(_params=params, _potential=potential,
+                          _times=times, _rows=rows, meta=meta)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"Trajectory is immutable: cannot set {name!r}")
@@ -188,16 +182,16 @@ class Trajectory:
     @cached_property
     def times(self):
         import numpy as np
-        return np.array(self._run[2])
+        return np.array(self._times)
 
     @cached_property
     def states(self):
         import numpy as np
-        return np.array(self._run[3])
+        return np.array(self._rows)
 
     def _energy(self, observable):
         import numpy as np
-        S = observable(self._run[0]).coeffs
+        S = observable(self._params).coeffs
         return 0.5 * np.einsum("ni,ij,nj->n", self.states, S, self.states)
 
     @cached_property
@@ -213,7 +207,7 @@ class Trajectory:
     @cached_property
     def hint_series(self):
         import numpy as np
-        pot = self._run[1]
+        pot = self._potential
         if pot is None:
             return self.h1_series.copy()
         return self.h1_series - np.array([pot.w(q) for q in self.states[:, 0]])
@@ -756,8 +750,7 @@ def integrate(
         "n_rejected": n_rejected,
         "interacting": pot is not None,
     }
-    return Trajectory._of_run(params, pot, [0.0, *row_times], [y0, *rows],
-                              meta)
+    return Trajectory(params, pot, [0.0, *row_times], [y0, *rows], meta)
 
 
 def default_escape_radius(z0: JetState) -> float:
@@ -835,7 +828,8 @@ def threshold_search(
     runs: their count, n_steps and n_rejected.  Its window is the highest
     bounded and the lowest escaping coupling among all runs: on a monotone
     scan it brackets lambda_star, and a first entry above the second shows
-    interleaved verdicts.
+    interleaved verdicts.  A run's StepUnderflowError propagates with the
+    run's coupling added to its message.
     """
     lam_lo, lam_hi = float(lambda_range[0]), float(lambda_range[1])
     if lam_lo < 0.0 or lam_hi < lam_lo:
@@ -850,9 +844,13 @@ def threshold_search(
         raise PreconditionViolatedError("bisect_iters must be non-negative")
 
     def classify(lam: float) -> GridPoint:
-        meta = integrate(params, field_for(params, quartic(lam)), z0, t_end,
-                         tol, sample_rate=t_end,
-                         escape_radius=escape_radius).meta
+        try:
+            meta = integrate(params, field_for(params, quartic(lam)), z0,
+                             t_end, tol, sample_rate=t_end,
+                             escape_radius=escape_radius).meta
+        except StepUnderflowError as exc:   # name the run that failed
+            exc.args = (f"{exc} in the run at lambda = {lam!r}",)
+            raise
         t = meta["escape_time"]
         return GridPoint(lam, t is None, t, meta["n_steps"],
                          meta["n_rejected"])
@@ -950,14 +948,15 @@ def _bisect(lo: float, hi: float, iters: int, bounded):
 CSV_HEADER = "t,q,qd,qdd,qddd,x1,x2,p1,p2,H1,H2,Hint"
 
 
-def trajectory_csv_rows(params: PUParams, traj: Trajectory) -> list:
-    """CSV rows (no header) with both charts and the three energy series.
+def trajectory_csv_rows(traj: Trajectory) -> list:
+    """CSV rows (no header) with both charts and the three energy series;
+    p1 = -alpha qd - qddd takes alpha from the run's params.
 
     Each value is its float's repr.  x1 = q, x2 = qd and p2 = qdd repeat
     jet-chart columns, so q, qd and qdd are formatted once and their strings
     reused: 9 repr conversions a row, not 12.
     """
-    a = float(params.alpha)
+    a = float(traj._params.alpha)
     rows = []
     for t, (q, qd, qdd, qddd), h1, h2, hint in zip(
             traj.times.tolist(), traj.states.tolist(), traj.h1_series.tolist(),

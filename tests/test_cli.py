@@ -810,6 +810,12 @@ def test_exit_code_messages(tmp_path, capsys):
     assert exit_code(["scan", "--grid-points", "10001"]) == 2
     assert capsys.readouterr().err == (
         "error: grid_points must not exceed 10000\n")
+    assert exit_code(["scan", "--q0", "1e14", "--lambda-max", "1",
+                      "--grid-points", "2", "--bisect-iters", "1",
+                      "--t-end", "1"]) == 3
+    assert capsys.readouterr().err == (
+        "numerical failure: step size underflow at t = 0.0 in the run at "
+        "lambda = 0.0\n")
     assert exit_code(["modes", "--q0", "1e160"]) == 3
     assert capsys.readouterr().err.startswith(
         "numerical failure: mode energy is not finite")

@@ -20,6 +20,7 @@ import puosc as p
 from puosc.core import flow_matrix, ostro_jacobian, ostro_jacobian_inv
 from puosc.dynamics import (
     _COLUMNS, _MAX_FACTOR, _MIN_FACTOR, _NEVILLE, _SAFETY, _STEPS,
+    _Cubic,
     CSV_HEADER,
     MAX_GRID_POINTS,
     MAX_SAMPLES,
@@ -44,6 +45,10 @@ from puosc.errors import (
 
 PAR = p.make_params(1.0, 2.0)
 FIG_Z0 = p.ostro_to_jet(PAR, p.OstroState(0.0, 0.0, 0.5, -0.5))
+# quartic(0.0) is the free field; this zero quartic keeps the lane's inline
+# force at lam = 0, lam (q q q), whose 0 * inf turns NaN once q^3 overflows
+ZERO_QUARTIC = p.Potential(lambda q: 0.0 * q ** 4, _Cubic(0.0),
+                           lambda q: 0.0 * q ** 2, "quartic(lam=0.0)")
 
 
 def scan_run(lam, t_end=200.0, radius=1000.0, tol=1e-10, z0=FIG_Z0):
@@ -239,17 +244,20 @@ def _within(seconds):
 
 
 # W'(1e103) = lam * 1e309 overflows: an infinite slope at lam = 1 and
-# 0 * inf = NaN at lam = 0.  Neither a capped nor an uncapped first step
-# can be taken, so the run must end in step underflow at t = 0.
+# 0 * inf = NaN for the zero quartic.  Neither a capped nor an uncapped
+# first step can be taken, so the run must end in step underflow at t = 0.
 @pytest.mark.parametrize("lam", [0.0, 1.0])
 @pytest.mark.parametrize("t_end", [1e-15, 1e-300, 1.0])
 def test_non_finite_slope_underflows_at_once(lam, t_end):
     z0 = p.JetState(1e103, 0, 0, 0)
+    field = field_for(PAR, ZERO_QUARTIC if lam == 0.0 else p.quartic(lam))
     with _within(10), pytest.raises(StepUnderflowError) as exc:
-        p.integrate(PAR, field_for(PAR, p.quartic(lam)), z0, t_end)
+        p.integrate(PAR, field, z0, t_end)
     assert exc.value.last_time == 0.0
+    # as one coupling of threshold_search
     with _within(10), pytest.raises(StepUnderflowError) as exc:
-        scan_run(lam, t_end, 1e106, z0=z0)
+        p.integrate(PAR, field, z0, t_end, 1e-10, sample_rate=t_end,
+                    escape_radius=1e106)
     assert exc.value.last_time == 0.0
 
 
@@ -291,7 +299,7 @@ def test_step_counters(lam, tol, radius):
     # first step, 12, 20, 30 or 42 for each attempt's columns and one at
     # each accepted step's end, in the runs that locate an escape too
     # the samples of a run sampled every 0.5 cost no force
-    pot, calls = _counting(p.quartic(lam))
+    pot, calls = _counting(ZERO_QUARTIC if lam == 0.0 else p.quartic(lam))
     traj = p.integrate(PAR, field_for(PAR, pot), FIG_Z0, 50.0, tol=tol,
                        sample_rate=50.0, escape_radius=radius)
     n_steps, n_rhs, n_rejected = (traj.meta[k] for k in (
@@ -699,6 +707,47 @@ def test_scan_with_the_force_called_is_the_same_bit_for_bit(monkeypatch):
     assert inline.refine["runs"] > 0 and inline.grid[-1].escape_time
 
 
+@pytest.mark.parametrize("lam", [0.0, -0.0])
+def test_zero_coupling_is_the_free_field(lam):
+    assert p.quartic(lam) is None
+    assert field_for(PAR, p.quartic(lam)).potential is None
+
+
+def test_scan_runs_a_zero_coupling_as_the_free_field(monkeypatch):
+    # the grid's lambda = 0 point is the run of simulate --lambda 0: the
+    # lane gets the free field's W', not a zero quartic's
+    from puosc import dynamics
+    forces = []
+
+    def spy(a30, a32, w_prime, *args, run=dynamics._gbs):
+        forces.append(w_prime)
+        return run(a30, a32, w_prime, *args)
+
+    monkeypatch.setattr(dynamics, "_gbs", spy)
+    rep = p.threshold_search(PAR, FIG_Z0, 200.0, 1000.0, (0.0, 10.0),
+                             grid_points=3, bisect_iters=0, tol=1e-8)
+    monkeypatch.undo()
+    assert [g.lam for g in rep.grid] == [0.0, 0.01, 10.0]
+    assert forces[0] is _no_force
+    assert all(type(w) is _Cubic and w.lam > 0.0 for w in forces[1:])
+    free = p.integrate(PAR, p.free_vector_field(PAR), FIG_Z0, 200.0, 1e-8,
+                       sample_rate=200.0, escape_radius=1000.0).meta
+    assert free["interacting"] is False
+    assert rep.grid[0] == GridPoint(0.0, True, None, free["n_steps"],
+                                    free["n_rejected"])
+
+
+def test_scan_underflow_names_its_coupling():
+    # one line names the failing run of a scan, and keeps its time
+    z0 = p.JetState(1e14, 0.0, 0.0, 0.0)
+    with _within(10), pytest.raises(StepUnderflowError) as exc:
+        p.threshold_search(PAR, z0, 1.0, default_escape_radius(z0),
+                           (0.0, 1.0), grid_points=2, bisect_iters=1)
+    assert exc.value.last_time == 0.0
+    assert str(exc.value) == (
+        "step size underflow at t = 0.0 in the run at lambda = 0.0")
+
+
 # ---------------------------------------------------------------------------
 # export
 # ---------------------------------------------------------------------------
@@ -706,7 +755,7 @@ def test_scan_with_the_force_called_is_the_same_bit_for_bit(monkeypatch):
 def test_csv_rows_shape_and_header():
     traj = p.integrate(PAR, p.free_vector_field(PAR), FIG_Z0, 1.0,
                        tol=1e-9, sample_rate=0.5)
-    rows = trajectory_csv_rows(PAR, traj)
+    rows = trajectory_csv_rows(traj)
     assert CSV_HEADER == "t,q,qd,qdd,qddd,x1,x2,p1,p2,H1,H2,Hint"
     assert len(rows) == len(traj.times)
     first = rows[0].split(",")
@@ -719,7 +768,7 @@ def test_csv_rows_shape_and_header():
 def test_csv_deterministic():
     t1 = p.integrate(PAR, field_for(PAR, p.quartic(0.5)), FIG_Z0, 3.0, tol=1e-9)
     t2 = p.integrate(PAR, field_for(PAR, p.quartic(0.5)), FIG_Z0, 3.0, tol=1e-9)
-    assert trajectory_csv_rows(PAR, t1) == trajectory_csv_rows(PAR, t2)
+    assert trajectory_csv_rows(t1) == trajectory_csv_rows(t2)
 
 
 def test_csv_rows_match_numpy_scalar_formatting():
@@ -733,7 +782,7 @@ def test_csv_rows_match_numpy_scalar_formatting():
         vals = [t, q, qd, qdd, qddd, q, qd, -PAR.alpha * qd - qddd, qdd,
                 traj.h1_series[i], traj.h2_series[i], traj.hint_series[i]]
         expected.append(",".join(repr(float(v)) for v in vals))
-    assert trajectory_csv_rows(PAR, traj) == expected
+    assert trajectory_csv_rows(traj) == expected
 
 
 def _verbatim_csv_rows(params, traj):
@@ -755,17 +804,28 @@ def test_csv_rows_are_the_verbatim_rows(lam):
     traj = p.integrate(PAR, field_for(PAR, None if lam == 0.0 else
                                       p.quartic(lam)),
                        FIG_Z0, 200.0, tol=1e-10, sample_rate=0.1)
-    assert trajectory_csv_rows(PAR, traj) == _verbatim_csv_rows(PAR, traj)
+    assert trajectory_csv_rows(traj) == _verbatim_csv_rows(PAR, traj)
 
 
 def test_csv_rows_keep_signed_zeros():
-    zero = np.array([0.0])
-    traj = p.Trajectory(zero, np.array([[-0.0, 0.0, -0.0, 0.0]]), -zero,
-                        zero, -zero, {})
-    (row,) = trajectory_csv_rows(PAR, traj)
+    # a free run's record of one sample, at a state of signed zeros
+    traj = p.Trajectory(PAR, None, [0.0], [(-0.0, 0.0, -0.0, 0.0)], {})
+    (row,) = trajectory_csv_rows(traj)
     assert row == _verbatim_csv_rows(PAR, traj)[0]
-    # p1 = -alpha * 0.0 - 0.0 is -0.0
-    assert row == "0.0,-0.0,0.0,-0.0,0.0,-0.0,0.0,-0.0,-0.0,-0.0,0.0,-0.0"
+    # p1 = -alpha * 0.0 - 0.0 is -0.0; the energies sum zeros to 0.0
+    assert row == "0.0,-0.0,0.0,-0.0,0.0,-0.0,0.0,-0.0,-0.0,0.0,0.0,0.0"
+
+
+def test_csv_rows_take_alpha_from_the_run():
+    # p1 = -alpha qd - qddd with the alpha of the run's own params
+    par = p.make_params(0.7, 3.1)
+    traj = p.integrate(par, field_for(par, p.quartic(0.5)),
+                       p.JetState(0.3, -0.2, 0.1, 0.4), 2.0, tol=1e-9,
+                       sample_rate=0.5)
+    rows = trajectory_csv_rows(traj)
+    assert len(rows) == 5 and par.alpha != PAR.alpha
+    for row, (q, qd, qdd, qddd) in zip(rows, traj.states.tolist()):
+        assert row.split(",")[7] == repr(-par.alpha * qd - qddd)
 
 
 def test_step_underflow_on_finite_time_blowup():
@@ -1318,8 +1378,10 @@ LANE_CASES = {
     # retried, and the stops on the way are read off interpolants
     "end-rejected": (p.quartic(5.0), FIG_Y0, _sample_times(10.5, 0.25)[1:],
                      1e-10, math.inf),
-    # scan lanes on both sides of lambda* = 8.79...
-    **{f"scan-{lam}": (p.quartic(lam), FIG_Y0, [200.0], 1e-8, 1000.0)
+    # scan lanes on both sides of lambda* = 8.79..., the zero quartic's
+    # inline force at 0 (a scan runs lambda = 0 as the free field)
+    **{f"scan-{lam}": (ZERO_QUARTIC if lam == 0.0 else p.quartic(lam),
+                       FIG_Y0, [200.0], 1e-8, 1000.0)
        for lam in (0.0, 6.6, 8.78, 100.0)},
     # the rejecting run of test_step_counters
     "rejecting": (p.quartic(100.0), FIG_Y0, [50.0], 1e-4, 1e6),
@@ -1335,12 +1397,13 @@ LANE_CASES = {
     "t-end-5e-324": (None, FIG_Y0, [5e-324], 1e-8, 1000.0),
     # 0 * q^3 turns NaN once q^3 overflows at a substep: uncapped steps are
     # rejected on a NaN error until the step underflows
-    "nan-error-uncapped": (p.quartic(0.0),
+    "nan-error-uncapped": (ZERO_QUARTIC,
                            (-5e102, -2.5e102, -7e101, -3.5e102), [50.0],
                            1e-8, math.inf),
     # the non-finite slopes of test_non_finite_slope_underflows_at_once
-    **{f"nan-slope-{lam}-{t_end}": (p.quartic(lam), (1e103, 0.0, 0.0, 0.0),
-                                    [t_end], 1e-8, 1e106)
+    **{f"nan-slope-{lam}-{t_end}": (
+        ZERO_QUARTIC if lam == 0.0 else p.quartic(lam),
+        (1e103, 0.0, 0.0, 0.0), [t_end], 1e-8, 1e106)
        for lam in (0.0, 1.0) for t_end in (1e-15, 1e-300, 1.0)},
     # a force that is not a quartic
     "pendulum": (PENDULUM, (3.0, 0.0, -1.0, 0.5), _sample_times(
